@@ -3,9 +3,10 @@
 Subcommands: verify (run suites or a manifest), phi (evaluate a terminating
 series spec), delannoy (tables), congruence and positivity (module-specific
 grids).  Exit codes: 0 all checks passed, 1 at least one mathematical check
-failed, 2 usage or configuration error.  Reports are emitted in canonical case
-order and are byte-identical for identical configurations, with or without
---parallel.
+failed, 2 usage or configuration error, or a case that raised (a term-budget
+abort, say) instead of reaching a verdict.  Reports are emitted in canonical
+case order and are byte-identical for identical configurations, with or
+without --parallel.
 """
 
 from __future__ import annotations
@@ -15,41 +16,27 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 
-from . import congruence, delannoy, hyperg, suites
-from .exactalg import TermBudgetExceeded
+from . import congruence, delannoy, hyperg, positivity, suites
+from .exactalg import TermBudgetExceeded, exact_divide
 
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-@dataclass
-class SuiteConfig:
-    """Validated configuration for one verify run."""
+def _write(text: str, out_path) -> None:
+    """Write text to out_path, or to stdout when no path is given."""
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
-    suite: str = "all"
-    bounds: dict = field(default_factory=dict)
-    format: str = "text"
-    parallel: bool = False
-    seed: int = 0
-    out: str = None
-    manifest: str = None
-    unsafe_bounds: bool = False
 
-    def check_caps(self):
-        if self.unsafe_bounds:
-            return
-        for key, cap in suites.HARD_CAPS.items():
-            value = self.bounds.get(key)
-            if value is not None and value > cap:
-                raise ValueError(
-                    f"--{key} {value} above hard cap {cap}; pass --unsafe-bounds to override")
-        p = self.bounds.get("p")
-        if p is not None and p > suites.HARD_CAPS["pmax"]:
-            raise ValueError(
-                f"--p {p} above hard cap {suites.HARD_CAPS['pmax']}; pass --unsafe-bounds to override")
+def _label(record) -> str:
+    params = ",".join(f"{k}={v}" for k, v in sorted(record["params"].items()))
+    return f"{record['name']}({params})"
 
 
 def _emit(records, fmt: str, out_path) -> str:
@@ -66,55 +53,60 @@ def _emit(records, fmt: str, out_path) -> str:
     else:
         lines = []
         for r in records:
-            params = ",".join(f"{k}={v}" for k, v in sorted(r["params"].items()))
-            label = f"{r['name']}({params})"
             if r["passed"]:
-                lines.append(f"PASS {label}")
+                lines.append(f"PASS {_label(r)}")
             else:
-                lines.append(f"FAIL {label} difference={r['difference']}")
+                lines.append(f"FAIL {_label(r)} difference={r['difference']}")
         failed = sum(1 for r in records if not r["passed"])
         lines.append(f"{len(records)} cases, {failed} failed")
         text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out_path)
     return text
 
 
 def _finish(records, fmt, out) -> int:
+    """Emit the report; a case that raised is an error (exit 2), not a verdict."""
     _emit(records, fmt, out)
+    errors = [r for r in records if "error" in r]
+    if errors:
+        print(f"error: {_label(errors[0])}: {errors[0]['error']}", file=sys.stderr)
+        return EXIT_USAGE
     failures = [r for r in records if not r["passed"]]
     if failures:
-        first = failures[0]
-        params = ",".join(f"{k}={v}" for k, v in sorted(first["params"].items()))
-        print(f"FAILED: {first['name']}({params}) difference={first['difference']}",
+        print(f"FAILED: {_label(failures[0])} difference={failures[0]['difference']}",
               file=sys.stderr)
         return EXIT_FAILED
     return EXIT_OK
 
 
+def _over_cap(args):
+    """The error for the first grid bound of args above its hard cap, or None.
+
+    A subcommand without --unsafe-bounds (phi) has no grid bounds to check.
+    """
+    if getattr(args, "unsafe_bounds", True):
+        return None
+    for key, cap in dict(suites.HARD_CAPS, p=suites.HARD_CAPS["pmax"]).items():
+        value = getattr(args, key, None)
+        if value is not None and value > cap:
+            return f"--{key} {value} above hard cap {cap}; pass --unsafe-bounds to override"
+    return None
+
+
 def cmd_verify(args) -> int:
-    config = SuiteConfig(
-        suite=args.suite, format=args.format, parallel=args.parallel,
-        seed=args.seed, out=args.out, manifest=args.manifest,
-        unsafe_bounds=args.unsafe_bounds,
-        bounds={"nmax": args.nmax, "mmax": args.mmax, "pmax": args.pmax,
-                "rmax": args.rmax, "p": args.p, "seed": args.seed},
-    )
+    bounds = {"nmax": args.nmax, "mmax": args.mmax, "pmax": args.pmax,
+              "rmax": args.rmax, "p": args.p, "seed": args.seed}
     try:
-        config.check_caps()
-        if config.manifest:
-            with open(config.manifest) as fh:
+        if args.manifest:
+            with open(args.manifest) as fh:
                 cases = suites.manifest_cases(json.load(fh))
         else:
-            cases = suites.suite_cases(config.suite, config.bounds)
+            cases = suites.suite_cases(args.suite, bounds)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    records = suites.run_cases(cases, parallel=config.parallel)
-    return _finish(records, config.format, config.out)
+    records = suites.run_cases(cases, parallel=args.parallel)
+    return _finish(records, args.format, args.out)
 
 
 def cmd_phi(args) -> int:
@@ -127,7 +119,6 @@ def cmd_phi(args) -> int:
         print(f"invalid series: {exc}", file=sys.stderr)
         return EXIT_USAGE
     num, den = hyperg.phi_sum_cleared(spec)
-    from .exactalg import exact_divide
     whole = exact_divide(num, den)
     if whole is not None:
         print(whole)
@@ -137,6 +128,12 @@ def cmd_phi(args) -> int:
 
 
 def cmd_delannoy(args) -> int:
+    if args.m < 0 or args.n < 0:
+        print("error: --m and --n must be non-negative", file=sys.stderr)
+        return EXIT_USAGE
+    if max(args.m, args.n) > 12 and not args.unsafe_bounds:
+        print("error: table bound above 12; pass --unsafe-bounds to override", file=sys.stderr)
+        return EXIT_USAGE
     try:
         table = delannoy.build_table(args.q_analogue, args.m, args.n)
     except (ValueError, delannoy.DelannoyMismatchError) as exc:
@@ -156,11 +153,7 @@ def cmd_delannoy(args) -> int:
         }, indent=2, sort_keys=True) + "\n"
     else:
         text = f"{table.cell(args.m, args.n)}\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return EXIT_OK
 
 
@@ -187,23 +180,18 @@ def cmd_congruence(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     return EXIT_OK if all(r["passed"] for r in records) else EXIT_FAILED
 
 
 def cmd_positivity(args) -> int:
-    from .positivity import thm3_record
     records = []
     for m in range(1, args.mmax + 1):
         for n in range(1, args.nmax + 1):
-            records.append(thm3_record("thm3-1", m, n))
+            records.append(positivity.thm3_record("thm3-1", m, n))
             for r in range(1, args.rmax + 1):
-                records.append(thm3_record("thm3-2", m, n, r))
-                records.append(thm3_record("thm3-3", m, n, r))
+                records.append(positivity.thm3_record("thm3-2", m, n, r))
+                records.append(positivity.thm3_record("thm3-3", m, n, r))
     if args.format == "text":
         lines = []
         for rec in records:
@@ -214,11 +202,7 @@ def cmd_positivity(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args.out)
     ok = all(r["divisible"] and r["nonneg"] for r in records)
     return EXIT_OK if ok else EXIT_FAILED
 
@@ -229,13 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification of q-series identities, congruences, and positivity.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    def common(p, formats=("text", "json", "csv")):
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--parallel", action="store_true",
-                       help="fan cases out to a process pool (report unchanged)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property sampling")
         p.add_argument("--unsafe-bounds", action="store_true",
                        help="lift the hard caps on grid bounds")
 
@@ -248,6 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--rmax", type=int, default=None)
     pv.add_argument("--p", type=int, default=None,
                     help="restrict the congruence suite to a single prime")
+    pv.add_argument("--parallel", action="store_true",
+                    help="fan cases out to a process pool (report unchanged)")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="seed for randomized property sampling")
     common(pv)
     pv.set_defaults(fn=cmd_verify)
 
@@ -266,14 +250,14 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("congruence", help="bracket congruences for one prime")
     pc.add_argument("--p", type=int, required=True)
     pc.add_argument("--mmax", type=int, default=9)
-    common(pc)
+    common(pc, formats=("text", "json"))
     pc.set_defaults(fn=cmd_congruence)
 
     pq = sub.add_parser("positivity", help="positivity certificates over a grid")
     pq.add_argument("--mmax", type=int, default=3)
     pq.add_argument("--nmax", type=int, default=3)
     pq.add_argument("--rmax", type=int, default=1)
-    common(pq)
+    common(pq, formats=("text", "json"))
     pq.set_defaults(fn=cmd_positivity)
     return parser
 
@@ -284,11 +268,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if args.command == "delannoy" and (args.m < 0 or args.n < 0):
-        print("error: --m and --n must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
-    if args.command == "delannoy" and max(args.m, args.n) > 12 and not args.unsafe_bounds:
-        print("error: table bound above 12; pass --unsafe-bounds to override", file=sys.stderr)
+    error = _over_cap(args)
+    if error:
+        print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.fn(args)

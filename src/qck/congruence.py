@@ -15,13 +15,12 @@ exactly before any reduction happens.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .delannoy import dq, dq_inverse_base
 from .exactalg import MultiLaurentPoly, divrem_in_q, exact_div
 from .qkit import QBracket, bracket, poch_prefixes, qbinomial, qpochhammer, ParamExpr
-from .report import VerificationReport, make_report
+from .report import CaseKind
 
 _PRIME_CAP = 10 ** 4
 
@@ -86,16 +85,14 @@ def laurent_congruent(u: MultiLaurentPoly, v: MultiLaurentPoly,
     return congruence_witness(u, v, mod, square).is_zero()
 
 
-def verify_minus_q_pochhammer(p: int) -> VerificationReport:
+def minus_q_pochhammer_witness(p: int) -> MultiLaurentPoly:
     """(-q; q)_{p-1} == 1 (mod [p])."""
-    started = time.perf_counter()
     mod = BracketModulus.of(p)
     value = qpochhammer(ParamExpr.of(-1, {"q": 1}), p - 1)
-    witness = congruence_witness(value, MultiLaurentPoly.const(1), mod, square=False)
-    return make_report("minus_q_pochhammer", {"p": p}, ("q",), witness, started)
+    return congruence_witness(value, MultiLaurentPoly.const(1), mod, square=False)
 
 
-def verify_qidentity(n: int, j: int) -> VerificationReport:
+def qidentity_sides(n: int, j: int) -> tuple:
     """The telescoping identity behind the single-sum rewriting, cleared by (1 - q^{j+1}):
 
     sum_{k=j}^{n-1} (1-q^{2k+1}) [k+j;2j] q^{-(j+1)k} * (1-q^{j+1})
@@ -103,7 +100,6 @@ def verify_qidentity(n: int, j: int) -> VerificationReport:
     """
     if not 0 <= j <= n - 1:
         raise ValueError("need 0 <= j <= n-1")
-    started = time.perf_counter()
     one = MultiLaurentPoly.const(1)
     lhs = MultiLaurentPoly.zero()
     for k in range(j, n):
@@ -113,7 +109,7 @@ def verify_qidentity(n: int, j: int) -> VerificationReport:
     rhs = (one - MultiLaurentPoly.monomial(1, {"q": n})) \
         * (one - MultiLaurentPoly.monomial(1, {"q": n - j})) \
         * qbinomial(n + j, 2 * j) * MultiLaurentPoly.monomial(1, {"q": -(j + 1) * (n - 1)})
-    return make_report("qidentity", {"n": n, "j": j}, ("q",), lhs - rhs, started)
+    return lhs, rhs
 
 
 class Thm2MismatchError(RuntimeError):
@@ -177,14 +173,12 @@ def thm2_target(p: int, m: int) -> MultiLaurentPoly:
     return MultiLaurentPoly.zero()
 
 
-def verify_thm2(p: int, m: int) -> VerificationReport:
-    """The sum over k < p of [2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k} matches its case target mod [p]^2."""
+def thm2_witness(p: int, m: int) -> MultiLaurentPoly:
+    """Sum over k < p of [2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k}, minus its case target, mod [p]^2."""
     if m < 1:
         raise ValueError("need m >= 1")
-    started = time.perf_counter()
     mod = BracketModulus.of(p)
-    witness = congruence_witness(thm2_lhs(p, m), thm2_target(p, m), mod, square=True)
-    return make_report("thm2", {"p": p, "m": m}, ("q",), witness, started)
+    return congruence_witness(thm2_lhs(p, m), thm2_target(p, m), mod, square=True)
 
 
 def nonneg_divisibility_fact(p: int, j: int, m: int) -> bool:
@@ -202,3 +196,9 @@ def nonneg_divisibility_fact(p: int, j: int, m: int) -> bool:
         * (one - MultiLaurentPoly.monomial(1, {"q": p}))
     quotient = exact_divide(num, den)
     return quotient is not None and is_nonneg_integer_laurent(quotient)
+
+
+verify_minus_q_pochhammer = CaseKind("minus_q_pochhammer", __name__, ("p",), ("q",),
+                                     difference="minus_q_pochhammer_witness")
+verify_qidentity = CaseKind("qidentity", __name__, ("n", "j"), ("q",))
+verify_thm2 = CaseKind("thm2", __name__, ("p", "m"), ("q",), difference="thm2_witness")

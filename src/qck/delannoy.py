@@ -14,14 +14,13 @@ parametrized form the alternative expansions specialize from).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .exactalg import MultiLaurentPoly
-from .qkit import ParamExpr, choose2, poch_prefixes, qbinomial, qpochhammer
-from .report import VerificationReport, make_report
+from .qkit import ParamExpr, choose2, poch_prefixes, qbinomial
+from .report import CaseKind
 
 
 class DelannoyMismatchError(RuntimeError):
@@ -119,20 +118,17 @@ def product_expansion_rhs(m: int, n: int) -> MultiLaurentPoly:
     return out
 
 
-def product_expansion(m: int, n: int) -> VerificationReport:
-    """Check D_q(m,n) D*_q(m,n) against the single-sum expansion."""
-    started = time.perf_counter()
-    diff = dq(m, n) * dq_star(m, n) - product_expansion_rhs(m, n)
-    return make_report("delannoy_product", {"m": m, "n": n}, ("q",), diff, started)
+def delannoy_product_sides(m: int, n: int) -> tuple:
+    """D_q(m,n) D*_q(m,n) and the single-sum expansion it must equal."""
+    return dq(m, n) * dq_star(m, n), product_expansion_rhs(m, n)
 
 
-def product_x_identity(m: int, n: int) -> VerificationReport:
+def delannoy_product_x_sides(m: int, n: int) -> tuple:
     """The x-parametrized product identity the single-sum expansion specializes from.
 
     (sum_k q^{(m-k)(n-k)} [m;k][n;k] (x;q)_k)(same with x -> q/x)
         == sum_k q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (x;q)_k (q/x;q)_k
     """
-    started = time.perf_counter()
     px = poch_prefixes(ParamExpr.var("x"), max(m, n))
     pqx = poch_prefixes(ParamExpr.of(1, {"q": 1, "x": -1}), max(m, n))
     f1 = MultiLaurentPoly.zero()
@@ -147,19 +143,16 @@ def product_x_identity(m: int, n: int) -> VerificationReport:
         term = qbinomial(n + k, 2 * k) * qbinomial(m, k) * qbinomial(m + k, k)
         term = term * px[k] * pqx[k]
         rhs = rhs + term * MultiLaurentPoly.monomial(1, {"q": (m - k) * (n - k)})
-    return make_report("delannoy_product_x", {"m": m, "n": n}, ("q", "x"),
-                       f1 * f2 - rhs, started)
+    return f1 * f2, rhs
 
 
-def verify_relations(m: int, n: int) -> VerificationReport:
+def relations_difference(m: int, n: int) -> MultiLaurentPoly:
     """Cross-relations at one (m,n): alternative expansions, q = 1, and the q -> 1/q twin.
 
     Checks dq_alt == D_q(m,n), dq_star_alt == D*_q(n,m) (note the swap),
     D*_q(m,n) == q^{mn} D_{1/q}(m,n), and that both q-analogues collapse to
     D(m,n) at q = 1.
     """
-    started = time.perf_counter()
-    one = MultiLaurentPoly.const(1)
     d_plain = MultiLaurentPoly.const(delannoy(m, n))
     diffs = [
         dq_alt(m, n) - dq(m, n),
@@ -168,8 +161,7 @@ def verify_relations(m: int, n: int) -> VerificationReport:
         dq(m, n).substitute({"q": 1}) - d_plain,
         dq_star(m, n).substitute({"q": 1}) - d_plain,
     ]
-    diff = next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
-    return make_report("delannoy_relations", {"m": m, "n": n}, ("q",), diff, started)
+    return next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
 
 
 def dq_symmetry_holds(bound: int) -> bool:
@@ -206,3 +198,9 @@ def build_table(kind: str, max_m: int, max_n: int) -> DelannoyTable:
     fn = fns[kind]
     entries = [[fn(m, n) for n in range(max_n + 1)] for m in range(max_m + 1)]
     return DelannoyTable(kind, max_m, max_n, entries)
+
+
+product_expansion = CaseKind("delannoy_product", __name__, ("m", "n"), ("q",))
+product_x_identity = CaseKind("delannoy_product_x", __name__, ("m", "n"), ("q", "x"))
+verify_relations = CaseKind("delannoy_relations", __name__, ("m", "n"), ("q",),
+                            difference="relations_difference")

@@ -25,7 +25,6 @@ The text grammar (whitespace insensitive)::
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 

@@ -13,19 +13,16 @@ verified in an equivalent root-free form, via (c;q)_{2k} regrouping or the
 base substitution q = t^2.
 
 Builders named ``*_sides`` return the cleared (lhs, rhs) pair so that tests
-can exercise substitution consistency between related identities; the
-``verify_*`` wrappers package the difference into a VerificationReport.
+can exercise substitution consistency between related identities; the public
+``verify_*`` names are CaseKind rows over them, returning a VerificationReport.
 """
 
 from __future__ import annotations
 
-import time
-from fractions import Fraction
-
 from .exactalg import MultiLaurentPoly, exact_div
 from .qkit import (ParamExpr, Q, choose2, poch_prefixes, poch_suffixes,
                    qbinomial, qpochhammer, terminating_weight)
-from .report import IdentityCase, VerificationReport, make_report
+from .report import CaseKind
 
 _T2 = ParamExpr.of(1, {"t": 2})  # the base t^2 used where sqrt(q) would appear
 
@@ -51,16 +48,6 @@ def _shifted_factorial_ratio(n: int, parts) -> MultiLaurentPoly:
     return exact_div(_qq(n), den)
 
 
-def cleared_power_poch(a_var: str, shift: ParamExpr, n: int, base: ParamExpr = Q) -> list:
-    """prefix[k] = a^k (shift/a; base)_k = prod_{i<k} (a - shift*base^i), for k=0..n."""
-    out = [MultiLaurentPoly.const(1)]
-    factor = shift
-    for _ in range(n):
-        out.append(out[-1] * (MultiLaurentPoly.var(a_var) - factor.as_poly()))
-        factor = factor * base
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Core product formula: two 3phi2 factors against a single six-Pochhammer sum.
 # ---------------------------------------------------------------------------
@@ -82,7 +69,7 @@ def clausen_orr_sides(n: int) -> tuple:
     pcqn = poch_prefixes(_pe(1, c=1, q=n), n)
     ctail = poch_suffixes(_pe(1, c=1), n)
     c2tail = poch_suffixes(_pe(1, c=1), 2 * n)
-    aca = cleared_power_poch("a", _pe(1, c=1), n)
+    aca = poch_prefixes(_pe(1, c=1), n, lead=_mono(a=1))
 
     s1 = MultiLaurentPoly.zero()
     s2 = MultiLaurentPoly.zero()
@@ -100,12 +87,6 @@ def clausen_orr_sides(n: int) -> tuple:
     return lhs, rhs
 
 
-def verify_clausen_orr(n: int) -> VerificationReport:
-    """Product of the two terminating 3phi2 series equals a^n times the 6phi5 sum."""
-    started = time.perf_counter()
-    lhs, rhs = clausen_orr_sides(n)
-    return make_report("clausen_orr", {"n": n}, ("q", "a", "x", "c"), lhs - rhs, started)
-
 
 def final_square_sides(n: int) -> tuple:
     """Cleared sides of the c = x^2 corollary: the square of one 3phi2 as a 5phi4.
@@ -119,7 +100,7 @@ def final_square_sides(n: int) -> tuple:
     x2tail = poch_suffixes(_pe(1, x=2), n)
     mxtail = poch_suffixes(_pe(-1, x=1), n)
     x2qtail = poch_suffixes(_pe(1, x=2, q=1), n, base=ParamExpr.of(1, {"q": 2}))
-    axa = cleared_power_poch("a", _pe(1, x=2), n)
+    axa = poch_prefixes(_pe(1, x=2), n, lead=_mono(a=1))
 
     s3 = MultiLaurentPoly.zero()
     rhs_sum = MultiLaurentPoly.zero()
@@ -133,12 +114,6 @@ def final_square_sides(n: int) -> tuple:
     rhs = x2tail[0] * rhs_sum
     return lhs, rhs
 
-
-def verify_final_square(n: int) -> VerificationReport:
-    """Square of the 3phi2 with lower parameter x^2 equals a^n times the 5phi4 sum."""
-    started = time.perf_counter()
-    lhs, rhs = final_square_sides(n)
-    return make_report("final_square", {"n": n}, ("q", "a", "x"), lhs - rhs, started)
 
 
 def sqrt_corollary_sides(m: int) -> tuple:
@@ -158,7 +133,7 @@ def sqrt_corollary_sides(m: int) -> tuple:
     xt_tail = poch_suffixes(_pe(1, x=1, t=1), m, base=_T2)
     mxt_tail = poch_suffixes(_pe(-1, x=1, t=1), m, base=_T2)
     mx_tail = poch_suffixes(_pe(-1, x=1), m, base=_T2)
-    axa = cleared_power_poch("a", _pe(1, x=2), m, base=_T2)
+    axa = poch_prefixes(_pe(1, x=2), m, base=_T2, lead=_mono(a=1))
 
     lhs_sum = MultiLaurentPoly.zero()
     for k in range(2 * m + 1):
@@ -174,12 +149,6 @@ def sqrt_corollary_sides(m: int) -> tuple:
     rhs = rhs * x2tail[0]
     return lhs, rhs
 
-
-def verify_sqrt_corollary(m: int) -> VerificationReport:
-    """The order-2m 3phi2 equals a^m times the 4phi3, in base t with q = t^2."""
-    started = time.perf_counter()
-    lhs, rhs = sqrt_corollary_sides(m)
-    return make_report("sqrt_corollary", {"m": m}, ("t", "a", "x"), lhs - rhs, started)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +179,6 @@ def special3_sides(n: int) -> tuple:
     return s1 * s2 * c2tail[0], ctail[0] * rhs_sum
 
 
-def verify_special3(n: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = special3_sides(n)
-    return make_report("special3", {"n": n}, ("q", "x", "c"), lhs - rhs, started)
-
 
 def special1_sides(n: int) -> tuple:
     """Cleared sides of the a = -x specialization of the core product formula."""
@@ -238,11 +202,6 @@ def special1_sides(n: int) -> tuple:
     return s1 * s2 * c2tail[0], _mono(sign, x=n) * ctail[0] * rhs_sum
 
 
-def verify_special1(n: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = special1_sides(n)
-    return make_report("special1", {"n": n}, ("q", "x", "c"), lhs - rhs, started)
-
 
 def special222_sides(n: int) -> tuple:
     """Cleared sides of the two-variable transformation, symbolic in x, y, c."""
@@ -261,11 +220,6 @@ def special222_sides(n: int) -> tuple:
     return lhs, rhs
 
 
-def verify_special222(n: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = special222_sides(n)
-    return make_report("special222", {"n": n}, ("q", "x", "y", "c"), lhs - rhs, started)
-
 
 def special2_sides(n: int) -> tuple:
     """Cleared sides of the x -> -x, y -> c/x instance used by the companion formula."""
@@ -282,11 +236,6 @@ def special2_sides(n: int) -> tuple:
     sign = -1 if n % 2 else 1
     return lhs, _mono(sign, x=n) * rhs
 
-
-def verify_special2(n: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = special2_sides(n)
-    return make_report("special2", {"n": n}, ("q", "x", "c"), lhs - rhs, started)
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +286,6 @@ def general_s_sides(n: int, s: int) -> tuple:
     return lhs, rhs
 
 
-def verify_general_s(n: int, s: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = general_s_sides(n, s)
-    return make_report("general_s", {"n": n, "s": s}, ("q", "a", "x"), lhs - rhs, started)
-
 
 def q2_product_sides(n: int, s: int) -> tuple:
     """Cleared sides of the (q^{-2n};q^2)-weighted product identity, coded from its own display.
@@ -380,13 +324,8 @@ def q2_product_sides(n: int, s: int) -> tuple:
     return lhs, rhs
 
 
-def verify_q2_product(n: int, s: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = q2_product_sides(n, s)
-    return make_report("q2_product", {"n": n, "s": s}, ("q", "x"), lhs - rhs, started)
 
-
-def verify_general_s_specialization(n: int, s: int) -> VerificationReport:
+def general_s_specialization_difference(n: int, s: int) -> MultiLaurentPoly:
     """Cross-check: the a = -q^{-n} image of the shifted formula is the q^2 display.
 
     With a bound to -q^{-n}, (a;q)_k (q^{-n};q)_k = (q^{-2n};q^2)_k and
@@ -394,7 +333,6 @@ def verify_general_s_specialization(n: int, s: int) -> VerificationReport:
     rebalancing by G|_{a=-q^{-n}} on one side and (q^2;q^2)_{n+s}(q^2;q^2)_{n-s}
     on the other.
     """
-    started = time.perf_counter()
     binding = {"a": ParamExpr.of(-1, {"q": -n})}
     gl, gr = general_s_sides(n, s)
     il, ir = q2_product_sides(n, s)
@@ -404,9 +342,7 @@ def verify_general_s_specialization(n: int, s: int) -> VerificationReport:
     scale = qpochhammer(_Q2, n + s, base=_Q2) * nms * nms
     diff_l = gl.substitute(binding) * scale - il * g_at
     diff_r = gr.substitute(binding) * scale - ir * g_at
-    diff = diff_l if not diff_l.is_zero() else diff_r
-    return make_report("general_s_specialization", {"n": n, "s": s}, ("q", "x"),
-                       diff, started)
+    return diff_l if not diff_l.is_zero() else diff_r
 
 
 def special3_shifted_sides(n: int, s: int) -> tuple:
@@ -435,11 +371,6 @@ def special3_shifted_sides(n: int, s: int) -> tuple:
     rhs = lead * rhs_sum
     return lhs, rhs
 
-
-def verify_special3_shifted(n: int, s: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = special3_shifted_sides(n, s)
-    return make_report("special3_shifted", {"n": n, "s": s}, ("q", "x"), lhs - rhs, started)
 
 
 # ---------------------------------------------------------------------------
@@ -471,16 +402,10 @@ def lemma_last_sides(n: int, m: int, h: int) -> tuple:
     sign = -1 if (m - 1) % 2 else 1
     exp = (m * m + 3 * m) // 2 - m * n - m * h - h * h + h
     rhs = _shifted_factorial_ratio(n, (m, n - m - h)) * _qq(h - 1) * px[m + h]
-    rhs = rhs * cleared_power_poch("x", _pe(1, c=1), n - h)[n - h]
+    rhs = rhs * poch_prefixes(_pe(1, c=1), n - h, lead=_mono(x=1))[n - h]
     rhs = rhs * _mono(sign, q=exp)
     return lhs, rhs
 
-
-def verify_lemma_last(n: int, m: int, h: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = lemma_last_sides(n, m, h)
-    return make_report("lemma_last", {"n": n, "m": m, "h": h}, ("q", "x", "c"),
-                       lhs - rhs, started)
 
 
 def lemma_am2_sides(n: int, m: int, h: int) -> tuple:
@@ -503,16 +428,10 @@ def lemma_am2_sides(n: int, m: int, h: int) -> tuple:
     sign = -1 if (m - h) % 2 else 1
     exp = (m * m + m - h * h + h) // 2 - m * n
     rhs = _shifted_factorial_ratio(n, (m, h - 1, n - m - h)) * pa[m + h]
-    rhs = rhs * cleared_power_poch("a", _pe(1, c=1), n - h)[n - h]
+    rhs = rhs * poch_prefixes(_pe(1, c=1), n - h, lead=_mono(a=1))[n - h]
     rhs = rhs * _mono(sign, q=exp)
     return lhs, rhs
 
-
-def verify_lemma_am2(n: int, m: int, h: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = lemma_am2_sides(n, m, h)
-    return make_report("lemma_am2", {"n": n, "m": m, "h": h}, ("q", "a", "c"),
-                       lhs - rhs, started)
 
 
 def b_poly(n: int, k: int) -> MultiLaurentPoly:
@@ -546,13 +465,8 @@ def lem_important2_sides(n: int) -> tuple:
     return lhs, rhs
 
 
-def verify_lem_important2(n: int) -> VerificationReport:
-    started = time.perf_counter()
-    lhs, rhs = lem_important2_sides(n)
-    return make_report("lem_important2", {"n": n}, ("q", "a", "x"), lhs - rhs, started)
 
-
-def connection_coefficients(n: int, m: int) -> VerificationReport:
+def connection_coefficients_difference(n: int, m: int) -> MultiLaurentPoly:
     """The coefficient of (x;q)_m (c/x;q)_m in the product expansion, three ways.
 
     Computes the connection coefficient from its defining double sum (using the
@@ -562,11 +476,10 @@ def connection_coefficients(n: int, m: int) -> VerificationReport:
     """
     if not 0 <= m <= n:
         raise ValueError("need 0 <= m <= n")
-    started = time.perf_counter()
     pa = poch_prefixes(_pe(1, a=1), n)
     ctail_n = poch_suffixes(_pe(1, c=1), n)
     ctail_m = poch_suffixes(_pe(1, c=1), m)
-    aca = cleared_power_poch("a", _pe(1, c=1), n)
+    aca = poch_prefixes(_pe(1, c=1), n, lead=_mono(a=1))
     sign_m = -1 if m % 2 else 1
     qexp = _mono(sign_m, q=(m * m + m) // 2 - m * n)
 
@@ -603,6 +516,25 @@ def connection_coefficients(n: int, m: int) -> VerificationReport:
         * qpochhammer(_pe(1, c=1, q=2 * m), n - m)
 
     diffs = [am0 - fin1, fin1 - fin2, am0 - am0_direct]
-    diff = next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
-    return make_report("connection_coefficients", {"n": n, "m": m}, ("q", "a", "c"),
-                       diff, started)
+    return next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
+
+
+verify_clausen_orr = CaseKind("clausen_orr", __name__, ("n",), ("q", "a", "x", "c"))
+verify_final_square = CaseKind("final_square", __name__, ("n",), ("q", "a", "x"))
+verify_sqrt_corollary = CaseKind("sqrt_corollary", __name__, ("m",), ("t", "a", "x"))
+verify_special3 = CaseKind("special3", __name__, ("n",), ("q", "x", "c"))
+verify_special1 = CaseKind("special1", __name__, ("n",), ("q", "x", "c"))
+verify_special222 = CaseKind("special222", __name__, ("n",), ("q", "x", "y", "c"))
+verify_special2 = CaseKind("special2", __name__, ("n",), ("q", "x", "c"))
+verify_general_s = CaseKind("general_s", __name__, ("n", "s"), ("q", "a", "x"))
+verify_q2_product = CaseKind("q2_product", __name__, ("n", "s"), ("q", "x"))
+verify_general_s_specialization = CaseKind(
+    "general_s_specialization", __name__, ("n", "s"), ("q", "x"),
+    difference="general_s_specialization_difference")
+verify_special3_shifted = CaseKind("special3_shifted", __name__, ("n", "s"), ("q", "x"))
+verify_lemma_last = CaseKind("lemma_last", __name__, ("n", "m", "h"), ("q", "x", "c"))
+verify_lemma_am2 = CaseKind("lemma_am2", __name__, ("n", "m", "h"), ("q", "a", "c"))
+verify_lem_important2 = CaseKind("lem_important2", __name__, ("n",), ("q", "a", "x"))
+connection_coefficients = CaseKind(
+    "connection_coefficients", __name__, ("n", "m"), ("q", "a", "c"),
+    difference="connection_coefficients_difference")

@@ -14,14 +14,13 @@ checked with fully symbolic weights x0..x_{n-1}.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .delannoy import dq, dq_inverse_base
 from .exactalg import (MultiLaurentPoly, NotDivisibleError, exact_div,
                        is_nonneg_integer_laurent)
 from .qkit import ParamExpr, choose2, poch_prefixes, qbinomial
-from .report import VerificationReport, make_report
+from .report import CaseKind, VerificationReport, make_report
 
 _ONE = MultiLaurentPoly.const(1)
 
@@ -65,14 +64,13 @@ def s_n_symbolic(n: int) -> MultiLaurentPoly:
     return s_n([MultiLaurentPoly.var(f"x{k}") for k in range(n + 1)], n)
 
 
-def verify_schmidt(k: int, i: int, j: int) -> VerificationReport:
+def schmidt_sides(k: int, i: int, j: int) -> tuple:
     """The linearization identity for [k+i;2i][2i;i] [k+j;2j][2j;j]:
 
     equals sum_{s=i}^{i+j} [i+j;i][j;s-i][s;j] [k+s;2s][2s;s] q^{(i+j-s)(k-s)}.
     """
     if not (0 <= i <= k and 0 <= j <= k):
         raise ValueError("need 0 <= i, j <= k")
-    started = time.perf_counter()
     lhs = qbinomial(k + i, 2 * i) * qbinomial(2 * i, i) \
         * qbinomial(k + j, 2 * j) * qbinomial(2 * j, j)
     rhs = MultiLaurentPoly.zero()
@@ -80,7 +78,7 @@ def verify_schmidt(k: int, i: int, j: int) -> VerificationReport:
         term = qbinomial(i + j, i) * qbinomial(j, s - i) * qbinomial(s, j)
         term = term * qbinomial(k + s, 2 * s) * qbinomial(2 * s, s)
         rhs = rhs + term * MultiLaurentPoly.monomial(1, {"q": (i + j - s) * (k - s)})
-    return make_report("schmidt", {"k": k, "i": i, "j": j}, ("q",), lhs - rhs, started)
+    return lhs, rhs
 
 
 @dataclass
@@ -141,7 +139,7 @@ def xk_weights(m: int, k: int) -> MultiLaurentPoly:
         * MultiLaurentPoly.monomial(1, {"q": k * k - m * k})
 
 
-def verify_alternating_sum(n: int, s: int) -> VerificationReport:
+def alternating_sum_sides(n: int, s: int) -> tuple:
     """The alternating telescoping sum, cleared by (1 - q^n):
 
     sum_{k=s}^{n-1} (-1)^{n-k-1} (1-q^{2k+1}) [k+s;2s][2s;s] q^{C(k,2)-sk}
@@ -149,7 +147,6 @@ def verify_alternating_sum(n: int, s: int) -> VerificationReport:
     """
     if not 0 <= s <= n - 1:
         raise ValueError("need 0 <= s <= n-1")
-    started = time.perf_counter()
     lhs = MultiLaurentPoly.zero()
     for k in range(s, n):
         sign = -1 if (n - k - 1) % 2 else 1
@@ -157,7 +154,7 @@ def verify_alternating_sum(n: int, s: int) -> VerificationReport:
         lhs = lhs + term * MultiLaurentPoly.monomial(sign, {"q": choose2(k) - s * k})
     rhs = _one_minus_q(n) * qbinomial(n - 1, s) * qbinomial(n + s, s) \
         * MultiLaurentPoly.monomial(1, {"q": choose2(n) - s * n})
-    return make_report("alternating_sum", {"n": n, "s": s}, ("q",), lhs - rhs, started)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +227,27 @@ _CLAIM_BUILDERS = {
 }
 
 
+def _thm3_poly(claim: str, m: int, n: int, r: int):
+    """The claim's polynomial, or None when its exact division fails."""
+    if claim not in _CLAIM_BUILDERS:
+        raise ValueError(f"unknown claim {claim!r}")
+    try:
+        return _CLAIM_BUILDERS[claim](m, n, r)
+    except NotDivisibleError:
+        return None
+
+
 def thm3_record(claim: str, m: int, n: int, r: int = 1) -> dict:
     """Structured certificate for one (claim, m, n, r) cell.
 
     Keys: m, n, r, claim, divisible, nonneg, min_coeff, degree_range.
     """
-    if claim not in _CLAIM_BUILDERS:
-        raise ValueError(f"unknown claim {claim!r}")
-    record = {"m": m, "n": n, "r": r, "claim": claim}
-    try:
-        poly = _CLAIM_BUILDERS[claim](m, n, r)
-    except NotDivisibleError:
-        record.update(divisible=False, nonneg=False, min_coeff=None, degree_range=None)
+    poly = _thm3_poly(claim, m, n, r)
+    record = {"m": m, "n": n, "r": r, "claim": claim, "divisible": poly is not None}
+    if poly is None:
+        record.update(nonneg=False, min_coeff=None, degree_range=None)
         return record
     coeffs = [c for _, c in poly.sorted_terms()]
-    record["divisible"] = True
     record["nonneg"] = is_nonneg_integer_laurent(poly)
     record["min_coeff"] = str(min(coeffs)) if coeffs else "0"
     record["degree_range"] = list(poly.degree_range("q"))
@@ -253,16 +256,14 @@ def thm3_record(claim: str, m: int, n: int, r: int = 1) -> dict:
 
 def verify_thm3(claim: str, m: int, n: int, r: int = 1) -> VerificationReport:
     """Report form of thm3_record: difference collects any violating terms."""
-    started = time.perf_counter()
-    try:
-        poly = _CLAIM_BUILDERS[claim](m, n, r)
-    except NotDivisibleError:
-        return make_report(claim, {"m": m, "n": n, "r": r}, ("q",),
-                           MultiLaurentPoly.const(1), started)
-    bad = MultiLaurentPoly.from_terms(
-        (powers, c) for powers, c in poly.sorted_terms()
-        if not (isinstance(c, int) and c >= 0))
-    return make_report(claim, {"m": m, "n": n, "r": r}, ("q",), bad, started)
+    poly = _thm3_poly(claim, m, n, r)
+    if poly is None:
+        bad = MultiLaurentPoly.const(1)
+    else:
+        bad = MultiLaurentPoly.from_terms(
+            (powers, c) for powers, c in poly.sorted_terms()
+            if not (isinstance(c, int) and c >= 0))
+    return make_report(claim, {"m": m, "n": n, "r": r}, ("q",), bad)
 
 
 def lemma41_generic(n: int, r: int) -> VerificationReport:
@@ -275,7 +276,6 @@ def lemma41_generic(n: int, r: int) -> VerificationReport:
     """
     if n < 1 or r < 1:
         raise ValueError("need n, r >= 1")
-    started = time.perf_counter()
     xvars = tuple(f"x{k}" for k in range(n))
     plain = MultiLaurentPoly.zero()
     alternating = MultiLaurentPoly.zero()
@@ -288,7 +288,6 @@ def lemma41_generic(n: int, r: int) -> VerificationReport:
             * MultiLaurentPoly.monomial(sign, {"q": choose2(k)})
     bad = MultiLaurentPoly.zero()
     for total in (plain, alternating):
-        quotient = None
         try:
             quotient = exact_div(total, _one_minus_q(n))
         except NotDivisibleError:
@@ -297,4 +296,8 @@ def lemma41_generic(n: int, r: int) -> VerificationReport:
         for powers, coeffpoly in quotient.coefficients_by(xvars).items():
             if not is_nonneg_integer_laurent(coeffpoly):
                 bad = bad + coeffpoly * MultiLaurentPoly.monomial(1, dict(powers))
-    return make_report("lemma41_generic", {"n": n, "r": r}, ("q",) + xvars, bad, started)
+    return make_report("lemma41_generic", {"n": n, "r": r}, ("q",) + xvars, bad)
+
+
+verify_schmidt = CaseKind("schmidt", __name__, ("k", "i", "j"), ("q",))
+verify_alternating_sum = CaseKind("alternating_sum", __name__, ("n", "s"), ("q",))

@@ -14,14 +14,12 @@ polynomial identities; both are used as proof engines by the identity suites.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import (MultiLaurentPoly, VAR_NAMES, _INDEX, _from_dense,
-                       _dense_mul, _dense_divrem)
-from .report import VerificationReport, make_report
+from .exactalg import MultiLaurentPoly, _INDEX, _from_dense, _dense_mul, _dense_divrem
+from .report import CaseKind
 
 
 @dataclass(frozen=True)
@@ -86,7 +84,6 @@ class ParamExpr:
         return None
 
 
-ONE_PARAM = ParamExpr.of(1)
 Q = ParamExpr.var("q")
 
 
@@ -100,41 +97,32 @@ def _as_param(a) -> ParamExpr:
 
 def qpochhammer(a, n: int, base: ParamExpr = Q) -> MultiLaurentPoly:
     """(a; base)_n as an exact Laurent polynomial; requires n >= 0."""
-    if n < 0:
+    return poch_prefixes(a, n, base)[n]
+
+
+def poch_prefixes(a, nmax: int, base: ParamExpr = Q, lead: MultiLaurentPoly = None,
+                  reverse: bool = False) -> list:
+    """[(a;base)_0, (a;base)_1, ..., (a;base)_nmax], sharing the partial products.
+
+    This is the one running-product loop of the package.  With ``lead`` the
+    factors are (lead - a*base^i) instead of (1 - a*base^i); lead = x gives
+    x^k (a/x;base)_k.  With ``reverse`` the factors are taken from the last one
+    down, each multiplied on the left, so entry j is the product of the last j.
+    """
+    if nmax < 0:
         raise ValueError("q-Pochhammer order must be non-negative")
     a = _as_param(a)
-    out = MultiLaurentPoly.const(1)
-    factor = a
-    for _ in range(n):
-        out = out * (MultiLaurentPoly.const(1) - factor.as_poly())
-        factor = factor * base
-    return out
-
-
-def poch_prefixes(a, nmax: int, base: ParamExpr = Q) -> list:
-    """[(a;base)_0, (a;base)_1, ..., (a;base)_nmax], sharing the partial products."""
-    a = _as_param(a)
+    lead = MultiLaurentPoly.const(1) if lead is None else lead
+    factors = [lead - (a * base.power(i)).as_poly() for i in range(nmax)]
     out = [MultiLaurentPoly.const(1)]
-    factor = a
-    for _ in range(nmax):
-        out.append(out[-1] * (MultiLaurentPoly.const(1) - factor.as_poly()))
-        factor = factor * base
+    for f in (reversed(factors) if reverse else factors):
+        out.append(f * out[-1] if reverse else out[-1] * f)
     return out
 
 
 def poch_suffixes(a, n: int, base: ParamExpr = Q) -> list:
     """out[k] = (a * base^k; base)_{n-k} for k = 0..n, i.e. (a;base)_n / (a;base)_k."""
-    a = _as_param(a)
-    out = [MultiLaurentPoly.const(1)]
-    factor = a.power(1)
-    factors = []
-    for i in range(n):
-        factors.append(MultiLaurentPoly.const(1) - factor.as_poly())
-        factor = factor * base
-    for i in reversed(range(n)):
-        out.append(factors[i] * out[-1])
-    out.reverse()
-    return out
+    return poch_prefixes(a, n, base, reverse=True)[::-1]
 
 
 def choose2(k: int) -> int:
@@ -186,32 +174,32 @@ def bracket(p: int) -> MultiLaurentPoly:
     return QBracket.of(p).poly
 
 
-def check_qbinomial_theorem(n: int) -> VerificationReport:
+def qbinomial_theorem_sides(n: int) -> tuple:
     """sum_k (-1)^k [n;k] q^{C(k,2)} x^k == (x; q)_n, exactly in q and x."""
-    started = time.perf_counter()
     lhs = MultiLaurentPoly.zero()
     for k in range(n + 1):
         sign = -1 if k % 2 else 1
         lhs = lhs + qbinomial(n, k) * MultiLaurentPoly.monomial(sign, {"q": choose2(k), "x": k})
-    rhs = qpochhammer(ParamExpr.var("x"), n)
-    return make_report("qbinomial_theorem", {"n": n}, ("q", "x"), lhs - rhs, started)
+    return lhs, qpochhammer(ParamExpr.var("x"), n)
 
 
-def check_qchu_vandermonde(n: int) -> VerificationReport:
+def qchu_vandermonde_sides(n: int) -> tuple:
     """2phi1(a, q^{-n}; c; q, q) == (c/a;q)_n a^n / (c;q)_n, in cleared polynomial form.
 
     Both sides are multiplied by (c; q)_n: the k-th summand's (c;q)_k divisor
     cancels into (c q^k; q)_{n-k}, and the right side becomes the polynomial
     prod_{i<n} (a - c q^i).
     """
-    started = time.perf_counter()
     a = ParamExpr.var("a")
     lhs = MultiLaurentPoly.zero()
     pa = poch_prefixes(a, n)
     for k in range(n + 1):
         tail = qpochhammer(ParamExpr.of(1, {"c": 1, "q": k}), n - k)
-        lhs = lhs + terminating_weight(n, k) * MultiLaurentPoly.monomial(1, {"q": k}) * pa[k] * tail
-    rhs = MultiLaurentPoly.const(1)
-    for i in range(n):
-        rhs = rhs * (MultiLaurentPoly.var("a") - MultiLaurentPoly.monomial(1, {"c": 1, "q": i}))
-    return make_report("qchu_vandermonde", {"n": n}, ("q", "a", "c"), lhs - rhs, started)
+        term = terminating_weight(n, k) * MultiLaurentPoly.monomial(1, {"q": k}) * pa[k]
+        lhs = lhs + term * tail
+    rhs = poch_prefixes(ParamExpr.var("c"), n, lead=a.as_poly())[n]
+    return lhs, rhs
+
+
+check_qbinomial_theorem = CaseKind("qbinomial_theorem", __name__, ("n",), ("q", "x"))
+check_qchu_vandermonde = CaseKind("qchu_vandermonde", __name__, ("n",), ("q", "a", "c"))

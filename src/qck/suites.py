@@ -1,7 +1,8 @@
 """Named verification suites: deterministic case grids over the check registry.
 
-A case is (registry name, integer-parameter dict); the registry maps names to
-functions returning a VerificationReport.  Suites expand bounds into ordered
+A case is (registry name, integer-parameter dict); the registry maps each name
+to a function of the parameter dict returning a VerificationReport, derived
+from the CaseKind rows of the check modules.  Suites expand bounds into ordered
 case lists; the runner executes them (optionally in a process pool), buffers
 the outcomes, and always emits them in case order, so a report is
 byte-identical no matter how it was scheduled.
@@ -15,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import congruence, delannoy, hyperg, identities, positivity, qkit
 from .exactalg import MultiLaurentPoly
-from .report import VerificationReport, make_report
+from .report import CaseKind, VerificationReport, make_report
 
 SUITE_NAMES = ("all", "clausen", "lemmas", "transforms", "delannoy",
                "congruence", "positivity")
@@ -36,18 +37,14 @@ _PRIMES = (3, 5, 7, 11, 13)
 
 def _corrupted_fixture(_params) -> VerificationReport:
     """Intentionally wrong identity used by failure-path tests: (1-q)(1+q) != 1-q^3."""
-    import time
-    started = time.perf_counter()
     q = MultiLaurentPoly.var("q")
     one = MultiLaurentPoly.const(1)
     diff = (one - q) * (one + q) - (one - q ** 3)
-    return make_report("corrupted_fixture", {}, ("q",), diff, started)
+    return make_report("corrupted_fixture", {}, ("q",), diff)
 
 
 def _phi_permutation(params) -> VerificationReport:
     """Parameter-order invariance of the cleared series sum, on seeded samples."""
-    import time
-    started = time.perf_counter()
     rng = random.Random(params.get("seed", 0))
     specs = [
         "phi[3,2]{q^-3, a, x ; c, 0 ; q}",
@@ -69,45 +66,20 @@ def _phi_permutation(params) -> VerificationReport:
             if not d.is_zero():
                 diff = d
                 break
-    return make_report("phi_permutation", dict(params), ("q",), diff, started)
+    return make_report("phi_permutation", dict(params), ("q",), diff)
 
 
-CASE_REGISTRY = {
-    "clausen_orr": lambda p: identities.verify_clausen_orr(p["n"]),
-    "final_square": lambda p: identities.verify_final_square(p["n"]),
-    "sqrt_corollary": lambda p: identities.verify_sqrt_corollary(p["m"]),
-    "special3": lambda p: identities.verify_special3(p["n"]),
-    "special1": lambda p: identities.verify_special1(p["n"]),
-    "special2": lambda p: identities.verify_special2(p["n"]),
-    "special222": lambda p: identities.verify_special222(p["n"]),
-    "general_s": lambda p: identities.verify_general_s(p["n"], p["s"]),
-    "q2_product": lambda p: identities.verify_q2_product(p["n"], p["s"]),
-    "general_s_specialization":
-        lambda p: identities.verify_general_s_specialization(p["n"], p["s"]),
-    "special3_shifted":
-        lambda p: identities.verify_special3_shifted(p["n"], p["s"]),
-    "lemma_last": lambda p: identities.verify_lemma_last(p["n"], p["m"], p["h"]),
-    "lemma_am2": lambda p: identities.verify_lemma_am2(p["n"], p["m"], p["h"]),
-    "lem_important2": lambda p: identities.verify_lem_important2(p["n"]),
-    "connection_coefficients":
-        lambda p: identities.connection_coefficients(p["n"], p["m"]),
-    "qbinomial_theorem": lambda p: qkit.check_qbinomial_theorem(p["n"]),
-    "qchu_vandermonde": lambda p: qkit.check_qchu_vandermonde(p["n"]),
-    "delannoy_product": lambda p: delannoy.product_expansion(p["m"], p["n"]),
-    "delannoy_product_x": lambda p: delannoy.product_x_identity(p["m"], p["n"]),
-    "delannoy_relations": lambda p: delannoy.verify_relations(p["m"], p["n"]),
-    "minus_q_pochhammer": lambda p: congruence.verify_minus_q_pochhammer(p["p"]),
-    "qidentity": lambda p: congruence.verify_qidentity(p["n"], p["j"]),
-    "thm2": lambda p: congruence.verify_thm2(p["p"], p["m"]),
-    "schmidt": lambda p: positivity.verify_schmidt(p["k"], p["i"], p["j"]),
-    "alternating_sum": lambda p: positivity.verify_alternating_sum(p["n"], p["s"]),
+CASE_REGISTRY = {row.name: row.run
+                 for module in (identities, qkit, delannoy, congruence, positivity)
+                 for row in vars(module).values() if isinstance(row, CaseKind)}
+CASE_REGISTRY.update({
     "thm3-1": lambda p: positivity.verify_thm3("thm3-1", p["m"], p["n"]),
     "thm3-2": lambda p: positivity.verify_thm3("thm3-2", p["m"], p["n"], p["r"]),
     "thm3-3": lambda p: positivity.verify_thm3("thm3-3", p["m"], p["n"], p["r"]),
     "lemma41": lambda p: positivity.lemma41_generic(p["n"], p["r"]),
     "phi_permutation": _phi_permutation,
     "corrupted_fixture": _corrupted_fixture,
-}
+})
 
 
 def _clausen_cases(b):
@@ -221,12 +193,11 @@ def suite_cases(suite: str, bounds: dict) -> list:
 
 
 def run_case(case) -> dict:
-    """Execute one (name, params) case; exceptions become failed records."""
+    """Execute one (name, params) case; an exception becomes a failed record with ``error``."""
     name, params = case
-    fn = CASE_REGISTRY[name]
     try:
-        return fn(params).to_dict()
-    except Exception as exc:  # arithmetic failures are verification failures
+        return CASE_REGISTRY[name](params).to_dict()
+    except Exception as exc:  # reported as an error, never as a verdict
         return {
             "name": name,
             "params": dict(sorted(params.items())),

@@ -1,12 +1,15 @@
 """CLI contract tests: exit codes, determinism, report round-trips."""
 
+import hashlib
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from qck.report import VerificationReport
+from qck.identities import verify_clausen_orr
+from qck.report import CaseKind, VerificationReport
 from qck.suites import CASE_REGISTRY, manifest_cases, run_cases, suite_cases
 
 
@@ -144,8 +147,38 @@ def test_manifest_corrupted_case_fails(tmp_path):
 def test_term_budget_abort():
     result = run_cli("verify", "--suite", "clausen", "--nmax", "4",
                      env_extra={"QCK_MAX_TERMS": "10"})
-    assert result.returncode in (1, 2)  # graceful abort, not a crash
+    assert result.returncode == 2  # an abort is an error, not a verdict
+    assert "error: clausen_orr(n=1): TermBudgetExceeded" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_manifest_missing_parameter_is_an_error(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"name": "clausen_orr", "params": {}}]))
+    result = run_cli("verify", "--manifest", str(path))
+    assert result.returncode == 2
+    assert "error: clausen_orr(): KeyError" in result.stderr
+    assert "FAILED" not in result.stderr
+
+
+def test_subcommands_reject_flags_they_would_ignore():
+    for args in (("delannoy", "--m", "1", "--n", "1", "--parallel"),
+                 ("congruence", "--p", "3", "--mmax", "1", "--seed", "3"),
+                 ("positivity", "--mmax", "1", "--nmax", "1", "--parallel"),
+                 ("congruence", "--p", "3", "--mmax", "1", "--format", "csv"),
+                 ("positivity", "--mmax", "1", "--nmax", "1", "--format", "csv")):
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert result.stdout == "", args
+
+
+def test_subcommands_share_the_hard_caps():
+    result = run_cli("positivity", "--mmax", "1", "--nmax", "1", "--rmax", "4")
+    assert result.returncode == 2
+    assert "hard cap" in result.stderr
+    result = run_cli("congruence", "--p", "3", "--mmax", "41")
+    assert result.returncode == 2
+    assert "hard cap" in result.stderr
 
 
 def test_csv_format():
@@ -158,3 +191,21 @@ def test_csv_format():
 def test_registry_covers_manifest_names():
     cases = manifest_cases([{"name": name, "params": {}} for name in CASE_REGISTRY])
     assert len(cases) == len(CASE_REGISTRY)
+
+
+def test_rows_match_their_builders():
+    rows = [fn.__self__ for fn in CASE_REGISTRY.values()
+            if isinstance(getattr(fn, "__self__", None), CaseKind)]
+    assert len(rows) == len(CASE_REGISTRY) - 6  # thm3-1/2/3, lemma41, phi, fixture
+    for row in rows:
+        assert tuple(inspect.signature(row.builder()).parameters) == row.params, row.name
+    by_keyword = verify_clausen_orr(n=1)
+    assert by_keyword.passed and by_keyword.case.meta_params == {"n": 1}
+
+
+def test_default_report_bytes():
+    """The full default report is pinned byte for byte (694 cases)."""
+    result = run_cli("verify", "--suite", "all", "--format", "json")
+    assert result.returncode == 0
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == \
+        "e95bfb246eb9106618e626b0227133d7408f5d48eb7ca5333cbc1828a769c098"
