@@ -10,7 +10,7 @@ built on them.
 from .exactalg import (MultiLaurentPoly, NotDivisibleError, TermBudgetExceeded,
                        add, divrem_in_q, exact_divide, is_nonneg_integer_laurent,
                        mul, substitute)
-from .qkit import (ParamExpr, QBracket, bracket, qbinomial, qpochhammer)
+from .qkit import ParamExpr, bracket, qbinomial, qpochhammer
 from .hyperg import PhiSpec, parse_phi, phi_sum, phi_term, print_phi
 from .delannoy import dq, dq_star
 from .report import IdentityCase, VerificationReport
@@ -21,7 +21,7 @@ __all__ = [
     "MultiLaurentPoly", "NotDivisibleError", "TermBudgetExceeded",
     "add", "mul", "substitute", "exact_divide", "divrem_in_q",
     "is_nonneg_integer_laurent",
-    "ParamExpr", "QBracket", "bracket", "qbinomial", "qpochhammer",
+    "ParamExpr", "bracket", "qbinomial", "qpochhammer",
     "PhiSpec", "parse_phi", "print_phi", "phi_sum", "phi_term",
     "dq", "dq_star",
     "IdentityCase", "VerificationReport",

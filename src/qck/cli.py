@@ -158,7 +158,7 @@ def cmd_delannoy(args) -> int:
 
 
 def cmd_congruence(args) -> int:
-    if args.p not in (3, 5, 7, 11, 13) and not args.unsafe_bounds:
+    if args.p not in suites._PRIMES and not args.unsafe_bounds:
         print(f"error: --p {args.p} must be an odd prime <= 13 "
               "(pass --unsafe-bounds for larger primes)", file=sys.stderr)
         return EXIT_USAGE

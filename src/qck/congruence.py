@@ -10,7 +10,8 @@ The headline check: the odd-weighted sum over k < p of
 D_q(m,k) D_{1/q}(m,k) q^{-k} collapses modulo [p]^2 to one of three closed
 forms selected by m mod p.  The sum is computed both from the Delannoy product
 formula directly and through its single-sum rewriting; the two must agree
-exactly before any reduction happens.
+exactly before any reduction happens.  The sum itself (``thm2_lhs``) needs no
+prime: the first positivity family is this sum with p replaced by any n >= 1.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .delannoy import dq, dq_inverse_base
-from .exactalg import MultiLaurentPoly, divrem_in_q, exact_div
-from .qkit import QBracket, bracket, poch_prefixes, qbinomial, qpochhammer, ParamExpr
+from .exactalg import (MultiLaurentPoly, divrem_in_q, exact_div, exact_divide,
+                       is_nonneg_integer_laurent)
+from .qkit import ParamExpr, bracket, one_minus_q, poch_prefixes, qbinomial, qpochhammer
 from .report import CaseKind
 
 _PRIME_CAP = 10 ** 4
@@ -41,7 +43,7 @@ class BracketModulus:
     """An odd prime p with [p] and [p]^2, plus the unit witness for q."""
 
     p: int
-    bracket: QBracket
+    bracket: MultiLaurentPoly
     bracket_sq: MultiLaurentPoly
     q_unit_witness: MultiLaurentPoly  # Y with q*Y + [p]^2 == 1
 
@@ -51,8 +53,8 @@ class BracketModulus:
             raise ValueError(f"prime {p} above supported cap {_PRIME_CAP}")
         if p == 2 or not _is_prime(p):
             raise ValueError(f"{p} is not an odd prime")
-        br = QBracket.of(p)
-        sq = br.poly * br.poly
+        br = bracket(p)
+        sq = br * br
         # [p]^2 has constant term 1, so 1 - [p]^2 is divisible by q.
         witness = exact_div(MultiLaurentPoly.const(1) - sq,
                             MultiLaurentPoly.var("q"))
@@ -74,7 +76,7 @@ def congruence_witness(u: MultiLaurentPoly, v: MultiLaurentPoly,
         d = d * MultiLaurentPoly.monomial(1, {"q": -lo})
     if any(not isinstance(c, int) for c in d._terms.values()):
         raise ValueError("non-integer coefficients after clearing q-powers")
-    modulus = mod.bracket_sq if square else mod.bracket.poly
+    modulus = mod.bracket_sq if square else mod.bracket
     _, rem = divrem_in_q(d, modulus)
     return rem
 
@@ -100,15 +102,13 @@ def qidentity_sides(n: int, j: int) -> tuple:
     """
     if not 0 <= j <= n - 1:
         raise ValueError("need 0 <= j <= n-1")
-    one = MultiLaurentPoly.const(1)
     lhs = MultiLaurentPoly.zero()
     for k in range(j, n):
-        term = (one - MultiLaurentPoly.monomial(1, {"q": 2 * k + 1})) * qbinomial(k + j, 2 * j)
+        term = one_minus_q(2 * k + 1) * qbinomial(k + j, 2 * j)
         lhs = lhs + term * MultiLaurentPoly.monomial(1, {"q": -(j + 1) * k})
-    lhs = lhs * (one - MultiLaurentPoly.monomial(1, {"q": j + 1}))
-    rhs = (one - MultiLaurentPoly.monomial(1, {"q": n})) \
-        * (one - MultiLaurentPoly.monomial(1, {"q": n - j})) \
-        * qbinomial(n + j, 2 * j) * MultiLaurentPoly.monomial(1, {"q": -(j + 1) * (n - 1)})
+    lhs = lhs * one_minus_q(j + 1)
+    rhs = one_minus_q(n) * one_minus_q(n - j) * qbinomial(n + j, 2 * j) \
+        * MultiLaurentPoly.monomial(1, {"q": -(j + 1) * (n - 1)})
     return lhs, rhs
 
 
@@ -125,16 +125,14 @@ def _thm2_lhs_direct(p: int, m: int) -> MultiLaurentPoly:
 
 
 def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
-    one = MultiLaurentPoly.const(1)
     out = MultiLaurentPoly.zero()
     w1 = poch_prefixes(ParamExpr.of(-1), p - 1)
     w2 = poch_prefixes(ParamExpr.of(-1, {"q": 1}), p - 1)
     for j in range(p):
         # [p] = (1-q^p)/(1-q), so this ratio carries the full displayed
         # prefactor (1-q^p)(1-q^{p-j}) / ((1-q)(1-q^{j+1})).
-        num = bracket(p) * (one - MultiLaurentPoly.monomial(1, {"q": p - j})) \
-            * qbinomial(p + j, 2 * j)
-        ratio = exact_div(num, one - MultiLaurentPoly.monomial(1, {"q": j + 1}))
+        num = bracket(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
+        ratio = exact_div(num, one_minus_q(j + 1))
         term = ratio * qbinomial(m, j) * qbinomial(m + j, j) * w1[j] * w2[j]
         exp = j * j - m * j - (j + 1) * (p - 1)
         out = out + term * MultiLaurentPoly.monomial(1, {"q": exp})
@@ -142,7 +140,11 @@ def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
 
 
 def thm2_lhs(p: int, m: int) -> MultiLaurentPoly:
-    """The odd-weighted Delannoy-product sum, computed by both routes and cross-checked."""
+    """sum_{k<p} [2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k}, by both routes and cross-checked.
+
+    Both routes hold for every p >= 1, prime or not: the positivity module
+    uses this sum with p = n for its first family.
+    """
     direct = _thm2_lhs_direct(p, m)
     single = _thm2_lhs_single_sum(p, m)
     if direct != single:
@@ -162,15 +164,12 @@ def thm2_case(p: int, m: int) -> str:
 
 def thm2_target(p: int, m: int) -> MultiLaurentPoly:
     """The closed form the sum must match modulo [p]^2, materialized by exact division."""
-    one_minus_q2 = MultiLaurentPoly.const(1) - MultiLaurentPoly.monomial(1, {"q": 2})
     case = thm2_case(p, m)
-    if case == "zero":
-        num = MultiLaurentPoly.var("q") - MultiLaurentPoly.monomial(1, {"q": 1 - 2 * m})
-        return exact_div(num, one_minus_q2)
-    if case == "minus_one":
-        num = MultiLaurentPoly.var("q") - MultiLaurentPoly.monomial(1, {"q": 2 * m + 3})
-        return exact_div(num, one_minus_q2)
-    return MultiLaurentPoly.zero()
+    if case == "other":
+        return MultiLaurentPoly.zero()
+    top = 1 - 2 * m if case == "zero" else 2 * m + 3
+    num = MultiLaurentPoly.var("q") - MultiLaurentPoly.monomial(1, {"q": top})
+    return exact_div(num, one_minus_q(2))
 
 
 def thm2_witness(p: int, m: int) -> MultiLaurentPoly:
@@ -187,13 +186,9 @@ def nonneg_divisibility_fact(p: int, j: int, m: int) -> bool:
     (1-q^{p-j})(1-q^{j+1}) / ((1-q)(1-q^p)) * [p+j;2j] [m+1;j+1] [m+j;j+1]
     is a polynomial in q with non-negative integer coefficients.
     """
-    from .exactalg import exact_divide, is_nonneg_integer_laurent
-    one = MultiLaurentPoly.const(1)
-    num = (one - MultiLaurentPoly.monomial(1, {"q": p - j})) \
-        * (one - MultiLaurentPoly.monomial(1, {"q": j + 1})) \
+    num = one_minus_q(p - j) * one_minus_q(j + 1) \
         * qbinomial(p + j, 2 * j) * qbinomial(m + 1, j + 1) * qbinomial(m + j, j + 1)
-    den = (one - MultiLaurentPoly.var("q")) \
-        * (one - MultiLaurentPoly.monomial(1, {"q": p}))
+    den = one_minus_q(1) * one_minus_q(p)
     quotient = exact_divide(num, den)
     return quotient is not None and is_nonneg_integer_laurent(quotient)
 

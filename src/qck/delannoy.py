@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from .exactalg import MultiLaurentPoly
-from .qkit import ParamExpr, choose2, poch_prefixes, qbinomial
+from .qkit import Q, ParamExpr, choose2, poch_prefixes, qbinomial
 from .report import CaseKind
 
 
@@ -39,24 +39,25 @@ def delannoy(m: int, n: int) -> int:
     return s1
 
 
-@lru_cache(maxsize=None)
-def dq(m: int, n: int) -> MultiLaurentPoly:
-    """D_q(m,n) = sum_k q^{C(k,2)} [n;k] [n+m-k; n]."""
+def _dq_sum(m: int, n: int, w: ParamExpr) -> MultiLaurentPoly:
+    """sum_{k<=n} q^{C(k,2)} w^k [n;k] [n+m-k; n]: D_q(m,n) at w = 1, D*_q(m,n) at w = q."""
     out = MultiLaurentPoly.zero()
     for k in range(n + 1):
         term = qbinomial(n, k) * qbinomial(n + m - k, n)
-        out = out + term * MultiLaurentPoly.monomial(1, {"q": choose2(k)})
+        out = out + term * (Q.power(choose2(k)) * w.power(k)).as_poly()
     return out
+
+
+@lru_cache(maxsize=None)
+def dq(m: int, n: int) -> MultiLaurentPoly:
+    """D_q(m,n) = sum_k q^{C(k,2)} [n;k] [n+m-k; n]."""
+    return _dq_sum(m, n, ParamExpr.of(1))
 
 
 @lru_cache(maxsize=None)
 def dq_star(m: int, n: int) -> MultiLaurentPoly:
     """D*_q(m,n) = sum_k q^{C(k+1,2)} [n;k] [n+m-k; n]."""
-    out = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        term = qbinomial(n, k) * qbinomial(n + m - k, n)
-        out = out + term * MultiLaurentPoly.monomial(1, {"q": choose2(k + 1)})
-    return out
+    return _dq_sum(m, n, Q)
 
 
 @lru_cache(maxsize=None)
@@ -80,6 +81,7 @@ def dq_star_alt(m: int, n: int) -> MultiLaurentPoly:
 
 
 def _alt_sum(m: int, n: int, weight_param: ParamExpr) -> MultiLaurentPoly:
+    """sum_{k<=m} q^{(m-k)(n-k)} [m;k][n;k] (w;q)_k for the weight parameter w."""
     weights = poch_prefixes(weight_param, m)
     out = MultiLaurentPoly.zero()
     for k in range(m + 1):
@@ -91,31 +93,27 @@ def _alt_sum(m: int, n: int, weight_param: ParamExpr) -> MultiLaurentPoly:
 def general_x_expansion(m: int, n: int) -> tuple:
     """Both sides of sum_k q^{(m-k)(n-k)} [m;k][n;k] (x;q)_k == sum_i q^{C(i,2)} [n;i][n+m-i;n] (-x)^i.
 
-    Specializing x to -1 and -q recovers the two alternative expansions.
+    Specializing x to -1 and -q recovers the two alternative expansions.  The
+    right side is the D_q sum with weight w = -x; its terms past min(m, n) vanish.
     """
-    px = poch_prefixes(ParamExpr.var("x"), m)
-    lhs = MultiLaurentPoly.zero()
-    for k in range(m + 1):
-        term = qbinomial(m, k) * qbinomial(n, k) * px[k]
-        lhs = lhs + term * MultiLaurentPoly.monomial(1, {"q": (m - k) * (n - k)})
-    rhs = MultiLaurentPoly.zero()
-    for i in range(m + 1):
-        sign = -1 if i % 2 else 1
-        term = qbinomial(n, i) * qbinomial(n + m - i, n)
-        rhs = rhs + term * MultiLaurentPoly.monomial(sign, {"q": choose2(i), "x": i})
-    return lhs, rhs
+    return _alt_sum(m, n, ParamExpr.var("x")), _dq_sum(m, n, ParamExpr.of(-1, {"x": 1}))
 
 
-def product_expansion_rhs(m: int, n: int) -> MultiLaurentPoly:
-    """sum_k q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (-1;q)_k (-q;q)_k."""
-    w1 = poch_prefixes(ParamExpr.of(-1), n)
-    w2 = poch_prefixes(ParamExpr.of(-1, {"q": 1}), n)
+def _product_sum(m: int, n: int, w: ParamExpr) -> MultiLaurentPoly:
+    """sum_{k<=n} q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (w;q)_k (q/w;q)_k."""
+    w1 = poch_prefixes(w, n)
+    w2 = poch_prefixes(Q * w.power(-1), n)
     out = MultiLaurentPoly.zero()
     for k in range(n + 1):
         term = qbinomial(n + k, 2 * k) * qbinomial(m, k) * qbinomial(m + k, k)
         term = term * w1[k] * w2[k]
         out = out + term * MultiLaurentPoly.monomial(1, {"q": (m - k) * (n - k)})
     return out
+
+
+def product_expansion_rhs(m: int, n: int) -> MultiLaurentPoly:
+    """sum_k q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (-1;q)_k (-q;q)_k."""
+    return _product_sum(m, n, ParamExpr.of(-1))
 
 
 def delannoy_product_sides(m: int, n: int) -> tuple:
@@ -129,21 +127,10 @@ def delannoy_product_x_sides(m: int, n: int) -> tuple:
     (sum_k q^{(m-k)(n-k)} [m;k][n;k] (x;q)_k)(same with x -> q/x)
         == sum_k q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (x;q)_k (q/x;q)_k
     """
-    px = poch_prefixes(ParamExpr.var("x"), max(m, n))
-    pqx = poch_prefixes(ParamExpr.of(1, {"q": 1, "x": -1}), max(m, n))
-    f1 = MultiLaurentPoly.zero()
-    f2 = MultiLaurentPoly.zero()
-    for k in range(m + 1):
-        base = qbinomial(m, k) * qbinomial(n, k) * MultiLaurentPoly.monomial(
-            1, {"q": (m - k) * (n - k)})
-        f1 = f1 + base * px[k]
-        f2 = f2 + base * pqx[k]
-    rhs = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        term = qbinomial(n + k, 2 * k) * qbinomial(m, k) * qbinomial(m + k, k)
-        term = term * px[k] * pqx[k]
-        rhs = rhs + term * MultiLaurentPoly.monomial(1, {"q": (m - k) * (n - k)})
-    return f1 * f2, rhs
+    x = ParamExpr.var("x")
+    f1 = _alt_sum(m, n, x)
+    f2 = _alt_sum(m, n, ParamExpr.of(1, {"q": 1, "x": -1}))
+    return f1 * f2, _product_sum(m, n, x)
 
 
 def relations_difference(m: int, n: int) -> MultiLaurentPoly:

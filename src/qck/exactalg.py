@@ -47,8 +47,6 @@ _SHIFT = {name: _W * i for name, i in _INDEX.items()}
 _BASE = sum(_OFF << (_W * i) for i in range(_NVARS))
 _EXP_LIMIT = 1 << 20
 
-Coeff = "int | Fraction"
-
 
 class NotDivisibleError(ArithmeticError):
     """Raised by exact_div when the requested exact division has a remainder."""
@@ -102,8 +100,7 @@ class MultiLaurentPoly:
     def __init__(self, terms=None):
         """Build from a map of {variable: exponent} dicts (or packed keys) to coefficients.
 
-        Prefer the factory helpers ``const``, ``var``, ``monomial`` and
-        ``from_terms`` in user code.
+        Prefer the factory helpers ``const``, ``var`` and ``monomial`` in user code.
         """
         acc = {}
         if terms:
@@ -143,17 +140,6 @@ class MultiLaurentPoly:
             return cls.zero()
         return cls._raw({_encode(powers): coeff})
 
-    @classmethod
-    def from_terms(cls, pairs) -> "MultiLaurentPoly":
-        """Build from an iterable of (powers-dict, coeff) pairs, summing duplicates."""
-        out = cls.zero()
-        acc = {}
-        for powers, coeff in pairs:
-            k = _encode(dict(powers))
-            acc[k] = acc.get(k, 0) + coeff
-        out._terms = {k: _norm_coeff(c) for k, c in acc.items() if c}
-        return out
-
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -187,14 +173,6 @@ class MultiLaurentPoly:
     def coeff(self, powers: dict):
         """Coefficient of the given monomial (0 if absent)."""
         return self._terms.get(_encode(powers), 0)
-
-    def constant_value(self):
-        """The value of a constant polynomial; raises if any variable remains."""
-        if not self._terms:
-            return 0
-        if len(self._terms) == 1 and _BASE in self._terms:
-            return self._terms[_BASE]
-        raise ValueError(f"not a constant polynomial: {self}")
 
     def degree_range(self, name: str) -> tuple:
         """(min, max) exponent of ``name`` across all terms; (0, 0) for 0."""
@@ -481,35 +459,36 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
 # multiply once in C, unpack.  Exact for any operand sizes because the limb
 # width is derived from the coefficient bounds.
 
-def _kron_mul_nonneg(A, B):
-    limb_bits = (max(A).bit_length() + max(B).bit_length()
-                 + min(len(A), len(B)).bit_length() + 1)
+def _pack(coeffs, nbytes: int) -> int:
+    """sum_i c_i 2^(8*nbytes*i) for signed c_i: positive part minus negative part."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in coeffs)
+    value = int.from_bytes(pos, "little")
+    if any(c < 0 for c in coeffs):
+        neg = b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little") for c in coeffs)
+        value -= int.from_bytes(neg, "little")
+    return value
+
+
+def _kron_mul(A, B):
+    """Product of two signed integer lists by one packed big-integer multiply.
+
+    Every output coefficient c is below 2^(limb-1) = h in absolute value, so
+    adding the bias h to every limb leaves each limb in [0, 2^limb) with no
+    carry between limbs.  Flipping each limb's top bit again (an XOR with the
+    bias) turns c + h into c in two's complement, read back as a signed limb.
+    """
+    limb_bits = (max(max(A), -min(A)).bit_length() + max(max(B), -min(B)).bit_length()
+                 + min(len(A), len(B)).bit_length() + 2)
     nbytes = (limb_bits + 7) // 8
-    ia = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in A), "little")
-    ib = int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in B), "little")
-    prod = ia * ib
     n_out = len(A) + len(B) - 1
-    raw = prod.to_bytes(nbytes * (n_out + 1), "little")
-    return [int.from_bytes(raw[i * nbytes:(i + 1) * nbytes], "little")
-            for i in range(n_out)]
+    bias = int.from_bytes((b"\0" * (nbytes - 1) + b"\x80") * n_out, "little")
+    packed = (_pack(A, nbytes) * _pack(B, nbytes) + bias) ^ bias
+    raw = packed.to_bytes(nbytes * n_out, "little")
+    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+            for i in range(0, nbytes * n_out, nbytes)]
 
 
-def _dense_mul(A, B):
-    if not A or not B:
-        return []
-    if all(isinstance(c, int) for c in A) and all(isinstance(c, int) for c in B):
-        ap = [c if c > 0 else 0 for c in A]
-        an = [-c if c < 0 else 0 for c in A]
-        bp = [c if c > 0 else 0 for c in B]
-        bn = [-c if c < 0 else 0 for c in B]
-        out = [0] * (len(A) + len(B) - 1)
-        for X, Y, sign in ((ap, bp, 1), (an, bn, 1), (ap, bn, -1), (an, bp, -1)):
-            if any(X) and any(Y):
-                part = _kron_mul_nonneg(X, Y)
-                for i, v in enumerate(part):
-                    if v:
-                        out[i] += sign * v
-        return out
+def _schoolbook_mul(A, B):
     out = [0] * (len(A) + len(B) - 1)
     for i, ai in enumerate(A):
         if ai:
@@ -517,6 +496,14 @@ def _dense_mul(A, B):
                 if bj:
                     out[i + j] += ai * bj
     return out
+
+
+def _dense_mul(A, B):
+    if not A or not B:
+        return []
+    if all(isinstance(c, int) for c in A) and all(isinstance(c, int) for c in B):
+        return _kron_mul(A, B)
+    return _schoolbook_mul(A, B)
 
 
 def _dense_divrem(A, B):
@@ -735,7 +722,3 @@ def is_nonneg_integer_laurent(p: MultiLaurentPoly) -> bool:
     if extra:
         raise ValueError(f"free variables besides q remain: {extra}")
     return all(isinstance(c, int) and c > 0 for c in p._terms.values())
-
-
-ZERO = MultiLaurentPoly.zero()
-ONE = MultiLaurentPoly.const(1)

@@ -20,7 +20,7 @@ can exercise substitution consistency between related identities; the public
 from __future__ import annotations
 
 from .exactalg import MultiLaurentPoly, exact_div
-from .qkit import (ParamExpr, Q, choose2, poch_prefixes, poch_suffixes,
+from .qkit import (ParamExpr, Q, choose2, one_minus_q, poch_prefixes, poch_suffixes,
                    qbinomial, qpochhammer, terminating_weight)
 from .report import CaseKind
 
@@ -396,7 +396,7 @@ def lemma_last_sides(n: int, m: int, h: int) -> tuple:
                 continue
             term = terminating_weight(n, j) * terminating_weight(n, k)
             term = term * px[j] * px[k] * gate[j] * gate[k]
-            term = term * (MultiLaurentPoly.const(1) - _mono(1, q=k - j))
+            term = term * one_minus_q(k - j)
             term = term * _mono(1, q=2 * j + k) * cm_tail[j] * cn_tail[k]
             lhs = lhs + term
     sign = -1 if (m - 1) % 2 else 1
@@ -421,7 +421,7 @@ def lemma_am2_sides(n: int, m: int, h: int) -> tuple:
         for k in range(m + h, n + 1):
             term = terminating_weight(n, j) * terminating_weight(n, k)
             term = term * pa[j] * pa[k]
-            term = term * (MultiLaurentPoly.const(1) - _mono(1, q=k - j))
+            term = term * one_minus_q(k - j)
             term = term * _mono(1, q=j + k + j * h)
             term = term * qbinomial(k - m - 1, h - 1) * qbinomial(m + h - j - 1, h - 1)
             lhs = lhs + term * cm_tail[j] * cn_tail[k]
@@ -442,10 +442,10 @@ def b_poly(n: int, k: int) -> MultiLaurentPoly:
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
     out = MultiLaurentPoly.zero()
-    one_minus_qn = MultiLaurentPoly.const(1) - _mono(1, q=n)
+    one_minus_qn = one_minus_q(n)
     for h in range(1, n - k + 1):
         num = one_minus_qn * qbinomial(n - k - 1, h - 1) * qbinomial(k + h - 1, h - 1)
-        quot = exact_div(num, MultiLaurentPoly.const(1) - _mono(1, q=h))
+        quot = exact_div(num, one_minus_q(h))
         sign = -1 if h % 2 else 1
         out = out + quot * _mono(sign, q=choose2(h) + k * h, a=h)
     return out

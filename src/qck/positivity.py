@@ -4,7 +4,10 @@ Three families of sums built from D_q(m,k) D_{1/q}(m,k) weights carry rational
 prefactors such as (1-q^m)(1-q^{m+1}) / ((1-q^2)(1-q^n)^2); each family is
 materialized by exact division (a failed division would falsify the
 polynomiality claim and is reported as a verification failure, not a crash)
-and then certified to have non-negative integer coefficients.
+and then certified to have non-negative integer coefficients.  The first
+family is Theorem 2's odd-weighted sum ``congruence.thm2_lhs`` taken over
+k < n for any n >= 1 (n need not be prime), so every cell also cross-checks
+that sum's two routes.
 
 The supporting machinery: the basis B_k(n) = [n+k;2k][2k;k] q^{-nk}, whose
 products linearize with non-negative structure constants (a Pfaff-Saalschutz
@@ -16,34 +19,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .congruence import thm2_lhs
 from .delannoy import dq, dq_inverse_base
 from .exactalg import (MultiLaurentPoly, NotDivisibleError, exact_div,
                        is_nonneg_integer_laurent)
-from .qkit import ParamExpr, choose2, poch_prefixes, qbinomial
+from .qkit import ParamExpr, choose2, one_minus_q, poch_prefixes, qbinomial
 from .report import CaseKind, VerificationReport, make_report
 
-_ONE = MultiLaurentPoly.const(1)
 
-
-def _one_minus_q(exp: int) -> MultiLaurentPoly:
-    return _ONE - MultiLaurentPoly.monomial(1, {"q": exp})
-
-
-@dataclass(frozen=True)
-class SnBasisElement:
+def sn_basis(n: int, k: int) -> MultiLaurentPoly:
     """B_k(n) = [n+k; 2k] [2k; k] q^{-nk}, the weight of x_k in the generic sum."""
-
-    n: int
-    k: int
-    value: MultiLaurentPoly
-
-    @classmethod
-    def of(cls, n: int, k: int) -> "SnBasisElement":
-        if k > n:
-            raise ValueError("need k <= n")
-        value = qbinomial(n + k, 2 * k) * qbinomial(2 * k, k) \
-            * MultiLaurentPoly.monomial(1, {"q": -n * k})
-        return cls(n, k, value)
+    if k > n:
+        raise ValueError("need k <= n")
+    return qbinomial(n + k, 2 * k) * qbinomial(2 * k, k) \
+        * MultiLaurentPoly.monomial(1, {"q": -n * k})
 
 
 def s_n(values, n: int) -> MultiLaurentPoly:
@@ -55,7 +44,7 @@ def s_n(values, n: int) -> MultiLaurentPoly:
     for k, v in enumerate(values):
         if isinstance(v, int):
             v = MultiLaurentPoly.const(v)
-        out = out + SnBasisElement.of(n, k).value * v
+        out = out + sn_basis(n, k) * v
     return out
 
 
@@ -150,9 +139,9 @@ def alternating_sum_sides(n: int, s: int) -> tuple:
     lhs = MultiLaurentPoly.zero()
     for k in range(s, n):
         sign = -1 if (n - k - 1) % 2 else 1
-        term = _one_minus_q(2 * k + 1) * qbinomial(k + s, 2 * s) * qbinomial(2 * s, s)
+        term = one_minus_q(2 * k + 1) * qbinomial(k + s, 2 * s) * qbinomial(2 * s, s)
         lhs = lhs + term * MultiLaurentPoly.monomial(sign, {"q": choose2(k) - s * k})
-    rhs = _one_minus_q(n) * qbinomial(n - 1, s) * qbinomial(n + s, s) \
+    rhs = one_minus_q(n) * qbinomial(n - 1, s) * qbinomial(n + s, s) \
         * MultiLaurentPoly.monomial(1, {"q": choose2(n) - s * n})
     return lhs, rhs
 
@@ -161,63 +150,52 @@ def alternating_sum_sides(n: int, s: int) -> tuple:
 # The three certified families.
 # ---------------------------------------------------------------------------
 
+def _odd_sum(values, alternating: bool) -> MultiLaurentPoly:
+    """sum_{k<n} (1-q^{2k+1}) v_k q^{-k}, with n = len(values).
+
+    When ``alternating`` the weight q^{-k} becomes (-1)^{n-k-1} q^{C(k,2)}.
+    """
+    n = len(values)
+    total = MultiLaurentPoly.zero()
+    for k, v in enumerate(values):
+        if alternating:
+            sign = -1 if (n - k - 1) % 2 else 1
+            weight = MultiLaurentPoly.monomial(sign, {"q": choose2(k)})
+        else:
+            weight = MultiLaurentPoly.monomial(1, {"q": -k})
+        total = total + one_minus_q(2 * k + 1) * v * weight
+    return total
+
+
 def thm3_poly1(m: int, n: int) -> MultiLaurentPoly:
-    """First family, built from its single-sum rewriting and exact-divided.
+    """First family: Theorem 2's sum over k < n, scaled and exact-divided.
 
     sum_{k<n} (1-q^m)(1-q^{m+1})(1-q^{2k+1}) / ((1-q^2)(1-q^n)^2)
               * D_q(m,k) D_{1/q}(m,k) q^{-k}
+    with (1-q^{2k+1}) = (1-q)[2k+1]; thm2_lhs raises Thm2MismatchError when
+    its two routes to the sum disagree.
     """
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    w1 = poch_prefixes(ParamExpr.of(-1), n - 1)
-    w2 = poch_prefixes(ParamExpr.of(-1, {"q": 1}), n - 1)
-    qq_n = poch_prefixes(ParamExpr.var("q"), n)[n]
-    total = MultiLaurentPoly.zero()
-    for j in range(n):
-        gj = exact_div(qq_n, _one_minus_q(j + 1))
-        term = _one_minus_q(n - j) * qbinomial(n + j, 2 * j) \
-            * qbinomial(m, j) * qbinomial(m + j, j) * w1[j] * w2[j] * gj
-        exp = j * j - m * j - (j + 1) * (n - 1)
-        total = total + term * MultiLaurentPoly.monomial(1, {"q": exp})
-    num = total * _one_minus_q(m) * _one_minus_q(m + 1)
-    den = _one_minus_q(2) * _one_minus_q(n) * qq_n
-    return exact_div(num, den)
+    num = thm2_lhs(n, m) * one_minus_q(1) * one_minus_q(m) * one_minus_q(m + 1)
+    return exact_div(num, one_minus_q(2) * one_minus_q(n) * one_minus_q(n))
 
 
-def thm3_poly1_direct(m: int, n: int) -> MultiLaurentPoly:
-    """First family computed straight from its displayed sum (cross-check route)."""
-    total = MultiLaurentPoly.zero()
-    for k in range(n):
-        term = _one_minus_q(2 * k + 1) * dq(m, k) * dq_inverse_base(m, k)
-        total = total + term * MultiLaurentPoly.monomial(1, {"q": -k})
-    num = total * _one_minus_q(m) * _one_minus_q(m + 1)
-    den = _one_minus_q(2) * _one_minus_q(n) * _one_minus_q(n)
-    return exact_div(num, den)
+def _delannoy_powers(m: int, n: int, r: int) -> list:
+    """(D_q(m,k) D_{1/q}(m,k))^r for k < n."""
+    if m < 1 or n < 1 or r < 1:
+        raise ValueError("need m, n, r >= 1")
+    return [(dq(m, k) * dq_inverse_base(m, k)) ** r for k in range(n)]
 
 
 def thm3_poly2(m: int, n: int, r: int) -> MultiLaurentPoly:
     """sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{-k} / (1-q^n)."""
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("need m, n, r >= 1")
-    total = MultiLaurentPoly.zero()
-    for k in range(n):
-        prod = (dq(m, k) * dq_inverse_base(m, k)) ** r
-        total = total + _one_minus_q(2 * k + 1) * prod \
-            * MultiLaurentPoly.monomial(1, {"q": -k})
-    return exact_div(total, _one_minus_q(n))
+    return exact_div(_odd_sum(_delannoy_powers(m, n, r), False), one_minus_q(n))
 
 
 def thm3_poly3(m: int, n: int, r: int) -> MultiLaurentPoly:
     """sum_{k<n} (-1)^{n-k-1} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{C(k,2)} / (1-q^n)."""
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("need m, n, r >= 1")
-    total = MultiLaurentPoly.zero()
-    for k in range(n):
-        sign = -1 if (n - k - 1) % 2 else 1
-        prod = (dq(m, k) * dq_inverse_base(m, k)) ** r
-        total = total + _one_minus_q(2 * k + 1) * prod \
-            * MultiLaurentPoly.monomial(sign, {"q": choose2(k)})
-    return exact_div(total, _one_minus_q(n))
+    return exact_div(_odd_sum(_delannoy_powers(m, n, r), True), one_minus_q(n))
 
 
 _CLAIM_BUILDERS = {
@@ -247,9 +225,8 @@ def thm3_record(claim: str, m: int, n: int, r: int = 1) -> dict:
     if poly is None:
         record.update(nonneg=False, min_coeff=None, degree_range=None)
         return record
-    coeffs = [c for _, c in poly.sorted_terms()]
     record["nonneg"] = is_nonneg_integer_laurent(poly)
-    record["min_coeff"] = str(min(coeffs)) if coeffs else "0"
+    record["min_coeff"] = str(min(poly._terms.values(), default=0))
     record["degree_range"] = list(poly.degree_range("q"))
     return record
 
@@ -260,9 +237,8 @@ def verify_thm3(claim: str, m: int, n: int, r: int = 1) -> VerificationReport:
     if poly is None:
         bad = MultiLaurentPoly.const(1)
     else:
-        bad = MultiLaurentPoly.from_terms(
-            (powers, c) for powers, c in poly.sorted_terms()
-            if not (isinstance(c, int) and c >= 0))
+        bad = MultiLaurentPoly({k: c for k, c in poly._terms.items()
+                                if not (isinstance(c, int) and c >= 0)})
     return make_report(claim, {"m": m, "n": n, "r": r}, ("q",), bad)
 
 
@@ -277,19 +253,11 @@ def lemma41_generic(n: int, r: int) -> VerificationReport:
     if n < 1 or r < 1:
         raise ValueError("need n, r >= 1")
     xvars = tuple(f"x{k}" for k in range(n))
-    plain = MultiLaurentPoly.zero()
-    alternating = MultiLaurentPoly.zero()
-    for k in range(n):
-        skr = s_n_symbolic(k) ** r
-        plain = plain + _one_minus_q(2 * k + 1) * skr \
-            * MultiLaurentPoly.monomial(1, {"q": -k})
-        sign = -1 if (n - k - 1) % 2 else 1
-        alternating = alternating + _one_minus_q(2 * k + 1) * skr \
-            * MultiLaurentPoly.monomial(sign, {"q": choose2(k)})
+    powers = [s_n_symbolic(k) ** r for k in range(n)]
     bad = MultiLaurentPoly.zero()
-    for total in (plain, alternating):
+    for total in (_odd_sum(powers, False), _odd_sum(powers, True)):
         try:
-            quotient = exact_div(total, _one_minus_q(n))
+            quotient = exact_div(total, one_minus_q(n))
         except NotDivisibleError:
             bad = bad + total
             continue

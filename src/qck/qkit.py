@@ -155,23 +155,16 @@ def terminating_weight(n: int, k: int) -> MultiLaurentPoly:
     return qbinomial(n, k) * MultiLaurentPoly.monomial(sign, {"q": choose2(k) - n * k})
 
 
-@dataclass(frozen=True)
-class QBracket:
-    """The bracket [p] = 1 + q + ... + q^{p-1} attached to a positive integer p."""
-
-    p: int
-    poly: MultiLaurentPoly
-
-    @classmethod
-    def of(cls, p: int) -> "QBracket":
-        if p < 1:
-            raise ValueError("bracket order must be positive")
-        return cls(p, _from_dense(0, 0, [1] * p))
-
-
 def bracket(p: int) -> MultiLaurentPoly:
-    """[p] = 1 + q + ... + q^{p-1} as a polynomial."""
-    return QBracket.of(p).poly
+    """[p] = 1 + q + ... + q^{p-1} as a polynomial, for a positive integer p."""
+    if p < 1:
+        raise ValueError("bracket order must be positive")
+    return _from_dense(0, 0, [1] * p)
+
+
+def one_minus_q(e: int) -> MultiLaurentPoly:
+    """1 - q^e."""
+    return MultiLaurentPoly.const(1) - MultiLaurentPoly.monomial(1, {"q": e})
 
 
 def qbinomial_theorem_sides(n: int) -> tuple:

@@ -217,11 +217,18 @@ def run_cases(cases, parallel: bool = False) -> list:
 
 
 def manifest_cases(manifest: list) -> list:
-    """Validate a manifest (list of {name, params, ...}) into a case list."""
+    """Validate a manifest (list of {name, params, ...}) into a case list, or raise ValueError."""
+    if not isinstance(manifest, list):
+        raise ValueError("a manifest must be a JSON list of case objects")
     cases = []
     for entry in manifest:
+        if not isinstance(entry, dict):
+            raise ValueError(f"manifest entry {entry!r} is not an object")
         name = entry.get("name")
         if name not in CASE_REGISTRY:
             raise ValueError(f"unknown case name {name!r} in manifest")
-        cases.append((name, dict(entry.get("params", {}))))
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params of manifest entry {name!r} is not an object")
+        cases.append((name, dict(params)))
     return cases

@@ -8,6 +8,8 @@ import sys
 
 import pytest
 
+from qck import cli, congruence, positivity
+from qck.exactalg import MultiLaurentPoly
 from qck.identities import verify_clausen_orr
 from qck.report import CaseKind, VerificationReport
 from qck.suites import CASE_REGISTRY, manifest_cases, run_cases, suite_cases
@@ -142,6 +144,29 @@ def test_manifest_corrupted_case_fails(tmp_path):
     path.write_text(json.dumps([{"name": "corrupted_fixture", "params": {}}]))
     result = run_cli("verify", "--manifest", str(path))
     assert result.returncode == 1
+
+
+@pytest.mark.parametrize("manifest", [{"a": 1}, [1],
+                                      [{"name": "thm2", "params": [1, 2]}]])
+def test_malformed_manifest_is_an_error(tmp_path, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    result = run_cli("verify", "--manifest", str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
+
+
+def test_thm3_1_runs_both_routes_of_the_thm2_sum(tmp_path, monkeypatch, capsys):
+    right = congruence._thm2_lhs_single_sum
+    monkeypatch.setattr(congruence, "_thm2_lhs_single_sum",
+                        lambda p, m: right(p, m) + MultiLaurentPoly.var("q"))
+    with pytest.raises(congruence.Thm2MismatchError):
+        positivity.verify_thm3("thm3-1", 2, 3)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"name": "thm3-1", "params": {"m": 2, "n": 3}}]))
+    assert cli.main(["verify", "--manifest", str(path)]) == 2
+    assert "error: thm3-1(m=2,n=3): Thm2MismatchError" in capsys.readouterr().err
 
 
 def test_term_budget_abort():

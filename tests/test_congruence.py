@@ -15,8 +15,8 @@ q = P.var("q")
 
 def test_modulus_construction():
     mod = BracketModulus.of(3)
-    assert mod.bracket.poly == 1 + q + q ** 2
-    assert mod.bracket_sq == mod.bracket.poly * mod.bracket.poly
+    assert mod.bracket == 1 + q + q ** 2
+    assert mod.bracket_sq == mod.bracket * mod.bracket
     # the witness proves q is a unit modulo [p]^2
     assert q * mod.q_unit_witness + mod.bracket_sq == P.const(1)
 

@@ -3,10 +3,10 @@
 import pytest
 
 from qck.delannoy import delannoy, dq, dq_inverse_base
-from qck.exactalg import MultiLaurentPoly as P, is_nonneg_integer_laurent
-from qck.positivity import (LinearizationTable, SnBasisElement, lemma41_generic,
-                            linearize_power, s_n, s_n_symbolic,
-                            structure_constant, thm3_poly1, thm3_poly1_direct,
+from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
+from qck.positivity import (LinearizationTable, lemma41_generic,
+                            linearize_power, s_n, s_n_symbolic, sn_basis,
+                            structure_constant, thm3_poly1,
                             thm3_poly2, thm3_poly3, thm3_record,
                             verify_alternating_sum, verify_schmidt, verify_thm3,
                             xk_weights)
@@ -45,10 +45,9 @@ def test_sn_symbolic_linearity():
 
 
 def test_sn_basis_element():
-    e = SnBasisElement.of(2, 1)
-    assert e.value == (1 + q + q ** 2) * (1 + q) * P.monomial(1, {"q": -2})
+    assert sn_basis(2, 1) == (1 + q + q ** 2) * (1 + q) * P.monomial(1, {"q": -2})
     with pytest.raises(ValueError):
-        SnBasisElement.of(1, 2)
+        sn_basis(1, 2)
 
 
 def test_structure_constants_nonneg():
@@ -72,11 +71,11 @@ def test_linearize_power_matches_direct_product():
     for indices, k in (((1, 1), 3), ((2, 1), 4), ((1, 2, 2), 5)):
         direct = P.const(1)
         for i in indices:
-            direct = direct * SnBasisElement.of(k, i).value
+            direct = direct * sn_basis(k, i)
         expansion = linearize_power(indices)
         rebuilt = P.zero()
         for s, constant in expansion.items():
-            rebuilt = rebuilt + constant * SnBasisElement.of(k, s).value
+            rebuilt = rebuilt + constant * sn_basis(k, s)
         assert direct == rebuilt
 
 
@@ -98,7 +97,7 @@ def test_sn_power_via_linearization():
             for s, constant in linearize_power((i1, i2)).items():
                 if s > k:
                     continue  # [k+s; 2s] vanishes there
-                rebuilt = rebuilt + constant * SnBasisElement.of(k, s).value * mono
+                rebuilt = rebuilt + constant * sn_basis(k, s) * mono
     assert direct == rebuilt
 
 
@@ -107,9 +106,16 @@ def test_thm3_poly1_hand_case():
 
 
 def test_thm3_poly1_routes_agree():
+    # the displayed sum, computed inline, against the family built on thm2_lhs
     for m in range(1, 5):
         for n in range(1, 5):
-            assert thm3_poly1(m, n) == thm3_poly1_direct(m, n), (m, n)
+            total = P.zero()
+            for k in range(n):
+                total = total + (1 - q ** (2 * k + 1)) * dq(m, k) * dq_inverse_base(m, k) \
+                    * P.monomial(1, {"q": -k})
+            num = total * (1 - q ** m) * (1 - q ** (m + 1))
+            direct = exact_div(num, (1 - q ** 2) * (1 - q ** n) ** 2)
+            assert thm3_poly1(m, n) == direct, (m, n)
 
 
 def test_thm3_poly1_q1_oracle():

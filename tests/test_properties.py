@@ -1,0 +1,70 @@
+"""Property tests of the arithmetic kernel on small random polynomials."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from qck.exactalg import MultiLaurentPoly as P, _dense_mul, _schoolbook_mul, exact_divide
+
+_SETTINGS = settings(deadline=None, max_examples=60)
+
+# Coefficients are small ints or Fractions with small denominators.
+coeffs = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)),
+)
+
+
+@st.composite
+def polys(draw, names=None):
+    """A polynomial in q (alone, to reach the dense path) or in q, a and x."""
+    names = names or draw(st.sampled_from((("q",), ("q", "a", "x"))))
+    monomial = st.fixed_dictionaries({v: st.integers(-3, 3) for v in names})
+    terms = draw(st.lists(st.tuples(monomial, coeffs), max_size=6))
+    out = P.zero()
+    for powers, c in terms:
+        out = out + P.monomial(c, powers)
+    return out
+
+
+@_SETTINGS
+@given(polys(), polys(), polys())
+def test_ring_axioms(a, b, c):
+    zero, one = P.zero(), P.const(1)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert (a - a).is_zero() and (a * zero).is_zero()
+
+
+@_SETTINGS
+@given(polys(), polys())
+def test_exact_divide_round_trip(p, d):
+    if d.is_zero():
+        return
+    assert exact_divide(p * d, d) == p
+
+
+@_SETTINGS
+@given(polys())
+def test_canonical_string_round_trip(p):
+    assert P.from_canonical(str(p)) == p
+
+
+signed_lists = st.lists(st.integers(-(1 << 70), 1 << 70), min_size=1, max_size=40)
+
+
+@_SETTINGS
+@given(signed_lists, signed_lists)
+def test_packed_product_matches_schoolbook(A, B):
+    assert _dense_mul(A, B) == _schoolbook_mul(A, B)
+
+
+@_SETTINGS
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=60),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=60))
+def test_packed_product_matches_schoolbook_small(A, B):
+    assert _dense_mul(A, B) == _schoolbook_mul(A, B)

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from qck.exactalg import MultiLaurentPoly as P, is_nonneg_integer_laurent
-from qck.qkit import (ParamExpr, QBracket, bracket, check_qbinomial_theorem,
+from qck.qkit import (ParamExpr, bracket, check_qbinomial_theorem,
                       check_qchu_vandermonde, poch_prefixes, poch_suffixes,
                       qbinomial, qpochhammer)
 
@@ -110,13 +110,13 @@ def test_poch_prefix_suffix_consistency():
 
 
 def test_qbracket():
-    br = QBracket.of(5)
-    assert br.poly == 1 + q + q ** 2 + q ** 3 + q ** 4
-    assert br.poly.substitute({"q": 1}) == 5
-    assert br.poly.degree_range("q") == (0, 4)
+    br = bracket(5)
+    assert br == 1 + q + q ** 2 + q ** 3 + q ** 4
+    assert br.substitute({"q": 1}) == 5
+    assert br.degree_range("q") == (0, 4)
     assert bracket(1) == P.const(1)
     with pytest.raises(ValueError):
-        QBracket.of(0)
+        bracket(0)
 
 
 def test_qbinomial_theorem_small():
