@@ -8,8 +8,7 @@ built on them.
 """
 
 from .exactalg import (MultiLaurentPoly, NotDivisibleError, TermBudgetExceeded,
-                       add, divrem_in_q, exact_divide, is_nonneg_integer_laurent,
-                       mul, substitute)
+                       divrem_in_q, exact_divide, is_nonneg_integer_laurent)
 from .qkit import ParamExpr, bracket, qbinomial, qpochhammer
 from .hyperg import PhiSpec, parse_phi, phi_sum, phi_term, print_phi
 from .delannoy import dq, dq_star
@@ -19,7 +18,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "MultiLaurentPoly", "NotDivisibleError", "TermBudgetExceeded",
-    "add", "mul", "substitute", "exact_divide", "divrem_in_q",
+    "exact_divide", "divrem_in_q",
     "is_nonneg_integer_laurent",
     "ParamExpr", "bracket", "qbinomial", "qpochhammer",
     "PhiSpec", "parse_phi", "print_phi", "phi_sum", "phi_term",

@@ -1,12 +1,13 @@
 """Command line front end.
 
 Subcommands: verify (run suites or a manifest), phi (evaluate a terminating
-series spec), delannoy (tables), congruence and positivity (module-specific
-grids).  Exit codes: 0 all checks passed, 1 at least one mathematical check
-failed, 2 usage or configuration error, or a case that raised (a term-budget
-abort, say) instead of reaching a verdict.  Reports are emitted in canonical
-case order and are byte-identical for identical configurations, with or
-without --parallel.
+series spec), delannoy (tables), congruence (the thm2 cases at one prime) and
+positivity (the thm3 claims over an m, n, r grid).  congruence and positivity
+run their cases through the same runner and report as verify.  Exit codes:
+0 all checks passed, 1 at least one mathematical check failed, 2 usage or
+configuration error, or a case that raised (a term-budget abort, say) instead
+of reaching a verdict.  Reports are emitted in canonical case order and are
+byte-identical for identical configurations, with or without --parallel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import io
 import json
 import sys
 
-from . import congruence, delannoy, hyperg, positivity, suites
+from . import delannoy, hyperg, suites
 from .exactalg import TermBudgetExceeded, exact_divide
 
 EXIT_OK = 0
@@ -158,53 +159,28 @@ def cmd_delannoy(args) -> int:
 
 
 def cmd_congruence(args) -> int:
-    if args.p not in suites._PRIMES and not args.unsafe_bounds:
+    """The thm2 cases of the congruence suite at one prime."""
+    # Past the cap the case itself rejects a non-prime, as an error record.
+    beyond_cap = args.unsafe_bounds and args.p > suites.HARD_CAPS["pmax"]
+    if args.p not in suites._PRIMES and not beyond_cap:
         print(f"error: --p {args.p} must be an odd prime <= 13 "
               "(pass --unsafe-bounds for larger primes)", file=sys.stderr)
         return EXIT_USAGE
-    records = []
-    try:
-        for m in range(1, args.mmax + 1):
-            report = congruence.verify_thm2(args.p, m)
-            records.append({
-                "p": args.p, "m": m,
-                "case": congruence.thm2_case(args.p, m),
-                "passed": report.passed,
-            })
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.format == "text":
-        lines = [f"{'PASS' if r['passed'] else 'FAIL'} thm2(p={r['p']},m={r['m']}) "
-                 f"case={r['case']}" for r in records]
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    _write(text, args.out)
-    return EXIT_OK if all(r["passed"] for r in records) else EXIT_FAILED
+    cases = [c for c in suites.suite_cases("congruence", {"p": args.p, "mmax": args.mmax})
+             if c[0] == "thm2"]
+    return _finish(suites.run_cases(cases), args.format, args.out)
 
 
 def cmd_positivity(args) -> int:
-    records = []
+    """thm3-1 at each (m, n), each followed by thm3-2 and thm3-3 at each r."""
+    cases = []
     for m in range(1, args.mmax + 1):
         for n in range(1, args.nmax + 1):
-            records.append(positivity.thm3_record("thm3-1", m, n))
+            cases.append(("thm3-1", {"m": m, "n": n}))
             for r in range(1, args.rmax + 1):
-                records.append(positivity.thm3_record("thm3-2", m, n, r))
-                records.append(positivity.thm3_record("thm3-3", m, n, r))
-    if args.format == "text":
-        lines = []
-        for rec in records:
-            ok = rec["divisible"] and rec["nonneg"]
-            lines.append(f"{'PASS' if ok else 'FAIL'} "
-                         f"{rec['claim']}(m={rec['m']},n={rec['n']},r={rec['r']}) "
-                         f"min_coeff={rec['min_coeff']} degree_range={rec['degree_range']}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(records, indent=2, sort_keys=True) + "\n"
-    _write(text, args.out)
-    ok = all(r["divisible"] and r["nonneg"] for r in records)
-    return EXIT_OK if ok else EXIT_FAILED
+                cases.append(("thm3-2", {"m": m, "n": n, "r": r}))
+                cases.append(("thm3-3", {"m": m, "n": n, "r": r}))
+    return _finish(suites.run_cases(cases), args.format, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -516,12 +516,8 @@ def _dense_divrem(A, B):
     for i in reversed(range(len(q))):
         c = r[i + len(B) - 1]
         if c:
-            if lead == 1:
-                qc = c
-            elif lead == -1:
-                qc = -c
-            else:
-                qc = _norm_coeff(Fraction(c) / lead)
+            # c may be a Fraction even when the quotient coefficient is whole.
+            qc = _norm_coeff(c * lead if lead in (1, -1) else Fraction(c) / lead)
             q[i] = qc
             for j, bj in enumerate(B):
                 if bj:
@@ -560,22 +556,7 @@ def _mul_univariate(p: MultiLaurentPoly, r: MultiLaurentPoly, idx: int) -> Multi
     return _from_dense(idx, lo1 + lo2, out)
 
 
-# -- module-level operations ------------------------------------------------------
-
-def add(p: MultiLaurentPoly, r: MultiLaurentPoly) -> MultiLaurentPoly:
-    """Canonical sum of two polynomials."""
-    return p + r
-
-
-def mul(p: MultiLaurentPoly, r: MultiLaurentPoly) -> MultiLaurentPoly:
-    """Canonical product of two polynomials."""
-    return p * r
-
-
-def substitute(p: MultiLaurentPoly, bindings: dict) -> MultiLaurentPoly:
-    """Image of p under variable -> monomial-or-rational bindings."""
-    return p.substitute(bindings)
-
+# -- exact division -----------------------------------------------------------
 
 def _min_exponent_key(p: MultiLaurentPoly) -> int:
     """Packed key of the componentwise-minimal exponent vector of p's support."""

@@ -2,12 +2,13 @@
 
 Three families of sums built from D_q(m,k) D_{1/q}(m,k) weights carry rational
 prefactors such as (1-q^m)(1-q^{m+1}) / ((1-q^2)(1-q^n)^2); each family is
-materialized by exact division (a failed division would falsify the
-polynomiality claim and is reported as a verification failure, not a crash)
-and then certified to have non-negative integer coefficients.  The first
-family is Theorem 2's odd-weighted sum ``congruence.thm2_lhs`` taken over
-k < n for any n >= 1 (n need not be prime), so every cell also cross-checks
-that sum's two routes.
+built as a (numerator, divisor) pair, materialized by one exact division and
+then certified to have non-negative integer coefficients (``verify_thm3``).
+Only that final division can fail the polynomiality claim (difference 1); an
+exception raised while building the numerator propagates, so it is a case
+error, never a verdict.  The first family is Theorem 2's odd-weighted sum
+``congruence.thm2_lhs`` taken over k < n for any n >= 1 (n need not be
+prime), so every cell also cross-checks that sum's two routes.
 
 The supporting machinery: the basis B_k(n) = [n+k;2k][2k;k] q^{-nk}, whose
 products linearize with non-negative structure constants (a Pfaff-Saalschutz
@@ -21,8 +22,7 @@ from dataclasses import dataclass
 
 from .congruence import thm2_lhs
 from .delannoy import dq, dq_inverse_base
-from .exactalg import (MultiLaurentPoly, NotDivisibleError, exact_div,
-                       is_nonneg_integer_laurent)
+from .exactalg import MultiLaurentPoly, exact_div, exact_divide
 from .qkit import ParamExpr, choose2, one_minus_q, poch_prefixes, qbinomial
 from .report import CaseKind, VerificationReport, make_report
 
@@ -167,18 +167,11 @@ def _odd_sum(values, alternating: bool) -> MultiLaurentPoly:
     return total
 
 
-def thm3_poly1(m: int, n: int) -> MultiLaurentPoly:
-    """First family: Theorem 2's sum over k < n, scaled and exact-divided.
-
-    sum_{k<n} (1-q^m)(1-q^{m+1})(1-q^{2k+1}) / ((1-q^2)(1-q^n)^2)
-              * D_q(m,k) D_{1/q}(m,k) q^{-k}
-    with (1-q^{2k+1}) = (1-q)[2k+1]; thm2_lhs raises Thm2MismatchError when
-    its two routes to the sum disagree.
-    """
+def _poly1_parts(m: int, n: int) -> tuple:
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
     num = thm2_lhs(n, m) * one_minus_q(1) * one_minus_q(m) * one_minus_q(m + 1)
-    return exact_div(num, one_minus_q(2) * one_minus_q(n) * one_minus_q(n))
+    return num, one_minus_q(2) * one_minus_q(n) * one_minus_q(n)
 
 
 def _delannoy_powers(m: int, n: int, r: int) -> list:
@@ -188,57 +181,55 @@ def _delannoy_powers(m: int, n: int, r: int) -> list:
     return [(dq(m, k) * dq_inverse_base(m, k)) ** r for k in range(n)]
 
 
+def _odd_parts(m: int, n: int, r: int, alternating: bool) -> tuple:
+    return _odd_sum(_delannoy_powers(m, n, r), alternating), one_minus_q(n)
+
+
+def thm3_poly1(m: int, n: int) -> MultiLaurentPoly:
+    """First family: Theorem 2's sum over k < n, scaled and exact-divided.
+
+    sum_{k<n} (1-q^m)(1-q^{m+1})(1-q^{2k+1}) / ((1-q^2)(1-q^n)^2)
+              * D_q(m,k) D_{1/q}(m,k) q^{-k}
+    with (1-q^{2k+1}) = (1-q)[2k+1]; thm2_lhs raises Thm2MismatchError when
+    its two routes to the sum disagree.
+    """
+    return exact_div(*_poly1_parts(m, n))
+
+
 def thm3_poly2(m: int, n: int, r: int) -> MultiLaurentPoly:
     """sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{-k} / (1-q^n)."""
-    return exact_div(_odd_sum(_delannoy_powers(m, n, r), False), one_minus_q(n))
+    return exact_div(*_odd_parts(m, n, r, False))
 
 
 def thm3_poly3(m: int, n: int, r: int) -> MultiLaurentPoly:
     """sum_{k<n} (-1)^{n-k-1} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{C(k,2)} / (1-q^n)."""
-    return exact_div(_odd_sum(_delannoy_powers(m, n, r), True), one_minus_q(n))
+    return exact_div(*_odd_parts(m, n, r, True))
 
 
-_CLAIM_BUILDERS = {
-    "thm3-1": lambda m, n, r: thm3_poly1(m, n),
-    "thm3-2": thm3_poly2,
-    "thm3-3": thm3_poly3,
+# (numerator, divisor) of each claim; only the final division decides divisibility.
+_CLAIM_PARTS = {
+    "thm3-1": lambda m, n, r: _poly1_parts(m, n),
+    "thm3-2": lambda m, n, r: _odd_parts(m, n, r, False),
+    "thm3-3": lambda m, n, r: _odd_parts(m, n, r, True),
 }
 
 
-def _thm3_poly(claim: str, m: int, n: int, r: int):
-    """The claim's polynomial, or None when its exact division fails."""
-    if claim not in _CLAIM_BUILDERS:
-        raise ValueError(f"unknown claim {claim!r}")
-    try:
-        return _CLAIM_BUILDERS[claim](m, n, r)
-    except NotDivisibleError:
-        return None
-
-
-def thm3_record(claim: str, m: int, n: int, r: int = 1) -> dict:
-    """Structured certificate for one (claim, m, n, r) cell.
-
-    Keys: m, n, r, claim, divisible, nonneg, min_coeff, degree_range.
-    """
-    poly = _thm3_poly(claim, m, n, r)
-    record = {"m": m, "n": n, "r": r, "claim": claim, "divisible": poly is not None}
-    if poly is None:
-        record.update(nonneg=False, min_coeff=None, degree_range=None)
-        return record
-    record["nonneg"] = is_nonneg_integer_laurent(poly)
-    record["min_coeff"] = str(min(poly._terms.values(), default=0))
-    record["degree_range"] = list(poly.degree_range("q"))
-    return record
+def _violations(poly: MultiLaurentPoly) -> MultiLaurentPoly:
+    """The terms of poly whose coefficient is not a positive int."""
+    return MultiLaurentPoly._raw({k: c for k, c in poly._terms.items()
+                                  if not (isinstance(c, int) and c > 0)})
 
 
 def verify_thm3(claim: str, m: int, n: int, r: int = 1) -> VerificationReport:
-    """Report form of thm3_record: difference collects any violating terms."""
-    poly = _thm3_poly(claim, m, n, r)
-    if poly is None:
-        bad = MultiLaurentPoly.const(1)
-    else:
-        bad = MultiLaurentPoly({k: c for k, c in poly._terms.items()
-                                if not (isinstance(c, int) and c >= 0)})
+    """Certificate for one (claim, m, n, r) cell.
+
+    The difference is 1 when the claim's final division is inexact, and
+    otherwise the quotient's violating terms (zero when it passes).
+    """
+    if claim not in _CLAIM_PARTS:
+        raise ValueError(f"unknown claim {claim!r}")
+    quotient = exact_divide(*_CLAIM_PARTS[claim](m, n, r))
+    bad = MultiLaurentPoly.const(1) if quotient is None else _violations(quotient)
     return make_report(claim, {"m": m, "n": n, "r": r}, ("q",), bad)
 
 
@@ -256,14 +247,8 @@ def lemma41_generic(n: int, r: int) -> VerificationReport:
     powers = [s_n_symbolic(k) ** r for k in range(n)]
     bad = MultiLaurentPoly.zero()
     for total in (_odd_sum(powers, False), _odd_sum(powers, True)):
-        try:
-            quotient = exact_div(total, one_minus_q(n))
-        except NotDivisibleError:
-            bad = bad + total
-            continue
-        for powers, coeffpoly in quotient.coefficients_by(xvars).items():
-            if not is_nonneg_integer_laurent(coeffpoly):
-                bad = bad + coeffpoly * MultiLaurentPoly.monomial(1, dict(powers))
+        quotient = exact_divide(total, one_minus_q(n))
+        bad = bad + (total if quotient is None else _violations(quotient))
     return make_report("lemma41_generic", {"n": n, "r": r}, ("q",) + xvars, bad)
 
 

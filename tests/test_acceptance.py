@@ -152,8 +152,7 @@ def test_criterion_08_positivity(announce):
             if m <= 4 and n <= 4:
                 grid += [(c, 3) for c in ("thm3-2", "thm3-3")]
             for claim, r in grid:
-                rec = positivity.thm3_record(claim, m, n, r)
-                if not (rec["divisible"] and rec["nonneg"]):
+                if not positivity.verify_thm3(claim, m, n, r).passed:
                     failures.append((claim, m, n, r))
     for k in range(7):
         for i in range(k + 1):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from qck import cli, congruence, positivity
-from qck.exactalg import MultiLaurentPoly
+from qck.exactalg import MultiLaurentPoly, NotDivisibleError
 from qck.identities import verify_clausen_orr
 from qck.report import CaseKind, VerificationReport
 from qck.suites import CASE_REGISTRY, manifest_cases, run_cases, suite_cases
@@ -79,9 +79,11 @@ def test_congruence_subcommand():
     result = run_cli("congruence", "--p", "3", "--mmax", "9", "--format", "json")
     assert result.returncode == 0
     records = json.loads(result.stdout)
-    assert len(records) == 9
-    assert {r["case"] for r in records} == {"zero", "minus_one", "other"}
-    assert all(r["passed"] for r in records)
+    assert [(r["name"], r["params"]) for r in records] == \
+        [("thm2", {"m": m, "p": 3}) for m in range(1, 10)]
+    assert all(r["passed"] and r["difference"] == "0" for r in records)
+    text = run_cli("congruence", "--p", "3", "--mmax", "2").stdout
+    assert text == "PASS thm2(m=1,p=3)\nPASS thm2(m=2,p=3)\n2 cases, 0 failed\n"
 
 
 def test_positivity_subcommand():
@@ -89,9 +91,34 @@ def test_positivity_subcommand():
                      "--format", "json")
     assert result.returncode == 0
     records = json.loads(result.stdout)
-    assert all(r["divisible"] and r["nonneg"] for r in records)
-    assert {"m", "n", "r", "claim", "divisible", "nonneg", "min_coeff",
-            "degree_range"} <= set(records[0])
+    assert [r["name"] for r in records] == ["thm3-1", "thm3-2", "thm3-3"] * 4
+    assert [(r["params"]["m"], r["params"]["n"]) for r in records[::3]] == \
+        [(1, 1), (1, 2), (2, 1), (2, 2)]
+    assert all(r["passed"] and r["difference"] == "0" for r in records)
+    assert set(records[0]) == {"name", "params", "free_vars", "passed", "difference"}
+
+
+@pytest.mark.parametrize("args, cases", [
+    (("congruence", "--p", "3", "--mmax", "9"),
+     [c for c in suite_cases("congruence", {"p": 3, "mmax": 9}) if c[0] == "thm2"]),
+    (("positivity", "--mmax", "2", "--nmax", "2", "--rmax", "1"),
+     [(name, dict({"m": m, "n": n}, **extra)) for m in (1, 2) for n in (1, 2)
+      for name, extra in (("thm3-1", {}), ("thm3-2", {"r": 1}), ("thm3-3", {"r": 1}))]),
+])
+def test_subcommands_print_the_verify_records(args, cases):
+    result = run_cli(*args, "--format", "json")
+    assert result.returncode == 0
+    assert result.stdout == json.dumps(run_cases(cases), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv", [["positivity", "--mmax", "2", "--nmax", "3"],
+                                  ["congruence", "--p", "3", "--mmax", "2"]])
+def test_subcommand_case_error_exits_two(monkeypatch, capsys, argv):
+    right = congruence._thm2_lhs_single_sum
+    monkeypatch.setattr(congruence, "_thm2_lhs_single_sum",
+                        lambda p, m: right(p, m) + MultiLaurentPoly.var("q"))
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: thm")
 
 
 def test_json_report_roundtrip():
@@ -167,6 +194,18 @@ def test_thm3_1_runs_both_routes_of_the_thm2_sum(tmp_path, monkeypatch, capsys):
     path.write_text(json.dumps([{"name": "thm3-1", "params": {"m": 2, "n": 3}}]))
     assert cli.main(["verify", "--manifest", str(path)]) == 2
     assert "error: thm3-1(m=2,n=3): Thm2MismatchError" in capsys.readouterr().err
+
+
+def test_inner_not_divisible_is_an_error(tmp_path, monkeypatch, capsys):
+    def broken(p, m):
+        raise NotDivisibleError("inner division")
+    monkeypatch.setattr(congruence, "_thm2_lhs_single_sum", broken)
+    with pytest.raises(NotDivisibleError):
+        positivity.verify_thm3("thm3-1", 2, 3)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"name": "thm3-1", "params": {"m": 2, "n": 3}}]))
+    assert cli.main(["verify", "--manifest", str(path)]) == 2
+    assert "error: thm3-1(m=2,n=3): NotDivisibleError" in capsys.readouterr().err
 
 
 def test_term_budget_abort():

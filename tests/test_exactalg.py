@@ -75,6 +75,14 @@ def test_exact_divide_not_divisible():
     assert exact_divide(1 - q ** 3, 1 - q ** 2) is None
 
 
+def test_exact_divide_stores_whole_coefficients_as_int():
+    half = P.const(Fraction(1, 2))
+    for d in (1 - q, 1 + q, 2 - q):
+        quotient = exact_divide((2 + half * q + 3 * q ** 2) * d, d)
+        assert quotient == 2 + half * q + 3 * q ** 2
+        assert sorted(map(type, quotient._terms.values()), key=str) == [Fraction, int, int]
+
+
 def test_exact_divide_gaussian_binomial():
     # oracle: product expansion of both sides of [4 choose 2] * (1-q^2)(1-q) = (1-q^4)(1-q^3)
     num = (1 - q ** 4) * (1 - q ** 3)

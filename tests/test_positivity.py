@@ -1,13 +1,16 @@
 """Positivity-certificate tests."""
 
+from fractions import Fraction
+
 import pytest
 
+from qck import positivity
 from qck.delannoy import delannoy, dq, dq_inverse_base
 from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
 from qck.positivity import (LinearizationTable, lemma41_generic,
                             linearize_power, s_n, s_n_symbolic, sn_basis,
                             structure_constant, thm3_poly1,
-                            thm3_poly2, thm3_poly3, thm3_record,
+                            thm3_poly2, thm3_poly3,
                             verify_alternating_sum, verify_schmidt, verify_thm3,
                             xk_weights)
 
@@ -153,13 +156,24 @@ def test_thm3_nonneg_small():
 
 
 def test_thm3_record_shape():
-    rec = thm3_record("thm3-2", 2, 3, 1)
-    assert rec["divisible"] and rec["nonneg"]
-    assert set(rec) == {"m", "n", "r", "claim", "divisible", "nonneg",
-                        "min_coeff", "degree_range"}
+    rec = verify_thm3("thm3-2", 2, 3, 1).to_dict()
+    assert rec == {"name": "thm3-2", "params": {"m": 2, "n": 3, "r": 1},
+                   "free_vars": ["q"], "passed": True, "difference": "0"}
     assert verify_thm3("thm3-3", 2, 2, 2).passed
     with pytest.raises(ValueError):
-        thm3_record("thm3-9", 1, 1)
+        verify_thm3("thm3-9", 1, 1)
+
+
+def test_thm3_difference_is_the_violating_terms(monkeypatch):
+    half = P.const(Fraction(1, 2))
+    quotient = 2 - 3 * q + half * q ** 2 + q ** 3
+    parts = {"thm3-2": lambda m, n, r: (quotient * (1 - q), 1 - q)}
+    monkeypatch.setattr(positivity, "_CLAIM_PARTS", parts)
+    report = verify_thm3("thm3-2", 1, 1, 1)
+    assert not report.passed
+    assert report.difference == -3 * q + half * q ** 2
+    parts["thm3-2"] = lambda m, n, r: (1 + q, 1 - q)  # not divisible
+    assert verify_thm3("thm3-2", 1, 1, 1).difference == P.const(1)
 
 
 def test_alternating_sum_base():
@@ -203,6 +217,12 @@ def test_lemma41_coefficient_of_x0():
     # both displays collapse to (1-q) x0 at n = r = 1
     quotient = exact_div(one_minus_q * P.var("x0"), one_minus_q)
     assert quotient.coefficients_by(("x0",))[(("x0", 1),)] == P.const(1)
+
+
+def test_lemma41_difference_is_the_violating_terms(monkeypatch):
+    # n = r = 1 with x0 (1 - q) in place of s_0: both quotients are x0 (1 - q)
+    monkeypatch.setattr(positivity, "s_n_symbolic", lambda k: P.var(f"x{k}") * (1 - q))
+    assert lemma41_generic(1, 1).difference == -2 * q * P.var("x0")
 
 
 def test_lemma41_small_grid():
