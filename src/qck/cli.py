@@ -80,17 +80,25 @@ def _finish(records, fmt, out) -> int:
     return EXIT_OK
 
 
-def _over_cap(args):
-    """The error for the first grid bound of args above its hard cap, or None.
+def _bound_error(args):
+    """The error for the first grid bound of args out of range, or None.
 
-    A subcommand without --unsafe-bounds (phi) has no grid bounds to check.
+    A negative bound is always an error, a bound above its hard cap only
+    without --unsafe-bounds.  --p must be a suite prime; past the cap, where
+    --unsafe-bounds admits it, its own cases reject a non-prime.
     """
-    if getattr(args, "unsafe_bounds", True):
-        return None
-    for key, cap in dict(suites.HARD_CAPS, p=suites.HARD_CAPS["pmax"]).items():
+    cap_p = suites.HARD_CAPS["pmax"]
+    for key, cap in dict(suites.HARD_CAPS, p=cap_p).items():
         value = getattr(args, key, None)
-        if value is not None and value > cap:
+        if value is None:
+            continue
+        if value < 0:
+            return f"--{key} {value} is negative"
+        if value > cap and not args.unsafe_bounds:
             return f"--{key} {value} above hard cap {cap}; pass --unsafe-bounds to override"
+    p = getattr(args, "p", None)
+    if p is not None and p <= cap_p and p not in suites._PRIMES:
+        return f"--p {p} must be an odd prime <= {cap_p} (pass --unsafe-bounds for larger primes)"
     return None
 
 
@@ -160,12 +168,6 @@ def cmd_delannoy(args) -> int:
 
 def cmd_congruence(args) -> int:
     """The thm2 cases of the congruence suite at one prime."""
-    # Past the cap the case itself rejects a non-prime, as an error record.
-    beyond_cap = args.unsafe_bounds and args.p > suites.HARD_CAPS["pmax"]
-    if args.p not in suites._PRIMES and not beyond_cap:
-        print(f"error: --p {args.p} must be an odd prime <= 13 "
-              "(pass --unsafe-bounds for larger primes)", file=sys.stderr)
-        return EXIT_USAGE
     cases = [c for c in suites.suite_cases("congruence", {"p": args.p, "mmax": args.mmax})
              if c[0] == "thm2"]
     return _finish(suites.run_cases(cases), args.format, args.out)
@@ -244,7 +246,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    error = _over_cap(args)
+    error = _bound_error(args)
     if error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_USAGE

@@ -272,25 +272,8 @@ def parse_phi(text: str) -> PhiSpec:
     return PhiSpec.of(upper, lower, arg)
 
 
-def _print_mono(p) -> str:
-    if p == 0:
-        return "0"
-    coeff = p.coeff
-    parts = []
-    for v, e in p.powers:
-        parts.append(v if e == 1 else f"{v}^{e}")
-    body = "*".join(parts)
-    if not parts:
-        return str(coeff)
-    if coeff == 1:
-        return body
-    if coeff == -1:
-        return f"-{body}"
-    return f"{coeff}*{body}"
-
-
 def print_phi(spec: PhiSpec) -> str:
     """Canonical text form; parse_phi(print_phi(s)) reproduces s."""
-    upper = ", ".join(_print_mono(u) for u in spec.upper)
-    lower = ", ".join(_print_mono(b) for b in spec.lower)
-    return f"phi[{spec.r},{spec.s}]{{{upper} ; {lower} ; {_print_mono(spec.argument)}}}"
+    upper = ", ".join(map(str, spec.upper))
+    lower = ", ".join(map(str, spec.lower))
+    return f"phi[{spec.r},{spec.s}]{{{upper} ; {lower} ; {spec.argument}}}"

@@ -8,6 +8,10 @@ summand's denominator cancels exactly into tail factors such as
     (c;q)_n / (c;q)_k = (c q^k; q)_{n-k},
 
 and the verified statement is always "difference polynomial equals zero".
+A side that is a terminating rphis series in base q (the 3phi2 factors, the
+3phi1 transformation, the q-Chu-Vandermonde 2phi1) is built by
+``hyperg.phi_sum_cleared``, which clears it by exactly these lower Pochhammer
+symbols; sums in base q^2 or over a shifted range k >= s are written out here.
 Square roots never appear: identities stated with sqrt(c) or q^{1/2} are
 verified in an equivalent root-free form, via (c;q)_{2k} regrouping or the
 base substitution q = t^2.
@@ -20,6 +24,7 @@ can exercise substitution consistency between related identities; the public
 from __future__ import annotations
 
 from .exactalg import MultiLaurentPoly, exact_div
+from .hyperg import PhiSpec, phi_sum_cleared
 from .qkit import (ParamExpr, Q, choose2, one_minus_q, poch_prefixes, poch_suffixes,
                    qbinomial, qpochhammer, terminating_weight)
 from .report import CaseKind
@@ -63,22 +68,21 @@ def clausen_orr_sides(n: int) -> tuple:
                   (x;q)_k (c/x;q)_k q^k (cq^k;q)_{n-k} (cq^{2k};q)_{2(n-k)}
     with w_k = (q^{-n};q)_k / (q;q)_k.
     """
-    pa = poch_prefixes(_pe(1, a=1), n)
-    px = poch_prefixes(_pe(1, x=1), n)
-    pcx = poch_prefixes(_pe(1, c=1, x=-1), n)
+    qn, a, x, c = ParamExpr.q_power(-n), _pe(1, a=1), _pe(1, x=1), _pe(1, c=1)
+    cx = _pe(1, c=1, x=-1)
+    s1, _ = phi_sum_cleared(PhiSpec.of([qn, a, x], [c, 0], Q))
+    s2, _ = phi_sum_cleared(PhiSpec.of([qn, a, cx], [c, 0], Q))
+    pa = poch_prefixes(a, n)
+    px = poch_prefixes(x, n)
+    pcx = poch_prefixes(cx, n)
     pcqn = poch_prefixes(_pe(1, c=1, q=n), n)
-    ctail = poch_suffixes(_pe(1, c=1), n)
-    c2tail = poch_suffixes(_pe(1, c=1), 2 * n)
-    aca = poch_prefixes(_pe(1, c=1), n, lead=_mono(a=1))
+    ctail = poch_suffixes(c, n)
+    c2tail = poch_suffixes(c, 2 * n)
+    aca = poch_prefixes(c, n, lead=_mono(a=1))
 
-    s1 = MultiLaurentPoly.zero()
-    s2 = MultiLaurentPoly.zero()
     rhs_sum = MultiLaurentPoly.zero()
     for k in range(n + 1):
         w = terminating_weight(n, k) * _mono(1, q=k)
-        common = w * pa[k] * ctail[k]
-        s1 = s1 + common * px[k]
-        s2 = s2 + common * pcx[k]
         rterm = w * pcqn[k] * pa[k] * aca[k] * _mono(1, a=n - k)
         rterm = rterm * px[k] * pcx[k] * ctail[k] * c2tail[2 * k]
         rhs_sum = rhs_sum + rterm
@@ -94,19 +98,19 @@ def final_square_sides(n: int) -> tuple:
     Root-free regrouping: the lower parameters x q^{1/2}, -x q^{1/2} enter only
     through (x q^{1/2};q)_k (-x q^{1/2};q)_k = (x^2 q; q^2)_k.
     """
-    pa = poch_prefixes(_pe(1, a=1), n)
-    px = poch_prefixes(_pe(1, x=1), n)
+    a, x, x2 = _pe(1, a=1), _pe(1, x=1), _pe(1, x=2)
+    s3, _ = phi_sum_cleared(PhiSpec.of([ParamExpr.q_power(-n), a, x], [x2, 0], Q))
+    pa = poch_prefixes(a, n)
+    px = poch_prefixes(x, n)
     pxqn = poch_prefixes(_pe(1, x=2, q=n), n)
-    x2tail = poch_suffixes(_pe(1, x=2), n)
+    x2tail = poch_suffixes(x2, n)
     mxtail = poch_suffixes(_pe(-1, x=1), n)
     x2qtail = poch_suffixes(_pe(1, x=2, q=1), n, base=ParamExpr.of(1, {"q": 2}))
-    axa = poch_prefixes(_pe(1, x=2), n, lead=_mono(a=1))
+    axa = poch_prefixes(x2, n, lead=_mono(a=1))
 
-    s3 = MultiLaurentPoly.zero()
     rhs_sum = MultiLaurentPoly.zero()
     for k in range(n + 1):
         w = terminating_weight(n, k) * _mono(1, q=k)
-        s3 = s3 + w * pa[k] * px[k] * x2tail[k]
         rterm = w * pxqn[k] * pa[k] * axa[k] * _mono(1, a=n - k) * px[k]
         rterm = rterm * x2tail[k] * mxtail[k] * x2qtail[k]
         rhs_sum = rhs_sum + rterm
@@ -123,30 +127,25 @@ def sqrt_corollary_sides(m: int) -> tuple:
     sides live in the Laurent ring over t, a, x.  Clearing factor:
     (x^2;t^2)_{2m} (xt;t^2)_m (-xt;t^2)_m (-x;t^2)_m.
     """
-    def tw(order, k):
-        return terminating_weight(order, k).substitute({"q": _T2})
-
-    pa = poch_prefixes(_pe(1, a=1), 2 * m, base=_T2)
-    px = poch_prefixes(_pe(1, x=1), 2 * m, base=_T2)
-    x2tail = poch_suffixes(_pe(1, x=2), 2 * m, base=_T2)
+    a, x2 = _pe(1, a=1), _pe(1, x=2)
+    lhs_sum, x2_whole = phi_sum_cleared(
+        PhiSpec.of([ParamExpr.q_power(-2 * m), a, _pe(1, x=1)], [x2, 0], Q))
+    pa = poch_prefixes(a, m, base=_T2)
     pxtm = poch_prefixes(_pe(1, x=1, t=2 * m), m, base=_T2)
     xt_tail = poch_suffixes(_pe(1, x=1, t=1), m, base=_T2)
     mxt_tail = poch_suffixes(_pe(-1, x=1, t=1), m, base=_T2)
     mx_tail = poch_suffixes(_pe(-1, x=1), m, base=_T2)
-    axa = poch_prefixes(_pe(1, x=2), m, base=_T2, lead=_mono(a=1))
+    axa = poch_prefixes(x2, m, base=_T2, lead=_mono(a=1))
 
-    lhs_sum = MultiLaurentPoly.zero()
-    for k in range(2 * m + 1):
-        term = tw(2 * m, k) * _mono(1, t=2 * k) * pa[k] * px[k] * x2tail[k]
-        lhs_sum = lhs_sum + term
-    lhs = lhs_sum * xt_tail[0] * mxt_tail[0] * mx_tail[0]
+    lhs = lhs_sum.substitute({"q": _T2}) * xt_tail[0] * mxt_tail[0] * mx_tail[0]
 
     rhs = MultiLaurentPoly.zero()
     for k in range(m + 1):
-        term = tw(m, k) * _mono(1, t=2 * k) * pxtm[k] * pa[k] * axa[k] * _mono(1, a=m - k)
+        w = terminating_weight(m, k).substitute({"q": _T2}) * _mono(1, t=2 * k)
+        term = w * pxtm[k] * pa[k] * axa[k] * _mono(1, a=m - k)
         term = term * xt_tail[k] * mxt_tail[k] * mx_tail[k]
         rhs = rhs + term
-    rhs = rhs * x2tail[0]
+    rhs = rhs * x2_whole.substitute({"q": _T2})
     return lhs, rhs
 
 
@@ -182,21 +181,19 @@ def special3_sides(n: int) -> tuple:
 
 def special1_sides(n: int) -> tuple:
     """Cleared sides of the a = -x specialization of the core product formula."""
+    s2, _ = phi_sum_cleared(PhiSpec.of(
+        [ParamExpr.q_power(-n), _pe(-1, x=1), _pe(1, c=1, x=-1)], [_pe(1, c=1), 0], Q))
     px2 = poch_prefixes(_pe(1, x=2), n, base=_Q2)
-    pmx = poch_prefixes(_pe(-1, x=1), n)
-    pcx = poch_prefixes(_pe(1, c=1, x=-1), n)
     pc2x2 = poch_prefixes(_pe(1, c=2, x=-2), n, base=_Q2)
     pcqn = poch_prefixes(_pe(1, c=1, q=n), n)
     ctail = poch_suffixes(_pe(1, c=1), n)
     c2tail = poch_suffixes(_pe(1, c=1), 2 * n)
 
     s1 = MultiLaurentPoly.zero()
-    s2 = MultiLaurentPoly.zero()
     rhs_sum = MultiLaurentPoly.zero()
     for k in range(n + 1):
         w = terminating_weight(n, k) * _mono(1, q=k)
         s1 = s1 + w * px2[k] * ctail[k]
-        s2 = s2 + w * pmx[k] * pcx[k] * ctail[k]
         rhs_sum = rhs_sum + w * pcqn[k] * px2[k] * pc2x2[k] * ctail[k] * c2tail[2 * k]
     sign = -1 if n % 2 else 1
     return s1 * s2 * c2tail[0], _mono(sign, x=n) * ctail[0] * rhs_sum
@@ -204,34 +201,27 @@ def special1_sides(n: int) -> tuple:
 
 
 def special222_sides(n: int) -> tuple:
-    """Cleared sides of the two-variable transformation, symbolic in x, y, c."""
-    px = poch_prefixes(_pe(1, x=1), n)
-    py = poch_prefixes(_pe(1, y=1), n)
-    pcy = poch_prefixes(_pe(1, c=1, y=-1), n)
-    ctail = poch_suffixes(_pe(1, c=1), n)
-    lhs = MultiLaurentPoly.zero()
-    rhs = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        w = terminating_weight(n, k)
-        lhs = lhs + w * px[k] * py[k] * _mono(1, q=k) * ctail[k]
-        sign = -1 if k % 2 else 1
-        rterm = w * px[k] * pcy[k] * _mono(sign, x=n - k, y=k, q=n * k - choose2(k))
-        rhs = rhs + rterm * ctail[k]
-    return lhs, rhs
+    """Cleared sides of the two-variable transformation, symbolic in x, y, c:
+
+    3phi2(q^{-n}, x, y; c, 0; q, q) = x^n 3phi1(q^{-n}, x, c/y; c; q, q^n y/x).
+    """
+    qn, x, c = ParamExpr.q_power(-n), _pe(1, x=1), _pe(1, c=1)
+    lhs, _ = phi_sum_cleared(PhiSpec.of([qn, x, _pe(1, y=1)], [c, 0], Q))
+    rhs, _ = phi_sum_cleared(
+        PhiSpec.of([qn, x, _pe(1, c=1, y=-1)], [c], _pe(1, q=n, y=1, x=-1)))
+    return lhs, _mono(1, x=n) * rhs
 
 
 
 def special2_sides(n: int) -> tuple:
     """Cleared sides of the x -> -x, y -> c/x instance used by the companion formula."""
-    pmx = poch_prefixes(_pe(-1, x=1), n)
-    pcx = poch_prefixes(_pe(1, c=1, x=-1), n)
+    lhs, _ = phi_sum_cleared(PhiSpec.of(
+        [ParamExpr.q_power(-n), _pe(-1, x=1), _pe(1, c=1, x=-1)], [_pe(1, c=1), 0], Q))
     px2 = poch_prefixes(_pe(1, x=2), n, base=_Q2)
     ctail = poch_suffixes(_pe(1, c=1), n)
-    lhs = MultiLaurentPoly.zero()
     rhs = MultiLaurentPoly.zero()
     for k in range(n + 1):
         w = terminating_weight(n, k)
-        lhs = lhs + w * pmx[k] * pcx[k] * _mono(1, q=k) * ctail[k]
         rhs = rhs + w * px2[k] * _mono(1, c=k, q=n * k - choose2(k), x=-2 * k) * ctail[k]
     sign = -1 if n % 2 else 1
     return lhs, _mono(sign, x=n) * rhs
@@ -244,12 +234,9 @@ def special2_sides(n: int) -> tuple:
 
 def _range_tails(n: int, s: int) -> list:
     """tails[k] = (q^{k-s+1};q)_{n-k} (q^{k+s+1};q)_{n-k} for k = s..n (index k)."""
-    tails = [None] * (n + 1)
-    for k in range(s, n + 1):
-        t1 = qpochhammer(ParamExpr.q_power(k - s + 1), n - k)
-        t2 = qpochhammer(ParamExpr.q_power(k + s + 1), n - k)
-        tails[k] = t1 * t2
-    return tails
+    t1 = poch_suffixes(Q, n - s)
+    t2 = poch_suffixes(ParamExpr.q_power(2 * s + 1), n - s)
+    return [None] * s + [a * b for a, b in zip(t1, t2)]
 
 
 def general_s_sides(n: int, s: int) -> tuple:
@@ -487,9 +474,8 @@ def connection_coefficients_difference(n: int, m: int) -> MultiLaurentPoly:
     a1 = qexp * qbinomial(n, m) * pa[m] * aca[n]
 
     # Same part, summed term by term (checks the closed form on the way).
-    jsum = MultiLaurentPoly.zero()
-    for j in range(n + 1):
-        jsum = jsum + terminating_weight(n, j) * _mono(1, q=j) * pa[j] * ctail_n[j]
+    jsum, _ = phi_sum_cleared(PhiSpec.of(
+        [ParamExpr.q_power(-n), _pe(1, a=1)], [_pe(1, c=1)], Q))
     a1_direct = terminating_weight(n, m) * _mono(1, q=m) * pa[m] * jsum
 
     # Kernel part: j <= m < k <= n with B_{k-j, m-j} evaluated at c q^{2j}.

@@ -59,6 +59,9 @@ class ParamExpr:
     def as_poly(self) -> MultiLaurentPoly:
         return MultiLaurentPoly.monomial(self.coeff, dict(self.powers))
 
+    def __str__(self) -> str:
+        return str(self.as_poly())
+
     def __mul__(self, other: "ParamExpr") -> "ParamExpr":
         powers = dict(self.powers)
         for v, e in other.powers:
@@ -183,14 +186,14 @@ def qchu_vandermonde_sides(n: int) -> tuple:
     cancels into (c q^k; q)_{n-k}, and the right side becomes the polynomial
     prod_{i<n} (a - c q^i).
     """
-    a = ParamExpr.var("a")
+    a, c = ParamExpr.var("a"), ParamExpr.var("c")
     lhs = MultiLaurentPoly.zero()
     pa = poch_prefixes(a, n)
+    ctail = poch_suffixes(c, n)
     for k in range(n + 1):
-        tail = qpochhammer(ParamExpr.of(1, {"c": 1, "q": k}), n - k)
         term = terminating_weight(n, k) * MultiLaurentPoly.monomial(1, {"q": k}) * pa[k]
-        lhs = lhs + term * tail
-    rhs = poch_prefixes(ParamExpr.var("c"), n, lead=a.as_poly())[n]
+        lhs = lhs + term * ctail[k]
+    rhs = poch_prefixes(c, n, lead=a.as_poly())[n]
     return lhs, rhs
 
 

@@ -133,7 +133,7 @@ def _delannoy_cases(b):
 
 
 def _congruence_cases(b):
-    primes = [b["p"]] if b.get("p") else [p for p in _PRIMES if p <= b["pmax"]]
+    primes = [b["p"]] if b["p"] is not None else [p for p in _PRIMES if p <= b["pmax"]]
     for p in primes:
         yield ("minus_q_pochhammer", {"p": p})
     for n in range(1, min(b["nmax"] + 2, 7)):

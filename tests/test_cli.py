@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from qck import cli, congruence, positivity
+from qck import cli, congruence, exactalg, identities, positivity, qkit
 from qck.exactalg import MultiLaurentPoly, NotDivisibleError
 from qck.identities import verify_clausen_orr
 from qck.report import CaseKind, VerificationReport
@@ -243,6 +243,35 @@ def test_subcommands_share_the_hard_caps():
     result = run_cli("congruence", "--p", "3", "--mmax", "41")
     assert result.returncode == 2
     assert "hard cap" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "congruence", "--p", "0"],
+    ["verify", "--suite", "clausen", "--nmax", "-1"],
+    ["positivity", "--mmax", "-1"],
+    ["positivity", "--nmax", "-1", "--unsafe-bounds"],
+    ["congruence", "--p", "9", "--unsafe-bounds"],
+])
+def test_out_of_range_bounds_are_usage_errors(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.out == ""
+
+
+def test_tracer_micro_benchmark_attributes(tmp_path):
+    """The calls of the benchmark tracer's kernel micro-benchmarks, at small sizes."""
+    lhs, rhs = identities.clausen_orr_sides(1)
+    assert lhs == rhs
+    binding = {"a": qkit.ParamExpr.of(-1, {"q": -1})}
+    assert [s.substitute(binding) for s in identities.general_s_sides(1, 1)]
+    assert congruence.verify_thm2(3, 1).passed
+    u, v = lhs, MultiLaurentPoly.var("q") + 2
+    assert exactalg.exact_divide(u * v, v) == u
+    out = tmp_path / "report.json"
+    records = run_cases([("thm2", {"p": 3, "m": 1})])
+    cli._emit(records, "json", str(out))
+    assert json.loads(out.read_text()) == records
 
 
 def test_csv_format():

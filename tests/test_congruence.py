@@ -1,5 +1,7 @@
 """Congruence tests with division oracles."""
 
+from fractions import Fraction
+
 import pytest
 
 from qck.congruence import (BracketModulus, Thm2MismatchError,
@@ -43,6 +45,14 @@ def test_congruence_laurent_clearing():
     mod = BracketModulus.of(3)
     # q^{-1} == q^2 mod [3] because q^{-1}(1 - q^3) is divisible by [3]
     assert laurent_congruent(P.var("q", -1), q ** 2, mod)
+
+
+def test_congruence_rejects_non_integer_univariate_input():
+    mod = BracketModulus.of(3)
+    with pytest.raises(ValueError, match="univariate"):
+        congruence_witness(q * P.var("x"), q, mod)
+    with pytest.raises(ValueError, match="integer coefficients"):
+        congruence_witness(P.monomial(Fraction(1, 2), {"q": -1}), q, mod)
 
 
 def test_congruence_unit_invariance():
