@@ -137,12 +137,6 @@ def cmd_phi(args) -> int:
 
 
 def cmd_delannoy(args) -> int:
-    if args.m < 0 or args.n < 0:
-        print("error: --m and --n must be non-negative", file=sys.stderr)
-        return EXIT_USAGE
-    if max(args.m, args.n) > 12 and not args.unsafe_bounds:
-        print("error: table bound above 12; pass --unsafe-bounds to override", file=sys.stderr)
-        return EXIT_USAGE
     try:
         table = delannoy.build_table(args.q_analogue, args.m, args.n)
     except (ValueError, delannoy.DelannoyMismatchError) as exc:

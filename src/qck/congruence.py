@@ -76,12 +76,6 @@ def congruence_witness(u: MultiLaurentPoly, v: MultiLaurentPoly,
     return rem
 
 
-def laurent_congruent(u: MultiLaurentPoly, v: MultiLaurentPoly,
-                      mod: BracketModulus, square: bool = False) -> bool:
-    """True iff u == v as Laurent polynomials modulo [p] (or [p]^2 when square)."""
-    return congruence_witness(u, v, mod, square).is_zero()
-
-
 def minus_q_pochhammer_witness(p: int) -> MultiLaurentPoly:
     """(-q; q)_{p-1} == 1 (mod [p])."""
     mod = BracketModulus.of(p)

@@ -151,15 +151,6 @@ def relations_difference(m: int, n: int) -> MultiLaurentPoly:
     return next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
 
 
-def dq_symmetry_holds(bound: int) -> bool:
-    """Empirical check whether D_q(m,n) == D_q(n,m) over 0 <= m,n <= bound.
-
-    Reported for information only; nothing in the package relies on it.
-    """
-    return all(dq(m, n) == dq(n, m)
-               for m in range(bound + 1) for n in range(m + 1, bound + 1))
-
-
 @dataclass
 class DelannoyTable:
     """A rectangle of Delannoy values; entries[m][n] covers 0..max_m x 0..max_n."""

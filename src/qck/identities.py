@@ -14,7 +14,10 @@ A side that is a terminating rphis series in base q (the 3phi2 factors, the
 symbols; sums in base q^2 or over a shifted range k >= s are written out here.
 Square roots never appear: identities stated with sqrt(c) or q^{1/2} are
 verified in an equivalent root-free form, via (c;q)_{2k} regrouping or the
-base substitution q = t^2.
+base substitution q = t^2.  A specialization of a parameter to a monomial (a =
+-q^{-n} in the shifted formula, a = c q^{2j} in the connection kernel) is built
+with the parameter already bound, never substituted into the symbolic sides
+afterwards; substitution is a ring homomorphism, so the polynomial is the same.
 
 Builders named ``*_sides`` return the cleared (lhs, rhs) pair so that tests
 can exercise substitution consistency between related identities; the public
@@ -245,13 +248,18 @@ def general_s_sides(n: int, s: int) -> tuple:
     Clearing multiplies both sides by D^2 G E with D = (q;q)_{n-s}(q;q)_{n+s},
     G = (q^{n+1};q)_s (q/a;q)_s, E = (q;q)_{2n}.
     """
+    return _general_s_sides(n, s, ParamExpr.var("a"))
+
+
+def _general_s_sides(n: int, s: int, a: ParamExpr) -> tuple:
+    """``general_s_sides`` with a bound to the monomial ``a``."""
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
     pqn = poch_prefixes(ParamExpr.q_power(-n), n)
-    pa = poch_prefixes(_pe(1, a=1), n)
+    pa = poch_prefixes(a, n)
     px = poch_prefixes(_pe(1, x=1), n)
     pqx = poch_prefixes(_pe(1, q=1, x=-1), n)
-    pqa = poch_prefixes(_pe(1, q=1, a=-1), n)
+    pqa = poch_prefixes(Q * a.power(-1), n)
     pqn1 = poch_prefixes(ParamExpr.q_power(n + 1), n)
     tails = _range_tails(n, s)
     e2tail = poch_suffixes(Q, 2 * n)
@@ -268,7 +276,7 @@ def general_s_sides(n: int, s: int) -> tuple:
     g = pqn1[s] * pqa[s]
     lhs = s1 * s2 * g * e2tail[0]
     d_whole = _qq(n - s) * _qq(n + s)
-    lead = pqn[s] * pa[s] * _mono(1, a=n - s, q=(n + 1) * s - s * s)
+    lead = pqn[s] * pa[s] * (a.power(n - s) * ParamExpr.q_power((n + 1) * s - s * s)).as_poly()
     rhs = lead * rhs_sum * d_whole
     return lhs, rhs
 
@@ -320,15 +328,14 @@ def general_s_specialization_difference(n: int, s: int) -> MultiLaurentPoly:
     rebalancing by G|_{a=-q^{-n}} on one side and (q^2;q^2)_{n+s}(q^2;q^2)_{n-s}
     on the other.
     """
-    binding = {"a": ParamExpr.of(-1, {"q": -n})}
-    gl, gr = general_s_sides(n, s)
+    gl, gr = _general_s_sides(n, s, ParamExpr.of(-1, {"q": -n}))
     il, ir = q2_product_sides(n, s)
     g_at = (poch_prefixes(ParamExpr.q_power(n + 1), s)[s]
             * qpochhammer(ParamExpr.of(-1, {"q": n + 1}), s))
     nms = qpochhammer(_Q2, n - s, base=_Q2)
     scale = qpochhammer(_Q2, n + s, base=_Q2) * nms * nms
-    diff_l = gl.substitute(binding) * scale - il * g_at
-    diff_r = gr.substitute(binding) * scale - ir * g_at
+    diff_l = gl * scale - il * g_at
+    diff_r = gr * scale - ir * g_at
     return diff_l if not diff_l.is_zero() else diff_r
 
 
@@ -421,10 +428,11 @@ def lemma_am2_sides(n: int, m: int, h: int) -> tuple:
 
 
 
-def b_poly(n: int, k: int) -> MultiLaurentPoly:
+def b_poly(n: int, k: int, a: ParamExpr = ParamExpr.var("a")) -> MultiLaurentPoly:
     """The connection kernel B_{n,k}(a) = (1-q^n) sum_h (-1)^h [n-k-1;h-1][k+h-1;h-1] q^{C(h,2)+kh} a^h / (1-q^h).
 
     Each h-term's division by (1 - q^h) is exact; k >= n gives the empty sum.
+    The monomial ``a`` defaults to the symbol a.
     """
     if n < 1 or k < 0:
         raise ValueError("need n >= 1 and k >= 0")
@@ -434,7 +442,7 @@ def b_poly(n: int, k: int) -> MultiLaurentPoly:
         num = one_minus_qn * qbinomial(n - k - 1, h - 1) * qbinomial(k + h - 1, h - 1)
         quot = exact_div(num, one_minus_q(h))
         sign = -1 if h % 2 else 1
-        out = out + quot * _mono(sign, q=choose2(h) + k * h, a=h)
+        out = out + quot * (a.power(h) * _pe(sign, q=choose2(h) + k * h)).as_poly()
     return out
 
 
@@ -482,7 +490,7 @@ def connection_coefficients_difference(n: int, m: int) -> MultiLaurentPoly:
     a2 = MultiLaurentPoly.zero()
     for j in range(m + 1):
         for k in range(m + 1, n + 1):
-            kern = b_poly(k - j, m - j).substitute({"a": ParamExpr.of(1, {"c": 1, "q": 2 * j})})
+            kern = b_poly(k - j, m - j, _pe(1, c=1, q=2 * j))
             term = terminating_weight(n, j) * terminating_weight(n, k) * pa[j] * pa[k]
             term = term * _mono(1, q=j + k) * kern * ctail_m[j] * ctail_n[k]
             a2 = a2 + term

@@ -18,8 +18,6 @@ checked with fully symbolic weights x0..x_{n-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .congruence import thm2_lhs
 from .delannoy import dq, dq_inverse_base
 from .exactalg import MultiLaurentPoly, exact_div, exact_divide
@@ -68,28 +66,6 @@ def schmidt_sides(k: int, i: int, j: int) -> tuple:
         term = term * qbinomial(k + s, 2 * s) * qbinomial(2 * s, s)
         rhs = rhs + term * MultiLaurentPoly.monomial(1, {"q": (i + j - s) * (k - s)})
     return lhs, rhs
-
-
-@dataclass
-class LinearizationTable:
-    """Structure constants of the normalized basis B_i(k) = [k+i;2i][2i;i] q^{-ki}.
-
-    entries[(i, j)] is a list of (s, constant) with
-    B_i(k) B_j(k) = sum_s constant(s) * B_s(k), the constants independent of k:
-    constant(s) = [i+j;i][j;s-i][s;j] q^{-s(i+j-s)}.
-    """
-
-    bound: int
-    entries: dict
-
-    @classmethod
-    def up_to(cls, bound: int) -> "LinearizationTable":
-        entries = {}
-        for i in range(bound + 1):
-            for j in range(bound + 1):
-                entries[(i, j)] = [(s, structure_constant(i, j, s))
-                                   for s in range(i, i + j + 1)]
-        return cls(bound, entries)
 
 
 def structure_constant(i: int, j: int, s: int) -> MultiLaurentPoly:

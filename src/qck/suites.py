@@ -21,7 +21,7 @@ from .report import CaseKind, VerificationReport, make_report
 SUITE_NAMES = ("all", "clausen", "lemmas", "transforms", "delannoy",
                "congruence", "positivity")
 
-HARD_CAPS = {"nmax": 10, "pmax": 13, "rmax": 3, "mmax": 40}
+HARD_CAPS = {"nmax": 10, "pmax": 13, "rmax": 3, "mmax": 40, "m": 12, "n": 12}
 
 DEFAULT_BOUNDS = {
     "nmax": 4,      # symbolic identity grids

@@ -243,6 +243,12 @@ def test_subcommands_share_the_hard_caps():
     result = run_cli("congruence", "--p", "3", "--mmax", "41")
     assert result.returncode == 2
     assert "hard cap" in result.stderr
+    result = run_cli("delannoy", "--m", "13", "--n", "1")
+    assert result.returncode == 2
+    assert "hard cap" in result.stderr
+    result = run_cli("delannoy", "--n", "13", "--m", "0", "--unsafe-bounds")
+    assert result.returncode == 0
+    assert result.stdout == "1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,6 +257,8 @@ def test_subcommands_share_the_hard_caps():
     ["positivity", "--mmax", "-1"],
     ["positivity", "--nmax", "-1", "--unsafe-bounds"],
     ["congruence", "--p", "9", "--unsafe-bounds"],
+    ["delannoy", "--m", "13", "--n", "1"],
+    ["delannoy", "--m", "-1", "--n", "1"],
 ])
 def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     assert cli.main(argv) == 2

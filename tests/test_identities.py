@@ -3,7 +3,8 @@
 import pytest
 
 from qck.exactalg import MultiLaurentPoly as P, exact_divide
-from qck.identities import (b_poly, clausen_orr_sides, connection_coefficients,
+from qck.identities import (_general_s_sides, b_poly, clausen_orr_sides,
+                            connection_coefficients,
                             final_square_sides, general_s_sides,
                             lem_important2_sides, lemma_am2_sides,
                             lemma_last_sides, special1_sides, special2_sides,
@@ -101,6 +102,16 @@ def test_general_s_zero_shift_is_clausen_at_c_q():
         assert gr == cor.substitute(binding) * scale
 
 
+def test_general_s_bound_before_building_is_the_substituted_sides():
+    # the specialization check builds its sides with a = -q^{-n} already bound;
+    # that is the image of the symbolic sides under the substitution
+    for n in range(5):
+        a = ParamExpr.of(-1, {"q": -n})
+        for s in range(n + 1):
+            bound = _general_s_sides(n, s, a)
+            assert bound == tuple(side.substitute({"a": a}) for side in general_s_sides(n, s))
+
+
 def test_general_s_single_term_boundary():
     # s = n collapses both sums to the k = n term
     assert verify_general_s(3, 3).passed
@@ -186,6 +197,15 @@ def test_b_poly_frozen_values():
     # single h = 1 term: -(1-q^2)/(1-q) q a = -(1+q) q a
     assert b_poly(2, 1) == P.monomial(-1, {"q": 1, "a": 1}) + P.monomial(-1, {"q": 2, "a": 1})
     assert b_poly(1, 0) == P.monomial(-1, {"a": 1})
+
+
+def test_b_poly_bound_before_building_is_the_substituted_kernel():
+    # the connection check evaluates the kernel at a = c q^{2j} directly
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for j in range(3):
+                a = ParamExpr.of(1, {"c": 1, "q": 2 * j})
+                assert b_poly(n, k, a) == b_poly(n, k).substitute({"a": a})
 
 
 def test_b_poly_sign_and_divisibility():

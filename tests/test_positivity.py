@@ -7,9 +7,8 @@ import pytest
 from qck import positivity
 from qck.delannoy import delannoy, dq, dq_inverse_base
 from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
-from qck.positivity import (LinearizationTable, lemma41_generic,
-                            linearize_power, s_n, s_n_symbolic, sn_basis,
-                            structure_constant, thm3_poly1,
+from qck.positivity import (lemma41_generic, linearize_power, s_n, s_n_symbolic,
+                            sn_basis, structure_constant, thm3_poly1,
                             thm3_poly2, thm3_poly3,
                             verify_alternating_sum, verify_schmidt, verify_thm3,
                             xk_weights)
@@ -58,14 +57,6 @@ def test_structure_constants_nonneg():
         for j in range(6):
             for s in range(i, i + j + 1):
                 assert is_nonneg_integer_laurent(structure_constant(i, j, s))
-
-
-def test_linearization_table():
-    table = LinearizationTable.up_to(3)
-    for (i, j), entries in table.entries.items():
-        for s, constant in entries:
-            assert i <= s <= i + j
-            assert is_nonneg_integer_laurent(constant)
 
 
 def test_linearize_power_matches_direct_product():
