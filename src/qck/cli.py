@@ -127,8 +127,12 @@ def cmd_phi(args) -> int:
     except hyperg.PhiSpecError as exc:
         print(f"invalid series: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    num, den = hyperg.phi_sum_cleared(spec)
-    whole = exact_divide(num, den)
+    try:
+        num, den = hyperg.phi_sum_cleared(spec)
+        whole = exact_divide(num, den)
+    except ValueError as exc:  # an exponent leaving the kernel's range
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if whole is not None:
         print(whole)
     else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .delannoy import dq, dq_inverse_base
 from .exactalg import (MultiLaurentPoly, divrem_in_q, exact_div, exact_divide,
                        is_nonneg_integer_laurent)
-from .qkit import ParamExpr, bracket, one_minus_q, poch_prefixes, qbinomial, qpochhammer
+from .qkit import bracket, one_minus_q, poch_prefixes, qbinomial, qpochhammer
 from .report import CaseKind
 
 _PRIME_CAP = 10 ** 4
@@ -79,7 +79,7 @@ def congruence_witness(u: MultiLaurentPoly, v: MultiLaurentPoly,
 def minus_q_pochhammer_witness(p: int) -> MultiLaurentPoly:
     """(-q; q)_{p-1} == 1 (mod [p])."""
     mod = BracketModulus.of(p)
-    value = qpochhammer(ParamExpr.of(-1, {"q": 1}), p - 1)
+    value = qpochhammer(MultiLaurentPoly.monomial(-1, {"q": 1}), p - 1)
     return congruence_witness(value, MultiLaurentPoly.const(1), mod, square=False)
 
 
@@ -115,8 +115,8 @@ def _thm2_lhs_direct(p: int, m: int) -> MultiLaurentPoly:
 
 def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
     out = MultiLaurentPoly.zero()
-    w1 = poch_prefixes(ParamExpr.of(-1), p - 1)
-    w2 = poch_prefixes(ParamExpr.of(-1, {"q": 1}), p - 1)
+    w1 = poch_prefixes(MultiLaurentPoly.const(-1), p - 1)
+    w2 = poch_prefixes(MultiLaurentPoly.monomial(-1, {"q": 1}), p - 1)
     for j in range(p):
         # [p] = (1-q^p)/(1-q), so this ratio carries the full displayed
         # prefactor (1-q^p)(1-q^{p-j}) / ((1-q)(1-q^{j+1})).

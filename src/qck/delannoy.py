@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import comb
 
 from .exactalg import MultiLaurentPoly
-from .qkit import Q, ParamExpr, choose2, poch_prefixes, qbinomial
+from .qkit import Q, choose2, poch_prefixes, qbinomial
 from .report import CaseKind
 
 
@@ -39,19 +39,19 @@ def delannoy(m: int, n: int) -> int:
     return s1
 
 
-def _dq_sum(m: int, n: int, w: ParamExpr) -> MultiLaurentPoly:
+def _dq_sum(m: int, n: int, w: MultiLaurentPoly) -> MultiLaurentPoly:
     """sum_{k<=n} q^{C(k,2)} w^k [n;k] [n+m-k; n]: D_q(m,n) at w = 1, D*_q(m,n) at w = q."""
     out = MultiLaurentPoly.zero()
     for k in range(n + 1):
         term = qbinomial(n, k) * qbinomial(n + m - k, n)
-        out = out + term * (Q.power(choose2(k)) * w.power(k)).as_poly()
+        out = out + term * (Q ** choose2(k) * w ** k)
     return out
 
 
 @lru_cache(maxsize=None)
 def dq(m: int, n: int) -> MultiLaurentPoly:
     """D_q(m,n) = sum_k q^{C(k,2)} [n;k] [n+m-k; n]."""
-    return _dq_sum(m, n, ParamExpr.of(1))
+    return _dq_sum(m, n, MultiLaurentPoly.const(1))
 
 
 @lru_cache(maxsize=None)
@@ -63,12 +63,12 @@ def dq_star(m: int, n: int) -> MultiLaurentPoly:
 @lru_cache(maxsize=None)
 def dq_inverse_base(m: int, n: int) -> MultiLaurentPoly:
     """D_{1/q}(m,n): the image of D_q(m,n) under q -> q^{-1} (Laurent)."""
-    return dq(m, n).substitute({"q": ParamExpr.q_power(-1)})
+    return dq(m, n).substitute({"q": Q ** -1})
 
 
 def dq_alt(m: int, n: int) -> MultiLaurentPoly:
     """The (-1;q)_k expansion: sum_k q^{(m-k)(n-k)} [m;k][n;k] (-1;q)_k == D_q(m,n)."""
-    return _alt_sum(m, n, ParamExpr.of(-1))
+    return _alt_sum(m, n, MultiLaurentPoly.const(-1))
 
 
 def dq_star_alt(m: int, n: int) -> MultiLaurentPoly:
@@ -77,10 +77,10 @@ def dq_star_alt(m: int, n: int) -> MultiLaurentPoly:
     Note the swapped arguments on the right-hand side: the sum over k <= m
     with these weights produces D*_q(n, m).
     """
-    return _alt_sum(m, n, ParamExpr.of(-1, {"q": 1}))
+    return _alt_sum(m, n, -Q)
 
 
-def _alt_sum(m: int, n: int, weight_param: ParamExpr) -> MultiLaurentPoly:
+def _alt_sum(m: int, n: int, weight_param: MultiLaurentPoly) -> MultiLaurentPoly:
     """sum_{k<=m} q^{(m-k)(n-k)} [m;k][n;k] (w;q)_k for the weight parameter w."""
     weights = poch_prefixes(weight_param, m)
     out = MultiLaurentPoly.zero()
@@ -96,13 +96,14 @@ def general_x_expansion(m: int, n: int) -> tuple:
     Specializing x to -1 and -q recovers the two alternative expansions.  The
     right side is the D_q sum with weight w = -x; its terms past min(m, n) vanish.
     """
-    return _alt_sum(m, n, ParamExpr.var("x")), _dq_sum(m, n, ParamExpr.of(-1, {"x": 1}))
+    x = MultiLaurentPoly.var("x")
+    return _alt_sum(m, n, x), _dq_sum(m, n, -x)
 
 
-def _product_sum(m: int, n: int, w: ParamExpr) -> MultiLaurentPoly:
+def _product_sum(m: int, n: int, w: MultiLaurentPoly) -> MultiLaurentPoly:
     """sum_{k<=n} q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (w;q)_k (q/w;q)_k."""
     w1 = poch_prefixes(w, n)
-    w2 = poch_prefixes(Q * w.power(-1), n)
+    w2 = poch_prefixes(Q * w ** -1, n)
     out = MultiLaurentPoly.zero()
     for k in range(n + 1):
         term = qbinomial(n + k, 2 * k) * qbinomial(m, k) * qbinomial(m + k, k)
@@ -113,7 +114,7 @@ def _product_sum(m: int, n: int, w: ParamExpr) -> MultiLaurentPoly:
 
 def product_expansion_rhs(m: int, n: int) -> MultiLaurentPoly:
     """sum_k q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (-1;q)_k (-q;q)_k."""
-    return _product_sum(m, n, ParamExpr.of(-1))
+    return _product_sum(m, n, MultiLaurentPoly.const(-1))
 
 
 def delannoy_product_sides(m: int, n: int) -> tuple:
@@ -127,9 +128,9 @@ def delannoy_product_x_sides(m: int, n: int) -> tuple:
     (sum_k q^{(m-k)(n-k)} [m;k][n;k] (x;q)_k)(same with x -> q/x)
         == sum_k q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (x;q)_k (q/x;q)_k
     """
-    x = ParamExpr.var("x")
+    x = MultiLaurentPoly.var("x")
     f1 = _alt_sum(m, n, x)
-    f2 = _alt_sum(m, n, ParamExpr.of(1, {"q": 1, "x": -1}))
+    f2 = _alt_sum(m, n, Q * x ** -1)
     return f1 * f2, _product_sum(m, n, x)
 
 

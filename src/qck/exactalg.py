@@ -20,8 +20,12 @@ monomial multiplication is a single integer addition:
     key(m1 * m2) = key(m1) + key(m2) - _BASE
 
 where _BASE is the key of the empty monomial.  Exponents must stay below
-2**20 in absolute value, which leaves three bits of headroom per field; the
-grids exercised by this package stay in the low thousands.
+2**20 in absolute value, which leaves three bits of headroom per field: a sum
+of two valid exponents cannot wrap into the next field.  Every operation that
+makes new keys (products, powers, substitution, the quotient of exact division)
+checks its result and raises ValueError for an exponent outside that range,
+before a field can wrap.  The grids exercised by this package stay in the low
+thousands.
 
 The canonical form is unique: no zero coefficients are stored, Fractions with
 denominator 1 are normalized to int, and the printing order (graded
@@ -34,6 +38,8 @@ from __future__ import annotations
 import os
 import re
 from fractions import Fraction
+from itertools import repeat
+from operator import and_, or_, sub
 
 VAR_NAMES = ("q", "t", "a", "b", "c", "d", "x", "y",
              "x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9")
@@ -46,6 +52,11 @@ _INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
 _SHIFT = {name: _W * i for name, i in _INDEX.items()}
 _BASE = sum(_OFF << (_W * i) for i in range(_NVARS))
 _EXP_LIMIT = 1 << 20
+# key - _LIMITS holds e + 2^23 - 2^20 in each field and _MIRROR - key holds
+# 2^23 - 2^20 - e, so a field's top bit (a bit of _BASE) is set in their OR
+# exactly when |e| >= _EXP_LIMIT.  Exact while every |e| < 2^22: no field borrows.
+_LIMITS = sum(_EXP_LIMIT << (_W * i) for i in range(_NVARS))
+_MIRROR = 2 * _BASE - _LIMITS
 
 
 class NotDivisibleError(ArithmeticError):
@@ -97,20 +108,9 @@ class MultiLaurentPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        """Build from a map of {variable: exponent} dicts (or packed keys) to coefficients.
-
-        Prefer the factory helpers ``const``, ``var`` and ``monomial`` in user code.
-        """
-        acc = {}
-        if terms:
-            for k, c in terms.items():
-                if not isinstance(k, int):
-                    k = _encode(dict(k))
-                if not isinstance(c, (int, Fraction)):
-                    c = Fraction(c)
-                acc[k] = acc.get(k, 0) + c
-        self._terms = {k: _norm_coeff(c) for k, c in acc.items() if c}
+    def __init__(self):
+        """The zero polynomial; build others with ``const``, ``var`` and ``monomial``."""
+        self._terms = {}
 
     # -- construction -----------------------------------------------------
 
@@ -120,9 +120,17 @@ class MultiLaurentPoly:
         p._terms = terms
         return p
 
+    @staticmethod
+    def _checked(terms: dict) -> "MultiLaurentPoly":
+        """_raw for new keys, which must hold every exponent inside the supported range."""
+        if any(map(and_, map(or_, map(sub, terms, repeat(_LIMITS)),
+                             map(sub, repeat(_MIRROR), terms)), repeat(_BASE))):
+            raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
+        return MultiLaurentPoly._raw(terms)
+
     @classmethod
     def zero(cls) -> "MultiLaurentPoly":
-        return cls._raw({})
+        return cls()
 
     @classmethod
     def const(cls, c) -> "MultiLaurentPoly":
@@ -268,7 +276,7 @@ class MultiLaurentPoly:
         if len(a) == 1:
             (k1, c1), = a.items()
             k1 -= _BASE
-            return MultiLaurentPoly._raw(
+            return MultiLaurentPoly._checked(
                 {k1 + k: _norm_coeff(c1 * c) for k, c in b.items()})
         if len(b) == 1:
             return other.__mul__(self)
@@ -284,8 +292,15 @@ class MultiLaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("polynomial powers must be non-negative integers")
+        """self**n for an integer n; a negative n needs a monomial (q/a is q * a**-1)."""
+        if not isinstance(n, int):
+            raise ValueError("polynomial powers must be integers")
+        if len(self._terms) == 1:
+            (k, c), = self._terms.items()
+            powers = {name: e * n for name, e in zip(VAR_NAMES, _decode(k)) if e}
+            return MultiLaurentPoly.monomial(Fraction(c) ** n, powers)
+        if n < 0:
+            raise ValueError("only a monomial has negative powers")
         result = MultiLaurentPoly.const(1)
         base = self
         while n:
@@ -351,16 +366,23 @@ class MultiLaurentPoly:
     def substitute(self, bindings: dict) -> "MultiLaurentPoly":
         """Apply the ring homomorphism sending each bound variable to a monomial or rational.
 
-        Binding values may be int, Fraction, a single-term MultiLaurentPoly, or
-        any object with ``coeff`` and ``powers`` attributes describing a Laurent
-        monomial.  Unbound variables pass through.  Substituting 0 for a
-        variable that occurs with a negative exponent raises ZeroDivisionError.
+        Binding values may be int, Fraction or a single-term MultiLaurentPoly.
+        Unbound variables pass through.  Substituting 0 for a variable that
+        occurs with a negative exponent raises ZeroDivisionError.  ValueError
+        is raised when an exponent of the image reaches the supported limit,
+        and also, before any key is built, when the bound exponents times the
+        bindings' exponents could reach twice that limit.
         """
         norm = {}
+        reach = 0
         for name, val in bindings.items():
             if name not in _INDEX:
                 raise ValueError(f"unknown variable {name!r}")
             norm[name] = _as_monomial(val)
+            lo, hi = self.degree_range(name)
+            reach += max(-lo, hi) * max(map(abs, _decode(norm[name][1])))
+        if reach >= 2 * _EXP_LIMIT:
+            raise ValueError(f"substitution could take an exponent past {_EXP_LIMIT}")
         acc = {}
         for k, c in self._terms.items():
             nk = k
@@ -385,7 +407,7 @@ class MultiLaurentPoly:
                 nk += (bkey - _BASE) * e
             if not dead:
                 acc[nk] = acc.get(nk, 0) + nc
-        return MultiLaurentPoly._raw({k: _norm_coeff(c) for k, c in acc.items() if c})
+        return MultiLaurentPoly._checked({k: _norm_coeff(c) for k, c in acc.items() if c})
 
 
 def _as_monomial(val):
@@ -397,8 +419,6 @@ def _as_monomial(val):
             raise ValueError("substitution values must be single Laurent monomials")
         (k, c), = val._terms.items()
         return (c, k)
-    if hasattr(val, "coeff") and hasattr(val, "powers"):
-        return (_norm_coeff(val.coeff), _encode(dict(val.powers)))
     raise TypeError(f"cannot interpret {val!r} as a substitution value")
 
 
@@ -448,7 +468,7 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
             out[k] = c1 * c2 if v is None else v + c1 * c2
     out = {k: _norm_coeff(c) for k, c in out.items() if c}
     _check_budget(len(out))
-    return MultiLaurentPoly._raw(out)
+    return MultiLaurentPoly._checked(out)
 
 
 # -- dense univariate helpers -------------------------------------------------
@@ -540,6 +560,8 @@ def _to_dense(p: MultiLaurentPoly, idx: int):
 
 
 def _from_dense(idx: int, lo: int, coeffs) -> MultiLaurentPoly:
+    if coeffs and not (-_EXP_LIMIT < lo and lo + len(coeffs) <= _EXP_LIMIT):
+        raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
     sh = _W * idx
     out = {}
     for i, c in enumerate(coeffs):
@@ -569,10 +591,9 @@ def _min_exponent_key(p: MultiLaurentPoly) -> int:
     return sum((m + _OFF) << (_W * i) for i, m in enumerate(mins))
 
 
-def _shift_by(p: MultiLaurentPoly, delta: int) -> MultiLaurentPoly:
-    if delta == 0:
-        return p
-    return MultiLaurentPoly._raw({k + delta: c for k, c in p._terms.items()})
+def _shift_by(p: MultiLaurentPoly, delta: int) -> dict:
+    """p's terms times the monomial of key delta + _BASE, with unchecked keys."""
+    return {k + delta: c for k, c in p._terms.items()}
 
 
 def exact_divide(p: MultiLaurentPoly, d: MultiLaurentPoly):
@@ -588,12 +609,14 @@ def exact_divide(p: MultiLaurentPoly, d: MultiLaurentPoly):
         return MultiLaurentPoly.zero()
     sp = _min_exponent_key(p) - _BASE
     sd = _min_exponent_key(d) - _BASE
-    phat = _shift_by(p, -sp)
-    dhat = _shift_by(d, -sd)
+    # The normalised exponents run up to an operand's span, below 2^21: the fields
+    # hold them exactly, so only the quotient's are checked against the limit.
+    phat = MultiLaurentPoly._raw(_shift_by(p, -sp))
+    dhat = MultiLaurentPoly._raw(_shift_by(d, -sd))
     q = _divide_ordinary(phat, dhat)
     if q is None:
         return None
-    q = _shift_by(q, sp - sd)
+    q = MultiLaurentPoly._checked(_shift_by(q, sp - sd))
     if q * d != p:  # multiply-back guard; the division loop should never fail it
         raise AssertionError("exact_divide produced an incorrect quotient")
     return q
@@ -697,9 +720,15 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
     return _from_dense(0, 0, q), _from_dense(0, 0, r)
 
 
+def non_positive_terms(p: MultiLaurentPoly) -> MultiLaurentPoly:
+    """The terms of p whose coefficient is not a positive integer."""
+    return MultiLaurentPoly._raw({k: c for k, c in p._terms.items()
+                                  if not (isinstance(c, int) and c > 0)})
+
+
 def is_nonneg_integer_laurent(p: MultiLaurentPoly) -> bool:
     """True iff p is univariate in q with non-negative integer coefficients."""
     extra = [v for v in p.variables() if v != "q"]
     if extra:
         raise ValueError(f"free variables besides q remain: {extra}")
-    return all(isinstance(c, int) and c > 0 for c in p._terms.values())
+    return non_positive_terms(p).is_zero()

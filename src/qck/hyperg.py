@@ -1,8 +1,9 @@
 """Terminating basic hypergeometric series: exact terms and sums from a spec.
 
-A series description (PhiSpec) lists the upper and lower Laurent-monomial
-parameters, the argument, and the termination order n (the least n with an
-upper parameter equal to q^{-n}).  The k-th summand is
+A series description (PhiSpec) lists the upper and lower parameters and the
+argument, each a Laurent monomial of the kernel (a single-term
+MultiLaurentPoly), and the termination order n (the least n with an upper
+parameter equal to q^{-n}).  The k-th summand is
 
     prod_u (u;q)_k / ((q;q)_k prod_b (b;q)_k) * ((-1)^k q^{C(k,2)})^{1+s-r} * z^k
 
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import MultiLaurentPoly, exact_div
-from .qkit import (ParamExpr, Q, choose2, poch_prefixes, poch_suffixes,
-                   qpochhammer, terminating_weight)
+from .qkit import Q, choose2, poch_prefixes, poch_suffixes, qpochhammer, terminating_weight
 
 _GRAMMAR_VARS = ("q", "a", "b", "c", "x", "y", "d")
 
@@ -51,30 +51,29 @@ class PhiSpecError(ValueError):
 class PhiSpec:
     """A terminating r-phi-s series: upper/lower parameters, argument, termination order."""
 
-    upper: tuple          # ParamExpr entries
-    lower: tuple          # ParamExpr entries, or the literal int 0
-    argument: "ParamExpr"
+    upper: tuple          # kernel monomials
+    lower: tuple          # kernel monomials, or the literal int 0
+    argument: MultiLaurentPoly
     termination: int
 
     @classmethod
     def of(cls, upper, lower, argument) -> "PhiSpec":
         upper = tuple(upper)
         lower = tuple(lower)
-        orders = [-e for u in upper
-                  if isinstance(u, ParamExpr) and (e := u.is_q_power()) is not None and e <= 0]
+        orders = [-e for u in upper if (e := _q_exponent(u)) is not None and e <= 0]
         if not orders:
             raise PhiSpecError("no upper parameter of the form q^-n; series does not terminate")
         n = min(orders)
         for b in lower:
             if b == 0:
                 continue
-            if not isinstance(b, ParamExpr):
+            if not _is_monomial(b):
                 raise PhiSpecError(f"lower parameter {b!r} is neither 0 nor a monomial")
-            e = b.is_q_power()
+            e = _q_exponent(b)
             if e is not None and -n < e <= 0:
                 raise PhiSpecError(
                     f"lower parameter q^{e} vanishes inside the summation range")
-        if not isinstance(argument, ParamExpr):
+        if not _is_monomial(argument):
             raise PhiSpecError("argument must be a monomial")
         return cls(upper, lower, argument, n)
 
@@ -87,6 +86,18 @@ class PhiSpec:
         return len(self.lower)
 
 
+def _is_monomial(m) -> bool:
+    return isinstance(m, MultiLaurentPoly) and len(m) == 1
+
+
+def _q_exponent(m):
+    """e when m is the monomial q^e, else None."""
+    if not _is_monomial(m):
+        return None
+    e = m.degree_range("q")[0]
+    return e if m == Q ** e else None
+
+
 def _sign_factor(spec: PhiSpec, k: int) -> MultiLaurentPoly:
     e = 1 + spec.s - spec.r
     sign = -1 if (k * e) % 2 else 1
@@ -97,7 +108,7 @@ def phi_term_cleared(spec: PhiSpec, k: int) -> tuple:
     """Exact (numerator, denominator) of the k-th summand, without cancellation."""
     if k < 0:
         raise ValueError("summation index must be non-negative")
-    num = _sign_factor(spec, k) * spec.argument.power(k).as_poly()
+    num = _sign_factor(spec, k) * spec.argument ** k
     for u in spec.upper:
         num = num * qpochhammer(u, k)
     den = qpochhammer(Q, k)
@@ -123,15 +134,13 @@ def phi_sum_cleared(spec: PhiSpec) -> tuple:
     factors, and the terminating upper parameter is paired with (q;q)_k.
     """
     n = spec.termination
-    term_param = ParamExpr.q_power(-n)
     uppers = list(spec.upper)
-    uppers.remove(term_param)  # pairing (q^{-n};q)_k / (q;q)_k
+    uppers.remove(Q ** -n)  # pairing (q^{-n};q)_k / (q;q)_k
     prefix_lists = [poch_prefixes(u, n) for u in uppers]
     suffix_lists = [poch_suffixes(b, n) for b in spec.lower if b != 0]
     total = MultiLaurentPoly.zero()
     for k in range(n + 1):
-        term = terminating_weight(n, k) * _sign_factor(spec, k) \
-            * spec.argument.power(k).as_poly()
+        term = terminating_weight(n, k) * _sign_factor(spec, k) * spec.argument ** k
         for pl in prefix_lists:
             term = term * pl[k]
         for sl in suffix_lists:
@@ -183,7 +192,9 @@ class _Scanner:
         return int(self.text[start:self.pos])
 
 
-def _parse_mono(sc: _Scanner) -> ParamExpr:
+def _parse_mono(sc: _Scanner) -> MultiLaurentPoly:
+    sc.skip_ws()
+    start = sc.pos
     coeff = Fraction(1)
     if sc.peek() == "-":
         sc.expect("-")
@@ -204,7 +215,7 @@ def _parse_mono(sc: _Scanner) -> ParamExpr:
         else:
             if coeff == 0:
                 raise PhiParseError("zero is not a monomial here", sc.pos)
-            return ParamExpr.of(coeff)
+            return MultiLaurentPoly.const(coeff)
     powers = {}
     while True:
         sc.skip_ws()
@@ -226,7 +237,10 @@ def _parse_mono(sc: _Scanner) -> ParamExpr:
             break
     if coeff == 0:
         raise PhiParseError("zero coefficient", sc.pos)
-    return ParamExpr.of(coeff, powers)
+    try:
+        return MultiLaurentPoly.monomial(coeff, powers)
+    except ValueError as exc:  # an exponent outside the kernel's range
+        raise PhiParseError(str(exc), start) from None
 
 
 def _parse_params(sc: _Scanner, allow_zero: bool) -> list:

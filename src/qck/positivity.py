@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from .congruence import thm2_lhs
 from .delannoy import dq, dq_inverse_base
-from .exactalg import MultiLaurentPoly, exact_div, exact_divide
-from .qkit import ParamExpr, choose2, one_minus_q, poch_prefixes, qbinomial
+from .exactalg import MultiLaurentPoly, exact_div, exact_divide, non_positive_terms
+from .qkit import choose2, one_minus_q, poch_prefixes, qbinomial
 from .report import CaseKind, VerificationReport, make_report
 
 
@@ -98,8 +98,8 @@ def xk_weights(m: int, k: int) -> MultiLaurentPoly:
     """The Delannoy specialization weight x_k = [m+k;2k] (-1;q)_k (-q;q)_k q^{k^2 - mk}."""
     if m < 1 or k < 0:
         raise ValueError("need m >= 1 and k >= 0")
-    w1 = poch_prefixes(ParamExpr.of(-1), k)[k]
-    w2 = poch_prefixes(ParamExpr.of(-1, {"q": 1}), k)[k]
+    w1 = poch_prefixes(MultiLaurentPoly.const(-1), k)[k]
+    w2 = poch_prefixes(MultiLaurentPoly.monomial(-1, {"q": 1}), k)[k]
     return qbinomial(m + k, 2 * k) * w1 * w2 \
         * MultiLaurentPoly.monomial(1, {"q": k * k - m * k})
 
@@ -190,12 +190,6 @@ _CLAIM_PARTS = {
 }
 
 
-def _violations(poly: MultiLaurentPoly) -> MultiLaurentPoly:
-    """The terms of poly whose coefficient is not a positive int."""
-    return MultiLaurentPoly._raw({k: c for k, c in poly._terms.items()
-                                  if not (isinstance(c, int) and c > 0)})
-
-
 def verify_thm3(claim: str, m: int, n: int, r: int = 1) -> VerificationReport:
     """Certificate for one (claim, m, n, r) cell.
 
@@ -205,7 +199,7 @@ def verify_thm3(claim: str, m: int, n: int, r: int = 1) -> VerificationReport:
     if claim not in _CLAIM_PARTS:
         raise ValueError(f"unknown claim {claim!r}")
     quotient = exact_divide(*_CLAIM_PARTS[claim](m, n, r))
-    bad = MultiLaurentPoly.const(1) if quotient is None else _violations(quotient)
+    bad = MultiLaurentPoly.const(1) if quotient is None else non_positive_terms(quotient)
     return make_report(claim, {"m": m, "n": n, "r": r}, ("q",), bad)
 
 
@@ -224,7 +218,7 @@ def lemma41_generic(n: int, r: int) -> VerificationReport:
     bad = MultiLaurentPoly.zero()
     for total in (_odd_sum(powers, False), _odd_sum(powers, True)):
         quotient = exact_divide(total, one_minus_q(n))
-        bad = bad + (total if quotient is None else _violations(quotient))
+        bad = bad + (total if quotient is None else non_positive_terms(quotient))
     return make_report("lemma41_generic", {"n": n, "r": r}, ("q",) + xvars, bad)
 
 

@@ -6,104 +6,46 @@ Conventions:
     [n; k]   = (q;q)_n / ((q;q)_k (q;q)_{n-k})  for n >= k >= 0, else 0
     [p]      = 1 + q + ... + q^{p-1}
 
-Pochhammer arguments are Laurent monomials (ParamExpr), e.g. q^{-n}, c*q^n or
-c/x, so every symbol expands to an exact MultiLaurentPoly.  The classical
-q-binomial theorem and q-Chu-Vandermonde summation are verified here as exact
-polynomial identities; both are used as proof engines by the identity suites.
+Pochhammer arguments and series parameters are Laurent monomials, e.g. q^{-n},
+c*q^n or c/x: single-term MultiLaurentPolys of the kernel, multiplied, raised
+to powers and substituted by the kernel itself, so every symbol expands to an
+exact MultiLaurentPoly.  ``ParamExpr`` only names three constructors of such
+monomials.  The classical q-binomial theorem and q-Chu-Vandermonde summation
+are verified here as exact polynomial identities; both are used as proof
+engines by the identity suites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exactalg import MultiLaurentPoly, _INDEX, _from_dense, _dense_mul, _dense_divrem
+from .exactalg import MultiLaurentPoly, _from_dense, _dense_mul, _dense_divrem
 from .report import CaseKind
 
 
-@dataclass(frozen=True)
 class ParamExpr:
-    """A Laurent monomial used as a series parameter: coeff * prod(var^exp)."""
+    """Constructors of series parameters, each returning a kernel monomial."""
 
-    coeff: "int | Fraction"
-    powers: tuple  # sorted ((var, exp), ...) with nonzero exps
+    @staticmethod
+    def of(coeff, powers: dict = None, **kw) -> MultiLaurentPoly:
+        return MultiLaurentPoly.monomial(coeff, {**(powers or {}), **kw})
 
-    def __post_init__(self):
-        if self.coeff == 0:
-            raise ValueError("ParamExpr coefficient must be nonzero")
-        for name, e in self.powers:
-            if name not in _INDEX:
-                raise ValueError(f"unknown variable {name!r}")
-            if e == 0:
-                raise ValueError("ParamExpr powers must omit zero exponents")
+    var = staticmethod(MultiLaurentPoly.var)
 
-    @classmethod
-    def of(cls, coeff, powers: dict = None, **kw) -> "ParamExpr":
-        powers = dict(powers or {})
-        powers.update(kw)
-        if isinstance(coeff, Fraction) and coeff.denominator == 1:
-            coeff = coeff.numerator
-        items = tuple(sorted(((v, e) for v, e in powers.items() if e),
-                             key=lambda p: _INDEX[p[0]]))
-        return cls(coeff, items)
-
-    @classmethod
-    def var(cls, name: str, exp: int = 1) -> "ParamExpr":
-        return cls.of(1, {name: exp})
-
-    @classmethod
-    def q_power(cls, exp: int) -> "ParamExpr":
-        return cls.of(1, {"q": exp}) if exp else cls.of(1)
-
-    def as_poly(self) -> MultiLaurentPoly:
-        return MultiLaurentPoly.monomial(self.coeff, dict(self.powers))
-
-    def __str__(self) -> str:
-        return str(self.as_poly())
-
-    def __mul__(self, other: "ParamExpr") -> "ParamExpr":
-        powers = dict(self.powers)
-        for v, e in other.powers:
-            powers[v] = powers.get(v, 0) + e
-        return ParamExpr.of(self.coeff * other.coeff, powers)
-
-    def __neg__(self) -> "ParamExpr":
-        return ParamExpr(-self.coeff, self.powers)
-
-    def power(self, e: int) -> "ParamExpr":
-        coeff = self.coeff ** e if e >= 0 or isinstance(self.coeff, Fraction) \
-            else Fraction(1, self.coeff ** (-e))
-        return ParamExpr.of(coeff, {v: p * e for v, p in self.powers})
-
-    def is_q_power(self):
-        """The exponent e when this equals q^e, else None."""
-        if self.coeff != 1:
-            return None
-        if not self.powers:
-            return 0
-        if len(self.powers) == 1 and self.powers[0][0] == "q":
-            return self.powers[0][1]
-        return None
+    @staticmethod
+    def q_power(exp: int) -> MultiLaurentPoly:
+        return MultiLaurentPoly.var("q", exp)
 
 
-Q = ParamExpr.var("q")
+Q = MultiLaurentPoly.var("q")
 
 
-def _as_param(a) -> ParamExpr:
-    if isinstance(a, ParamExpr):
-        return a
-    if isinstance(a, (int, Fraction)):
-        return ParamExpr.of(a)
-    raise TypeError(f"expected a ParamExpr or rational, got {a!r}")
-
-
-def qpochhammer(a, n: int, base: ParamExpr = Q) -> MultiLaurentPoly:
+def qpochhammer(a, n: int, base: MultiLaurentPoly = Q) -> MultiLaurentPoly:
     """(a; base)_n as an exact Laurent polynomial; requires n >= 0."""
     return poch_prefixes(a, n, base)[n]
 
 
-def poch_prefixes(a, nmax: int, base: ParamExpr = Q, lead: MultiLaurentPoly = None,
+def poch_prefixes(a, nmax: int, base: MultiLaurentPoly = Q, lead: MultiLaurentPoly = None,
                   reverse: bool = False) -> list:
     """[(a;base)_0, (a;base)_1, ..., (a;base)_nmax], sharing the partial products.
 
@@ -114,16 +56,18 @@ def poch_prefixes(a, nmax: int, base: ParamExpr = Q, lead: MultiLaurentPoly = No
     """
     if nmax < 0:
         raise ValueError("q-Pochhammer order must be non-negative")
-    a = _as_param(a)
     lead = MultiLaurentPoly.const(1) if lead is None else lead
-    factors = [lead - (a * base.power(i)).as_poly() for i in range(nmax)]
+    steps = [a]  # a * base^i, one kernel product each
+    while len(steps) < nmax:
+        steps.append(steps[-1] * base)
+    factors = [lead - step for step in steps[:nmax]]
     out = [MultiLaurentPoly.const(1)]
     for f in (reversed(factors) if reverse else factors):
         out.append(f * out[-1] if reverse else out[-1] * f)
     return out
 
 
-def poch_suffixes(a, n: int, base: ParamExpr = Q) -> list:
+def poch_suffixes(a, n: int, base: MultiLaurentPoly = Q) -> list:
     """out[k] = (a * base^k; base)_{n-k} for k = 0..n, i.e. (a;base)_n / (a;base)_k."""
     return poch_prefixes(a, n, base, reverse=True)[::-1]
 
@@ -176,7 +120,7 @@ def qbinomial_theorem_sides(n: int) -> tuple:
     for k in range(n + 1):
         sign = -1 if k % 2 else 1
         lhs = lhs + qbinomial(n, k) * MultiLaurentPoly.monomial(sign, {"q": choose2(k), "x": k})
-    return lhs, qpochhammer(ParamExpr.var("x"), n)
+    return lhs, qpochhammer(MultiLaurentPoly.var("x"), n)
 
 
 def qchu_vandermonde_sides(n: int) -> tuple:
@@ -186,14 +130,14 @@ def qchu_vandermonde_sides(n: int) -> tuple:
     cancels into (c q^k; q)_{n-k}, and the right side becomes the polynomial
     prod_{i<n} (a - c q^i).
     """
-    a, c = ParamExpr.var("a"), ParamExpr.var("c")
+    a, c = MultiLaurentPoly.var("a"), MultiLaurentPoly.var("c")
     lhs = MultiLaurentPoly.zero()
     pa = poch_prefixes(a, n)
     ctail = poch_suffixes(c, n)
     for k in range(n + 1):
         term = terminating_weight(n, k) * MultiLaurentPoly.monomial(1, {"q": k}) * pa[k]
         lhs = lhs + term * ctail[k]
-    rhs = poch_prefixes(c, n, lead=a.as_poly())[n]
+    rhs = poch_prefixes(c, n, lead=a)[n]
     return lhs, rhs
 
 

@@ -10,7 +10,6 @@ byte-identical no matter how it was scheduled.
 
 from __future__ import annotations
 
-import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 
@@ -187,8 +186,6 @@ def suite_cases(suite: str, bounds: dict) -> list:
     cases = []
     for name in names:
         cases.extend(_SUITE_BUILDERS[name](b))
-    if os.environ.get("QCK_INJECT_FAILURE"):
-        cases.append(("corrupted_fixture", {}))
     return cases
 
 

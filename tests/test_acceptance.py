@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from qck import congruence, delannoy, identities, positivity, qkit
+from qck import congruence, delannoy, identities, positivity, qkit, suites
 from qck.exactalg import MultiLaurentPoly as P, is_nonneg_integer_laurent
 
 
@@ -183,7 +183,7 @@ def test_criterion_09_classical_summations(announce):
             failures, started)
 
 
-def test_criterion_10_cli_contract(announce):
+def test_criterion_10_cli_contract(announce, tmp_path):
     import os
     started = time.perf_counter()
     failures = []
@@ -196,8 +196,10 @@ def test_criterion_10_cli_contract(announce):
 
     if cli("verify", "--suite", "clausen", "--nmax", "2").returncode != 0:
         failures.append("exit-0")
-    corrupted = cli("verify", "--suite", "clausen", "--nmax", "1",
-                    QCK_INJECT_FAILURE="1")
+    manifest = tmp_path / "corrupted.json"
+    cases = suites.suite_cases("clausen", {"nmax": 1}) + [("corrupted_fixture", {})]
+    manifest.write_text(json.dumps([{"name": n, "params": p} for n, p in cases]))
+    corrupted = cli("verify", "--manifest", str(manifest))
     if corrupted.returncode != 1 or "difference=" not in corrupted.stdout:
         failures.append("exit-1-with-difference")
     if cli("verify", "--suite", "wrong").returncode != 2:

@@ -30,9 +30,11 @@ def test_exit_zero_on_pass():
     assert "0 failed" in result.stdout
 
 
-def test_exit_one_on_corrupted_fixture():
-    result = run_cli("verify", "--suite", "clausen", "--nmax", "1",
-                     env_extra={"QCK_INJECT_FAILURE": "1"})
+def test_exit_one_on_corrupted_fixture(tmp_path):
+    path = tmp_path / "manifest.json"
+    cases = suite_cases("clausen", {"nmax": 1}) + [("corrupted_fixture", {})]
+    path.write_text(json.dumps([{"name": n, "params": p} for n, p in cases]))
+    result = run_cli("verify", "--manifest", str(path))
     assert result.returncode == 1
     assert "corrupted_fixture" in result.stdout
     # the nonzero difference polynomial is printed with the failing case
@@ -49,6 +51,21 @@ def test_exit_two_on_bad_phi():
     result = run_cli("phi", "phi[2,1]{a, q^- ; c ; q}")
     assert result.returncode == 2
     assert "column" in result.stderr
+
+
+def test_exit_two_on_out_of_range_phi_literal():
+    result = run_cli("phi", "phi[1,0]{q^-1 ; ; q^2000000}")
+    assert result.returncode == 2
+    assert "column 19" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_exit_two_on_phi_exponent_overflow():
+    # q^600000 is in range, but the k = 2 summand needs q^1200000
+    result = run_cli("phi", "phi[2,1]{q^-2, a ; c ; q^600000}")
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")
+    assert "Traceback" not in result.stderr
 
 
 def test_exit_two_on_hard_cap():

@@ -80,7 +80,8 @@ def test_exact_divide_stores_whole_coefficients_as_int():
     for d in (1 - q, 1 + q, 2 - q):
         quotient = exact_divide((2 + half * q + 3 * q ** 2) * d, d)
         assert quotient == 2 + half * q + 3 * q ** 2
-        assert sorted(map(type, quotient._terms.values()), key=str) == [Fraction, int, int]
+        types = [type(coeff) for _, coeff in quotient.sorted_terms()]
+        assert sorted(types, key=str) == [Fraction, int, int]
 
 
 def test_exact_divide_gaussian_binomial():
@@ -200,6 +201,46 @@ def test_negative_exponent_printing():
 def test_pow():
     assert (1 + q) ** 0 == one
     assert (1 + q) ** 3 == 1 + 3 * q + 3 * q ** 2 + q ** 3
+
+
+def test_negative_power_of_a_monomial():
+    assert (c * x ** -1) ** 2 == P.monomial(1, {"c": 2, "x": -2})
+    assert q * a ** -1 == P.monomial(1, {"q": 1, "a": -1})
+    assert (P.monomial(Fraction(1, 2), {"q": 1})) ** -1 == P.monomial(2, {"q": -1})
+    assert (-2 * q) ** -3 == P.monomial(Fraction(-1, 8), {"q": -3})
+    with pytest.raises(ValueError):
+        (1 + q) ** -1
+
+
+_TOP = P.var("q", 2 ** 20 - 1)  # the largest exponent the kernel stores
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _TOP ** 16,                                          # power
+    lambda: _TOP ** -2,                                          # negative power
+    lambda: _TOP * _TOP,                                         # monomial product
+    lambda: (_TOP + P.var("q", 2 ** 20 - 2)) * (1 + q),          # univariate product
+    lambda: (_TOP + a) * (q + a),                                # generic product
+    lambda: P.var("q", 1 - 2 ** 20) * (q ** -1 + a),             # negative exponent
+    lambda: (_TOP + a).substitute({"q": _TOP}),                  # substitution
+    lambda: (_TOP * a).substitute({"a": q}),                     # substituted image
+    lambda: exact_divide(_TOP, P.var("q", 1 - 2 ** 20)),         # shift of the quotient
+], ids=["pow", "neg-pow", "monomial", "univariate", "generic", "negative", "substitute",
+        "substitute-image", "shift"])
+def test_exponent_overflow_raises(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_exponents_up_to_the_limit_are_kept():
+    assert str(P.var("q", 2 ** 20 - 2) * q) == "q^1048575"
+    assert str(P.var("x", 2 - 2 ** 20) * x ** -1) == "x^-1048575"
+    assert (_TOP + a) * (1 + a) == _TOP + a + _TOP * a + a ** 2
+    assert (_TOP + a).substitute({"a": q}) == _TOP + q
+    assert exact_divide(_TOP * (1 + q ** -1), 1 + q) == P.var("q", 2 ** 20 - 2)
+    # the operands span almost 2^21 once shifted to exponent 0, the quotient stays in range
+    wide = P.var("q", 2 ** 20 - 2) + P.var("q", 1 - 2 ** 20)
+    assert exact_divide(wide * (1 + q), 1 + q) == wide
 
 
 def test_unknown_variable_rejected():

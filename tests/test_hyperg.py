@@ -28,8 +28,11 @@ def test_parse_termination_from_any_position():
 
 
 def test_parse_no_termination_parameter():
-    with pytest.raises(PhiSpecError):
-        parse_phi("phi[2,1]{a, b ; c ; q}")
+    # a coefficient other than 1, or another variable, makes no q^-n
+    for spec in ["phi[2,1]{a, b ; c ; q}", "phi[2,1]{-q^-2, a ; c ; q}",
+                 "phi[2,1]{c*q^-2, a ; c ; q}"]:
+        with pytest.raises(PhiSpecError):
+            parse_phi(spec)
 
 
 def test_parse_syntax_error_offset():

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qck.exactalg import MultiLaurentPoly as P, _dense_mul, _schoolbook_mul, exact_divide
+import pytest
+
+from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _dense_mul, _schoolbook_mul,
+                          exact_divide)
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -68,3 +71,29 @@ def test_packed_product_matches_schoolbook(A, B):
        st.lists(st.integers(-3, 3), min_size=1, max_size=60))
 def test_packed_product_matches_schoolbook_small(A, B):
     assert _dense_mul(A, B) == _schoolbook_mul(A, B)
+
+
+_LIMIT = 1 << 20
+# Exponents from the whole stored range, and ones near +-2^19 whose sums straddle the limit.
+exponents = st.one_of(st.integers(1 - _LIMIT, _LIMIT - 1),
+                      st.integers(-8, 8).map(lambda d: _LIMIT // 2 + d),
+                      st.integers(-8, 8).map(lambda d: d - _LIMIT // 2))
+
+
+@_SETTINGS
+@given(st.dictionaries(st.sampled_from(VAR_NAMES), st.tuples(exponents, exponents),
+                       min_size=1, max_size=4))
+def test_product_raises_exactly_when_an_exponent_leaves_the_range(pairs):
+    m1 = P.monomial(3, {v: e1 for v, (e1, _) in pairs.items()})
+    m2 = P.monomial(-2, {v: e2 for v, (_, e2) in pairs.items()})
+    sums = {v: e1 + e2 for v, (e1, e2) in pairs.items()}
+    # three-term operands in two spare variables take the generic product path
+    u, w = (P.var(v) for v in [v for v in VAR_NAMES if v not in pairs][:2])
+    if any(abs(e) >= _LIMIT for e in sums.values()):
+        for build in (lambda: m1 * m2, lambda: (m1 + 1 + u) * (m2 + 1 + w)):
+            with pytest.raises(ValueError):
+                build()
+    else:
+        assert m1 * m2 == P.monomial(-6, sums)
+        assert (m1 + 1 + u) * (m2 + 1 + w) == \
+            m1 * m2 + m1 + m1 * w + m2 + 1 + w + u * m2 + u + u * w

@@ -133,16 +133,17 @@ def test_qchu_vandermonde_small():
 
 
 def test_param_expr_arithmetic():
+    # parameters are kernel monomials: the kernel multiplies and raises them
     cx = ParamExpr.of(1, {"c": 1, "x": -1})
-    assert cx.power(2) == ParamExpr.of(1, {"c": 2, "x": -2})
+    assert cx == P.monomial(1, {"c": 1, "x": -1}) == ParamExpr.of(1, c=1, x=-1)
+    assert cx ** 2 == ParamExpr.of(1, {"c": 2, "x": -2})
     assert (cx * ParamExpr.var("x")) == ParamExpr.var("c")
-    assert ParamExpr.q_power(-3).is_q_power() == -3
-    assert ParamExpr.of(1).is_q_power() == 0
-    assert ParamExpr.of(-1, {"q": 1}).is_q_power() is None
+    assert ParamExpr.q_power(-3) == P.var("q", -3)
+    assert ParamExpr.of(1) == ParamExpr.q_power(0) == P.const(1)
     with pytest.raises(ValueError):
-        ParamExpr.of(0)
+        ParamExpr.var("zz")
 
 
 def test_param_expr_fraction_coeff():
     half_q = ParamExpr.of(Fraction(1, 2), {"q": 1})
-    assert half_q.power(-1) == ParamExpr.of(2, {"q": -1})
+    assert half_q ** -1 == ParamExpr.of(2, {"q": -1})
