@@ -31,14 +31,33 @@ The canonical form is unique: no zero coefficients are stored, Fractions with
 denominator 1 are normalized to int, and the printing order (graded
 lexicographic over the fixed variable order) is deterministic.  All values are
 immutable after construction and safe to share across threads.
+
+Products
+--------
+A product of two polynomials of two or more terms takes one of three paths:
+
+* univariate Kronecker, when both operands live in one variable and their
+  exponent spans are dense enough: each integer coefficient list is packed
+  into one big integer, the two are multiplied once in C and the product is
+  unpacked;
+* grouped Kronecker, for int coefficients in several variables: each operand
+  is grouped by its monomial in the variables other than q, each group's
+  dense q-list is packed once, and every pair of groups is one big-integer
+  multiply added into a packed accumulator for its output monomial;
+* generic, term by term into a dict, for Fraction coefficients and for
+  operands too small or too sparse in q to pay for packing.
+
+The cut-overs are stated and measured next to the dense helpers below.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import sys
+from array import array
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, groupby, repeat
 from operator import and_, or_, sub
 
 VAR_NAMES = ("q", "t", "a", "b", "c", "d", "x", "y",
@@ -74,6 +93,8 @@ def term_cap() -> int:
 
 def _norm_coeff(c):
     # Fractions that collapse to integers are stored as int (faster arithmetic).
+    if type(c) is int:
+        return c
     if isinstance(c, Fraction) and c.denominator == 1:
         return c.numerator
     return c
@@ -284,9 +305,12 @@ class MultiLaurentPoly:
         if uni is not None:
             lo1, hi1 = self.degree_range(VAR_NAMES[uni])
             lo2, hi2 = other.degree_range(VAR_NAMES[uni])
-            # Dense lists only pay off for dense supports.
-            if (hi1 - lo1) + (hi2 - lo2) <= 16 * (len(a) + len(b)) + 64:
+            if _dense_pays((hi1 - lo1) + (hi2 - lo2), len(a) + len(b)):
                 return _mul_univariate(self, other, uni)
+        elif min(len(a), len(b)) >= _GROUPED_MIN_TERMS and _all_int(a) and _all_int(b):
+            product = _mul_grouped(a, b)
+            if product is not None:
+                return product
         return _mul_generic(a, b)
 
     __rmul__ = __mul__
@@ -428,6 +452,13 @@ def _check_budget(n: int) -> None:
             f"result would hold {n} terms, above QCK_MAX_TERMS={term_cap()}")
 
 
+def _check_pairs(n1: int, n2: int) -> None:
+    """Refuse a product of n1 x n2 terms before anything is allocated for it."""
+    if n1 * n2 > 50 * term_cap():
+        raise TermBudgetExceeded(
+            f"product of {n1} x {n2} terms is far above QCK_MAX_TERMS={term_cap()}")
+
+
 def _common_single_var(a: dict, b: dict):
     """Index of the single variable both operands live in, if any (constants ok)."""
     probe = next(iter(a)) | next(iter(b))
@@ -451,12 +482,14 @@ def _common_single_var(a: dict, b: dict):
     return idx
 
 
+def _all_int(terms: dict) -> bool:
+    return set(map(type, terms.values())) == {int}
+
+
 def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
     if len(a) > len(b):
         a, b = b, a
-    if len(a) * len(b) > 50 * term_cap():
-        raise TermBudgetExceeded(
-            f"product of {len(a)} x {len(b)} terms is far above QCK_MAX_TERMS={term_cap()}")
+    _check_pairs(len(a), len(b))
     out = {}
     get = out.get
     bitems = list(b.items())
@@ -473,39 +506,99 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
 
 # -- dense univariate helpers -------------------------------------------------
 #
-# Univariate operands (ubiquitous in the congruence and positivity grids) are
-# multiplied as dense coefficient lists.  Integer lists go through Kronecker
-# packing: pack the coefficients into one big integer with fixed-width limbs,
-# multiply once in C, unpack.  Exact for any operand sizes because the limb
-# width is derived from the coefficient bounds.
+# The three product paths of the module docstring, and where __mul__ takes each:
+#
+# * univariate Kronecker (_mul_univariate, _kron_mul): both operands live in one
+#   variable and their spans pass _dense_pays.  Exact for any operand sizes
+#   because the limb width is derived from the coefficient bounds.
+# * grouped Kronecker (_mul_grouped): int coefficients, at least
+#   _GROUPED_MIN_TERMS terms on each side, every q-group passing _dense_pays, a
+#   mean group pair of at least _GROUPED_MIN_PAIRS term pairs, and no output
+#   accumulator spanning more than the group products added into it, plus 64.
+# * generic (_mul_generic): everything else.
+#
+# Every path checks the QCK_MAX_TERMS budget and the exponent range of its result.
+
+# Taken from timing both paths on the products of clausen_orr_sides(5) and the
+# general_s/q2_product sides for n = 5: below these the grouping costs more
+# than the term-by-term loop it replaces.
+_GROUPED_MIN_TERMS = 3
+_GROUPED_MIN_PAIRS = 16
+
+# Machine formats of a signed limb of 1, 2, 4 or 8 bytes (in that order), read
+# and written in C by array and memoryview.  Packed limbs are little-endian, so
+# only on such hosts; elsewhere limbs go through to_bytes one by one.
+_LIMB_FORMAT = {array(f).itemsize: f for f in "bhiq"} if sys.byteorder == "little" else {}
+
+
+def _dense_pays(span: int, terms: int) -> bool:
+    """Whether a dense list over ``span`` exponents is worth it for ``terms`` terms."""
+    return span <= 16 * terms + 64
+
+
+def _limb_bytes(bits: int) -> int:
+    """Bytes in a limb of at least ``bits`` bits, rounded up to a machine format."""
+    nbytes = (bits + 7) // 8
+    return next((n for n in _LIMB_FORMAT if n >= nbytes), nbytes)
+
+
+def _bias(n: int, nbytes: int) -> int:
+    """The top bit of each of n limbs."""
+    return int.from_bytes((b"\0" * (nbytes - 1) + b"\x80") * n, "little")
+
 
 def _pack(coeffs, nbytes: int) -> int:
-    """sum_i c_i 2^(8*nbytes*i) for signed c_i: positive part minus negative part."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(nbytes, "little") for c in coeffs)
+    """sum_i c_i 2^(8*nbytes*i) for signed c_i below 2^(8*nbytes-1) in absolute value."""
+    fmt = _LIMB_FORMAT.get(nbytes)
+    if fmt:
+        # Two's-complement limbs read as one unsigned integer overshoot by
+        # 2^limb at each negative limb, which is exactly where a top bit is set.
+        value = int.from_bytes(array(fmt, coeffs).tobytes(), "little")
+        return value - ((value & _bias(len(coeffs), nbytes)) << 1)
+    pos = bytearray(nbytes * len(coeffs))
+    neg = None
+    for i, c in enumerate(coeffs):
+        if c > 0:
+            pos[i * nbytes:(i + 1) * nbytes] = c.to_bytes(nbytes, "little")
+        elif c < 0:
+            if neg is None:
+                neg = bytearray(len(pos))
+            neg[i * nbytes:(i + 1) * nbytes] = (-c).to_bytes(nbytes, "little")
     value = int.from_bytes(pos, "little")
-    if any(c < 0 for c in coeffs):
-        neg = b"".join((-c if c < 0 else 0).to_bytes(nbytes, "little") for c in coeffs)
-        value -= int.from_bytes(neg, "little")
-    return value
+    return value if neg is None else value - int.from_bytes(neg, "little")
+
+
+def _unpack(value: int, n: int, nbytes: int) -> list:
+    """The n signed limbs of ``value``, each below 2^(8*nbytes-1) in absolute value.
+
+    Adding the bias h = 2^(limb-1) to every limb leaves each limb in [0, 2^limb)
+    with no carry between limbs.  Flipping each limb's top bit again (an XOR
+    with the bias) turns c + h into c in two's complement, read back as a
+    signed limb.
+    """
+    bias = _bias(n, nbytes)
+    raw = ((value + bias) ^ bias).to_bytes(nbytes * n, "little")
+    fmt = _LIMB_FORMAT.get(nbytes)
+    if fmt:
+        return memoryview(raw).cast(fmt).tolist()
+    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
+            for i in range(0, nbytes * n, nbytes)]
+
+
+def _product_limb_bytes(bits1: int, bits2: int, n: int) -> int:
+    """Limb bytes for a product of operands with coefficients of bits1 and bits2 bits.
+
+    Each output coefficient is a sum of at most n products (n the smaller
+    operand's length), so it stays below 2^(limb-1), partial sums included.
+    """
+    return _limb_bytes(bits1 + bits2 + n.bit_length() + 2)
 
 
 def _kron_mul(A, B):
-    """Product of two signed integer lists by one packed big-integer multiply.
-
-    Every output coefficient c is below 2^(limb-1) = h in absolute value, so
-    adding the bias h to every limb leaves each limb in [0, 2^limb) with no
-    carry between limbs.  Flipping each limb's top bit again (an XOR with the
-    bias) turns c + h into c in two's complement, read back as a signed limb.
-    """
-    limb_bits = (max(max(A), -min(A)).bit_length() + max(max(B), -min(B)).bit_length()
-                 + min(len(A), len(B)).bit_length() + 2)
-    nbytes = (limb_bits + 7) // 8
-    n_out = len(A) + len(B) - 1
-    bias = int.from_bytes((b"\0" * (nbytes - 1) + b"\x80") * n_out, "little")
-    packed = (_pack(A, nbytes) * _pack(B, nbytes) + bias) ^ bias
-    raw = packed.to_bytes(nbytes * n_out, "little")
-    return [int.from_bytes(raw[i:i + nbytes], "little", signed=True)
-            for i in range(0, nbytes * n_out, nbytes)]
+    """Product of two signed integer lists by one packed big-integer multiply."""
+    nbytes = _product_limb_bytes(max(max(A), -min(A)).bit_length(),
+                                 max(max(B), -min(B)).bit_length(), min(len(A), len(B)))
+    return _unpack(_pack(A, nbytes) * _pack(B, nbytes), len(A) + len(B) - 1, nbytes)
 
 
 def _schoolbook_mul(A, B):
@@ -523,7 +616,7 @@ def _dense_mul(A, B):
         return []
     if all(isinstance(c, int) for c in A) and all(isinstance(c, int) for c in B):
         return _kron_mul(A, B)
-    return _schoolbook_mul(A, B)
+    return [_norm_coeff(c) for c in _schoolbook_mul(A, B)]
 
 
 def _dense_divrem(A, B):
@@ -560,14 +653,12 @@ def _to_dense(p: MultiLaurentPoly, idx: int):
 
 
 def _from_dense(idx: int, lo: int, coeffs) -> MultiLaurentPoly:
+    """The polynomial sum_i coeffs[i] v^(lo+i) in v = VAR_NAMES[idx]; coeffs are normalized."""
     if coeffs and not (-_EXP_LIMIT < lo and lo + len(coeffs) <= _EXP_LIMIT):
         raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
-    sh = _W * idx
-    out = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            out[_BASE + ((lo + i) << sh)] = _norm_coeff(c)
-    return MultiLaurentPoly._raw(out)
+    step = 1 << (_W * idx)
+    keys = range(_BASE + lo * step, _BASE + (lo + len(coeffs)) * step, step)
+    return MultiLaurentPoly._raw(dict(zip(compress(keys, coeffs), filter(None, coeffs))))
 
 
 def _mul_univariate(p: MultiLaurentPoly, r: MultiLaurentPoly, idx: int) -> MultiLaurentPoly:
@@ -576,6 +667,84 @@ def _mul_univariate(p: MultiLaurentPoly, r: MultiLaurentPoly, idx: int) -> Multi
     out = _dense_mul(A, B)
     _check_budget(len(out))
     return _from_dense(idx, lo1 + lo2, out)
+
+
+# -- grouped Kronecker product ----------------------------------------------------
+
+def _q_groups(terms: dict):
+    """[(m, lo, dense q-list)] of terms grouped by the key m of their non-q monomial.
+
+    m is a term's key with the q field zeroed, lo the group's least q exponent.
+    None when a group's q-span fails _dense_pays, before its dense list is built.
+    """
+    keys = sorted(terms)  # q is the lowest field: a group's keys are adjacent, in q order
+    qfields = [k & _MASK for k in keys]
+    coeffs = list(map(terms.__getitem__, keys))
+    groups = []
+    i = 0
+    for m, run in groupby(map(sub, keys, qfields)):
+        n = len(list(run))
+        lo, hi = qfields[i], qfields[i + n - 1]
+        if not _dense_pays(hi - lo, n):
+            return None
+        if hi - lo + 1 == n:
+            dense = coeffs[i:i + n]
+        else:
+            dense = [0] * (hi - lo + 1)
+            for f, c in zip(qfields[i:i + n], coeffs[i:i + n]):
+                dense[f - lo] = c
+        groups.append((m, lo - _OFF, dense))
+        i += n
+    return groups
+
+
+def _mul_grouped(a: dict, b: dict):
+    """Product of int-coefficient term dicts, one packed multiply per pair of q-groups.
+
+    None, before any packing, when a cut-over listed above _GROUPED_MIN_TERMS
+    sends the product to the generic path.
+    """
+    _check_pairs(len(a), len(b))
+    ga = _q_groups(a)
+    gb = _q_groups(b) if ga is not None else None
+    if gb is None or len(a) * len(b) < _GROUPED_MIN_PAIRS * len(ga) * len(gb):
+        return None
+    # The exponent span of each output monomial's accumulator, and the summed
+    # spans of the group products that go into it.
+    spans = {}
+    for m1, lo1, A in ga:
+        for m2, lo2, B in gb:
+            lo, hi = lo1 + lo2, lo1 + lo2 + len(A) + len(B) - 2
+            s = spans.get(m1 + m2)
+            if s is None:
+                spans[m1 + m2] = [lo, hi, hi - lo]
+            else:
+                s[0] = min(s[0], lo)
+                s[1] = max(s[1], hi)
+                s[2] += hi - lo
+    if not all(hi - lo <= work + 64 for lo, hi, work in spans.values()):
+        return None
+    nbytes = _product_limb_bytes(max(map(abs, a.values())).bit_length(),
+                                 max(map(abs, b.values())).bit_length(), min(len(a), len(b)))
+    bits = 8 * nbytes
+    pb = [(m2, lo2, _pack(B, nbytes)) for m2, lo2, B in gb]
+    acc = dict.fromkeys(spans, 0)
+    for m1, lo1, A in ga:
+        v1 = _pack(A, nbytes)
+        for m2, lo2, v2 in pb:
+            m = m1 + m2
+            acc[m] += (v1 * v2) << (bits * (lo1 + lo2 - spans[m][0]))
+    out = {}
+    for m, v in acc.items():
+        lo, hi, _ = spans[m]
+        coeffs = _unpack(v, hi - lo + 1, nbytes)
+        # m is the sum of two keys with a zeroed q field: m - _BASE + 2 * _OFF
+        # is the key of their product monomial, with q^0.
+        start = m - _BASE + 2 * _OFF + lo
+        out.update(zip(compress(range(start, start + len(coeffs)), coeffs),
+                       filter(None, coeffs)))
+    _check_budget(len(out))
+    return MultiLaurentPoly._checked(out)
 
 
 # -- exact division -----------------------------------------------------------

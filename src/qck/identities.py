@@ -26,6 +26,8 @@ can exercise substitution consistency between related identities; the public
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .exactalg import MultiLaurentPoly, exact_div
 from .hyperg import PhiSpec, phi_sum_cleared
 from .qkit import (Q, choose2, one_minus_q, poch_prefixes, poch_suffixes, qbinomial,
@@ -280,11 +282,13 @@ def _general_s_sides(n: int, s: int, a: MultiLaurentPoly) -> tuple:
 
 
 
+@lru_cache(maxsize=1)
 def q2_product_sides(n: int, s: int) -> tuple:
     """Cleared sides of the (q^{-2n};q^2)-weighted product identity, coded from its own display.
 
     This is the a = -q^{-n} instance of the shifted product formula, verified
-    independently; the specialization consistency is a separate check.
+    independently; the specialization consistency is a separate check.  The
+    last build is kept: that check, run next for the same (n, s), reuses it.
     """
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")

@@ -1,10 +1,12 @@
 """Kernel tests: arithmetic, substitution, exact division, canonical form."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from qck import exactalg
 from qck.exactalg import (MultiLaurentPoly as P, NotDivisibleError,
                           TermBudgetExceeded, divrem_in_q, exact_div,
                           exact_divide, is_nonneg_integer_laurent)
@@ -213,6 +215,7 @@ def test_negative_power_of_a_monomial():
 
 
 _TOP = P.var("q", 2 ** 20 - 1)  # the largest exponent the kernel stores
+_RUN = sum((q ** i for i in range(8)), P.zero())  # a dense q-run: groups of 8 terms
 
 
 @pytest.mark.parametrize("build", [
@@ -222,11 +225,12 @@ _TOP = P.var("q", 2 ** 20 - 1)  # the largest exponent the kernel stores
     lambda: (_TOP + P.var("q", 2 ** 20 - 2)) * (1 + q),          # univariate product
     lambda: (_TOP + a) * (q + a),                                # generic product
     lambda: P.var("q", 1 - 2 ** 20) * (q ** -1 + a),             # negative exponent
+    lambda: P.var("q", 2 ** 20 - 8) * _RUN * (a + x) * (_RUN * (a + x)),  # grouped product
     lambda: (_TOP + a).substitute({"q": _TOP}),                  # substitution
     lambda: (_TOP * a).substitute({"a": q}),                     # substituted image
     lambda: exact_divide(_TOP, P.var("q", 1 - 2 ** 20)),         # shift of the quotient
-], ids=["pow", "neg-pow", "monomial", "univariate", "generic", "negative", "substitute",
-        "substitute-image", "shift"])
+], ids=["pow", "neg-pow", "monomial", "univariate", "generic", "negative", "grouped",
+        "substitute", "substitute-image", "shift"])
 def test_exponent_overflow_raises(build):
     with pytest.raises(ValueError):
         build()
@@ -252,6 +256,83 @@ def test_term_budget(monkeypatch):
     monkeypatch.setenv("QCK_MAX_TERMS", "4")
     with pytest.raises(TermBudgetExceeded):
         (1 + q + q ** 2) * (1 + a + a ** 2)
+
+
+def _forbidden(*args):
+    raise AssertionError("this product should take the other path")
+
+
+_GROUPED = (_RUN * (a + x), _RUN * (a - x + c))  # int operands with q-groups of 8 terms
+
+
+@pytest.mark.parametrize("cap", ["4", "40"])  # refused before grouping, and after the multiply
+def test_term_budget_on_the_grouped_path(monkeypatch, cap):
+    p, r = _GROUPED
+    monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
+    assert len(p * r) == 4 * 15  # a^2, x^2, a*c, x*c times q^0..q^14
+    monkeypatch.setenv("QCK_MAX_TERMS", cap)
+    if cap == "4":  # 16 x 24 term pairs are above 50 * 4
+        monkeypatch.setattr(exactalg, "_q_groups", _forbidden)
+    with pytest.raises(TermBudgetExceeded):
+        p * r
+
+
+_RUN2 = _RUN * _RUN
+
+
+def test_grouped_path_takes_only_int_coefficients(monkeypatch):
+    p, r = _GROUPED
+    half = p * Fraction(1, 2)
+    expected = _RUN2 * (a * a - x * x + a * c + x * c) * Fraction(1, 2)
+    monkeypatch.setattr(exactalg, "_mul_grouped", _forbidden)
+    assert half * r == r * half == expected
+
+
+def test_cancellation_on_the_grouped_path(monkeypatch):
+    p, r = _GROUPED
+    r_minus = _RUN * (a + x - c)  # p * r has an a*x accumulator that cancels, p * r_minus an x*c one
+    expected = _RUN2 * (a * a - x * x + a * c + x * c)
+    expected_minus = _RUN2 * (a * a + 2 * a * x + x * x - a * c - x * c)
+    monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
+    assert p * r == expected
+    assert p * r_minus == expected_minus
+
+
+
+def test_grouped_product_of_largest_coefficients(monkeypatch):
+    # every output coefficient sums up to 20 products of 2^140: the limbs need the term count
+    big = sum((P.monomial(1 << 70, {"q": i}) for i in range(10)), P.zero())
+    p, r = big * (a + x), big * (a - x)
+    expected = exactalg._mul_generic(p._terms, r._terms)
+    monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
+    assert p * r == expected
+    assert p * p == big * big * (a * a + 2 * a * x + x * x)
+
+
+_HALF = 2 ** 19
+
+
+@pytest.mark.parametrize("build, expected", [
+    # the example of a sparse q-span: too few terms to group at all
+    (lambda: (q ** -_HALF + q ** _HALF) * (a + x),
+     lambda: q ** -_HALF * a + q ** -_HALF * x + q ** _HALF * a + q ** _HALF * x),
+    # enough terms to group, but one q-group spans 2^20 exponents
+    (lambda: _RUN * (q ** -_HALF + q ** _HALF) * (_RUN * (a + x)),
+     lambda: _RUN * _RUN * (a + x) * q ** -_HALF + _RUN * _RUN * (a + x) * q ** _HALF),
+    # dense q-groups whose products land 2^19 apart in one output monomial
+    (lambda: _RUN * (1 + a * q ** (_HALF // 2)) * (_RUN * (a + q ** (_HALF // 2))),
+     lambda: _RUN * _RUN * (a + q ** (_HALF // 2) + a * a * q ** (_HALF // 2) + a * q ** _HALF)),
+], ids=["two-terms", "sparse-group", "far-apart-products"])
+def test_sparse_q_span_builds_no_dense_list(build, expected):
+    want = expected()
+    tracemalloc.start()
+    try:
+        got = build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 1 << 20  # a dense list over 2^20 exponents takes 8 MB
 
 
 def test_coefficients_by():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _dense_mul, _schoolbook_mul,
-                          exact_divide)
+from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _dense_mul, _mul_generic,
+                          _mul_grouped, _schoolbook_mul, exact_divide)
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -71,6 +71,34 @@ def test_packed_product_matches_schoolbook(A, B):
        st.lists(st.integers(-3, 3), min_size=1, max_size=60))
 def test_packed_product_matches_schoolbook_small(A, B):
     assert _dense_mul(A, B) == _schoolbook_mul(A, B)
+
+
+
+@st.composite
+def grouped_polys(draw):
+    """A polynomial in q, a and x whose q-groups are dense runs of signed ints up to 2^70."""
+    out = P.zero()
+    groups = draw(st.dictionaries(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                  st.integers(-6, 6), min_size=1, max_size=4))
+    for (ea, ex), lo in groups.items():
+        run = draw(st.lists(st.integers(-(1 << 70), 1 << 70).filter(bool),
+                            min_size=4, max_size=10))
+        for i, c in enumerate(run):
+            out = out + P.monomial(c, {"q": lo + i, "a": ea, "x": ex})
+    return out
+
+
+_MINUS_X = P.monomial(-1, {"x": 1})
+
+
+@_SETTINGS
+@given(grouped_polys(), grouped_polys())
+def test_grouped_product_matches_generic(p, r):
+    # r(q, a, -x) * r(q, a, x) is even in x: its odd-x monomials cancel to zero.
+    for u, v in ((p, r), (r.substitute({"x": _MINUS_X}), r)):
+        grouped = _mul_grouped(u._terms, v._terms)
+        assert grouped is not None
+        assert grouped == _mul_generic(u._terms, v._terms) == u * v
 
 
 _LIMIT = 1 << 20
