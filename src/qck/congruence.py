@@ -17,11 +17,12 @@ prime: the first positivity family is this sum with p replaced by any n >= 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .delannoy import dq, dq_inverse_base
 from .exactalg import (MultiLaurentPoly, divrem_in_q, exact_div, exact_divide,
                        is_nonneg_integer_laurent)
-from .qkit import bracket, one_minus_q, poch_prefixes, qbinomial, qpochhammer
+from .qkit import bracket, one_minus_q, qbinomial, qpochhammer
 from .report import CaseKind
 
 _PRIME_CAP = 10 ** 4
@@ -113,16 +114,27 @@ def _thm2_lhs_direct(p: int, m: int) -> MultiLaurentPoly:
     return out
 
 
+@lru_cache(maxsize=None)
+def _single_sum_ratio(p: int, j: int) -> MultiLaurentPoly:
+    """[p](1-q^{p-j})[p+j;2j] / (1-q^{j+1}): the j-th summand's factor free of m."""
+    # [p] = (1-q^p)/(1-q), so this ratio carries the full displayed
+    # prefactor (1-q^p)(1-q^{p-j}) / ((1-q)(1-q^{j+1})).
+    num = bracket(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
+    return exact_div(num, one_minus_q(j + 1))
+
+
+@lru_cache(maxsize=None)
+def _single_sum_weight(j: int) -> MultiLaurentPoly:
+    """(-1;q)_j (-q;q)_j, the j-th summand's factor free of p and m."""
+    return qpochhammer(MultiLaurentPoly.const(-1), j) \
+        * qpochhammer(MultiLaurentPoly.monomial(-1, {"q": 1}), j)
+
+
 def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
     out = MultiLaurentPoly.zero()
-    w1 = poch_prefixes(MultiLaurentPoly.const(-1), p - 1)
-    w2 = poch_prefixes(MultiLaurentPoly.monomial(-1, {"q": 1}), p - 1)
     for j in range(p):
-        # [p] = (1-q^p)/(1-q), so this ratio carries the full displayed
-        # prefactor (1-q^p)(1-q^{p-j}) / ((1-q)(1-q^{j+1})).
-        num = bracket(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
-        ratio = exact_div(num, one_minus_q(j + 1))
-        term = ratio * qbinomial(m, j) * qbinomial(m + j, j) * w1[j] * w2[j]
+        term = _single_sum_ratio(p, j) * qbinomial(m, j) * qbinomial(m + j, j) \
+            * _single_sum_weight(j)
         exp = j * j - m * j - (j + 1) * (p - 1)
         out = out + term * MultiLaurentPoly.monomial(1, {"q": exp})
     return out

@@ -34,18 +34,23 @@ immutable after construction and safe to share across threads.
 
 Products
 --------
-A product of two polynomials of two or more terms takes one of three paths:
+A product with a one-term side shifts the other side's keys (an int
+monomial times int coefficients is a plain product, no normalization).  A
+product of two polynomials of two or more terms takes one of three paths:
 
-* univariate Kronecker, when both operands live in one variable and their
-  exponent spans are dense enough: each integer coefficient list is packed
-  into one big integer, the two are multiplied once in C and the product is
-  unpacked;
+* q-only Kronecker, when both operands live in q alone and their exponent
+  spans are dense enough.  Two C-level scans, min and max of the keys, find
+  that out and give both spans.  Each integer coefficient list is packed into
+  one big integer, the two are multiplied once in C and the product is
+  unpacked; Fraction coefficients take the exact schoolbook product instead;
 * grouped Kronecker, for int coefficients in several variables: each operand
   is grouped by its monomial in the variables other than q, each group's
   dense q-list is packed once, and every pair of groups is one big-integer
   multiply added into a packed accumulator for its output monomial;
 * generic, term by term into a dict, for Fraction coefficients and for
-  operands too small or too sparse in q to pay for packing.
+  operands too small or too sparse in q to pay for packing.  A product in a
+  single variable other than q lands here too: each of its terms is a q-group
+  of its own, which the grouped path refuses.
 
 The cut-overs are stated and measured next to the dense helpers below.
 """
@@ -58,7 +63,7 @@ import sys
 from array import array
 from fractions import Fraction
 from itertools import compress, groupby, repeat
-from operator import and_, or_, sub
+from operator import add, and_, mul, or_, sub
 
 VAR_NAMES = ("q", "t", "a", "b", "c", "d", "x", "y",
              "x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9")
@@ -144,9 +149,7 @@ class MultiLaurentPoly:
     @staticmethod
     def _checked(terms: dict) -> "MultiLaurentPoly":
         """_raw for new keys, which must hold every exponent inside the supported range."""
-        if any(map(and_, map(or_, map(sub, terms, repeat(_LIMITS)),
-                             map(sub, repeat(_MIRROR), terms)), repeat(_BASE))):
-            raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
+        _check_keys(terms)
         return MultiLaurentPoly._raw(terms)
 
     @classmethod
@@ -255,10 +258,11 @@ class MultiLaurentPoly:
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
+        get = out.get
         for k, c in b.items():
-            nc = out.get(k, 0) + c
+            nc = get(k, 0) + c
             if nc:
-                out[k] = _norm_coeff(nc)
+                out[k] = nc if type(nc) is int else _norm_coeff(nc)
             elif k in out:
                 del out[k]
         return MultiLaurentPoly._raw(out)
@@ -271,10 +275,11 @@ class MultiLaurentPoly:
         elif not isinstance(other, MultiLaurentPoly):
             return NotImplemented
         out = dict(self._terms)
+        get = out.get
         for k, c in other._terms.items():
-            nc = out.get(k, 0) - c
+            nc = get(k, 0) - c
             if nc:
-                out[k] = _norm_coeff(nc)
+                out[k] = nc if type(nc) is int else _norm_coeff(nc)
             elif k in out:
                 del out[k]
         return MultiLaurentPoly._raw(out)
@@ -297,17 +302,20 @@ class MultiLaurentPoly:
         if len(a) == 1:
             (k1, c1), = a.items()
             k1 -= _BASE
+            if type(c1) is int and _all_int(b.values()):
+                return MultiLaurentPoly._checked(
+                    dict(zip(map(add, b, repeat(k1)), map(mul, b.values(), repeat(c1)))))
             return MultiLaurentPoly._checked(
                 {k1 + k: _norm_coeff(c1 * c) for k, c in b.items()})
         if len(b) == 1:
             return other.__mul__(self)
-        uni = _common_single_var(a, b)
-        if uni is not None:
-            lo1, hi1 = self.degree_range(VAR_NAMES[uni])
-            lo2, hi2 = other.degree_range(VAR_NAMES[uni])
-            if _dense_pays((hi1 - lo1) + (hi2 - lo2), len(a) + len(b)):
-                return _mul_univariate(self, other, uni)
-        elif min(len(a), len(b)) >= _GROUPED_MIN_TERMS and _all_int(a) and _all_int(b):
+        ra = _q_range(a)
+        rb = None if ra is None else _q_range(b)
+        if rb is not None:
+            if _dense_pays((ra[1] - ra[0]) + (rb[1] - rb[0]), len(a) + len(b)):
+                return _mul_q_only(a, ra, b, rb)
+        elif (min(len(a), len(b)) >= _GROUPED_MIN_TERMS
+              and _all_int(a.values()) and _all_int(b.values())):
             product = _mul_grouped(a, b)
             if product is not None:
                 return product
@@ -459,31 +467,34 @@ def _check_pairs(n1: int, n2: int) -> None:
             f"product of {n1} x {n2} terms is far above QCK_MAX_TERMS={term_cap()}")
 
 
-def _common_single_var(a: dict, b: dict):
-    """Index of the single variable both operands live in, if any (constants ok)."""
-    probe = next(iter(a)) | next(iter(b))
-    idx = None
-    # Cheap pre-test on one key pair, then verify across all keys.
-    for i in range(_NVARS):
-        if ((probe >> (_W * i)) & _MASK) != _OFF:
-            if idx is not None:
-                return None
-            idx = i
-    if idx is None:
-        idx = 0  # both constants; treat as univariate in q
-    lo = _BASE - (_OFF << (_W * idx))
-    mask_rest = ~(_MASK << (_W * idx))
-    for k in a:
-        if (k & mask_rest) != (lo & mask_rest):
-            return None
-    for k in b:
-        if (k & mask_rest) != (lo & mask_rest):
-            return None
-    return idx
+def _check_keys(keys) -> None:
+    """Raise ValueError when a key of ``keys`` (iterated twice) holds |e| >= _EXP_LIMIT."""
+    if any(map(and_, map(or_, map(sub, keys, repeat(_LIMITS)),
+                         map(sub, repeat(_MIRROR), keys)), repeat(_BASE))):
+        raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
 
 
-def _all_int(terms: dict) -> bool:
-    return set(map(type, terms.values())) == {int}
+def _q_range(terms: dict):
+    """(least, greatest) key of nonempty ``terms`` when every term lives in q alone, else None.
+
+    q is the lowest field, so a stored key in q alone is _BASE + e with
+    |e| < _EXP_LIMIT, and the least and greatest keys are the lowest and highest
+    powers of q.  Any other key is _BASE + e + 2^24 * M with |e| < 2^23 and M a
+    nonzero integer, more than 2^23 away from _BASE.  So two C-level scans, max
+    and min, decide it for every key the fields can hold, the unchecked shifts
+    inside exact_divide included: a q exponent at or past the limit only gives
+    None, and the caller takes a general path.
+    """
+    hi = max(terms)
+    if hi < _BASE + _EXP_LIMIT:
+        lo = min(terms)
+        if lo > _BASE - _EXP_LIMIT:
+            return lo, hi
+    return None
+
+
+def _all_int(coeffs) -> bool:
+    return set(map(type, coeffs)) == {int}
 
 
 def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
@@ -508,9 +519,11 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
 #
 # The three product paths of the module docstring, and where __mul__ takes each:
 #
-# * univariate Kronecker (_mul_univariate, _kron_mul): both operands live in one
-#   variable and their spans pass _dense_pays.  Exact for any operand sizes
-#   because the limb width is derived from the coefficient bounds.
+# * q-only Kronecker (_mul_q_only, _kron_mul): _q_range finds both operands in q
+#   alone, and their spans pass _dense_pays.  Exact for any operand sizes
+#   because the limb width is derived from the coefficient bounds.  Operands in
+#   one other variable alone go to the generic path (none of the suites
+#   multiplies two such polynomials).
 # * grouped Kronecker (_mul_grouped): int coefficients, at least
 #   _GROUPED_MIN_TERMS terms on each side, every q-group passing _dense_pays, a
 #   mean group pair of at least _GROUPED_MIN_PAIRS term pairs, and no output
@@ -614,27 +627,37 @@ def _schoolbook_mul(A, B):
 def _dense_mul(A, B):
     if not A or not B:
         return []
-    if all(isinstance(c, int) for c in A) and all(isinstance(c, int) for c in B):
+    if _all_int(A) and _all_int(B):
         return _kron_mul(A, B)
     return [_norm_coeff(c) for c in _schoolbook_mul(A, B)]
 
 
 def _dense_divrem(A, B):
-    """Quotient and remainder of dense coefficient lists (B's lead nonzero)."""
-    lead = B[-1]
+    """Quotient and remainder of dense coefficient lists (B's lead nonzero).
+
+    Only the nonzero entries of B are walked: most divisors here are 1 - q^k or
+    products of a few of them, sparse across their span.
+    """
     r = list(A)
     if len(A) < len(B):
         return [], r
-    q = [0] * (len(A) - len(B) + 1)
+    top = len(B) - 1
+    lead = B[top]
+    unit = lead in (1, -1)
+    tail = [(j, bj) for j, bj in enumerate(B[:top]) if bj]
+    q = [0] * (len(A) - top)
     for i in reversed(range(len(q))):
-        c = r[i + len(B) - 1]
+        c = r[i + top]
         if c:
-            # c may be a Fraction even when the quotient coefficient is whole.
-            qc = _norm_coeff(c * lead if lead in (1, -1) else Fraction(c) / lead)
+            if unit and type(c) is int:
+                qc = c if lead == 1 else -c
+            else:
+                # c may be a Fraction even when the quotient coefficient is whole.
+                qc = _norm_coeff(c * lead if unit else Fraction(c) / lead)
             q[i] = qc
-            for j, bj in enumerate(B):
-                if bj:
-                    r[i + j] -= qc * bj
+            for j, bj in tail:
+                r[i + j] -= qc * bj
+    del r[top:]  # every entry from B's degree up has been cancelled
     while r and not r[-1]:
         r.pop()
     return q, r
@@ -661,12 +684,13 @@ def _from_dense(idx: int, lo: int, coeffs) -> MultiLaurentPoly:
     return MultiLaurentPoly._raw(dict(zip(compress(keys, coeffs), filter(None, coeffs))))
 
 
-def _mul_univariate(p: MultiLaurentPoly, r: MultiLaurentPoly, idx: int) -> MultiLaurentPoly:
-    lo1, A = _to_dense(p, idx)
-    lo2, B = _to_dense(r, idx)
+def _mul_q_only(a: dict, ra: tuple, b: dict, rb: tuple) -> MultiLaurentPoly:
+    """Product of term dicts in q alone, whose least and greatest keys are ra and rb."""
+    A = list(map(a.get, range(ra[0], ra[1] + 1), repeat(0)))
+    B = list(map(b.get, range(rb[0], rb[1] + 1), repeat(0)))
     out = _dense_mul(A, B)
     _check_budget(len(out))
-    return _from_dense(idx, lo1 + lo2, out)
+    return _from_dense(0, ra[0] + rb[0] - 2 * _BASE, out)
 
 
 # -- grouped Kronecker product ----------------------------------------------------
@@ -735,22 +759,32 @@ def _mul_grouped(a: dict, b: dict):
             m = m1 + m2
             acc[m] += (v1 * v2) << (bits * (lo1 + lo2 - spans[m][0]))
     out = {}
+    ends = []
     for m, v in acc.items():
         lo, hi, _ = spans[m]
         coeffs = _unpack(v, hi - lo + 1, nbytes)
         # m is the sum of two keys with a zeroed q field: m - _BASE + 2 * _OFF
         # is the key of their product monomial, with q^0.
         start = m - _BASE + 2 * _OFF + lo
-        out.update(zip(compress(range(start, start + len(coeffs)), coeffs),
-                       filter(None, coeffs)))
+        keys = range(start, start + len(coeffs))
+        first = next(compress(keys, coeffs), None)
+        if first is not None:
+            ends += first, next(compress(reversed(keys), reversed(coeffs)))
+            out.update(zip(compress(keys, coeffs), filter(None, coeffs)))
     _check_budget(len(out))
-    return MultiLaurentPoly._checked(out)
+    # An accumulator's keys share their other fields and run in q between its
+    # first and last stored key, so those two are all the range check needs.
+    _check_keys(ends)
+    return MultiLaurentPoly._raw(out)
 
 
 # -- exact division -----------------------------------------------------------
 
 def _min_exponent_key(p: MultiLaurentPoly) -> int:
     """Packed key of the componentwise-minimal exponent vector of p's support."""
+    span = _q_range(p._terms)
+    if span is not None:
+        return span[0]
     mins = [None] * _NVARS
     for k in p._terms:
         for i in range(_NVARS):
@@ -862,10 +896,11 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
     Returns (quotient, remainder) with deg(remainder) < deg(m), both exact.
     """
     for poly, label in ((p, "dividend"), (m, "modulus")):
-        extra = [v for v in poly.variables() if v != "q"]
-        if extra:
-            raise ValueError(f"{label} must be univariate in q, found {extra}")
-    lo_p = p.degree_range("q")[0] if p else 0
+        if poly and _q_range(poly._terms) is None:
+            extra = [v for v in poly.variables() if v != "q"]
+            if extra:
+                raise ValueError(f"{label} must be univariate in q, found {extra}")
+    lo_p = min(p._terms) - _BASE if p else 0
     if lo_p < 0:
         raise ValueError("dividend has negative q-exponents; clear them first")
     if any(not isinstance(c, int) for c in p._terms.values()):

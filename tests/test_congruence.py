@@ -1,15 +1,18 @@
 """Congruence tests with division oracles."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
+from qck import cli, congruence
 from qck.congruence import (BracketModulus, Thm2MismatchError, congruence_witness,
                             nonneg_divisibility_fact, thm2_case, thm2_lhs,
                             thm2_target, verify_minus_q_pochhammer,
                             verify_qidentity, verify_thm2)
 from qck.delannoy import delannoy
-from qck.exactalg import MultiLaurentPoly as P
+from qck.exactalg import MultiLaurentPoly as P, exact_div
+from qck.qkit import bracket, one_minus_q, poch_prefixes, qbinomial
 
 q = P.var("q")
 
@@ -155,3 +158,27 @@ def test_nonneg_divisibility_fact_grid():
         for j in range(p):
             for m in range(1, 2 * p + 1):
                 assert nonneg_divisibility_fact(p, j, m), (p, j, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_single_sum_factors_match_the_inline_expressions(p):
+    w1 = poch_prefixes(P.const(-1), p - 1)
+    w2 = poch_prefixes(P.monomial(-1, {"q": 1}), p - 1)
+    for j in range(p):
+        num = bracket(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
+        assert congruence._single_sum_ratio(p, j) == exact_div(num, one_minus_q(j + 1))
+        assert congruence._single_sum_weight(j) == w1[j] * w2[j]
+
+
+# sha256 of `qck verify --suite congruence --pmax 13 --mmax 39 --format json`
+_CONGRUENCE_GRID_DIGEST = "907c7f883915a66e1a751bbff9c1bc9c5d33a20b4e32cb300ffcdc1ad2eb821e"
+
+
+def test_cleared_caches_leave_the_congruence_grid_report_unchanged(capsys):
+    argv = ["verify", "--suite", "congruence", "--pmax", "13", "--mmax", "39", "--format", "json"]
+    congruence._single_sum_ratio.cache_clear()
+    congruence._single_sum_weight.cache_clear()
+    for _ in ("cold", "warm"):
+        assert cli.main(argv) == 0
+        report = capsys.readouterr().out
+        assert hashlib.sha256(report.encode()).hexdigest() == _CONGRUENCE_GRID_DIGEST

@@ -39,6 +39,41 @@ def test_mul_laurent_unit():
     assert P.var("q", -1) * q == one
 
 
+def test_q_only_int_product_takes_the_packed_path(monkeypatch):
+    u = P.var("q", -3) + 2 - 7 * q ** 2
+    v = 1 - P.var("q", -1) + 5 * q
+    expected = exactalg._mul_generic(u._terms, v._terms)
+    monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
+    monkeypatch.setattr(exactalg, "_schoolbook_mul", _forbidden)
+    assert u * v == v * u == expected
+    # the q^2 coefficient cancels to zero
+    assert (P.var("q", -2) + P.var("q", 2)) * (1 - q ** 4) == P.var("q", -2) - q ** 6
+
+
+def test_q_only_fraction_product_is_exact(monkeypatch):
+    half = P.const(Fraction(1, 2))
+    monkeypatch.setattr(exactalg, "_kron_mul", _forbidden)
+    product = (half + q) * (2 - q ** -1)  # the constant terms cancel to zero
+    assert product == 2 * q - half * q ** -1
+    types = [type(coeff) for _, coeff in product.sorted_terms()]
+    assert sorted(types, key=str) == [Fraction, int]
+
+
+def test_product_in_one_other_variable():
+    t = P.var("t")
+    product = (1 + t + t ** 2) * (1 - t)
+    assert product == exactalg._mul_generic((1 + t + t ** 2)._terms, (1 - t)._terms)
+    assert product == 1 - t ** 3
+    assert (1 + x + x ** 2) * (1 + x + x ** 2) * (1 - x) == (1 - x ** 3) * (1 + x + x ** 2)
+
+
+def test_monomial_product_stores_int_coefficients():
+    product = P.monomial(2, {"q": 1}) * (Fraction(1, 2) * q + Fraction(1, 2))
+    assert product == q ** 2 + q
+    assert [type(coeff) for _, coeff in product.sorted_terms()] == [int, int]
+    assert P.monomial(-3, {"a": 1}) * (q - 2 * x) == -3 * a * q + 6 * a * x
+
+
 def test_mul_lemma_n1_expansion():
     lhs = (1 - x) * (1 - a * P.var("x", -1))
     assert lhs == 1 - x - a * P.var("x", -1) + a
@@ -222,15 +257,19 @@ _RUN = sum((q ** i for i in range(8)), P.zero())  # a dense q-run: groups of 8 t
     lambda: _TOP ** 16,                                          # power
     lambda: _TOP ** -2,                                          # negative power
     lambda: _TOP * _TOP,                                         # monomial product
-    lambda: (_TOP + P.var("q", 2 ** 20 - 2)) * (1 + q),          # univariate product
+    lambda: (_TOP + P.var("q", 2 ** 20 - 2)) * (1 + q),          # q-only product
+    lambda: (P.var("q", 1 - 2 ** 20) + 2) * (q ** -1 + 1),       # q-only, negative side
+    lambda: (_TOP + Fraction(1, 2)) * (1 + q),                   # q-only, Fraction
+    lambda: P.monomial(Fraction(1, 2), {"q": 2}) * (_TOP + a),   # Fraction monomial
     lambda: (_TOP + a) * (q + a),                                # generic product
     lambda: P.var("q", 1 - 2 ** 20) * (q ** -1 + a),             # negative exponent
     lambda: P.var("q", 2 ** 20 - 8) * _RUN * (a + x) * (_RUN * (a + x)),  # grouped product
     lambda: (_TOP + a).substitute({"q": _TOP}),                  # substitution
     lambda: (_TOP * a).substitute({"a": q}),                     # substituted image
     lambda: exact_divide(_TOP, P.var("q", 1 - 2 ** 20)),         # shift of the quotient
-], ids=["pow", "neg-pow", "monomial", "univariate", "generic", "negative", "grouped",
-        "substitute", "substitute-image", "shift"])
+], ids=["pow", "neg-pow", "monomial", "univariate", "q-only-negative", "q-only-fraction",
+        "fraction-monomial", "generic", "negative", "grouped", "substitute",
+        "substitute-image", "shift"])
 def test_exponent_overflow_raises(build):
     with pytest.raises(ValueError):
         build()
@@ -297,6 +336,19 @@ def test_cancellation_on_the_grouped_path(monkeypatch):
     assert p * r == expected
     assert p * r_minus == expected_minus
 
+
+def test_grouped_range_check_at_the_limit(monkeypatch):
+    run4 = 1 + q + q ** 2 + q ** 3
+    h0 = 1 + 2 * q + 2 * q ** 2 + q ** 3
+    u, v = run4 * (1 + a), h0 - a * run4
+    # the a^1 accumulator, run4 * (h0 - run4) = q + ... + q^5, is zero at both ends of its span
+    expected = exactalg._mul_generic(u._terms, v._terms)
+    monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
+    assert u * v == expected
+    top = P.var("q", 2 ** 20 - 7)  # the a^0 accumulator ends at q^(2^20 - 1)
+    assert (top * u) * v == top * expected
+    with pytest.raises(ValueError):
+        (top * q * u) * v
 
 
 def test_grouped_product_of_largest_coefficients(monkeypatch):

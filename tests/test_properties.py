@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _dense_mul, _mul_generic,
-                          _mul_grouped, _schoolbook_mul, exact_divide)
+from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _decode, _dense_divrem, _dense_mul,
+                          _encode, _min_exponent_key, _mul_generic, _mul_grouped,
+                          _schoolbook_mul, exact_divide)
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -73,6 +74,70 @@ def test_packed_product_matches_schoolbook_small(A, B):
     assert _dense_mul(A, B) == _schoolbook_mul(A, B)
 
 
+# Int polynomials in q alone: negative exponents, a constant term, coefficients up to 2^70.
+q_int_polys = st.dictionaries(st.integers(-6, 6), st.integers(-(1 << 70), 1 << 70).filter(bool),
+                              min_size=2, max_size=8).map(
+    lambda terms: sum((P.monomial(c, {"q": e}) for e, c in terms.items()), P.zero()))
+_MINUS_Q = P.monomial(-1, {"q": 1})
+
+
+@_SETTINGS
+@given(q_int_polys, q_int_polys)
+def test_q_only_product_matches_generic(u, v):
+    # u(-q) * u(q) is even in q: its odd powers cancel to zero.
+    for x, y in ((u, v), (u.substitute({"q": _MINUS_Q}), u)):
+        product = x * y
+        assert product == _mul_generic(x._terms, y._terms)
+        assert {type(c) for c in product._terms.values()} == {int}
+
+
+def _dense_walk_divrem(A, B):
+    """The textbook long division, over every index of B."""
+    r = list(A)
+    if len(A) < len(B):
+        return [], r
+    q = [0] * (len(A) - len(B) + 1)
+    for i in reversed(range(len(q))):
+        c = r[i + len(B) - 1]
+        if c:
+            qc = Fraction(c) / B[-1]
+            q[i] = qc.numerator if qc.denominator == 1 else qc
+            for j, bj in enumerate(B):
+                r[i + j] -= q[i] * bj
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+@st.composite
+def divisions(draw):
+    """(dividend, divisor) lists; the divisor is mostly zeros below its lead."""
+    entry = st.integers(-5, 5)
+    if draw(st.booleans()):
+        entry = st.one_of(entry, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+    lead = draw(st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))))
+    tail = draw(st.lists(st.one_of(st.just(0), st.just(0), entry), max_size=12))
+    return draw(st.lists(entry, max_size=30)), tail + [lead]
+
+
+@_SETTINGS
+@given(divisions())
+def test_sparse_divisor_division_matches_the_dense_walk(AB):
+    A, B = AB
+    q, r = _dense_divrem(A, B)
+    want_q, want_r = _dense_walk_divrem(A, B)
+    assert q == want_q and r == want_r
+    assert [type(c) for c in q] == [type(c) for c in want_q]
+
+
+@_SETTINGS
+@given(polys())
+def test_min_exponent_key_is_the_fieldwise_minimum(p):
+    if p.is_zero():
+        return
+    mins = [min(field) for field in zip(*map(_decode, p._terms))]
+    assert _min_exponent_key(p) == _encode(dict(zip(VAR_NAMES, mins)))
+
 
 @st.composite
 def grouped_polys(draw):
@@ -125,3 +190,33 @@ def test_product_raises_exactly_when_an_exponent_leaves_the_range(pairs):
         assert m1 * m2 == P.monomial(-6, sums)
         assert (m1 + 1 + u) * (m2 + 1 + w) == \
             m1 * m2 + m1 + m1 * w + m2 + 1 + w + u * m2 + u + u * w
+
+
+_RUN4 = st.lists(st.sampled_from((-2, -1, 1, 2)), min_size=4, max_size=4)
+# Shifts whose sums straddle the limit, and whose operands are still in range.
+_shifts = st.one_of(st.integers(8 - _LIMIT, _LIMIT - 8),
+                    st.integers(-8, 8).map(lambda d: _LIMIT // 2 + d),
+                    st.integers(-8, 8).map(lambda d: d - _LIMIT // 2))
+
+
+@_SETTINGS
+@given(st.dictionaries(st.sampled_from(VAR_NAMES), st.tuples(_shifts, _shifts),
+                       min_size=1, max_size=4),
+       st.lists(_RUN4, min_size=4, max_size=4))
+def test_grouped_product_raises_exactly_when_an_exponent_leaves_the_range(pairs, runs):
+    # Two q-groups of four terms a side (a^0 and a^1) are 16 term pairs per group
+    # pair; random signs make the a^1 accumulator cancel, at its ends or whole.
+    u0, v0 = (sum((P.monomial(c, {"q": i, "a": ea}) for ea, run in enumerate(two)
+                   for i, c in enumerate(run)), P.zero()) for two in (runs[:2], runs[2:]))
+    u = P.monomial(1, {v: e1 for v, (e1, _) in pairs.items()}) * u0
+    v = P.monomial(1, {v: e2 for v, (_, e2) in pairs.items()}) * v0
+    shift = {v: e1 + e2 for v, (e1, e2) in pairs.items()}
+    outside = any(abs(shift.get(name, 0) + powers.get(name, 0)) >= _LIMIT
+                  for powers, _ in (u0 * v0).sorted_terms() for name in VAR_NAMES)
+    if outside:
+        with pytest.raises(ValueError):
+            _mul_grouped(u._terms, v._terms)
+    else:
+        product = _mul_grouped(u._terms, v._terms)
+        assert product is not None
+        assert product == _mul_generic(u._terms, v._terms)
