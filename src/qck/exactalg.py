@@ -36,23 +36,20 @@ Products
 --------
 A product with a one-term side shifts the other side's keys (an int
 monomial times int coefficients is a plain product, no normalization).  A
-product of two polynomials of two or more terms takes one of three paths:
+product of two polynomials of two or more terms takes one of two paths:
 
-* q-only Kronecker, when both operands live in q alone and their exponent
-  spans are dense enough.  Two C-level scans, min and max of the keys, find
-  that out and give both spans.  Each integer coefficient list is packed into
-  one big integer, the two are multiplied once in C and the product is
-  unpacked; Fraction coefficients take the exact schoolbook product instead;
-* grouped Kronecker, for int coefficients in several variables: each operand
-  is grouped by its monomial in the variables other than q, each group's
-  dense q-list is packed once, and every pair of groups is one big-integer
-  multiply added into a packed accumulator for its output monomial;
+* grouped Kronecker, for int coefficients: each operand is grouped by its
+  monomial in the variables other than q, each group's dense q-list is
+  packed into one big integer, and every pair of groups is one big-integer
+  multiply in C, added into a packed accumulator for its output monomial.
+  An operand in q alone is one group, found by two C-level scans of its
+  keys (min and max);
 * generic, term by term into a dict, for Fraction coefficients and for
   operands too small or too sparse in q to pay for packing.  A product in a
   single variable other than q lands here too: each of its terms is a q-group
   of its own, which the grouped path refuses.
 
-The cut-overs are stated and measured next to the dense helpers below.
+The cut-overs are stated and measured next to the packing helpers below.
 """
 
 from __future__ import annotations
@@ -309,13 +306,7 @@ class MultiLaurentPoly:
                 {k1 + k: _norm_coeff(c1 * c) for k, c in b.items()})
         if len(b) == 1:
             return other.__mul__(self)
-        ra = _q_range(a)
-        rb = None if ra is None else _q_range(b)
-        if rb is not None:
-            if _dense_pays((ra[1] - ra[0]) + (rb[1] - rb[0]), len(a) + len(b)):
-                return _mul_q_only(a, ra, b, rb)
-        elif (min(len(a), len(b)) >= _GROUPED_MIN_TERMS
-              and _all_int(a.values()) and _all_int(b.values())):
+        if _all_int(a.values()) and _all_int(b.values()):
             product = _mul_grouped(a, b)
             if product is not None:
                 return product
@@ -515,27 +506,25 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
     return MultiLaurentPoly._checked(out)
 
 
-# -- dense univariate helpers -------------------------------------------------
+# -- grouped Kronecker product ----------------------------------------------------
 #
-# The three product paths of the module docstring, and where __mul__ takes each:
+# The two product paths of the module docstring, and where __mul__ takes each:
 #
-# * q-only Kronecker (_mul_q_only, _kron_mul): _q_range finds both operands in q
-#   alone, and their spans pass _dense_pays.  Exact for any operand sizes
-#   because the limb width is derived from the coefficient bounds.  Operands in
-#   one other variable alone go to the generic path (none of the suites
-#   multiplies two such polynomials).
 # * grouped Kronecker (_mul_grouped): int coefficients, at least
-#   _GROUPED_MIN_TERMS terms on each side, every q-group passing _dense_pays, a
-#   mean group pair of at least _GROUPED_MIN_PAIRS term pairs, and no output
-#   accumulator spanning more than the group products added into it, plus 64.
-# * generic (_mul_generic): everything else.
+#   _GROUPED_MIN_PAIRS term pairs per pair of q-groups on average, every
+#   q-group passing _dense_pays, and no output accumulator spanning more than
+#   the group products added into it, plus 64.  An operand in q alone is one
+#   q-group, so two such operands make a single packed multiply.  Exact for any
+#   operand sizes because the limb width is derived from the coefficient bounds.
+# * generic (_mul_generic): everything else, Fraction coefficients and
+#   operands in one variable other than q included (none of the suites
+#   multiplies two such polynomials, or two q-polynomials with a Fraction).
 #
-# Every path checks the QCK_MAX_TERMS budget and the exponent range of its result.
+# Both paths check the QCK_MAX_TERMS budget and the exponent range of their result.
 
 # Taken from timing both paths on the products of clausen_orr_sides(5) and the
-# general_s/q2_product sides for n = 5: below these the grouping costs more
+# general_s/q2_product sides for n = 5: below this the grouping costs more
 # than the term-by-term loop it replaces.
-_GROUPED_MIN_TERMS = 3
 _GROUPED_MIN_PAIRS = 16
 
 # Machine formats of a signed limb of 1, 2, 4 or 8 bytes (in that order), read
@@ -607,30 +596,106 @@ def _product_limb_bytes(bits1: int, bits2: int, n: int) -> int:
     return _limb_bytes(bits1 + bits2 + n.bit_length() + 2)
 
 
-def _kron_mul(A, B):
-    """Product of two signed integer lists by one packed big-integer multiply."""
-    nbytes = _product_limb_bytes(max(max(A), -min(A)).bit_length(),
-                                 max(max(B), -min(B)).bit_length(), min(len(A), len(B)))
-    return _unpack(_pack(A, nbytes) * _pack(B, nbytes), len(A) + len(B) - 1, nbytes)
+def _coeff_bits(groups) -> int:
+    """Bit length of the largest coefficient magnitude in the groups' dense q-lists."""
+    return max(max(max(A), -min(A)) for _, _, A in groups).bit_length()
 
 
-def _schoolbook_mul(A, B):
-    out = [0] * (len(A) + len(B) - 1)
-    for i, ai in enumerate(A):
-        if ai:
-            for j, bj in enumerate(B):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+def _q_groups(terms: dict):
+    """[(m, lo, dense q-list)] of terms grouped by the key m of their non-q monomial.
+
+    m is a term's key with the q field zeroed, lo the group's least q exponent.
+    None when a group's q-span fails _dense_pays, before its dense list is built.
+    Terms in q alone are one group, found without sorting.
+    """
+    span = _q_range(terms)
+    if span is not None:
+        lo, hi = span
+        if not _dense_pays(hi - lo, len(terms)):
+            return None
+        dense = [0] * (hi - lo + 1)
+        for i, c in zip(map(sub, terms, repeat(lo)), terms.values()):
+            dense[i] = c
+        return [(_BASE - _OFF, lo - _BASE, dense)]
+    keys = sorted(terms)  # q is the lowest field: a group's keys are adjacent, in q order
+    qfields = [k & _MASK for k in keys]
+    coeffs = list(map(terms.__getitem__, keys))
+    groups = []
+    i = 0
+    for m, run in groupby(map(sub, keys, qfields)):
+        n = len(list(run))
+        lo, hi = qfields[i], qfields[i + n - 1]
+        if not _dense_pays(hi - lo, n):
+            return None
+        if hi - lo + 1 == n:
+            dense = coeffs[i:i + n]
+        else:
+            dense = [0] * (hi - lo + 1)
+            for f, c in zip(qfields[i:i + n], coeffs[i:i + n]):
+                dense[f - lo] = c
+        groups.append((m, lo - _OFF, dense))
+        i += n
+    return groups
 
 
-def _dense_mul(A, B):
-    if not A or not B:
-        return []
-    if _all_int(A) and _all_int(B):
-        return _kron_mul(A, B)
-    return [_norm_coeff(c) for c in _schoolbook_mul(A, B)]
+def _mul_grouped(a: dict, b: dict):
+    """Product of int-coefficient term dicts, one packed multiply per pair of q-groups.
 
+    None, before any packing, when a cut-over listed above _GROUPED_MIN_PAIRS
+    sends the product to the generic path.
+    """
+    _check_pairs(len(a), len(b))
+    if len(a) * len(b) < _GROUPED_MIN_PAIRS:  # below the mean-pair cut-over for any grouping
+        return None
+    ga = _q_groups(a)
+    gb = _q_groups(b) if ga is not None else None
+    if gb is None or len(a) * len(b) < _GROUPED_MIN_PAIRS * len(ga) * len(gb):
+        return None
+    # The exponent span of each output monomial's accumulator, and the summed
+    # spans of the group products that go into it.
+    spans = {}
+    for m1, lo1, A in ga:
+        for m2, lo2, B in gb:
+            lo, hi = lo1 + lo2, lo1 + lo2 + len(A) + len(B) - 2
+            s = spans.get(m1 + m2)
+            if s is None:
+                spans[m1 + m2] = [lo, hi, hi - lo]
+            else:
+                s[0] = min(s[0], lo)
+                s[1] = max(s[1], hi)
+                s[2] += hi - lo
+    if not all(hi - lo <= work + 64 for lo, hi, work in spans.values()):
+        return None
+    nbytes = _product_limb_bytes(_coeff_bits(ga), _coeff_bits(gb), min(len(a), len(b)))
+    bits = 8 * nbytes
+    pb = [(m2, lo2, _pack(B, nbytes)) for m2, lo2, B in gb]
+    acc = dict.fromkeys(spans, 0)
+    for m1, lo1, A in ga:
+        v1 = _pack(A, nbytes)
+        for m2, lo2, v2 in pb:
+            m = m1 + m2
+            acc[m] += (v1 * v2) << (bits * (lo1 + lo2 - spans[m][0]))
+    out = {}
+    ends = []
+    for m, v in acc.items():
+        lo, hi, _ = spans[m]
+        coeffs = _unpack(v, hi - lo + 1, nbytes)
+        # m is the sum of two keys with a zeroed q field: m - _BASE + 2 * _OFF
+        # is the key of their product monomial, with q^0.
+        start = m - _BASE + 2 * _OFF + lo
+        keys = range(start, start + len(coeffs))
+        first = next(compress(keys, coeffs), None)
+        if first is not None:
+            ends += first, next(compress(reversed(keys), reversed(coeffs)))
+            out.update(zip(compress(keys, coeffs), filter(None, coeffs)))
+    _check_budget(len(out))
+    # An accumulator's keys share their other fields and run in q between its
+    # first and last stored key, so those two are all the range check needs.
+    _check_keys(ends)
+    return MultiLaurentPoly._raw(out)
+
+
+# -- exact division -----------------------------------------------------------
 
 def _dense_divrem(A, B):
     """Quotient and remainder of dense coefficient lists (B's lead nonzero).
@@ -675,110 +740,15 @@ def _to_dense(p: MultiLaurentPoly, idx: int):
     return lo, out
 
 
-def _from_dense(idx: int, lo: int, coeffs) -> MultiLaurentPoly:
-    """The polynomial sum_i coeffs[i] v^(lo+i) in v = VAR_NAMES[idx]; coeffs are normalized."""
-    if coeffs and not (-_EXP_LIMIT < lo and lo + len(coeffs) <= _EXP_LIMIT):
-        raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
-    step = 1 << (_W * idx)
-    keys = range(_BASE + lo * step, _BASE + (lo + len(coeffs)) * step, step)
+def _from_dense(coeffs) -> MultiLaurentPoly:
+    """The polynomial sum_i coeffs[i] q^i; coeffs are normalized.
+
+    Callers pass a quotient or remainder of a stored polynomial, whose degrees
+    stay below that polynomial's, so no exponent reaches the supported limit.
+    """
+    keys = range(_BASE, _BASE + len(coeffs))
     return MultiLaurentPoly._raw(dict(zip(compress(keys, coeffs), filter(None, coeffs))))
 
-
-def _mul_q_only(a: dict, ra: tuple, b: dict, rb: tuple) -> MultiLaurentPoly:
-    """Product of term dicts in q alone, whose least and greatest keys are ra and rb."""
-    A = list(map(a.get, range(ra[0], ra[1] + 1), repeat(0)))
-    B = list(map(b.get, range(rb[0], rb[1] + 1), repeat(0)))
-    out = _dense_mul(A, B)
-    _check_budget(len(out))
-    return _from_dense(0, ra[0] + rb[0] - 2 * _BASE, out)
-
-
-# -- grouped Kronecker product ----------------------------------------------------
-
-def _q_groups(terms: dict):
-    """[(m, lo, dense q-list)] of terms grouped by the key m of their non-q monomial.
-
-    m is a term's key with the q field zeroed, lo the group's least q exponent.
-    None when a group's q-span fails _dense_pays, before its dense list is built.
-    """
-    keys = sorted(terms)  # q is the lowest field: a group's keys are adjacent, in q order
-    qfields = [k & _MASK for k in keys]
-    coeffs = list(map(terms.__getitem__, keys))
-    groups = []
-    i = 0
-    for m, run in groupby(map(sub, keys, qfields)):
-        n = len(list(run))
-        lo, hi = qfields[i], qfields[i + n - 1]
-        if not _dense_pays(hi - lo, n):
-            return None
-        if hi - lo + 1 == n:
-            dense = coeffs[i:i + n]
-        else:
-            dense = [0] * (hi - lo + 1)
-            for f, c in zip(qfields[i:i + n], coeffs[i:i + n]):
-                dense[f - lo] = c
-        groups.append((m, lo - _OFF, dense))
-        i += n
-    return groups
-
-
-def _mul_grouped(a: dict, b: dict):
-    """Product of int-coefficient term dicts, one packed multiply per pair of q-groups.
-
-    None, before any packing, when a cut-over listed above _GROUPED_MIN_TERMS
-    sends the product to the generic path.
-    """
-    _check_pairs(len(a), len(b))
-    ga = _q_groups(a)
-    gb = _q_groups(b) if ga is not None else None
-    if gb is None or len(a) * len(b) < _GROUPED_MIN_PAIRS * len(ga) * len(gb):
-        return None
-    # The exponent span of each output monomial's accumulator, and the summed
-    # spans of the group products that go into it.
-    spans = {}
-    for m1, lo1, A in ga:
-        for m2, lo2, B in gb:
-            lo, hi = lo1 + lo2, lo1 + lo2 + len(A) + len(B) - 2
-            s = spans.get(m1 + m2)
-            if s is None:
-                spans[m1 + m2] = [lo, hi, hi - lo]
-            else:
-                s[0] = min(s[0], lo)
-                s[1] = max(s[1], hi)
-                s[2] += hi - lo
-    if not all(hi - lo <= work + 64 for lo, hi, work in spans.values()):
-        return None
-    nbytes = _product_limb_bytes(max(map(abs, a.values())).bit_length(),
-                                 max(map(abs, b.values())).bit_length(), min(len(a), len(b)))
-    bits = 8 * nbytes
-    pb = [(m2, lo2, _pack(B, nbytes)) for m2, lo2, B in gb]
-    acc = dict.fromkeys(spans, 0)
-    for m1, lo1, A in ga:
-        v1 = _pack(A, nbytes)
-        for m2, lo2, v2 in pb:
-            m = m1 + m2
-            acc[m] += (v1 * v2) << (bits * (lo1 + lo2 - spans[m][0]))
-    out = {}
-    ends = []
-    for m, v in acc.items():
-        lo, hi, _ = spans[m]
-        coeffs = _unpack(v, hi - lo + 1, nbytes)
-        # m is the sum of two keys with a zeroed q field: m - _BASE + 2 * _OFF
-        # is the key of their product monomial, with q^0.
-        start = m - _BASE + 2 * _OFF + lo
-        keys = range(start, start + len(coeffs))
-        first = next(compress(keys, coeffs), None)
-        if first is not None:
-            ends += first, next(compress(reversed(keys), reversed(coeffs)))
-            out.update(zip(compress(keys, coeffs), filter(None, coeffs)))
-    _check_budget(len(out))
-    # An accumulator's keys share their other fields and run in q between its
-    # first and last stored key, so those two are all the range check needs.
-    _check_keys(ends)
-    return MultiLaurentPoly._raw(out)
-
-
-# -- exact division -----------------------------------------------------------
 
 def _min_exponent_key(p: MultiLaurentPoly) -> int:
     """Packed key of the componentwise-minimal exponent vector of p's support."""
@@ -921,7 +891,7 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
     lo, A = _to_dense(p, 0)
     A = [0] * lo + A
     q, r = _dense_divrem(A, B)
-    return _from_dense(0, 0, q), _from_dense(0, 0, r)
+    return _from_dense(q), _from_dense(r)
 
 
 def non_positive_terms(p: MultiLaurentPoly) -> MultiLaurentPoly:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import MultiLaurentPoly, _from_dense, _dense_mul, _dense_divrem
+from .exactalg import MultiLaurentPoly, exact_div
 from .report import CaseKind
 
 
@@ -81,19 +81,14 @@ def qbinomial(n: int, k: int) -> MultiLaurentPoly:
     """Gaussian binomial [n; k]; the zero polynomial outside n >= k >= 0."""
     if not (n >= k >= 0):
         return MultiLaurentPoly.zero()
-    k = min(k, n - k)
-    # prod_{i=1..k} (1 - q^{n-k+i}) / (1 - q^i), dense in q throughout.
-    num = [1]
-    for i in range(1, k + 1):
-        step = [0] * (n - k + i + 1)
-        step[0], step[-1] = 1, -1
-        num = _dense_mul(num, step)
-    for i in range(1, k + 1):
-        step = [0] * (i + 1)
-        step[0], step[-1] = 1, -1
-        num, rem = _dense_divrem(num, step)
-        assert not rem
-    return _from_dense(0, 0, num)
+    if k > n - k:
+        return qbinomial(n, n - k)
+    if k == 0:
+        return MultiLaurentPoly.const(1)
+    if k > 32:  # a cold row is filled 32 entries at a time, so the recursion stays shallow
+        qbinomial(n, k - 32)
+    # [n; k] = [n; k-1] (1 - q^{n-k+1}) / (1 - q^k), each step from the cache.
+    return exact_div(qbinomial(n, k - 1) * one_minus_q(n - k + 1), one_minus_q(k))
 
 
 def terminating_weight(n: int, k: int) -> MultiLaurentPoly:
@@ -106,7 +101,7 @@ def bracket(p: int) -> MultiLaurentPoly:
     """[p] = 1 + q + ... + q^{p-1} as a polynomial, for a positive integer p."""
     if p < 1:
         raise ValueError("bracket order must be positive")
-    return _from_dense(0, 0, [1] * p)
+    return qbinomial(p, 1)
 
 
 def one_minus_q(e: int) -> MultiLaurentPoly:

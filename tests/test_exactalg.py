@@ -1,8 +1,10 @@
 """Kernel tests: arithmetic, substitution, exact division, canonical form."""
 
+import ast
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,19 +42,28 @@ def test_mul_laurent_unit():
 
 
 def test_q_only_int_product_takes_the_packed_path(monkeypatch):
-    u = P.var("q", -3) + 2 - 7 * q ** 2
-    v = 1 - P.var("q", -1) + 5 * q
+    u = P.var("q", -3) + 2 - 7 * q ** 2 + 3 * q ** 4
+    v = 1 - P.var("q", -1) + 5 * q - q ** 3
     expected = exactalg._mul_generic(u._terms, v._terms)
+    # (q^-2 + q^2)(1 - q^4) = q^-2 - q^6: the coefficients of q^2..q^5 cancel to zero
+    run4 = 1 + q + q ** 2 + q ** 3
+    w, want = (1 - q ** 4) * run4, (P.var("q", -2) - q ** 6) * run4
     monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
-    monkeypatch.setattr(exactalg, "_schoolbook_mul", _forbidden)
     assert u * v == v * u == expected
-    # the q^2 coefficient cancels to zero
-    assert (P.var("q", -2) + P.var("q", 2)) * (1 - q ** 4) == P.var("q", -2) - q ** 6
+    assert (P.var("q", -2) + q ** 2) * w == want
+
+
+@pytest.mark.parametrize("e", [1, 5, 40])
+def test_two_term_q_only_operand_takes_the_packed_path(monkeypatch, e):
+    dense = sum((P.monomial(3 - i, {"q": i}) for i in range(12)), P.zero())
+    expected = exactalg._mul_generic((1 - q ** e)._terms, dense._terms)
+    monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
+    assert (1 - q ** e) * dense == dense * (1 - q ** e) == expected
 
 
 def test_q_only_fraction_product_is_exact(monkeypatch):
     half = P.const(Fraction(1, 2))
-    monkeypatch.setattr(exactalg, "_kron_mul", _forbidden)
+    monkeypatch.setattr(exactalg, "_mul_grouped", _forbidden)
     product = (half + q) * (2 - q ** -1)  # the constant terms cancel to zero
     assert product == 2 * q - half * q ** -1
     types = [type(coeff) for _, coeff in product.sorted_terms()]
@@ -259,6 +270,8 @@ _RUN = sum((q ** i for i in range(8)), P.zero())  # a dense q-run: groups of 8 t
     lambda: _TOP * _TOP,                                         # monomial product
     lambda: (_TOP + P.var("q", 2 ** 20 - 2)) * (1 + q),          # q-only product
     lambda: (P.var("q", 1 - 2 ** 20) + 2) * (q ** -1 + 1),       # q-only, negative side
+    lambda: (_TOP + P.var("q", 2 ** 20 - 2)) * _RUN,             # q-only, packed
+    lambda: (_TOP ** -1 + P.var("q", 2 - 2 ** 20)) * (q ** -1 * _RUN),  # q-only, packed, negative
     lambda: (_TOP + Fraction(1, 2)) * (1 + q),                   # q-only, Fraction
     lambda: P.monomial(Fraction(1, 2), {"q": 2}) * (_TOP + a),   # Fraction monomial
     lambda: (_TOP + a) * (q + a),                                # generic product
@@ -267,7 +280,8 @@ _RUN = sum((q ** i for i in range(8)), P.zero())  # a dense q-run: groups of 8 t
     lambda: (_TOP + a).substitute({"q": _TOP}),                  # substitution
     lambda: (_TOP * a).substitute({"a": q}),                     # substituted image
     lambda: exact_divide(_TOP, P.var("q", 1 - 2 ** 20)),         # shift of the quotient
-], ids=["pow", "neg-pow", "monomial", "univariate", "q-only-negative", "q-only-fraction",
+], ids=["pow", "neg-pow", "monomial", "univariate", "q-only-negative", "q-only-packed",
+        "q-only-packed-negative", "q-only-fraction",
         "fraction-monomial", "generic", "negative", "grouped", "substitute",
         "substitute-image", "shift"])
 def test_exponent_overflow_raises(build):
@@ -374,7 +388,10 @@ _HALF = 2 ** 19
     # dense q-groups whose products land 2^19 apart in one output monomial
     (lambda: _RUN * (1 + a * q ** (_HALF // 2)) * (_RUN * (a + q ** (_HALF // 2))),
      lambda: _RUN * _RUN * (a + q ** (_HALF // 2) + a * a * q ** (_HALF // 2) + a * q ** _HALF)),
-], ids=["two-terms", "sparse-group", "far-apart-products"])
+    # two operands in q alone, one of them spanning 2^20 exponents
+    (lambda: (_RUN * (q ** -_HALF + q ** _HALF)) * _RUN,
+     lambda: _RUN * _RUN * q ** -_HALF + _RUN * _RUN * q ** _HALF),
+], ids=["two-terms", "sparse-group", "far-apart-products", "q-only"])
 def test_sparse_q_span_builds_no_dense_list(build, expected):
     want = expected()
     tracemalloc.start()
@@ -392,3 +409,22 @@ def test_coefficients_by():
     groups = p.coefficients_by(("a",))
     assert groups[(("a", 1),)] == q + 2
     assert groups[()] == q ** 2
+
+
+def _private_kernel_names(tree):
+    """Underscore names a module takes from exactalg, by import or by attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "exactalg":
+            yield from (alias.name for alias in node.names if alias.name.startswith("_"))
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id == "exactalg"):
+            yield node.attr
+
+
+def test_only_the_kernel_uses_its_private_names():
+    # the dense coefficient lists and the packed keys stay behind exactalg
+    package = Path(exactalg.__file__).parent
+    found = {path.name: names for path in sorted(package.rglob("*.py"))
+             if path.name != "exactalg.py"
+             and (names := sorted(_private_kernel_names(ast.parse(path.read_text()))))}
+    assert found == {}

@@ -1,5 +1,7 @@
 """q-combinatorics tests with an independent Pascal-recurrence oracle."""
 
+import inspect
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -63,8 +65,11 @@ def test_qbinomial_k0():
 
 
 def test_qbinomial_matches_pascal_oracle():
-    for n in range(13):
-        for k in range(n + 1):
+    # every row up to 12, and a few up to n = 52, the largest [m+j; j] of the congruence grid
+    rows = [(n, range(n + 1)) for n in range(13)] + [
+        (n, range(0, n + 1, 3)) for n in (25, 39, 52)]
+    for n, ks in rows:
+        for k in ks:
             assert qbinomial(n, k) == pascal_qbinomial(n, k), (n, k)
 
 
@@ -80,6 +85,18 @@ def test_qbinomial_nonneg_and_degree():
             b = qbinomial(n, k)
             assert is_nonneg_integer_laurent(b)
             assert b.degree_range("q") == (0, k * (n - k))
+
+
+def test_qbinomial_cold_row_needs_no_deep_recursion():
+    # [120; 60] is built from [120; 59] and so on down: 60 nested calls, over 120 frames
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        b = qbinomial(120, 60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert b.substitute({"q": 1}) == comb(120, 60)
+    assert b.degree_range("q") == (0, 60 * 60)
 
 
 def test_pochhammer_splitting():
