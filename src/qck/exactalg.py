@@ -50,6 +50,21 @@ product of two polynomials of two or more terms takes one of two paths:
   of its own, which the grouped path refuses.
 
 The cut-overs are stated and measured next to the packing helpers below.
+
+Exact division
+--------------
+``exact_divide`` takes one of two paths, chosen from the divisor:
+
+* divisor in q alone: the dividend is grouped by its non-q monomial exactly as
+  the grouped product groups an operand, and each group's dense q-list is
+  divided by the divisor's dense q-list.  Sparse groups are not refused here:
+  the other path is quadratic in the number of terms;
+* any other divisor, one in a single variable other than q included: graded
+  long division term by term, after the least exponent vector of each operand
+  is divided out.
+
+Either way the quotient's exponents are checked against the limit, and
+``exact_divide`` multiplies the quotient back before it returns it.
 """
 
 from __future__ import annotations
@@ -198,10 +213,6 @@ class MultiLaurentPoly:
         decorated.sort(key=lambda t: (t[0], t[1]))
         return [({VAR_NAMES[i]: e for i, e in enumerate(exps) if e}, c)
                 for _, exps, c in decorated]
-
-    def coeff(self, powers: dict):
-        """Coefficient of the given monomial (0 if absent)."""
-        return self._terms.get(_encode(powers), 0)
 
     def degree_range(self, name: str) -> tuple:
         """(min, max) exponent of ``name`` across all terms; (0, 0) for 0."""
@@ -472,9 +483,7 @@ def _q_range(terms: dict):
     |e| < _EXP_LIMIT, and the least and greatest keys are the lowest and highest
     powers of q.  Any other key is _BASE + e + 2^24 * M with |e| < 2^23 and M a
     nonzero integer, more than 2^23 away from _BASE.  So two C-level scans, max
-    and min, decide it for every key the fields can hold, the unchecked shifts
-    inside exact_divide included: a q exponent at or past the limit only gives
-    None, and the caller takes a general path.
+    and min, decide it for every stored key.
     """
     hi = max(terms)
     if hi < _BASE + _EXP_LIMIT:
@@ -601,22 +610,28 @@ def _coeff_bits(groups) -> int:
     return max(max(max(A), -min(A)) for _, _, A in groups).bit_length()
 
 
-def _q_groups(terms: dict):
+def _dense(terms: dict, lo: int, hi: int) -> list:
+    """Coefficients at the keys lo..hi of ``terms``, all of them in q alone and in that range."""
+    dense = [0] * (hi - lo + 1)
+    for i, c in zip(map(sub, terms, repeat(lo)), terms.values()):
+        dense[i] = c
+    return dense
+
+
+def _q_groups(terms: dict, sparse: bool = False):
     """[(m, lo, dense q-list)] of terms grouped by the key m of their non-q monomial.
 
     m is a term's key with the q field zeroed, lo the group's least q exponent.
-    None when a group's q-span fails _dense_pays, before its dense list is built.
-    Terms in q alone are one group, found without sorting.
+    Unless ``sparse`` is set, None when a group's q-span fails _dense_pays,
+    before its dense list is built.  Terms in q alone are one group, found
+    without sorting.
     """
     span = _q_range(terms)
     if span is not None:
         lo, hi = span
-        if not _dense_pays(hi - lo, len(terms)):
+        if not (sparse or _dense_pays(hi - lo, len(terms))):
             return None
-        dense = [0] * (hi - lo + 1)
-        for i, c in zip(map(sub, terms, repeat(lo)), terms.values()):
-            dense[i] = c
-        return [(_BASE - _OFF, lo - _BASE, dense)]
+        return [(_BASE - _OFF, lo - _BASE, _dense(terms, lo, hi))]
     keys = sorted(terms)  # q is the lowest field: a group's keys are adjacent, in q order
     qfields = [k & _MASK for k in keys]
     coeffs = list(map(terms.__getitem__, keys))
@@ -625,7 +640,7 @@ def _q_groups(terms: dict):
     for m, run in groupby(map(sub, keys, qfields)):
         n = len(list(run))
         lo, hi = qfields[i], qfields[i + n - 1]
-        if not _dense_pays(hi - lo, n):
+        if not (sparse or _dense_pays(hi - lo, n)):
             return None
         if hi - lo + 1 == n:
             dense = coeffs[i:i + n]
@@ -728,18 +743,6 @@ def _dense_divrem(A, B):
     return q, r
 
 
-def _to_dense(p: MultiLaurentPoly, idx: int):
-    """(min_exponent, coefficient list) of a poly univariate in VAR_NAMES[idx]."""
-    sh = _W * idx
-    items = [(((k >> sh) & _MASK) - _OFF, c) for k, c in p._terms.items()]
-    lo = min(e for e, _ in items)
-    hi = max(e for e, _ in items)
-    out = [0] * (hi - lo + 1)
-    for e, c in items:
-        out[e - lo] = c
-    return lo, out
-
-
 def _from_dense(coeffs) -> MultiLaurentPoly:
     """The polynomial sum_i coeffs[i] q^i; coeffs are normalized.
 
@@ -750,47 +753,22 @@ def _from_dense(coeffs) -> MultiLaurentPoly:
     return MultiLaurentPoly._raw(dict(zip(compress(keys, coeffs), filter(None, coeffs))))
 
 
-def _min_exponent_key(p: MultiLaurentPoly) -> int:
-    """Packed key of the componentwise-minimal exponent vector of p's support."""
-    span = _q_range(p._terms)
-    if span is not None:
-        return span[0]
-    mins = [None] * _NVARS
-    for k in p._terms:
-        for i in range(_NVARS):
-            e = ((k >> (_W * i)) & _MASK) - _OFF
-            if mins[i] is None or e < mins[i]:
-                mins[i] = e
-    return sum((m + _OFF) << (_W * i) for i, m in enumerate(mins))
-
-
-def _shift_by(p: MultiLaurentPoly, delta: int) -> dict:
-    """p's terms times the monomial of key delta + _BASE, with unchecked keys."""
-    return {k + delta: c for k, c in p._terms.items()}
-
-
 def exact_divide(p: MultiLaurentPoly, d: MultiLaurentPoly):
     """Quotient r with r*d == p, or None when d does not divide p exactly.
 
-    Laurent shifts are cleared first (divide out the minimal exponent vector of
-    each operand), the remaining ordinary polynomials are divided, and the
-    result is verified by multiplying back.
+    A divisor in q alone divides each q-group of p (_divide_in_q); any other
+    divisor takes the graded long division (_divide_graded).  Either way the
+    quotient is verified by multiplying back.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return MultiLaurentPoly.zero()
-    sp = _min_exponent_key(p) - _BASE
-    sd = _min_exponent_key(d) - _BASE
-    # The normalised exponents run up to an operand's span, below 2^21: the fields
-    # hold them exactly, so only the quotient's are checked against the limit.
-    phat = MultiLaurentPoly._raw(_shift_by(p, -sp))
-    dhat = MultiLaurentPoly._raw(_shift_by(d, -sd))
-    q = _divide_ordinary(phat, dhat)
+    span = _q_range(d._terms)
+    q = _divide_graded(p, d) if span is None else _divide_in_q(p, d, *span)
     if q is None:
         return None
-    q = MultiLaurentPoly._checked(_shift_by(q, sp - sd))
-    if q * d != p:  # multiply-back guard; the division loop should never fail it
+    if q * d != p:  # multiply-back guard; the division loops should never fail it
         raise AssertionError("exact_divide produced an incorrect quotient")
     return q
 
@@ -803,15 +781,52 @@ def exact_div(p: MultiLaurentPoly, d: MultiLaurentPoly) -> MultiLaurentPoly:
     return q
 
 
-def _divide_ordinary(p: MultiLaurentPoly, d: MultiLaurentPoly):
-    """Division in the ordinary (non-negative exponent) ring; None if inexact."""
-    dvars = d.variables()
-    if len(dvars) <= 1:
-        return _divide_by_univariate(p, d, _INDEX[dvars[0]] if dvars else 0)
-    dterms = sorted(d._terms.items(), key=lambda kv: (_grade(kv[0]), kv[0]), reverse=True)
+def _divide_in_q(p: MultiLaurentPoly, d: MultiLaurentPoly, lo: int, hi: int):
+    """p / d for d in q alone with least and greatest keys lo and hi; None if inexact.
+
+    Each q-group of p is m q^e A(q) with A(0) != 0, and d is q^(lo - _BASE) B(q)
+    with B(0) != 0, so d divides p exactly when B divides every A.  The groups
+    are built even where they are sparse in q: the graded loop is quadratic.
+    """
+    B = _dense(d._terms, lo, hi)
+    out = {}
+    for m, e, A in _q_groups(p._terms, sparse=True):
+        qd, r = _dense_divrem(A, B)
+        if r:
+            return None
+        start = m + _OFF + e - (lo - _BASE)
+        # small indices first: a sparse quotient need not build a packed key per entry
+        out.update(zip(map(start.__add__, compress(range(len(qd)), qd)), filter(None, qd)))
+    return MultiLaurentPoly._checked(out)
+
+
+def _min_exponent_key(p: MultiLaurentPoly) -> int:
+    """Packed key of the componentwise-minimal exponent vector of p's support."""
+    mins = [None] * _NVARS
+    for k in p._terms:
+        for i in range(_NVARS):
+            e = ((k >> (_W * i)) & _MASK) - _OFF
+            if mins[i] is None or e < mins[i]:
+                mins[i] = e
+    return sum((m + _OFF) << (_W * i) for i, m in enumerate(mins))
+
+
+def _divide_graded(p: MultiLaurentPoly, d: MultiLaurentPoly):
+    """p / d by graded long division for nonzero p; None if inexact.
+
+    The minimal exponent vector of each operand is divided out first, so both
+    are ordinary polynomials, and every quotient monomial must stay ordinary.
+    The normalised exponents run up to an operand's span, below 2^21: the
+    fields hold them exactly, so only the quotient's are checked against the
+    limit.
+    """
+    sp = _min_exponent_key(p) - _BASE
+    sd = _min_exponent_key(d) - _BASE
+    dterms = sorted(((k - sd, c) for k, c in d._terms.items()),
+                    key=lambda kv: (_grade(kv[0]), kv[0]), reverse=True)
     dlead_key, dlead_c = dterms[0]
     rest = dterms[1:]
-    r = dict(p._terms)
+    r = {k - sp: c for k, c in p._terms.items()}
     q = {}
     while r:
         lt_key = max(r, key=lambda k: (_grade(k), k))
@@ -822,7 +837,7 @@ def _divide_ordinary(p: MultiLaurentPoly, d: MultiLaurentPoly):
             if (((qk + _BASE) >> (_W * i)) & _MASK) < _OFF:
                 return None
         qc = _norm_coeff(Fraction(lt_c) / dlead_c)
-        q[qk + _BASE] = qc
+        q[qk + _BASE + sp - sd] = qc
         del r[lt_key]
         for k2, c2 in rest:
             k = qk + k2
@@ -831,32 +846,7 @@ def _divide_ordinary(p: MultiLaurentPoly, d: MultiLaurentPoly):
                 r[k] = nc
             elif k in r:
                 del r[k]
-    return MultiLaurentPoly._raw(q)
-
-
-def _divide_by_univariate(p: MultiLaurentPoly, d: MultiLaurentPoly, idx: int):
-    """Divide a multivariate p by a divisor univariate in VAR_NAMES[idx]."""
-    _, B = _to_dense(d, idx)
-    sh = _W * idx
-    mask_var = _MASK << sh
-    buckets = {}
-    for k, c in p._terms.items():
-        rest = k & ~mask_var
-        e = ((k >> sh) & _MASK) - _OFF
-        buckets.setdefault(rest, []).append((e, c))
-    out = {}
-    for rest, items in buckets.items():
-        hi = max(e for e, _ in items)
-        A = [0] * (hi + 1)
-        for e, c in items:
-            A[e] = c
-        qd, rem = _dense_divrem(A, B)
-        if rem:
-            return None
-        for i, c in enumerate(qd):
-            if c:
-                out[rest + ((i + _OFF) << sh)] = c
-    return MultiLaurentPoly._raw(out)
+    return MultiLaurentPoly._checked(q)
 
 
 def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
@@ -879,18 +869,14 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
         raise ZeroDivisionError("zero modulus")
     if any(not isinstance(c, int) for c in m._terms.values()):
         raise ValueError("modulus must have integer coefficients")
-    _, B = _to_dense(m, 0)
-    lo_m = m.degree_range("q")[0]
-    if lo_m < 0:
+    if min(m._terms) < _BASE:
         raise ValueError("modulus has negative q-exponents")
-    B = [0] * lo_m + B
+    B = _dense(m._terms, _BASE, max(m._terms))
     if B[-1] != 1:
         raise ValueError("modulus must be monic")
     if p.is_zero():
         return MultiLaurentPoly.zero(), MultiLaurentPoly.zero()
-    lo, A = _to_dense(p, 0)
-    A = [0] * lo + A
-    q, r = _dense_divrem(A, B)
+    q, r = _dense_divrem(_dense(p._terms, _BASE, max(p._terms)), B)
     return _from_dense(q), _from_dense(r)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .congruence import thm2_lhs
 from .delannoy import dq, dq_inverse_base
-from .exactalg import MultiLaurentPoly, exact_div, exact_divide, non_positive_terms
+from .exactalg import MultiLaurentPoly, exact_divide, non_positive_terms
 from .qkit import choose2, one_minus_q, poch_prefixes, qbinomial
 from .report import CaseKind, VerificationReport, make_report
 
@@ -161,28 +161,11 @@ def _odd_parts(m: int, n: int, r: int, alternating: bool) -> tuple:
     return _odd_sum(_delannoy_powers(m, n, r), alternating), one_minus_q(n)
 
 
-def thm3_poly1(m: int, n: int) -> MultiLaurentPoly:
-    """First family: Theorem 2's sum over k < n, scaled and exact-divided.
-
-    sum_{k<n} (1-q^m)(1-q^{m+1})(1-q^{2k+1}) / ((1-q^2)(1-q^n)^2)
-              * D_q(m,k) D_{1/q}(m,k) q^{-k}
-    with (1-q^{2k+1}) = (1-q)[2k+1]; thm2_lhs raises Thm2MismatchError when
-    its two routes to the sum disagree.
-    """
-    return exact_div(*_poly1_parts(m, n))
-
-
-def thm3_poly2(m: int, n: int, r: int) -> MultiLaurentPoly:
-    """sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{-k} / (1-q^n)."""
-    return exact_div(*_odd_parts(m, n, r, False))
-
-
-def thm3_poly3(m: int, n: int, r: int) -> MultiLaurentPoly:
-    """sum_{k<n} (-1)^{n-k-1} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{C(k,2)} / (1-q^n)."""
-    return exact_div(*_odd_parts(m, n, r, True))
-
-
 # (numerator, divisor) of each claim; only the final division decides divisibility.
+#   thm3-1: sum_{k<n} (1-q^m)(1-q^{m+1})(1-q^{2k+1}) D_q(m,k) D_{1/q}(m,k) q^{-k}
+#           / ((1-q^2)(1-q^n)^2), built on Theorem 2's sum thm2_lhs;
+#   thm3-2: sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{-k} / (1-q^n);
+#   thm3-3: sum_{k<n} (-1)^{n-k-1} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{C(k,2)} / (1-q^n).
 _CLAIM_PARTS = {
     "thm3-1": lambda m, n, r: _poly1_parts(m, n),
     "thm3-2": lambda m, n, r: _odd_parts(m, n, r, False),

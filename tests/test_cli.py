@@ -75,12 +75,19 @@ def test_exit_two_on_hard_cap():
 
 
 def test_phi_examples():
-    result = run_cli("phi", "phi[2,1]{a, q^-0 ; c ; q}")
-    assert result.returncode == 0
-    assert result.stdout.strip() == "1"
-    result = run_cli("phi", "phi[2,1]{a, q^-2 ; c ; q}")
-    assert result.returncode == 0
-    assert "/" in result.stdout  # cleared numerator over denominator
+    for spec, printed in [
+        ("phi[2,1]{a, q^-0 ; c ; q}", "1"),
+        # the README example: its denominator (c;q)_2 is in q and c, so graded division
+        ("phi[2,1]{a, q^-2 ; c ; q}",
+         "(-a*c + a^2 + q*c^2 + -q*a*c) / (1 + -c + -q*c + q*c^2)"),
+        # a denominator in q alone that does not divide the numerator
+        ("phi[2,1]{a, q^-2 ; q^3 ; q}",
+         "(a^2 + -q^3*a + -q^4*a + q^7) / (1 + -q^3 + -q^4 + q^7)"),
+        ("phi[2,1]{c, q^-2 ; c ; q}", "0"),
+    ]:
+        result = run_cli("phi", spec)
+        assert result.returncode == 0, spec
+        assert result.stdout == printed + "\n", spec
 
 
 def test_delannoy_examples():

@@ -404,6 +404,30 @@ def test_sparse_q_span_builds_no_dense_list(build, expected):
     assert peak < 1 << 20  # a dense list over 2^20 exponents takes 8 MB
 
 
+def test_q_only_divisor_never_takes_graded_division(monkeypatch):
+    sparse = (1 + q ** 200) * (a + x)  # q-groups of 2 terms spanning 200 exponents
+    assert exactalg._q_groups((sparse * (1 + q))._terms) is None  # the product would refuse them
+    monkeypatch.setattr(exactalg, "_divide_graded", _forbidden)
+    for p, d in [(1 + q, 1 - q), (sparse, 1 + q), (sparse, 2 - 3 * q ** 2),
+                 (q ** -3 * _RUN * (a - c * x ** -1), Fraction(1, 2) * q ** -1 - q ** 5),
+                 (_RUN, P.const(3))]:
+        assert exact_divide(p * d, d) == p
+    assert exact_divide(sparse, 1 + q) is None  # 1 + q^200 is 2 at q = -1
+    assert exact_divide(_RUN + a, 1 - q) is None
+
+
+def test_divisor_outside_q_takes_graded_division(monkeypatch):
+    graded, divisors = exactalg._divide_graded, []
+    monkeypatch.setattr(exactalg, "_divide_in_q", _forbidden)
+    monkeypatch.setattr(exactalg, "_divide_graded",
+                        lambda p, d: divisors.append(d) or graded(p, d))
+    p = 1 + a * q + q ** -2 * x
+    for d in (1 - c, (1 - q) * (1 - c), 1 - x):
+        assert exact_divide(p * d, d) == p
+        assert exact_divide(p + 1, d) is None
+    assert divisors == [1 - c] * 2 + [(1 - q) * (1 - c)] * 2 + [1 - x] * 2
+
+
 def test_coefficients_by():
     p = a * q + 2 * a + q ** 2
     groups = p.coefficients_by(("a",))

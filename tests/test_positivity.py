@@ -8,12 +8,15 @@ from qck import positivity
 from qck.delannoy import delannoy, dq, dq_inverse_base
 from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
 from qck.positivity import (lemma41_generic, linearize_power, s_n, s_n_symbolic,
-                            sn_basis, structure_constant, thm3_poly1,
-                            thm3_poly2, thm3_poly3,
-                            verify_alternating_sum, verify_schmidt, verify_thm3,
-                            xk_weights)
+                            sn_basis, structure_constant, verify_alternating_sum,
+                            verify_schmidt, verify_thm3, xk_weights)
 
 q = P.var("q")
+
+
+def _quotient(claim, m, n, r=1):
+    """The claim's polynomial: its numerator exact-divided by its divisor."""
+    return exact_div(*positivity._CLAIM_PARTS[claim](m, n, r))
 
 
 def test_schmidt_collapse_at_i0():
@@ -96,7 +99,7 @@ def test_sn_power_via_linearization():
 
 
 def test_thm3_poly1_hand_case():
-    assert thm3_poly1(1, 1) == P.const(1)
+    assert _quotient("thm3-1", 1, 1) == P.const(1)
 
 
 def test_thm3_poly1_routes_agree():
@@ -109,7 +112,7 @@ def test_thm3_poly1_routes_agree():
                     * P.monomial(1, {"q": -k})
             num = total * (1 - q ** m) * (1 - q ** (m + 1))
             direct = exact_div(num, (1 - q ** 2) * (1 - q ** n) ** 2)
-            assert thm3_poly1(m, n) == direct, (m, n)
+            assert _quotient("thm3-1", m, n) == direct, (m, n)
 
 
 def test_thm3_poly1_q1_oracle():
@@ -119,13 +122,13 @@ def test_thm3_poly1_q1_oracle():
             total = sum((2 * k + 1) * delannoy(m, k) ** 2 for k in range(n))
             expected = m * (m + 1) * total
             assert expected % (2 * n * n) == 0
-            value = thm3_poly1(m, n).substitute({"q": 1})
+            value = _quotient("thm3-1", m, n).substitute({"q": 1})
             assert value == expected // (2 * n * n)
 
 
 def test_thm3_poly23_hand_cases():
-    assert thm3_poly2(1, 1, 1) == P.const(1)
-    assert thm3_poly3(1, 1, 1) == P.const(1)
+    assert _quotient("thm3-2", 1, 1, 1) == P.const(1)
+    assert _quotient("thm3-3", 1, 1, 1) == P.const(1)
 
 
 def test_thm3_poly2_q1_oracle():
@@ -134,16 +137,16 @@ def test_thm3_poly2_q1_oracle():
         for n in range(1, 5):
             total = sum((2 * k + 1) * delannoy(m, k) ** 2 for k in range(n))
             assert total % n == 0
-            assert thm3_poly2(m, n, 1).substitute({"q": 1}) == total // n
+            assert _quotient("thm3-2", m, n, 1).substitute({"q": 1}) == total // n
 
 
 def test_thm3_nonneg_small():
     for m in range(1, 4):
         for n in range(1, 4):
-            assert is_nonneg_integer_laurent(thm3_poly1(m, n))
+            assert is_nonneg_integer_laurent(_quotient("thm3-1", m, n))
             for r in (1, 2):
-                assert is_nonneg_integer_laurent(thm3_poly2(m, n, r))
-                assert is_nonneg_integer_laurent(thm3_poly3(m, n, r))
+                assert is_nonneg_integer_laurent(_quotient("thm3-2", m, n, r))
+                assert is_nonneg_integer_laurent(_quotient("thm3-3", m, n, r))
 
 
 def test_thm3_record_shape():

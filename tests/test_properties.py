@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import pytest
 
-from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _decode, _dense_divrem, _encode,
-                          _min_exponent_key, _mul_generic, _mul_grouped, exact_divide)
+from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _decode, _dense_divrem,
+                          _divide_graded, _encode, _min_exponent_key, _mul_generic,
+                          _mul_grouped, exact_divide)
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -147,6 +148,23 @@ def test_min_exponent_key_is_the_fieldwise_minimum(p):
         return
     mins = [min(field) for field in zip(*map(_decode, p._terms))]
     assert _min_exponent_key(p) == _encode(dict(zip(VAR_NAMES, mins)))
+
+
+@st.composite
+def q_divisors(draw):
+    """A polynomial in q alone whose lead coefficient is not a unit."""
+    lead = draw(st.sampled_from((2, -3, Fraction(1, 2), Fraction(-2, 3))))
+    return draw(polys(("q",))) + P.monomial(lead, {"q": draw(st.integers(4, 6))})
+
+
+@_SETTINGS
+@given(polys(), q_divisors(), polys())
+def test_q_divisor_division_matches_graded_division(p, d, extra):
+    # p * d + extra is mostly not a multiple of d: both paths must refuse it alike
+    for dividend in (p * d, p * d + extra):
+        if dividend:
+            assert exact_divide(dividend, d) == _divide_graded(dividend, d)
+    assert exact_divide(p * d, d) == p
 
 
 @st.composite
