@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .delannoy import dq, dq_inverse_base
 from .exactalg import (MultiLaurentPoly, divrem_in_q, exact_div, exact_divide,
-                       is_nonneg_integer_laurent)
+                       is_nonneg_integer_laurent, sum_of_products)
 from .qkit import bracket, one_minus_q, qbinomial, qpochhammer
 from .report import CaseKind
 
@@ -72,8 +72,11 @@ def congruence_witness(u: MultiLaurentPoly, v: MultiLaurentPoly,
     lo = d.degree_range("q")[0]
     if lo < 0:
         d = d * MultiLaurentPoly.monomial(1, {"q": -lo})
-    modulus = mod.bracket_sq if square else mod.bracket
-    _, rem = divrem_in_q(d, modulus)
+    if square:
+        # (q^p - 1)^2 = (q - 1)^2 [p]^2 is a monic multiple of [p]^2 with three
+        # terms: reducing by it first is cheap, and leaves the same remainder.
+        _, d = divrem_in_q(d, (MultiLaurentPoly.var("q", mod.p) - 1) ** 2)
+    _, rem = divrem_in_q(d, mod.bracket_sq if square else mod.bracket)
     return rem
 
 
@@ -92,11 +95,9 @@ def qidentity_sides(n: int, j: int) -> tuple:
     """
     if not 0 <= j <= n - 1:
         raise ValueError("need 0 <= j <= n-1")
-    lhs = MultiLaurentPoly.zero()
-    for k in range(j, n):
-        term = one_minus_q(2 * k + 1) * qbinomial(k + j, 2 * j)
-        lhs = lhs + term * MultiLaurentPoly.monomial(1, {"q": -(j + 1) * k})
-    lhs = lhs * one_minus_q(j + 1)
+    lhs = sum_of_products((one_minus_q(2 * k + 1), qbinomial(k + j, 2 * j),
+                           MultiLaurentPoly.var("q", -(j + 1) * k))
+                          for k in range(j, n)) * one_minus_q(j + 1)
     rhs = one_minus_q(n) * one_minus_q(n - j) * qbinomial(n + j, 2 * j) \
         * MultiLaurentPoly.monomial(1, {"q": -(j + 1) * (n - 1)})
     return lhs, rhs
@@ -107,11 +108,8 @@ class Thm2MismatchError(RuntimeError):
 
 
 def _thm2_lhs_direct(p: int, m: int) -> MultiLaurentPoly:
-    out = MultiLaurentPoly.zero()
-    for k in range(p):
-        term = bracket(2 * k + 1) * dq(m, k) * dq_inverse_base(m, k)
-        out = out + term * MultiLaurentPoly.monomial(1, {"q": -k})
-    return out
+    return sum_of_products((bracket(2 * k + 1), dq(m, k), dq_inverse_base(m, k),
+                            MultiLaurentPoly.var("q", -k)) for k in range(p))
 
 
 @lru_cache(maxsize=None)
@@ -131,13 +129,10 @@ def _single_sum_weight(j: int) -> MultiLaurentPoly:
 
 
 def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
-    out = MultiLaurentPoly.zero()
-    for j in range(p):
-        term = _single_sum_ratio(p, j) * qbinomial(m, j) * qbinomial(m + j, j) \
-            * _single_sum_weight(j)
-        exp = j * j - m * j - (j + 1) * (p - 1)
-        out = out + term * MultiLaurentPoly.monomial(1, {"q": exp})
-    return out
+    return sum_of_products((_single_sum_ratio(p, j), qbinomial(m, j), qbinomial(m + j, j),
+                            _single_sum_weight(j),
+                            MultiLaurentPoly.var("q", j * j - m * j - (j + 1) * (p - 1)))
+                           for j in range(p))
 
 
 def thm2_lhs(p: int, m: int) -> MultiLaurentPoly:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .exactalg import MultiLaurentPoly
+from .exactalg import MultiLaurentPoly, sum_of_products
 from .qkit import Q, choose2, poch_prefixes, qbinomial
 from .report import CaseKind
 
@@ -41,11 +41,8 @@ def delannoy(m: int, n: int) -> int:
 
 def _dq_sum(m: int, n: int, w: MultiLaurentPoly) -> MultiLaurentPoly:
     """sum_{k<=n} q^{C(k,2)} w^k [n;k] [n+m-k; n]: D_q(m,n) at w = 1, D*_q(m,n) at w = q."""
-    out = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        term = qbinomial(n, k) * qbinomial(n + m - k, n)
-        out = out + term * (Q ** choose2(k) * w ** k)
-    return out
+    return sum_of_products((qbinomial(n, k), qbinomial(n + m - k, n),
+                            MultiLaurentPoly.var("q", choose2(k)), w ** k) for k in range(n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -83,11 +80,8 @@ def dq_star_alt(m: int, n: int) -> MultiLaurentPoly:
 def _alt_sum(m: int, n: int, weight_param: MultiLaurentPoly) -> MultiLaurentPoly:
     """sum_{k<=m} q^{(m-k)(n-k)} [m;k][n;k] (w;q)_k for the weight parameter w."""
     weights = poch_prefixes(weight_param, m)
-    out = MultiLaurentPoly.zero()
-    for k in range(m + 1):
-        term = qbinomial(m, k) * qbinomial(n, k) * weights[k]
-        out = out + term * MultiLaurentPoly.monomial(1, {"q": (m - k) * (n - k)})
-    return out
+    return sum_of_products((qbinomial(m, k), qbinomial(n, k), weights[k],
+                            MultiLaurentPoly.var("q", (m - k) * (n - k))) for k in range(m + 1))
 
 
 def general_x_expansion(m: int, n: int) -> tuple:
@@ -104,12 +98,9 @@ def _product_sum(m: int, n: int, w: MultiLaurentPoly) -> MultiLaurentPoly:
     """sum_{k<=n} q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (w;q)_k (q/w;q)_k."""
     w1 = poch_prefixes(w, n)
     w2 = poch_prefixes(Q * w ** -1, n)
-    out = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        term = qbinomial(n + k, 2 * k) * qbinomial(m, k) * qbinomial(m + k, k)
-        term = term * w1[k] * w2[k]
-        out = out + term * MultiLaurentPoly.monomial(1, {"q": (m - k) * (n - k)})
-    return out
+    return sum_of_products((qbinomial(n + k, 2 * k), qbinomial(m, k), qbinomial(m + k, k),
+                            w1[k], w2[k], MultiLaurentPoly.var("q", (m - k) * (n - k)))
+                           for k in range(n + 1))
 
 
 def product_expansion_rhs(m: int, n: int) -> MultiLaurentPoly:

@@ -51,6 +51,29 @@ product of two polynomials of two or more terms takes one of two paths:
 
 The cut-overs are stated and measured next to the packing helpers below.
 
+Sums of products
+----------------
+``sum_of_products(terms)`` is the sum over terms of the product of each
+term's factors, and the grouped product is its one-term, two-factor case.
+Monomial factors fold into the term's key shift and int scale.  The other
+factors are grouped by their non-q monomial as above, and each term's factors
+are packed once, at the one limb width of the whole sum, with no repack
+between partial products (a factor shared by several terms is packed again
+for each): each term is multiplied factor by factor as packed accumulators,
+one per non-q monomial, and every term adds into one accumulator per output
+monomial, which is unpacked once at the end.
+Packing sends q to 2^w, a ring homomorphism, so a partial product or a partial
+sum may overflow its limbs freely: only the final coefficients have to fit.
+They are below
+
+    (number of terms) * max over terms of |scale| * prod_i max|f_i| * (prod_i len_i / max_i len_i)
+
+since an output coefficient of a product sums one product of coefficients per
+choice of a term from every factor but the longest.  The limb holds the bits
+of that bound plus a sign bit.  A term with a Fraction coefficient, or with a
+factor the grouped product would refuse, is multiplied out with ``*`` and
+added in.
+
 Exact division
 --------------
 ``exact_divide`` takes one of two paths, chosen from the divisor:
@@ -74,7 +97,9 @@ import re
 import sys
 from array import array
 from fractions import Fraction
+from functools import reduce
 from itertools import compress, groupby, repeat
+from math import prod
 from operator import add, and_, mul, or_, sub
 
 VAR_NAMES = ("q", "t", "a", "b", "c", "d", "x", "y",
@@ -266,13 +291,7 @@ class MultiLaurentPoly:
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
-        get = out.get
-        for k, c in b.items():
-            nc = get(k, 0) + c
-            if nc:
-                out[k] = nc if type(nc) is int else _norm_coeff(nc)
-            elif k in out:
-                del out[k]
+        _add_into(out, b)
         return MultiLaurentPoly._raw(out)
 
     __radd__ = __add__
@@ -456,17 +475,27 @@ def _as_monomial(val):
     raise TypeError(f"cannot interpret {val!r} as a substitution value")
 
 
-def _check_budget(n: int) -> None:
-    if n > term_cap():
-        raise TermBudgetExceeded(
-            f"result would hold {n} terms, above QCK_MAX_TERMS={term_cap()}")
+def _add_into(out: dict, terms: dict) -> None:
+    """Add the terms into the term dict ``out``, dropping the coefficients that cancel."""
+    get = out.get
+    for k, c in terms.items():
+        nc = get(k, 0) + c
+        if nc:
+            out[k] = nc if type(nc) is int else _norm_coeff(nc)
+        elif k in out:
+            del out[k]
 
 
-def _check_pairs(n1: int, n2: int) -> None:
+def _check_budget(n: int, cap: int) -> None:
+    if n > cap:
+        raise TermBudgetExceeded(f"result would hold {n} terms, above QCK_MAX_TERMS={cap}")
+
+
+def _check_pairs(n1: int, n2: int, cap: int) -> None:
     """Refuse a product of n1 x n2 terms before anything is allocated for it."""
-    if n1 * n2 > 50 * term_cap():
+    if n1 * n2 > 50 * cap:
         raise TermBudgetExceeded(
-            f"product of {n1} x {n2} terms is far above QCK_MAX_TERMS={term_cap()}")
+            f"product of {n1} x {n2} terms is far above QCK_MAX_TERMS={cap}")
 
 
 def _check_keys(keys) -> None:
@@ -500,7 +529,8 @@ def _all_int(coeffs) -> bool:
 def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
     if len(a) > len(b):
         a, b = b, a
-    _check_pairs(len(a), len(b))
+    cap = term_cap()
+    _check_pairs(len(a), len(b), cap)
     out = {}
     get = out.get
     bitems = list(b.items())
@@ -511,7 +541,7 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
             v = get(k)
             out[k] = c1 * c2 if v is None else v + c1 * c2
     out = {k: _norm_coeff(c) for k, c in out.items() if c}
-    _check_budget(len(out))
+    _check_budget(len(out), cap)
     return MultiLaurentPoly._checked(out)
 
 
@@ -566,17 +596,12 @@ def _pack(coeffs, nbytes: int) -> int:
         # 2^limb at each negative limb, which is exactly where a top bit is set.
         value = int.from_bytes(array(fmt, coeffs).tobytes(), "little")
         return value - ((value & _bias(len(coeffs), nbytes)) << 1)
-    pos = bytearray(nbytes * len(coeffs))
-    neg = None
-    for i, c in enumerate(coeffs):
-        if c > 0:
-            pos[i * nbytes:(i + 1) * nbytes] = c.to_bytes(nbytes, "little")
-        elif c < 0:
-            if neg is None:
-                neg = bytearray(len(pos))
-            neg[i * nbytes:(i + 1) * nbytes] = (-c).to_bytes(nbytes, "little")
-    value = int.from_bytes(pos, "little")
-    return value if neg is None else value - int.from_bytes(neg, "little")
+    # Wider limbs: each c_i + 2^(limb-1) is an unsigned limb, written in C by
+    # map, and the bias comes off the whole integer at once.
+    top = 1 << (8 * nbytes - 1)
+    raw = b"".join(map(int.to_bytes, map(add, coeffs, repeat(top)), repeat(nbytes),
+                       repeat("little")))
+    return int.from_bytes(raw, "little") - _bias(len(coeffs), nbytes)
 
 
 def _unpack(value: int, n: int, nbytes: int) -> list:
@@ -596,18 +621,9 @@ def _unpack(value: int, n: int, nbytes: int) -> list:
             for i in range(0, nbytes * n, nbytes)]
 
 
-def _product_limb_bytes(bits1: int, bits2: int, n: int) -> int:
-    """Limb bytes for a product of operands with coefficients of bits1 and bits2 bits.
-
-    Each output coefficient is a sum of at most n products (n the smaller
-    operand's length), so it stays below 2^(limb-1), partial sums included.
-    """
-    return _limb_bytes(bits1 + bits2 + n.bit_length() + 2)
-
-
-def _coeff_bits(groups) -> int:
-    """Bit length of the largest coefficient magnitude in the groups' dense q-lists."""
-    return max(max(max(A), -min(A)) for _, _, A in groups).bit_length()
+def _coeff_max(groups) -> int:
+    """The largest coefficient magnitude in the groups' dense q-lists."""
+    return max(max(max(A), -min(A)) for _, _, A in groups)
 
 
 def _dense(terms: dict, lo: int, hi: int) -> list:
@@ -619,19 +635,19 @@ def _dense(terms: dict, lo: int, hi: int) -> list:
 
 
 def _q_groups(terms: dict, sparse: bool = False):
-    """[(m, lo, dense q-list)] of terms grouped by the key m of their non-q monomial.
+    """[(g, lo, dense q-list)] of terms grouped by their monomial in the variables other than q.
 
-    m is a term's key with the q field zeroed, lo the group's least q exponent.
-    Unless ``sparse`` is set, None when a group's q-span fails _dense_pays,
-    before its dense list is built.  Terms in q alone are one group, found
-    without sorting.
+    g is that monomial's key offset (its key minus _BASE, 0 in q alone), lo
+    the group's least q exponent.  Unless ``sparse`` is set, None when a
+    group's q-span fails _dense_pays, before its dense list is built.  Terms in
+    q alone are one group, found without sorting.
     """
     span = _q_range(terms)
     if span is not None:
         lo, hi = span
         if not (sparse or _dense_pays(hi - lo, len(terms))):
             return None
-        return [(_BASE - _OFF, lo - _BASE, _dense(terms, lo, hi))]
+        return [(0, lo - _BASE, _dense(terms, lo, hi))]
     keys = sorted(terms)  # q is the lowest field: a group's keys are adjacent, in q order
     qfields = [k & _MASK for k in keys]
     coeffs = list(map(terms.__getitem__, keys))
@@ -648,65 +664,218 @@ def _q_groups(terms: dict, sparse: bool = False):
             dense = [0] * (hi - lo + 1)
             for f, c in zip(qfields[i:i + n], coeffs[i:i + n]):
                 dense[f - lo] = c
-        groups.append((m, lo - _OFF, dense))
+        groups.append((m + _OFF - _BASE, lo - _OFF, dense))
         i += n
     return groups
+
+
+def _spans(factors, lens, cap: int):
+    """The output accumulators of each partial product of ``factors``, or None.
+
+    ``factors`` are lists of q-groups and ``lens`` their term counts.  Entry i
+    maps the key offset g of each output monomial of factors[0] * ... *
+    factors[i] to [lo, hi, work]: its least and greatest q exponent and the
+    summed spans of the group products added into it.  None, before anything
+    is packed, when an accumulator spans more than its work plus 64.  Each
+    step is held to the term budget, with the partial product's term count
+    bounded by its dense span, and a partial product that is multiplied
+    further must hold its monomials inside the exponent range.
+    """
+    spans = {g: [lo, lo + len(A) - 1, len(A) - 1] for g, lo, A in factors[0]}
+    chain = [spans]
+    n = lens[0]
+    for groups, n2 in zip(factors[1:], lens[1:]):
+        if len(chain) > 1:
+            _check_keys([_BASE + g for g in spans])
+            n = min(n, sum(hi - lo + 1 for lo, hi, _ in spans.values()))
+        _check_pairs(n, n2, cap)
+        n *= n2
+        nxt = {}
+        for g1, (lo1, hi1, _) in spans.items():
+            for g2, lo2, B in groups:
+                g, lo, hi = g1 + g2, lo1 + lo2, hi1 + lo2 + len(B) - 1
+                s = nxt.get(g)
+                if s is None:
+                    nxt[g] = [lo, hi, hi - lo]
+                else:
+                    s[0] = min(s[0], lo)
+                    s[1] = max(s[1], hi)
+                    s[2] += hi - lo
+        if not all(hi - lo <= work + 64 for lo, hi, work in nxt.values()):
+            return None
+        chain.append(nxt)
+        spans = nxt
+    return chain
+
+
+def _term_bound(factors, lens, scale: int = 1) -> int:
+    """A bound on the coefficient magnitudes of scale * the product of ``factors``.
+
+    An output coefficient sums one product of coefficients per choice of a
+    term from every factor but the longest (that choice fixes the last term),
+    so at most prod(lens) / max(lens) products of at most the factors' largest
+    magnitudes.
+    """
+    return abs(scale) * prod(map(_coeff_max, factors)) * (prod(lens) // max(lens))
+
+
+def _sum_limb_bytes(bound: int, nterms: int) -> int:
+    """Limb bytes for a sum of ``nterms`` products with coefficients at most ``bound``.
+
+    The sum's coefficients are below 2^(bits(bound) + bits(nterms)), and one
+    more bit holds the sign.  Only these final coefficients are unpacked.
+    """
+    return _limb_bytes(bound.bit_length() + nterms.bit_length() + 1)
+
+
+def _packed_product(factors, chain, nbytes: int) -> list:
+    """[(g, lo, packed q-list)] of the product of ``factors``, each lo as in ``chain``[-1]."""
+    bits = 8 * nbytes
+    acc = [(g, lo, _pack(A, nbytes)) for g, lo, A in factors[0]]
+    for groups, spans in zip(factors[1:], chain[1:]):
+        packed = [(g2, lo2, _pack(B, nbytes)) for g2, lo2, B in groups]
+        nxt = dict.fromkeys(spans, 0)
+        for g1, lo1, v1 in acc:
+            for g2, lo2, v2 in packed:
+                g = g1 + g2
+                nxt[g] += (v1 * v2) << (bits * (lo1 + lo2 - spans[g][0]))
+        acc = [(g, spans[g][0], v) for g, v in nxt.items()]
+    return acc
+
+
+def _packed_sum(terms, nbytes: int) -> tuple:
+    """The sum of packed products as (term dict, [term dicts still to add]).
+
+    Each term is (shift, scale, factors, chain): scale times the monomial of
+    key offset ``shift`` times the product of ``factors`` with its ``chain``
+    from _spans.  Its accumulators add into one per output monomial, shifted
+    to a common least exponent.  An accumulator that a term would stretch past
+    the summed spans of its pieces plus 64 is unpacked on its own first.
+    """
+    bits = 8 * nbytes
+    sums = {}
+    flushed = []
+    for shift, scale, factors, chain in terms:
+        spans = chain[-1]
+        e = ((_BASE + shift) & _MASK) - _OFF  # the q exponent of the shift
+        for g, lo, v in _packed_product(factors, chain, nbytes):
+            _, hi, work = spans[g]
+            if shift:
+                g += shift - e
+                lo += e
+                hi += e
+            if scale != 1:
+                v *= scale
+            s = sums.get(g)
+            if s is not None:
+                slo, shi, swork, sv = s
+                if max(hi, shi) - min(lo, slo) > work + swork + 64:
+                    flushed.append(_unpacked({g: s}, nbytes))
+                else:
+                    if lo >= slo:
+                        v = sv + (v << (bits * (lo - slo)))
+                        lo = slo
+                    else:
+                        v += sv << (bits * (slo - lo))
+                    hi = max(hi, shi)
+                    work += swork
+            sums[g] = (lo, hi, work, v)
+    return _unpacked(sums, nbytes), flushed
+
+
+def _unpacked(sums: dict, nbytes: int) -> dict:
+    """The terms of the accumulators {g: (lo, hi, work, packed q-list)}, range-checked."""
+    out = {}
+    ends = []
+    for g, (lo, hi, _, v) in sums.items():
+        coeffs = _unpack(v, hi - lo + 1, nbytes)
+        at = range(len(coeffs))
+        first = next(compress(at, coeffs), None)
+        if first is not None:
+            last = next(compress(reversed(at), reversed(coeffs)))
+            # q exponents add up as ints, outside any field, so they are checked
+            # here.  The other fields of g stay below 2^22 (a product of two
+            # checked keys, plus a checked shift), where _check_keys is exact.
+            if not -_EXP_LIMIT < lo + first <= lo + last < _EXP_LIMIT:
+                raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
+            start = _BASE + g + lo
+            ends += start + first, start + last
+            keys = range(start, start + len(coeffs))
+            out.update(zip(compress(keys, coeffs), filter(None, coeffs)))
+    # An accumulator's keys share their other fields and run in q between its
+    # first and last stored key, so those two are all the range check needs.
+    _check_keys(ends)
+    return out
 
 
 def _mul_grouped(a: dict, b: dict):
     """Product of int-coefficient term dicts, one packed multiply per pair of q-groups.
 
-    None, before any packing, when a cut-over listed above _GROUPED_MIN_PAIRS
-    sends the product to the generic path.
+    The one-term, two-factor case of sum_of_products.  None, before any
+    packing, when a cut-over listed above _GROUPED_MIN_PAIRS sends the product
+    to the generic path.
     """
-    _check_pairs(len(a), len(b))
     if len(a) * len(b) < _GROUPED_MIN_PAIRS:  # below the mean-pair cut-over for any grouping
         return None
+    cap = term_cap()
+    _check_pairs(len(a), len(b), cap)
     ga = _q_groups(a)
     gb = _q_groups(b) if ga is not None else None
     if gb is None or len(a) * len(b) < _GROUPED_MIN_PAIRS * len(ga) * len(gb):
         return None
-    # The exponent span of each output monomial's accumulator, and the summed
-    # spans of the group products that go into it.
-    spans = {}
-    for m1, lo1, A in ga:
-        for m2, lo2, B in gb:
-            lo, hi = lo1 + lo2, lo1 + lo2 + len(A) + len(B) - 2
-            s = spans.get(m1 + m2)
-            if s is None:
-                spans[m1 + m2] = [lo, hi, hi - lo]
-            else:
-                s[0] = min(s[0], lo)
-                s[1] = max(s[1], hi)
-                s[2] += hi - lo
-    if not all(hi - lo <= work + 64 for lo, hi, work in spans.values()):
+    factors, lens = [ga, gb], (len(a), len(b))
+    chain = _spans(factors, lens, cap)
+    if chain is None:
         return None
-    nbytes = _product_limb_bytes(_coeff_bits(ga), _coeff_bits(gb), min(len(a), len(b)))
-    bits = 8 * nbytes
-    pb = [(m2, lo2, _pack(B, nbytes)) for m2, lo2, B in gb]
-    acc = dict.fromkeys(spans, 0)
-    for m1, lo1, A in ga:
-        v1 = _pack(A, nbytes)
-        for m2, lo2, v2 in pb:
-            m = m1 + m2
-            acc[m] += (v1 * v2) << (bits * (lo1 + lo2 - spans[m][0]))
-    out = {}
-    ends = []
-    for m, v in acc.items():
-        lo, hi, _ = spans[m]
-        coeffs = _unpack(v, hi - lo + 1, nbytes)
-        # m is the sum of two keys with a zeroed q field: m - _BASE + 2 * _OFF
-        # is the key of their product monomial, with q^0.
-        start = m - _BASE + 2 * _OFF + lo
-        keys = range(start, start + len(coeffs))
-        first = next(compress(keys, coeffs), None)
-        if first is not None:
-            ends += first, next(compress(reversed(keys), reversed(coeffs)))
-            out.update(zip(compress(keys, coeffs), filter(None, coeffs)))
-    _check_budget(len(out))
-    # An accumulator's keys share their other fields and run in q between its
-    # first and last stored key, so those two are all the range check needs.
-    _check_keys(ends)
+    nbytes = _sum_limb_bytes(_term_bound(factors, lens), 1)
+    out, _ = _packed_sum([(0, 1, factors, chain)], nbytes)
+    _check_budget(len(out), cap)
+    return MultiLaurentPoly._raw(out)
+
+
+# -- packed sums of products ------------------------------------------------------
+
+def sum_of_products(terms) -> MultiLaurentPoly:
+    """The sum over ``terms`` of the product of each term's factors (MultiLaurentPolys).
+
+    One packed accumulator per output monomial holds the whole sum, unpacked
+    once (see "Sums of products" in the module docstring).  A term with a
+    Fraction coefficient, or with a factor whose q-groups the grouped product
+    would refuse, is multiplied out with ``*`` and added in.
+    """
+    cap = term_cap()
+    packed, chained = [], []
+    bound = 0
+    for factors in terms:
+        factors = tuple(factors)
+        shift, scale, polys = 0, 1, []
+        for f in factors:
+            if len(f._terms) == 1:  # a monomial folds into the shift and the scale
+                (k, c), = f._terms.items()
+                shift, scale = shift + k - _BASE, scale * c
+                if shift != k - _BASE:  # two offsets added: is it still a key in range?
+                    _check_keys((_BASE + shift,))
+            else:
+                polys.append(f._terms)
+        if not all(polys):
+            continue  # a zero factor
+        chain = None
+        if type(scale) is int and all(_all_int(p.values()) for p in polys):
+            polys = polys or [{_BASE: 1}]
+            groups, lens = list(map(_q_groups, polys)), list(map(len, polys))
+            if None not in groups:
+                chain = _spans(groups, lens, cap)
+        if chain is None:
+            chained.append(factors)
+            continue
+        bound = max(bound, _term_bound(groups, lens, scale))
+        packed.append((shift, scale, groups, chain))
+    out, flushed = _packed_sum(packed, _sum_limb_bytes(bound, len(packed)))
+    for factors in chained:
+        flushed.append(reduce(mul, factors)._terms)
+    for more in flushed:
+        _add_into(out, more)
+    _check_budget(len(out), cap)
     return MultiLaurentPoly._raw(out)
 
 
@@ -790,11 +959,11 @@ def _divide_in_q(p: MultiLaurentPoly, d: MultiLaurentPoly, lo: int, hi: int):
     """
     B = _dense(d._terms, lo, hi)
     out = {}
-    for m, e, A in _q_groups(p._terms, sparse=True):
+    for g, e, A in _q_groups(p._terms, sparse=True):
         qd, r = _dense_divrem(A, B)
         if r:
             return None
-        start = m + _OFF + e - (lo - _BASE)
+        start = _BASE + g + e - (lo - _BASE)
         # small indices first: a sparse quotient need not build a packed key per entry
         out.update(zip(map(start.__add__, compress(range(len(qd)), qd)), filter(None, qd)))
     return MultiLaurentPoly._checked(out)

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import MultiLaurentPoly, exact_div
+from .exactalg import MultiLaurentPoly, exact_div, sum_of_products
 from .qkit import Q, choose2, poch_prefixes, poch_suffixes, qpochhammer, terminating_weight
 
 _GRAMMAR_VARS = ("q", "a", "b", "c", "x", "y", "d")
@@ -138,14 +138,9 @@ def phi_sum_cleared(spec: PhiSpec) -> tuple:
     uppers.remove(Q ** -n)  # pairing (q^{-n};q)_k / (q;q)_k
     prefix_lists = [poch_prefixes(u, n) for u in uppers]
     suffix_lists = [poch_suffixes(b, n) for b in spec.lower if b != 0]
-    total = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        term = terminating_weight(n, k) * _sign_factor(spec, k) * spec.argument ** k
-        for pl in prefix_lists:
-            term = term * pl[k]
-        for sl in suffix_lists:
-            term = term * sl[k]
-        total = total + term
+    total = sum_of_products((terminating_weight(n, k), _sign_factor(spec, k), spec.argument ** k,
+                             *(pl[k] for pl in prefix_lists), *(sl[k] for sl in suffix_lists))
+                            for k in range(n + 1))
     den = MultiLaurentPoly.const(1)
     for sl in suffix_lists:
         den = den * sl[0]

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import MultiLaurentPoly, exact_div
+from .exactalg import MultiLaurentPoly, exact_div, sum_of_products
 from .hyperg import PhiSpec, phi_sum_cleared
 from .qkit import (Q, choose2, one_minus_q, poch_prefixes, poch_suffixes, qbinomial,
                    qpochhammer, terminating_weight)
@@ -83,12 +83,9 @@ def clausen_orr_sides(n: int) -> tuple:
     c2tail = poch_suffixes(c, 2 * n)
     aca = poch_prefixes(c, n, lead=_mono(a=1))
 
-    rhs_sum = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        w = terminating_weight(n, k) * _mono(q=k)
-        rterm = w * pcqn[k] * pa[k] * aca[k] * _mono(a=n - k)
-        rterm = rterm * px[k] * pcx[k] * ctail[k] * c2tail[2 * k]
-        rhs_sum = rhs_sum + rterm
+    rhs_sum = sum_of_products((terminating_weight(n, k), _mono(q=k, a=n - k), pcqn[k], pa[k],
+                               aca[k], px[k], pcx[k], ctail[k], c2tail[2 * k])
+                              for k in range(n + 1))
     lhs = s1 * s2 * c2tail[0]
     rhs = ctail[0] * rhs_sum
     return lhs, rhs
@@ -111,12 +108,9 @@ def final_square_sides(n: int) -> tuple:
     x2qtail = poch_suffixes(_mono(x=2, q=1), n, base=_mono(q=2))
     axa = poch_prefixes(x2, n, lead=_mono(a=1))
 
-    rhs_sum = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        w = terminating_weight(n, k) * _mono(q=k)
-        rterm = w * pxqn[k] * pa[k] * axa[k] * _mono(a=n - k) * px[k]
-        rterm = rterm * x2tail[k] * mxtail[k] * x2qtail[k]
-        rhs_sum = rhs_sum + rterm
+    rhs_sum = sum_of_products((terminating_weight(n, k), _mono(q=k, a=n - k), pxqn[k], pa[k],
+                               axa[k], px[k], x2tail[k], mxtail[k], x2qtail[k])
+                              for k in range(n + 1))
     lhs = s3 * s3 * mxtail[0] * x2qtail[0]
     rhs = x2tail[0] * rhs_sum
     return lhs, rhs
@@ -168,16 +162,13 @@ def special3_sides(n: int) -> tuple:
     ctail = poch_suffixes(_mono(c=1), n)
     c2tail = poch_suffixes(_mono(c=1), 2 * n)
 
-    s1 = MultiLaurentPoly.zero()
-    s2 = MultiLaurentPoly.zero()
-    rhs_sum = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        w = terminating_weight(n, k)
-        common = w * px2[k] * ctail[k]
-        s1 = s1 + common * _mono(q=k)
-        s2 = s2 + common * _mono(c=k, q=n * k - choose2(k), x=-k)
-        rterm = w * _mono(q=k) * pcqn[k] * px2[k] * pc2x[k] * ctail[k] * c2tail[2 * k]
-        rhs_sum = rhs_sum + rterm
+    ks = range(n + 1)
+    w = [terminating_weight(n, k) for k in ks]
+    s1 = sum_of_products((w[k], _mono(q=k), px2[k], ctail[k]) for k in ks)
+    s2 = sum_of_products((w[k], _mono(c=k, q=n * k - choose2(k), x=-k), px2[k], ctail[k])
+                         for k in ks)
+    rhs_sum = sum_of_products((w[k], _mono(q=k), pcqn[k], px2[k], pc2x[k], ctail[k],
+                               c2tail[2 * k]) for k in ks)
     return s1 * s2 * c2tail[0], ctail[0] * rhs_sum
 
 
@@ -192,12 +183,11 @@ def special1_sides(n: int) -> tuple:
     ctail = poch_suffixes(_mono(c=1), n)
     c2tail = poch_suffixes(_mono(c=1), 2 * n)
 
-    s1 = MultiLaurentPoly.zero()
-    rhs_sum = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        w = terminating_weight(n, k) * _mono(q=k)
-        s1 = s1 + w * px2[k] * ctail[k]
-        rhs_sum = rhs_sum + w * pcqn[k] * px2[k] * pc2x2[k] * ctail[k] * c2tail[2 * k]
+    ks = range(n + 1)
+    w = [terminating_weight(n, k) * _mono(q=k) for k in ks]
+    s1 = sum_of_products((w[k], px2[k], ctail[k]) for k in ks)
+    rhs_sum = sum_of_products((w[k], pcqn[k], px2[k], pc2x2[k], ctail[k], c2tail[2 * k])
+                              for k in ks)
     sign = -1 if n % 2 else 1
     return s1 * s2 * c2tail[0], _mono(sign, x=n) * ctail[0] * rhs_sum
 
@@ -222,10 +212,9 @@ def special2_sides(n: int) -> tuple:
         [_mono(q=-n), _mono(-1, x=1), _mono(c=1, x=-1)], [_mono(c=1), 0], Q))
     px2 = poch_prefixes(_mono(x=2), n, base=_Q2)
     ctail = poch_suffixes(_mono(c=1), n)
-    rhs = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        w = terminating_weight(n, k)
-        rhs = rhs + w * px2[k] * _mono(c=k, q=n * k - choose2(k), x=-2 * k) * ctail[k]
+    rhs = sum_of_products((terminating_weight(n, k), px2[k],
+                           _mono(c=k, q=n * k - choose2(k), x=-2 * k), ctail[k])
+                          for k in range(n + 1))
     sign = -1 if n % 2 else 1
     return lhs, _mono(sign, x=n) * rhs
 
@@ -264,15 +253,11 @@ def _general_s_sides(n: int, s: int, a: MultiLaurentPoly) -> tuple:
     tails = _range_tails(n, s)
     e2tail = poch_suffixes(Q, 2 * n)
 
-    s1 = MultiLaurentPoly.zero()
-    s2 = MultiLaurentPoly.zero()
-    rhs_sum = MultiLaurentPoly.zero()
-    for k in range(s, n + 1):
-        base = pqn[k] * _mono(q=k) * tails[k]
-        s1 = s1 + base * pa[k] * px[k]
-        s2 = s2 + base * pa[k] * pqx[k]
-        rterm = base * pqn1[k] * pa[k] * pqa[k] * px[k] * pqx[k] * e2tail[2 * k]
-        rhs_sum = rhs_sum + rterm
+    ks = range(s, n + 1)
+    s1 = sum_of_products((pqn[k], _mono(q=k), tails[k], pa[k], px[k]) for k in ks)
+    s2 = sum_of_products((pqn[k], _mono(q=k), tails[k], pa[k], pqx[k]) for k in ks)
+    rhs_sum = sum_of_products((pqn[k], _mono(q=k), tails[k], pqn1[k], pa[k], pqa[k], px[k],
+                               pqx[k], e2tail[2 * k]) for k in ks)
     g = pqn1[s] * pqa[s]
     lhs = s1 * s2 * g * e2tail[0]
     d_whole = _qq(n - s) * _qq(n + s)
@@ -299,18 +284,13 @@ def q2_product_sides(n: int, s: int) -> tuple:
     e2tail = poch_suffixes(Q, 2 * n)
     q2up = poch_prefixes(_Q2, n + n, base=_Q2)   # (q^2;q^2)_j for j <= 2n
 
-    s1 = MultiLaurentPoly.zero()
-    s2 = MultiLaurentPoly.zero()
-    rhs_sum = MultiLaurentPoly.zero()
-    for k in range(s, n + 1):
-        base = pq2n[k] * _mono(q=k) * tails[k]
-        s1 = s1 + base * px[k]
-        s2 = s2 + base * pqx[k]
-        sign = -1 if k % 2 else 1
-        # (q^2;q^2)_{n-s} / (q^2;q^2)_{n-k} = (q^{2(n-k)+2}; q^2)_{k-s}
-        drop = qpochhammer(_mono(q=2 * (n - k) + 2), k - s, base=_Q2)
-        rterm = _mono(sign, q=k * k - 2 * n * k) * q2up[n + k] * px[k] * pqx[k]
-        rhs_sum = rhs_sum + rterm * drop * tails[k] * e2tail[2 * k]
+    ks = range(s, n + 1)
+    s1 = sum_of_products((pq2n[k], _mono(q=k), tails[k], px[k]) for k in ks)
+    s2 = sum_of_products((pq2n[k], _mono(q=k), tails[k], pqx[k]) for k in ks)
+    # (q^2;q^2)_{n-s} / (q^2;q^2)_{n-k} = (q^{2(n-k)+2}; q^2)_{k-s}
+    rhs_sum = sum_of_products((_mono((-1) ** k, q=k * k - 2 * n * k), q2up[n + k], px[k], pqx[k],
+                               qpochhammer(_mono(q=2 * (n - k) + 2), k - s, base=_Q2),
+                               tails[k], e2tail[2 * k]) for k in ks)
     # One (q^2;q^2)_{n-s} cancels the prefactor denominator, a second one feeds
     # the per-term (q^2;q^2)_{n-s}/(q^2;q^2)_{n-k} quotient above.
     lhs = s1 * s2 * e2tail[0] * q2up[n + s] * q2up[n - s] * q2up[n - s]
@@ -351,15 +331,12 @@ def special3_shifted_sides(n: int, s: int) -> tuple:
     tails = _range_tails(n, s)
     e2tail = poch_suffixes(Q, 2 * n)
 
-    s1 = MultiLaurentPoly.zero()
-    s2 = MultiLaurentPoly.zero()
-    rhs_sum = MultiLaurentPoly.zero()
-    for k in range(s, n + 1):
-        base = pqn[k] * px2[k] * tails[k]
-        s1 = s1 + base * _mono(q=k)
-        s2 = s2 + base * _mono(q=(n + 1) * k - choose2(k), x=-k)
-        rterm = pqn[k] * pqn1[k] * px2[k] * pq2x[k] * _mono(q=k)
-        rhs_sum = rhs_sum + rterm * tails[k] * e2tail[2 * k]
+    ks = range(s, n + 1)
+    s1 = sum_of_products((pqn[k], px2[k], tails[k], _mono(q=k)) for k in ks)
+    s2 = sum_of_products((pqn[k], px2[k], tails[k], _mono(q=(n + 1) * k - choose2(k), x=-k))
+                         for k in ks)
+    rhs_sum = sum_of_products((pqn[k], pqn1[k], px2[k], pq2x[k], _mono(q=k), tails[k],
+                               e2tail[2 * k]) for k in ks)
     lhs = s1 * s2 * pq2x[s] * e2tail[0]
     sign = -1 if s % 2 else 1
     lead = _mono(sign, q=s, x=-s) * _qq(n) * _qq(n) * px2[s]
@@ -384,16 +361,10 @@ def lemma_last_sides(n: int, m: int, h: int) -> tuple:
     cn_tail = poch_suffixes(_mono(c=1), n)
     gate = [qpochhammer(_mono(q=i - m - h + 1), h - 1) for i in range(n + 1)]
 
-    lhs = MultiLaurentPoly.zero()
-    for j in range(m + 1):
-        for k in range(n + 1):
-            if k == j:
-                continue
-            term = terminating_weight(n, j) * terminating_weight(n, k)
-            term = term * px[j] * px[k] * gate[j] * gate[k]
-            term = term * one_minus_q(k - j)
-            term = term * _mono(q=2 * j + k) * cm_tail[j] * cn_tail[k]
-            lhs = lhs + term
+    lhs = sum_of_products((terminating_weight(n, j), terminating_weight(n, k), px[j], px[k],
+                           gate[j], gate[k], one_minus_q(k - j), _mono(q=2 * j + k),
+                           cm_tail[j], cn_tail[k])
+                          for j in range(m + 1) for k in range(n + 1) if k != j)
     sign = -1 if (m - 1) % 2 else 1
     exp = (m * m + 3 * m) // 2 - m * n - m * h - h * h + h
     rhs = _shifted_factorial_ratio(n, (m, n - m - h)) * _qq(h - 1) * px[m + h]
@@ -411,15 +382,11 @@ def lemma_am2_sides(n: int, m: int, h: int) -> tuple:
     cm_tail = poch_suffixes(_mono(c=1), m)
     cn_tail = poch_suffixes(_mono(c=1), n)
 
-    lhs = MultiLaurentPoly.zero()
-    for j in range(m + 1):
-        for k in range(m + h, n + 1):
-            term = terminating_weight(n, j) * terminating_weight(n, k)
-            term = term * pa[j] * pa[k]
-            term = term * one_minus_q(k - j)
-            term = term * _mono(q=j + k + j * h)
-            term = term * qbinomial(k - m - 1, h - 1) * qbinomial(m + h - j - 1, h - 1)
-            lhs = lhs + term * cm_tail[j] * cn_tail[k]
+    lhs = sum_of_products((terminating_weight(n, j), terminating_weight(n, k), pa[j], pa[k],
+                           one_minus_q(k - j), _mono(q=j + k + j * h),
+                           qbinomial(k - m - 1, h - 1), qbinomial(m + h - j - 1, h - 1),
+                           cm_tail[j], cn_tail[k])
+                          for j in range(m + 1) for k in range(m + h, n + 1))
     sign = -1 if (m - h) % 2 else 1
     exp = (m * m + m - h * h + h) // 2 - m * n
     rhs = _shifted_factorial_ratio(n, (m, h - 1, n - m - h)) * pa[m + h]
@@ -455,9 +422,8 @@ def lem_important2_sides(n: int) -> tuple:
     pax = poch_prefixes(_mono(a=1, x=-1), n)
     pa = poch_prefixes(_mono(a=1), n)
     lhs = px[n] + pax[n]
-    rhs = px[n] * pax[n] + pa[n]
-    for k in range(1, n):
-        rhs = rhs + px[k] * pax[k] * b_poly(n, k)
+    rhs = sum_of_products([(px[n], pax[n]), (pa[n],)]
+                          + [(px[k], pax[k], b_poly(n, k)) for k in range(1, n)])
     return lhs, rhs
 
 
@@ -488,23 +454,16 @@ def connection_coefficients_difference(n: int, m: int) -> MultiLaurentPoly:
     a1_direct = terminating_weight(n, m) * _mono(q=m) * pa[m] * jsum
 
     # Kernel part: j <= m < k <= n with B_{k-j, m-j} evaluated at c q^{2j}.
-    a2 = MultiLaurentPoly.zero()
-    for j in range(m + 1):
-        for k in range(m + 1, n + 1):
-            kern = b_poly(k - j, m - j, _mono(c=1, q=2 * j))
-            term = terminating_weight(n, j) * terminating_weight(n, k) * pa[j] * pa[k]
-            term = term * _mono(q=j + k) * kern * ctail_m[j] * ctail_n[k]
-            a2 = a2 + term
+    a2 = sum_of_products((terminating_weight(n, j), terminating_weight(n, k), pa[j], pa[k],
+                          _mono(q=j + k), b_poly(k - j, m - j, _mono(c=1, q=2 * j)),
+                          ctail_m[j], ctail_n[k])
+                         for j in range(m + 1) for k in range(m + 1, n + 1))
     am0 = a1 + a2
     am0_direct = a1_direct + a2
 
     # Intermediate single sum over h.
-    fin1 = MultiLaurentPoly.zero()
-    for h in range(n - m + 1):
-        term = pa[m + h] * aca[n - h] * _mono(q=m * h, c=h)
-        term = term * qbinomial(n, m) * qbinomial(n - m, h)
-        fin1 = fin1 + term
-    fin1 = qexp * fin1
+    fin1 = qexp * qbinomial(n, m) * sum_of_products(
+        (pa[m + h], aca[n - h], _mono(q=m * h, c=h), qbinomial(n - m, h)) for h in range(n - m + 1))
 
     # Fully summed product form.
     fin2 = qexp * qbinomial(n, m) * pa[m] * aca[m] * _mono(a=n - m) \

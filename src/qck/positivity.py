@@ -20,30 +20,30 @@ from __future__ import annotations
 
 from .congruence import thm2_lhs
 from .delannoy import dq, dq_inverse_base
-from .exactalg import MultiLaurentPoly, exact_divide, non_positive_terms
+from .exactalg import MultiLaurentPoly, exact_divide, non_positive_terms, sum_of_products
 from .qkit import choose2, one_minus_q, poch_prefixes, qbinomial
 from .report import CaseKind, VerificationReport, make_report
+
+
+def _sn_factors(n: int, k: int) -> tuple:
+    """The factors [n+k; 2k], [2k; k] and q^{-nk} of B_k(n)."""
+    return qbinomial(n + k, 2 * k), qbinomial(2 * k, k), MultiLaurentPoly.var("q", -n * k)
 
 
 def sn_basis(n: int, k: int) -> MultiLaurentPoly:
     """B_k(n) = [n+k; 2k] [2k; k] q^{-nk}, the weight of x_k in the generic sum."""
     if k > n:
         raise ValueError("need k <= n")
-    return qbinomial(n + k, 2 * k) * qbinomial(2 * k, k) \
-        * MultiLaurentPoly.monomial(1, {"q": -n * k})
+    upper, central, shift = _sn_factors(n, k)
+    return upper * central * shift
 
 
 def s_n(values, n: int) -> MultiLaurentPoly:
     """sum_{k=0}^{n} [n+k;2k][2k;k] q^{-nk} x_k for the given x_k values."""
-    values = list(values)
+    values = [MultiLaurentPoly.const(v) if isinstance(v, int) else v for v in values]
     if len(values) != n + 1:
         raise ValueError(f"expected {n + 1} values, got {len(values)}")
-    out = MultiLaurentPoly.zero()
-    for k, v in enumerate(values):
-        if isinstance(v, int):
-            v = MultiLaurentPoly.const(v)
-        out = out + sn_basis(n, k) * v
-    return out
+    return sum_of_products((*_sn_factors(n, k), v) for k, v in enumerate(values))
 
 
 def s_n_symbolic(n: int) -> MultiLaurentPoly:
@@ -60,11 +60,10 @@ def schmidt_sides(k: int, i: int, j: int) -> tuple:
         raise ValueError("need 0 <= i, j <= k")
     lhs = qbinomial(k + i, 2 * i) * qbinomial(2 * i, i) \
         * qbinomial(k + j, 2 * j) * qbinomial(2 * j, j)
-    rhs = MultiLaurentPoly.zero()
-    for s in range(i, i + j + 1):
-        term = qbinomial(i + j, i) * qbinomial(j, s - i) * qbinomial(s, j)
-        term = term * qbinomial(k + s, 2 * s) * qbinomial(2 * s, s)
-        rhs = rhs + term * MultiLaurentPoly.monomial(1, {"q": (i + j - s) * (k - s)})
+    rhs = sum_of_products((qbinomial(i + j, i), qbinomial(j, s - i), qbinomial(s, j),
+                           qbinomial(k + s, 2 * s), qbinomial(2 * s, s),
+                           MultiLaurentPoly.var("q", (i + j - s) * (k - s)))
+                          for s in range(i, i + j + 1))
     return lhs, rhs
 
 
@@ -112,11 +111,10 @@ def alternating_sum_sides(n: int, s: int) -> tuple:
     """
     if not 0 <= s <= n - 1:
         raise ValueError("need 0 <= s <= n-1")
-    lhs = MultiLaurentPoly.zero()
-    for k in range(s, n):
-        sign = -1 if (n - k - 1) % 2 else 1
-        term = one_minus_q(2 * k + 1) * qbinomial(k + s, 2 * s) * qbinomial(2 * s, s)
-        lhs = lhs + term * MultiLaurentPoly.monomial(sign, {"q": choose2(k) - s * k})
+    lhs = sum_of_products((one_minus_q(2 * k + 1), qbinomial(k + s, 2 * s), qbinomial(2 * s, s),
+                           MultiLaurentPoly.monomial((-1) ** (n - k - 1),
+                                                     {"q": choose2(k) - s * k}))
+                          for k in range(s, n))
     rhs = one_minus_q(n) * qbinomial(n - 1, s) * qbinomial(n + s, s) \
         * MultiLaurentPoly.monomial(1, {"q": choose2(n) - s * n})
     return lhs, rhs
@@ -132,15 +130,9 @@ def _odd_sum(values, alternating: bool) -> MultiLaurentPoly:
     When ``alternating`` the weight q^{-k} becomes (-1)^{n-k-1} q^{C(k,2)}.
     """
     n = len(values)
-    total = MultiLaurentPoly.zero()
-    for k, v in enumerate(values):
-        if alternating:
-            sign = -1 if (n - k - 1) % 2 else 1
-            weight = MultiLaurentPoly.monomial(sign, {"q": choose2(k)})
-        else:
-            weight = MultiLaurentPoly.monomial(1, {"q": -k})
-        total = total + one_minus_q(2 * k + 1) * v * weight
-    return total
+    weights = [MultiLaurentPoly.monomial((-1) ** (n - k - 1), {"q": choose2(k)}) if alternating
+               else MultiLaurentPoly.var("q", -k) for k in range(n)]
+    return sum_of_products((one_minus_q(2 * k + 1), v, weights[k]) for k, v in enumerate(values))
 
 
 def _poly1_parts(m: int, n: int) -> tuple:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import MultiLaurentPoly, exact_div
+from .exactalg import MultiLaurentPoly, exact_div, sum_of_products
 from .report import CaseKind
 
 
@@ -126,12 +126,10 @@ def qchu_vandermonde_sides(n: int) -> tuple:
     prod_{i<n} (a - c q^i).
     """
     a, c = MultiLaurentPoly.var("a"), MultiLaurentPoly.var("c")
-    lhs = MultiLaurentPoly.zero()
     pa = poch_prefixes(a, n)
     ctail = poch_suffixes(c, n)
-    for k in range(n + 1):
-        term = terminating_weight(n, k) * MultiLaurentPoly.monomial(1, {"q": k}) * pa[k]
-        lhs = lhs + term * ctail[k]
+    lhs = sum_of_products((terminating_weight(n, k), MultiLaurentPoly.var("q", k), pa[k], ctail[k])
+                          for k in range(n + 1))
     rhs = poch_prefixes(c, n, lead=a)[n]
     return lhs, rhs
 

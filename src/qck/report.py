@@ -74,7 +74,11 @@ class CaseKind:
         # The builder's parameters are named as in ``params``, so once it has
         # accepted the call, args and kwargs name every parameter exactly once.
         built = self.builder()(*args, **kwargs)
-        diff = built if self.difference else built[0] - built[1]
+        if self.difference:
+            diff = built
+        else:  # equal sides need no subtraction: their difference is the zero polynomial
+            lhs, rhs = built
+            diff = MultiLaurentPoly.zero() if lhs == rhs else lhs - rhs
         params = dict(zip(self.params, args), **kwargs)
         return make_report(self.name, params, self.free_vars, diff)
 

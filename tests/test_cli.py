@@ -328,6 +328,20 @@ def test_rows_match_their_builders():
     assert by_keyword.passed and by_keyword.case.meta_params == {"n": 1}
 
 
+def test_equal_sides_are_not_subtracted(monkeypatch):
+    lhs, rhs = identities.clausen_orr_sides(2)
+
+    def subtract(*args):
+        raise AssertionError("equal sides were subtracted")
+    monkeypatch.setattr(identities, "clausen_orr_sides", lambda n: (lhs, rhs))
+    monkeypatch.setattr(MultiLaurentPoly, "__sub__", subtract)
+    record = verify_clausen_orr(2)
+    assert record.passed and record.to_dict()["difference"] == "0"
+    monkeypatch.undo()
+    monkeypatch.setattr(identities, "clausen_orr_sides", lambda n: (lhs + n, rhs))
+    assert verify_clausen_orr(2).to_dict()["difference"] == "2"
+
+
 def test_default_report_bytes():
     """The full default report is pinned byte for byte (694 cases)."""
     result = run_cli("verify", "--suite", "all", "--format", "json")

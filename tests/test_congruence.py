@@ -10,8 +10,8 @@ from qck.congruence import (BracketModulus, Thm2MismatchError, congruence_witnes
                             nonneg_divisibility_fact, thm2_case, thm2_lhs,
                             thm2_target, verify_minus_q_pochhammer,
                             verify_qidentity, verify_thm2)
-from qck.delannoy import delannoy
-from qck.exactalg import MultiLaurentPoly as P, exact_div
+from qck.delannoy import _dq_sum, delannoy
+from qck.exactalg import MultiLaurentPoly as P, divrem_in_q, exact_div
 from qck.qkit import bracket, one_minus_q, poch_prefixes, qbinomial
 
 q = P.var("q")
@@ -41,6 +41,18 @@ def test_congruence_oracle_cases():
     # q^3 - 1 = (q - 1)(1 + q + q^2)
     assert congruence_witness(q ** 3, P.const(1), mod).is_zero()
     assert congruence_witness(q, q, mod).is_zero()
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_square_witness_is_the_remainder_modulo_the_squared_bracket(p):
+    # the witness reduces by (q^p - 1)^2 first; the remainder is the one modulo [p]^2
+    mod = BracketModulus.of(p)
+    signs = [(-1) ** (e * e // 3) * (e % 7 + 1) for e in range(90)]
+    for u in (thm2_lhs(p, 4), P.var("q", -3) * (1 + q) ** 9,
+              sum((P.monomial(c, {"q": e}) for e, c in enumerate(signs)), P.zero())):
+        cleared = u * P.var("q", max(0, -u.degree_range("q")[0]))
+        assert congruence_witness(u, P.zero(), mod, square=True) \
+            == divrem_in_q(cleared, mod.bracket_sq)[1]
 
 
 def test_congruence_laurent_clearing():
@@ -182,3 +194,19 @@ def test_cleared_caches_leave_the_congruence_grid_report_unchanged(capsys):
         assert cli.main(argv) == 0
         report = capsys.readouterr().out
         assert hashlib.sha256(report.encode()).hexdigest() == _CONGRUENCE_GRID_DIGEST
+
+
+def test_running_sums_add_no_term_at_a_time(monkeypatch):
+    # D_q, D*_q and both routes of the thm2 sum accumulate in sum_of_products, not by +
+    p, m, n = 7, 5, 4
+    want_dq_star = sum((qbinomial(n, k) * qbinomial(n + m - k, n) * q ** (k * (k + 1) // 2)
+                        for k in range(n + 1)), P.zero())
+    want_thm2 = thm2_lhs(p, m)
+
+    def one_term_at_a_time(*args):
+        raise AssertionError("a running sum added one term at a time")
+    monkeypatch.setattr(P, "__add__", one_term_at_a_time)
+    monkeypatch.setattr(P, "__radd__", one_term_at_a_time)
+    assert _dq_sum(m, n, q) == want_dq_star
+    assert congruence._thm2_lhs_direct(p, m) == want_thm2
+    assert congruence._thm2_lhs_single_sum(p, m) == want_thm2

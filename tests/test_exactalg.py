@@ -11,7 +11,7 @@ import pytest
 from qck import exactalg
 from qck.exactalg import (MultiLaurentPoly as P, NotDivisibleError,
                           TermBudgetExceeded, divrem_in_q, exact_div,
-                          exact_divide, is_nonneg_integer_laurent)
+                          exact_divide, is_nonneg_integer_laurent, sum_of_products)
 
 q = P.var("q")
 a = P.var("a")
@@ -426,6 +426,53 @@ def test_divisor_outside_q_takes_graded_division(monkeypatch):
         assert exact_divide(p * d, d) == p
         assert exact_divide(p + 1, d) is None
     assert divisors == [1 - c] * 2 + [(1 - q) * (1 - c)] * 2 + [1 - x] * 2
+
+
+def test_sum_of_products_limbs_hold_the_term_count(monkeypatch):
+    # 300 equal terms with coefficients up to 2^62 need limbs of 62 + 9 bits and a
+    # sign bit: without the term count in the width they would be 64-bit limbs.
+    f = sum((P.monomial((-1) ** i * ((1 << 62) - i), {"q": i, "a": i % 2}) for i in range(6)),
+            P.zero())
+    monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
+    assert sum_of_products([(f,)] * 300 + [(f, -q)]) == f * 300 - f * q
+    assert sum_of_products([(f, _RUN)] * 300) == f * _RUN * 300
+
+
+def test_sum_of_products_raises_at_the_exponent_limit():
+    run4 = 1 + q + q ** 2 + q ** 3
+    top = P.var("q", 2 ** 19)
+    assert sum_of_products([(top * run4, P.var("q", 2 ** 19 - 7) * run4)]) \
+        == top * run4 * P.var("q", 2 ** 19 - 7) * run4  # q^(2^20 - 1) at the top
+    for terms in ([(top * run4, P.var("q", 2 ** 19 - 6) * run4)],  # the product reaches q^(2^20)
+                  [(P.var("q", 1 - 2 ** 20), P.var("q", -1))],  # two monomials
+                  [(a ** (2 ** 20 - 1),) * 17],  # the a field would wrap to b * a^(2^20 - 17)
+                  [(run4 * P.var("q", 2 ** 20 - 4),) * 17],  # q^(17 * 2^20) would pass 2^24
+                  [(a ** (2 ** 19) * run4, a ** (2 ** 19) * run4)],
+                  # the first two factors reach x^(2^20) before the third divides it out
+                  [(x ** (2 ** 19) * run4, x ** (2 ** 19) * run4, x ** -(2 ** 19) * run4)]):
+        with pytest.raises(ValueError):
+            sum_of_products(terms)
+
+
+@pytest.mark.parametrize("cap", ["4", "40"])  # refused before packing, and after the unpack
+def test_term_budget_of_sum_of_products(monkeypatch, cap):
+    p, r = _GROUPED
+    monkeypatch.setenv("QCK_MAX_TERMS", cap)
+    if cap == "4":  # 16 x 24 term pairs are above 50 * 4
+        monkeypatch.setattr(exactalg, "_pack", _forbidden)
+    with pytest.raises(TermBudgetExceeded):
+        sum_of_products([(p, r), (q, p)])
+
+
+def test_term_cap_is_read_once_per_kernel_call(monkeypatch):
+    reads = []
+    monkeypatch.setattr(exactalg, "term_cap", lambda: reads.append(1) or 10 ** 7)
+    p, r = _GROUPED
+    for build in (lambda: p * r, lambda: (1 + a) * (1 - a),
+                  lambda: sum_of_products([(p, r), (p, r, q ** 3, r)])):
+        reads.clear()
+        build()
+        assert len(reads) == 1
 
 
 def test_coefficients_by():

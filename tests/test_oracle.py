@@ -14,6 +14,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from qck.congruence import BracketModulus, congruence_witness, thm2_lhs, thm2_witness
+from qck.delannoy import delannoy_product_sides, dq, dq_star
 from qck.exactalg import MultiLaurentPoly
 from qck.identities import (_general_s_sides, clausen_orr_sides,
                             general_s_specialization_difference, q2_product_sides)
@@ -52,6 +53,33 @@ def assert_same(poly: MultiLaurentPoly, expr, gens):
     assert qck_terms(poly, gens) == sympy_terms(expr, gens)
 
 
+def qbin(n, k):
+    """[n; k] as a rational function of q; zero outside 0 <= k <= n."""
+    return poch(q, n) / (poch(q, k) * poch(q, n - k)) if 0 <= k <= n else 0
+
+
+def sympy_dq(m, n, star=False):
+    """D_q(m,n), or D*_q(m,n) with q^{C(k+1,2)}, from the Gaussian binomials."""
+    return sum(q ** (k * (k + 1 if star else k - 1) // 2) * qbin(n, k) * qbin(n + m - k, n)
+               for k in range(n + 1))
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (4, 3), (2, 5)])
+def test_dq_against_sympy(m, n):
+    assert_same(dq(m, n), sympy_dq(m, n), (q,))
+    assert_same(dq_star(m, n), sympy_dq(m, n, star=True), (q,))
+
+
+def test_delannoy_product_against_sympy():
+    # D_q(m,n) D*_q(m,n) = sum_k q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (-1;q)_k (-q;q)_k
+    m, n = 3, 2
+    single = sum(q ** ((m - k) * (n - k)) * qbin(n + k, 2 * k) * qbin(m, k) * qbin(m + k, k)
+                 * poch(-1, k) * poch(-q, k) for k in range(n + 1))
+    lhs, rhs = delannoy_product_sides(m, n)
+    assert_same(lhs, sympy_dq(m, n) * sympy_dq(m, n, star=True), (q,))
+    assert_same(rhs, single, (q,))
+
+
 @pytest.mark.parametrize("n", range(4))
 def test_qchu_vandermonde_against_sympy(n):
     # 2phi1(a, q^-n; c; q, q) = (c/a;q)_n a^n / (c;q)_n, both sides times (c;q)_n
@@ -85,14 +113,8 @@ def test_thm2_remainder_against_sympy():
     # sum_{k<p} [2k+1] D_q(m,k) D_{1/q}(m,k) q^-k at p = 5, m = 4 (the m = -1 mod p case)
     p, m = 5, 4
 
-    def qbin(n, k):
-        return poch(q, n) / (poch(q, k) * poch(q, n - k))
-
-    def dq(m, n):
-        return sum(q ** (k * (k - 1) // 2) * qbin(n, k) * qbin(n + m - k, n) for k in range(n + 1))
-
-    total = sp.cancel(sum((1 - q ** (2 * k + 1)) / (1 - q) * dq(m, k) * dq(m, k).subs(q, 1 / q)
-                          * q ** -k for k in range(p)))
+    total = sp.cancel(sum((1 - q ** (2 * k + 1)) / (1 - q) * sympy_dq(m, k)
+                          * sympy_dq(m, k).subs(q, 1 / q) * q ** -k for k in range(p)))
     target = (q - q ** (2 * m + 3)) / (1 - q ** 2)
     bracket_sq = sp.cancel((1 - q ** p) / (1 - q)) ** 2
 

@@ -8,7 +8,7 @@ import pytest
 
 from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _decode, _dense_divrem,
                           _divide_graded, _encode, _min_exponent_key, _mul_generic,
-                          _mul_grouped, exact_divide)
+                          _mul_grouped, exact_divide, sum_of_products)
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -20,7 +20,7 @@ coeffs = st.one_of(
 
 
 @st.composite
-def polys(draw, names=None):
+def polys(draw, names=None, coeffs=coeffs):
     """A polynomial in q (alone, to reach the dense path) or in q, a and x."""
     names = names or draw(st.sampled_from((("q",), ("q", "a", "x"))))
     monomial = st.fixed_dictionaries({v: st.integers(-3, 3) for v in names})
@@ -248,3 +248,43 @@ def test_grouped_product_raises_exactly_when_an_exponent_leaves_the_range(pairs,
         product = _mul_grouped(u._terms, v._terms)
         assert product is not None
         assert product == _mul_generic(u._terms, v._terms)
+
+
+@st.composite
+def product_terms(draw):
+    """Terms for sum_of_products: lists of factors in q alone or in q, a and x.
+
+    Factors are int polynomials (packed), polynomials with Fraction
+    coefficients (multiplied out), zero, Laurent monomials, and 1 + q^e with
+    e up to 300, whose q-group the grouped product refuses.  Some terms carry
+    a shift of thousands of q exponents, so the accumulator they share with
+    the other terms would span far more than the products added into it.
+    """
+    names = draw(st.sampled_from((("q",), ("q", "a", "x"))))
+    monomial = st.builds(P.monomial, st.integers(-30, 30).filter(bool),
+                         st.fixed_dictionaries({v: st.integers(-4, 4) for v in names}))
+    factor = st.one_of(polys(names, st.integers(-30, 30)), polys(names, st.integers(-30, 30)),
+                       polys(names), monomial, st.just(P.zero()),
+                       st.integers(40, 300).map(lambda e: 1 + P.var("q", e)))
+    shift = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-5000, 5000))
+    return draw(st.lists(st.builds(lambda fs, e: fs + [P.var("q", e)] if e else fs,
+                                   st.lists(factor, max_size=4), shift), max_size=6))
+
+
+def _is_canonical(p) -> bool:
+    return all(c and (type(c) is int or c.denominator != 1) for c in p._terms.values())
+
+
+@_SETTINGS
+@given(product_terms())
+def test_sum_of_products_matches_the_folds(terms):
+    fold, generic = P.zero(), P.zero()
+    for factors in terms:
+        product, plain = P.const(1), P.const(1)
+        for f in factors:
+            product = product * f
+            plain = _mul_generic(plain._terms, f._terms)
+        fold, generic = fold + product, generic + plain
+    total = sum_of_products(iter(terms))
+    assert total == fold == generic
+    assert _is_canonical(total)
