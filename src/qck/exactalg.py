@@ -13,19 +13,29 @@ otherwise; both are arbitrary precision and always reduced.
 Representation
 --------------
 A polynomial is a dict mapping a *packed exponent key* to a nonzero coefficient.
-Each variable owns a 24-bit field inside one big integer; an exponent e is
-stored as e + 2**23 in its field, so exponents may be negative (Laurent) and
-monomial multiplication is a single integer addition:
+Each variable owns a 24-bit field of one signed integer, a balanced digit:
 
-    key(m1 * m2) = key(m1) + key(m2) - _BASE
+    key = sum_i e_i * 2**(24*i)        (i the variable's place, e_i signed)
 
-where _BASE is the key of the empty monomial.  Exponents must stay below
-2**20 in absolute value, which leaves three bits of headroom per field: a sum
-of two valid exponents cannot wrap into the next field.  Every operation that
-makes new keys (products, powers, substitution, the quotient of exact division)
-checks its result and raises ValueError for an exponent outside that range,
-before a field can wrap.  The grids exercised by this package stay in the low
-thousands.
+so the empty monomial is the key 0, q^e is the int e, and monomial
+multiplication is a single integer addition:
+
+    key(m1 * m2) = key(m1) + key(m2)
+
+A key in q alone is a small int, and any key is only as wide as the field of
+its highest variable (a key in q, a, x and c has at most 168 bits).  Exponents
+must stay below 2**20 in absolute value, which leaves three bits of headroom
+per field: a sum of two valid exponents cannot carry into the next field.
+Every operation that makes new keys (products, powers, substitution, the
+quotient of exact division) checks its result and raises ValueError for an
+exponent outside that range, before a field can wrap.  The grids exercised by
+this package stay in the low thousands.
+
+Balanced digits are unique while every |e_i| < 2**23, and key + _BIAS (a bias
+of 2**23 in every field) holds e_i + 2**23 in field i: plain non-negative
+24-bit fields.  Code that reads one field adds _BIAS once and masks.  Since
+adding a constant keeps order, keys sort like their exponent vectors read
+lexicographically from the top field (x9) down to q.
 
 The canonical form is unique: no zero coefficients are stored, Fractions with
 denominator 1 are normalized to int, and the printing order (graded
@@ -98,6 +108,7 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import compress, groupby, repeat
 from math import prod
 from operator import add, and_, mul, or_, sub
@@ -111,13 +122,13 @@ _MASK = (1 << _W) - 1
 _NVARS = len(VAR_NAMES)
 _INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
 _SHIFT = {name: _W * i for name, i in _INDEX.items()}
-_BASE = sum(_OFF << (_W * i) for i in range(_NVARS))
+_BIAS = sum(_OFF << (_W * i) for i in range(_NVARS))
+_BASE = 0  # the key of the empty monomial (perfbench/tracing.py reads this name)
 _EXP_LIMIT = 1 << 20
-# key - _LIMITS holds e + 2^23 - 2^20 in each field and _MIRROR - key holds
-# 2^23 - 2^20 - e, so a field's top bit (a bit of _BASE) is set in their OR
+# key + _CENTER holds e + 2^23 - 2^20 in each field and _CENTER - key holds
+# 2^23 - 2^20 - e, so a field's top bit (a bit of _BIAS) is set in their OR
 # exactly when |e| >= _EXP_LIMIT.  Exact while every |e| < 2^22: no field borrows.
-_LIMITS = sum(_EXP_LIMIT << (_W * i) for i in range(_NVARS))
-_MIRROR = 2 * _BASE - _LIMITS
+_CENTER = _BIAS - sum(_EXP_LIMIT << (_W * i) for i in range(_NVARS))
 
 
 class NotDivisibleError(ArithmeticError):
@@ -143,7 +154,7 @@ def _norm_coeff(c):
 
 
 def _encode(powers) -> int:
-    key = _BASE
+    key = 0
     for name, e in powers.items():
         if e:
             if name not in _INDEX:
@@ -156,10 +167,12 @@ def _encode(powers) -> int:
 
 def _decode(key) -> tuple:
     # Exponent tuple in fixed variable order (length _NVARS).
+    key += _BIAS
     return tuple(((key >> (_W * i)) & _MASK) - _OFF for i in range(_NVARS))
 
 
 def _grade(key) -> int:
+    key += _BIAS
     g = 0
     for i in range(_NVARS):
         g += ((key >> (_W * i)) & _MASK)
@@ -196,7 +209,7 @@ class MultiLaurentPoly:
     @classmethod
     def const(cls, c) -> "MultiLaurentPoly":
         c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
-        return cls._raw({_BASE: c} if c else {})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "MultiLaurentPoly":
@@ -224,6 +237,7 @@ class MultiLaurentPoly:
         """Names of the variables that actually occur, in canonical order."""
         seen = [False] * _NVARS
         for k in self._terms:
+            k += _BIAS
             for i in range(_NVARS):
                 if ((k >> (_W * i)) & _MASK) != _OFF:
                     seen[i] = True
@@ -244,7 +258,7 @@ class MultiLaurentPoly:
         if not self._terms:
             return (0, 0)
         sh = _SHIFT[name]
-        es = [((k >> sh) & _MASK) - _OFF for k in self._terms]
+        es = [(((k + _BIAS) >> sh) & _MASK) - _OFF for k in self._terms]
         return (min(es), max(es))
 
     def coefficients_by(self, names) -> dict:
@@ -259,7 +273,7 @@ class MultiLaurentPoly:
             sel = []
             rest = k
             for i in idxs:
-                e = ((k >> (_W * i)) & _MASK) - _OFF
+                e = (((k + _BIAS) >> (_W * i)) & _MASK) - _OFF
                 if e:
                     sel.append((VAR_NAMES[i], e))
                     rest -= e << (_W * i)
@@ -328,7 +342,6 @@ class MultiLaurentPoly:
             return MultiLaurentPoly.zero()
         if len(a) == 1:
             (k1, c1), = a.items()
-            k1 -= _BASE
             if type(c1) is int and _all_int(b.values()):
                 return MultiLaurentPoly._checked(
                     dict(zip(map(add, b, repeat(k1)), map(mul, b.values(), repeat(c1)))))
@@ -443,7 +456,7 @@ class MultiLaurentPoly:
             dead = False
             for name, (bc, bkey) in norm.items():
                 sh = _SHIFT[name]
-                e = ((k >> sh) & _MASK) - _OFF
+                e = (((k + _BIAS) >> sh) & _MASK) - _OFF
                 if e == 0:
                     continue
                 nk -= e << sh
@@ -457,7 +470,7 @@ class MultiLaurentPoly:
                     nc = nc * bc ** e
                 else:
                     nc = nc * Fraction(1, bc ** (-e))
-                nk += (bkey - _BASE) * e
+                nk += bkey * e
             if not dead:
                 acc[nk] = acc.get(nk, 0) + nc
         return MultiLaurentPoly._checked({k: _norm_coeff(c) for k, c in acc.items() if c})
@@ -466,7 +479,7 @@ class MultiLaurentPoly:
 def _as_monomial(val):
     """Normalize a binding value to (coeff, packed-key)."""
     if isinstance(val, (int, Fraction)):
-        return (_norm_coeff(val), _BASE)
+        return (_norm_coeff(val), 0)
     if isinstance(val, MultiLaurentPoly):
         if len(val._terms) != 1:
             raise ValueError("substitution values must be single Laurent monomials")
@@ -500,24 +513,24 @@ def _check_pairs(n1: int, n2: int, cap: int) -> None:
 
 def _check_keys(keys) -> None:
     """Raise ValueError when a key of ``keys`` (iterated twice) holds |e| >= _EXP_LIMIT."""
-    if any(map(and_, map(or_, map(sub, keys, repeat(_LIMITS)),
-                         map(sub, repeat(_MIRROR), keys)), repeat(_BASE))):
+    if any(map(and_, map(or_, map(add, keys, repeat(_CENTER)),
+                         map(sub, repeat(_CENTER), keys)), repeat(_BIAS))):
         raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
 
 
 def _q_range(terms: dict):
     """(least, greatest) key of nonempty ``terms`` when every term lives in q alone, else None.
 
-    q is the lowest field, so a stored key in q alone is _BASE + e with
+    q is the lowest field, so a stored key in q alone is its exponent e, with
     |e| < _EXP_LIMIT, and the least and greatest keys are the lowest and highest
-    powers of q.  Any other key is _BASE + e + 2^24 * M with |e| < 2^23 and M a
-    nonzero integer, more than 2^23 away from _BASE.  So two C-level scans, max
-    and min, decide it for every stored key.
+    powers of q.  Any other key is e + 2^24 * M with |e| < _EXP_LIMIT and M a
+    nonzero integer, at least 2^24 - 2^20 > 2^23 away from 0.  So two C-level
+    scans, max and min, decide it for every stored key.
     """
     hi = max(terms)
-    if hi < _BASE + _EXP_LIMIT:
+    if hi < _EXP_LIMIT:
         lo = min(terms)
-        if lo > _BASE - _EXP_LIMIT:
+        if lo > -_EXP_LIMIT:
             return lo, hi
     return None
 
@@ -535,7 +548,6 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
     get = out.get
     bitems = list(b.items())
     for k1, c1 in a.items():
-        k1 -= _BASE
         for k2, c2 in bitems:
             k = k1 + k2
             v = get(k)
@@ -637,19 +649,21 @@ def _dense(terms: dict, lo: int, hi: int) -> list:
 def _q_groups(terms: dict, sparse: bool = False):
     """[(g, lo, dense q-list)] of terms grouped by their monomial in the variables other than q.
 
-    g is that monomial's key offset (its key minus _BASE, 0 in q alone), lo
-    the group's least q exponent.  Unless ``sparse`` is set, None when a
-    group's q-span fails _dense_pays, before its dense list is built.  Terms in
-    q alone are one group, found without sorting.
+    g is that monomial's key (0 in q alone), lo the group's least q exponent.
+    Unless ``sparse`` is set, None when a group's q-span fails _dense_pays,
+    before its dense list is built.  Terms in q alone are one group, found
+    without sorting.  Otherwise each key's q exponent is its signed low digit,
+    and the keys are sorted: q is the lowest field, so the keys of a group are
+    adjacent, in q order.
     """
     span = _q_range(terms)
     if span is not None:
         lo, hi = span
         if not (sparse or _dense_pays(hi - lo, len(terms))):
             return None
-        return [(0, lo - _BASE, _dense(terms, lo, hi))]
-    keys = sorted(terms)  # q is the lowest field: a group's keys are adjacent, in q order
-    qfields = [k & _MASK for k in keys]
+        return [(0, lo, _dense(terms, lo, hi))]
+    keys = sorted(terms)
+    qfields = [((k + _OFF) & _MASK) - _OFF for k in keys]
     coeffs = list(map(terms.__getitem__, keys))
     groups = []
     i = 0
@@ -664,7 +678,7 @@ def _q_groups(terms: dict, sparse: bool = False):
             dense = [0] * (hi - lo + 1)
             for f, c in zip(qfields[i:i + n], coeffs[i:i + n]):
                 dense[f - lo] = c
-        groups.append((m + _OFF - _BASE, lo - _OFF, dense))
+        groups.append((m, lo, dense))
         i += n
     return groups
 
@@ -673,7 +687,7 @@ def _spans(factors, lens, cap: int):
     """The output accumulators of each partial product of ``factors``, or None.
 
     ``factors`` are lists of q-groups and ``lens`` their term counts.  Entry i
-    maps the key offset g of each output monomial of factors[0] * ... *
+    maps the key g of each output monomial of factors[0] * ... *
     factors[i] to [lo, hi, work]: its least and greatest q exponent and the
     summed spans of the group products added into it.  None, before anything
     is packed, when an accumulator spans more than its work plus 64.  Each
@@ -686,7 +700,7 @@ def _spans(factors, lens, cap: int):
     n = lens[0]
     for groups, n2 in zip(factors[1:], lens[1:]):
         if len(chain) > 1:
-            _check_keys([_BASE + g for g in spans])
+            _check_keys(spans)
             n = min(n, sum(hi - lo + 1 for lo, hi, _ in spans.values()))
         _check_pairs(n, n2, cap)
         n *= n2
@@ -747,7 +761,7 @@ def _packed_sum(terms, nbytes: int) -> tuple:
     """The sum of packed products as (term dict, [term dicts still to add]).
 
     Each term is (shift, scale, factors, chain): scale times the monomial of
-    key offset ``shift`` times the product of ``factors`` with its ``chain``
+    key ``shift`` times the product of ``factors`` with its ``chain``
     from _spans.  Its accumulators add into one per output monomial, shifted
     to a common least exponent.  An accumulator that a term would stretch past
     the summed spans of its pieces plus 64 is unpacked on its own first.
@@ -757,7 +771,7 @@ def _packed_sum(terms, nbytes: int) -> tuple:
     flushed = []
     for shift, scale, factors, chain in terms:
         spans = chain[-1]
-        e = ((_BASE + shift) & _MASK) - _OFF  # the q exponent of the shift
+        e = ((shift + _OFF) & _MASK) - _OFF  # the q exponent of the shift
         for g, lo, v in _packed_product(factors, chain, nbytes):
             _, hi, work = spans[g]
             if shift:
@@ -798,7 +812,7 @@ def _unpacked(sums: dict, nbytes: int) -> dict:
             # checked keys, plus a checked shift), where _check_keys is exact.
             if not -_EXP_LIMIT < lo + first <= lo + last < _EXP_LIMIT:
                 raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
-            start = _BASE + g + lo
+            start = g + lo
             ends += start + first, start + last
             keys = range(start, start + len(coeffs))
             out.update(zip(compress(keys, coeffs), filter(None, coeffs)))
@@ -852,16 +866,16 @@ def sum_of_products(terms) -> MultiLaurentPoly:
         for f in factors:
             if len(f._terms) == 1:  # a monomial folds into the shift and the scale
                 (k, c), = f._terms.items()
-                shift, scale = shift + k - _BASE, scale * c
-                if shift != k - _BASE:  # two offsets added: is it still a key in range?
-                    _check_keys((_BASE + shift,))
+                shift, scale = shift + k, scale * c
+                if shift != k:  # two keys added: is it still a key in range?
+                    _check_keys((shift,))
             else:
                 polys.append(f._terms)
         if not all(polys):
             continue  # a zero factor
         chain = None
         if type(scale) is int and all(_all_int(p.values()) for p in polys):
-            polys = polys or [{_BASE: 1}]
+            polys = polys or [{0: 1}]
             groups, lens = list(map(_q_groups, polys)), list(map(len, polys))
             if None not in groups:
                 chain = _spans(groups, lens, cap)
@@ -918,7 +932,7 @@ def _from_dense(coeffs) -> MultiLaurentPoly:
     Callers pass a quotient or remainder of a stored polynomial, whose degrees
     stay below that polynomial's, so no exponent reaches the supported limit.
     """
-    keys = range(_BASE, _BASE + len(coeffs))
+    keys = range(len(coeffs))
     return MultiLaurentPoly._raw(dict(zip(compress(keys, coeffs), filter(None, coeffs))))
 
 
@@ -953,7 +967,7 @@ def exact_div(p: MultiLaurentPoly, d: MultiLaurentPoly) -> MultiLaurentPoly:
 def _divide_in_q(p: MultiLaurentPoly, d: MultiLaurentPoly, lo: int, hi: int):
     """p / d for d in q alone with least and greatest keys lo and hi; None if inexact.
 
-    Each q-group of p is m q^e A(q) with A(0) != 0, and d is q^(lo - _BASE) B(q)
+    Each q-group of p is m q^e A(q) with A(0) != 0, and d is q^lo B(q)
     with B(0) != 0, so d divides p exactly when B divides every A.  The groups
     are built even where they are sparse in q: the graded loop is quadratic.
     """
@@ -963,7 +977,7 @@ def _divide_in_q(p: MultiLaurentPoly, d: MultiLaurentPoly, lo: int, hi: int):
         qd, r = _dense_divrem(A, B)
         if r:
             return None
-        start = _BASE + g + e - (lo - _BASE)
+        start = g + e - lo
         # small indices first: a sparse quotient need not build a packed key per entry
         out.update(zip(map(start.__add__, compress(range(len(qd)), qd)), filter(None, qd)))
     return MultiLaurentPoly._checked(out)
@@ -973,11 +987,12 @@ def _min_exponent_key(p: MultiLaurentPoly) -> int:
     """Packed key of the componentwise-minimal exponent vector of p's support."""
     mins = [None] * _NVARS
     for k in p._terms:
+        k += _BIAS
         for i in range(_NVARS):
             e = ((k >> (_W * i)) & _MASK) - _OFF
             if mins[i] is None or e < mins[i]:
                 mins[i] = e
-    return sum((m + _OFF) << (_W * i) for i, m in enumerate(mins))
+    return sum(m << (_W * i) for i, m in enumerate(mins))
 
 
 def _divide_graded(p: MultiLaurentPoly, d: MultiLaurentPoly):
@@ -987,33 +1002,41 @@ def _divide_graded(p: MultiLaurentPoly, d: MultiLaurentPoly):
     are ordinary polynomials, and every quotient monomial must stay ordinary.
     The normalised exponents run up to an operand's span, below 2^21: the
     fields hold them exactly, so only the quotient's are checked against the
-    limit.
+    limit.  Each leading term of the remainder is popped from a heap of
+    (grade, key) pairs, largest first; a key whose term has cancelled since it
+    was pushed is skipped.  Grades add up like keys, so a new key's grade
+    comes from its quotient term and divisor term.
     """
-    sp = _min_exponent_key(p) - _BASE
-    sd = _min_exponent_key(d) - _BASE
-    dterms = sorted(((k - sd, c) for k, c in d._terms.items()),
-                    key=lambda kv: (_grade(kv[0]), kv[0]), reverse=True)
-    dlead_key, dlead_c = dterms[0]
-    rest = dterms[1:]
+    sp = _min_exponent_key(p)
+    sd = _min_exponent_key(d)
+    dterms = sorted(((_grade(k - sd), k - sd, c) for k, c in d._terms.items()), reverse=True)
+    (dlead_grade, dlead_key, dlead_c), rest = dterms[0], dterms[1:]
     r = {k - sp: c for k, c in p._terms.items()}
+    heap = [(-_grade(k), -k) for k in r]  # heapq pops the least: negate for the largest
+    heapify(heap)
     q = {}
     while r:
-        lt_key = max(r, key=lambda k: (_grade(k), k))
-        lt_c = r[lt_key]
-        qk = lt_key - dlead_key
+        lt_grade, lt_key = heappop(heap)
+        lt_c = r.pop(-lt_key, None)
+        if lt_c is None:
+            continue  # cancelled
+        qk = -lt_key - dlead_key
         # Quotient monomial must be ordinary (componentwise >= 0).
         for i in range(_NVARS):
-            if (((qk + _BASE) >> (_W * i)) & _MASK) < _OFF:
+            if (((qk + _BIAS) >> (_W * i)) & _MASK) < _OFF:
                 return None
+        qgrade = -lt_grade - dlead_grade
         qc = _norm_coeff(Fraction(lt_c) / dlead_c)
-        q[qk + _BASE + sp - sd] = qc
-        del r[lt_key]
-        for k2, c2 in rest:
+        q[qk + sp - sd] = qc
+        for g2, k2, c2 in rest:
             k = qk + k2
-            nc = r.get(k, 0) - qc * c2
-            if nc:
-                r[k] = nc
-            elif k in r:
+            c = r.get(k)
+            if c is None:
+                r[k] = -qc * c2
+                heappush(heap, (-qgrade - g2, -k))
+            elif c := c - qc * c2:
+                r[k] = c
+            else:
                 del r[k]
     return MultiLaurentPoly._checked(q)
 
@@ -1029,7 +1052,7 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
             extra = [v for v in poly.variables() if v != "q"]
             if extra:
                 raise ValueError(f"{label} must be univariate in q, found {extra}")
-    lo_p = min(p._terms) - _BASE if p else 0
+    lo_p = min(p._terms) if p else 0
     if lo_p < 0:
         raise ValueError("dividend has negative q-exponents; clear them first")
     if any(not isinstance(c, int) for c in p._terms.values()):
@@ -1038,14 +1061,14 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
         raise ZeroDivisionError("zero modulus")
     if any(not isinstance(c, int) for c in m._terms.values()):
         raise ValueError("modulus must have integer coefficients")
-    if min(m._terms) < _BASE:
+    if min(m._terms) < 0:
         raise ValueError("modulus has negative q-exponents")
-    B = _dense(m._terms, _BASE, max(m._terms))
+    B = _dense(m._terms, 0, max(m._terms))
     if B[-1] != 1:
         raise ValueError("modulus must be monic")
     if p.is_zero():
         return MultiLaurentPoly.zero(), MultiLaurentPoly.zero()
-    q, r = _dense_divrem(_dense(p._terms, _BASE, max(p._terms)), B)
+    q, r = _dense_divrem(_dense(p._terms, 0, max(p._terms)), B)
     return _from_dense(q), _from_dense(r)
 
 

@@ -12,6 +12,7 @@ from qck import exactalg
 from qck.exactalg import (MultiLaurentPoly as P, NotDivisibleError,
                           TermBudgetExceeded, divrem_in_q, exact_div,
                           exact_divide, is_nonneg_integer_laurent, sum_of_products)
+from qck.qkit import qbinomial
 
 q = P.var("q")
 a = P.var("a")
@@ -428,6 +429,22 @@ def test_divisor_outside_q_takes_graded_division(monkeypatch):
     assert divisors == [1 - c] * 2 + [(1 - q) * (1 - c)] * 2 + [1 - x] * 2
 
 
+@pytest.mark.parametrize("z", [x, c * x], ids=["1-x", "1-cx"])
+@pytest.mark.parametrize("coeff", [lambda i: i + 1, lambda i: 1], ids=["801-terms", "2-terms"])
+def test_graded_division_of_a_long_dividend(monkeypatch, z, coeff):
+    # 801 terms over 1 - z, or 1 - z^800, where every step adds a new key to the
+    # remainder: the leading terms come off a heap, so each key's grade is
+    # computed once, not once per step of the division
+    quotient = sum((P.monomial(coeff(i), {}) * z ** i for i in range(800)), P.zero())
+    d = 1 - z
+    p = quotient * d
+    grade, calls = exactalg._grade, []
+    monkeypatch.setattr(exactalg, "_grade", lambda k: calls.append(k) or grade(k))
+    assert exactalg._divide_graded(p, d) == quotient
+    assert len(calls) == len(p) + len(d)
+    assert exactalg._divide_graded(p + z ** 1000, d) is None
+
+
 def test_sum_of_products_limbs_hold_the_term_count(monkeypatch):
     # 300 equal terms with coefficients up to 2^62 need limbs of 62 + 9 bits and a
     # sign bit: without the term count in the width they would be 64-bit limbs.
@@ -473,6 +490,14 @@ def test_term_cap_is_read_once_per_kernel_call(monkeypatch):
         reads.clear()
         build()
         assert len(reads) == 1
+
+
+def test_keys_in_q_alone_are_their_exponents():
+    # a polynomial in q alone keys its terms by plain small ints
+    assert sorted(qbinomial(20, 10)._terms) == list(range(101))
+    assert P.var("q", -5)._terms == {-5: 1}
+    assert P.const(7)._terms == {0: 7}
+    assert (a * q ** -2)._terms == {(1 << 48) - 2: 1}  # a is the third field
 
 
 def test_coefficients_by():

@@ -15,9 +15,11 @@ sp = pytest.importorskip("sympy")
 
 from qck.congruence import BracketModulus, congruence_witness, thm2_lhs, thm2_witness
 from qck.delannoy import delannoy_product_sides, dq, dq_star
-from qck.exactalg import MultiLaurentPoly
+from qck.exactalg import MultiLaurentPoly, exact_divide
 from qck.identities import (_general_s_sides, clausen_orr_sides,
-                            general_s_specialization_difference, q2_product_sides)
+                            general_s_specialization_difference, lemma_last_sides,
+                            q2_product_sides)
+from qck.positivity import _poly1_parts, verify_thm3
 from qck.qkit import ParamExpr, qchu_vandermonde_sides
 
 pytestmark = pytest.mark.slow
@@ -175,3 +177,40 @@ def test_general_s_specialization_cell_against_sympy():
     assert_same(general_s_specialization_difference(n, s), gen_lhs * scale - q2_lhs * g_at,
                 (q, x))
     assert sp.cancel(gen_rhs * scale - q2_rhs * g_at) == 0
+
+
+def test_lemma_last_cell_against_sympy():
+    # sum_{j<=m} sum_{k<=n} (q^-n, x; q)_j (q^-n, x; q)_k (q^{j-m-h+1}; q)_{h-1}
+    #   (q^{k-m-h+1}; q)_{h-1} (1 - q^{k-j}) q^{2j+k} / ((q, c; q)_j (q, c; q)_k)
+    #   = (-1)^{m-1} q^{(m^2+3m)/2-mn-mh-h^2+h} (q;q)_n (q;q)_{h-1} (x;q)_{m+h}
+    #     x^{n-h} (c/x;q)_{n-h} / ((q;q)_m (q;q)_{n-m-h} (c;q)_m (c;q)_n),
+    # both sides times (c;q)_m (c;q)_n; the weights bring negative powers of q
+    n, m, h = 3, 1, 2
+
+    def weight(i):
+        return (poch(q ** -n, i) * poch(x, i) * poch(q ** (i - m - h + 1), h - 1)
+                / (poch(q, i) * poch(c, i)))
+
+    double = sum(weight(j) * weight(k) * (1 - q ** (k - j)) * q ** (2 * j + k)
+                 for j in range(m + 1) for k in range(n + 1))
+    closed = ((-1) ** (m - 1) * q ** ((m * m + 3 * m) // 2 - m * n - m * h - h * h + h)
+              * poch(q, n) * poch(q, h - 1) * poch(x, m + h) * x ** (n - h) * poch(c / x, n - h)
+              / (poch(q, m) * poch(q, n - m - h) * poch(c, m) * poch(c, n)))
+    clearing = poch(c, m) * poch(c, n)
+    lhs, rhs = lemma_last_sides(n, m, h)
+    assert min(powers.get("q", 0) for powers, _ in lhs.sorted_terms()) < 0
+    assert_same(lhs, double * clearing, (q, x, c))
+    assert_same(rhs, closed * clearing, (q, x, c))
+
+
+def test_thm3_1_cell_against_sympy():
+    # sum_{k<n} (1-q^m)(1-q^{m+1})(1-q^{2k+1}) D_q(m,k) D_{1/q}(m,k) q^-k / ((1-q^2)(1-q^n)^2)
+    # is a Laurent polynomial in q with non-negative integer coefficients
+    m, n = 2, 3
+    total = sum((1 - q ** m) * (1 - q ** (m + 1)) * (1 - q ** (2 * k + 1)) * sympy_dq(m, k)
+                * sympy_dq(m, k).subs(q, 1 / q) * q ** -k for k in range(n))
+    expected = sympy_terms(total / ((1 - q ** 2) * (1 - q ** n) ** 2), (q,))
+    quotient = exact_divide(*_poly1_parts(m, n))
+    assert qck_terms(quotient, (q,)) == expected
+    assert all(coeff > 0 and coeff.denominator == 1 for coeff in expected.values())
+    assert verify_thm3("thm3-1", m, n).passed

@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _decode, _dense_divrem,
-                          _divide_graded, _encode, _min_exponent_key, _mul_generic,
-                          _mul_grouped, exact_divide, sum_of_products)
+from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _W, _check_keys, _decode,
+                          _dense_divrem, _divide_graded, _encode, _min_exponent_key,
+                          _mul_generic, _mul_grouped, _q_range, exact_divide, sum_of_products)
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -248,6 +248,70 @@ def test_grouped_product_raises_exactly_when_an_exponent_leaves_the_range(pairs,
         product = _mul_grouped(u._terms, v._terms)
         assert product is not None
         assert product == _mul_generic(u._terms, v._terms)
+
+
+# Exponent vectors over the whole ring: zero fields, small negative ones next to
+# positive ones (a negative field borrows from the one above it in the key's
+# binary form), and the stored extremes.
+field = st.one_of(st.just(0), st.integers(-3, 3), st.integers(1 - _LIMIT, _LIMIT - 1),
+                  st.sampled_from((1 - _LIMIT, _LIMIT - 1)))
+vectors = st.lists(field, min_size=len(VAR_NAMES), max_size=len(VAR_NAMES)).map(tuple)
+
+
+def _key(vector) -> int:
+    """The balanced key of any exponent vector, built without _encode's range check."""
+    return sum(e << (_W * i) for i, e in enumerate(vector))
+
+
+@_SETTINGS
+@given(vectors)
+def test_encoding_round_trip(v):
+    key = _encode(dict(zip(VAR_NAMES, v)))
+    assert key == _key(v)
+    assert _decode(key) == v
+
+
+@_SETTINGS
+@given(vectors, vectors)
+def test_key_order_is_lexicographic_from_the_top_field(v, w):
+    kv, kw = _encode(dict(zip(VAR_NAMES, v))), _encode(dict(zip(VAR_NAMES, w)))
+    assert (kv < kw) == (v[::-1] < w[::-1])
+    assert (kv == kw) == (v == w)
+
+
+# Fields up to 2^22, where the range test is exact, with values either side of the limit.
+wide_field = st.one_of(st.just(0), st.integers(-3, 3), st.integers(1 - 4 * _LIMIT, 4 * _LIMIT - 1),
+                       st.sampled_from((_LIMIT - 1, _LIMIT, 1 - _LIMIT, -_LIMIT)))
+
+
+@_SETTINGS
+@given(st.lists(st.lists(wide_field, min_size=len(VAR_NAMES), max_size=len(VAR_NAMES)),
+                min_size=1, max_size=3))
+def test_check_keys_raises_exactly_when_an_exponent_reaches_the_limit(vs):
+    if any(abs(e) >= _LIMIT for v in vs for e in v):
+        with pytest.raises(ValueError):
+            _check_keys([_key(v) for v in vs])
+    else:
+        _check_keys([_key(v) for v in vs])
+
+
+# Zero above the lowest one to three fields, the ones above q mostly -1, 0 or 1:
+# t^-1 q^e and t q^-e are the keys nearest to those in q alone.
+low_vectors = st.tuples(field, st.lists(st.one_of(st.integers(-1, 1), field), max_size=2)).map(
+    lambda qv: (qv[0], *qv[1]) + (0,) * (len(VAR_NAMES) - 1 - len(qv[1])))
+_ZEROS = (0,) * (len(VAR_NAMES) - 2)
+
+
+@_SETTINGS
+@given(st.lists(low_vectors, min_size=1, max_size=4))
+@example([(_LIMIT - 1, -1) + _ZEROS])
+@example([(1 - _LIMIT, 1) + _ZEROS])
+def test_q_range_is_found_exactly_in_q_alone(vs):
+    terms = {_key(v): 1 for v in vs}
+    if all(not any(v[1:]) for v in vs):
+        assert _q_range(terms) == (min(v[0] for v in vs), max(v[0] for v in vs))
+    else:
+        assert _q_range(terms) is None
 
 
 @st.composite
