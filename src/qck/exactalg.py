@@ -272,8 +272,9 @@ class MultiLaurentPoly:
         for k, c in self._terms.items():
             sel = []
             rest = k
+            kb = k + _BIAS
             for i in idxs:
-                e = (((k + _BIAS) >> (_W * i)) & _MASK) - _OFF
+                e = ((kb >> (_W * i)) & _MASK) - _OFF
                 if e:
                     sel.append((VAR_NAMES[i], e))
                     rest -= e << (_W * i)
@@ -454,9 +455,10 @@ class MultiLaurentPoly:
             nk = k
             nc = c
             dead = False
+            kb = k + _BIAS
             for name, (bc, bkey) in norm.items():
                 sh = _SHIFT[name]
-                e = (((k + _BIAS) >> sh) & _MASK) - _OFF
+                e = ((kb >> sh) & _MASK) - _OFF
                 if e == 0:
                     continue
                 nk -= e << sh
