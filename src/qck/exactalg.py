@@ -64,25 +64,27 @@ The cut-overs are stated and measured next to the packing helpers below.
 Sums of products
 ----------------
 ``sum_of_products(terms)`` is the sum over terms of the product of each
-term's factors, and the grouped product is its one-term, two-factor case.
-Monomial factors fold into the term's key shift and int scale.  The other
-factors are grouped by their non-q monomial as above, and each term's factors
-are packed once, at the one limb width of the whole sum, with no repack
-between partial products (a factor shared by several terms is packed again
-for each): each term is multiplied factor by factor as packed accumulators,
-one per non-q monomial, and every term adds into one accumulator per output
-monomial, which is unpacked once at the end.
+term's factors, and the grouped product is its one-term, two-factor case: one
+planner, ``_packed_sum``, serves both.  Monomial factors fold into the term's
+key shift and int scale, and the other factors are grouped by their non-q
+monomial as above.  Before anything is packed, the planner lays out the
+accumulators (one per monomial in the other variables) of each partial
+product of a term and of the sum, and refuses a term that would make one span
+more than the products added into it, plus 64.  Each kept term's factors are
+then packed once, at the one limb width of the whole sum (a factor shared by
+several terms is packed again for each), multiplied factor by factor, and
+added into the sum's accumulators, each unpacked once at the end.
 Packing sends q to 2^w, a ring homomorphism, so a partial product or a partial
 sum may overflow its limbs freely: only the final coefficients have to fit.
 They are below
 
-    (number of terms) * max over terms of |scale| * prod_i max|f_i| * (prod_i len_i / max_i len_i)
+    (kept terms) * max over them of |scale| * prod_i max|f_i| * (prod_i len_i / max_i len_i)
 
 since an output coefficient of a product sums one product of coefficients per
 choice of a term from every factor but the longest.  The limb holds the bits
-of that bound plus a sign bit.  A term with a Fraction coefficient, or with a
-factor the grouped product would refuse, is multiplied out with ``*`` and
-added in.
+of that bound plus a sign bit.  A term with a Fraction coefficient, with a
+factor the grouped product would refuse, or refused by the planner, is
+multiplied out with ``*`` and added in.
 
 Exact division
 --------------
@@ -312,19 +314,9 @@ class MultiLaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiLaurentPoly.const(other)
-        elif not isinstance(other, MultiLaurentPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        get = out.get
-        for k, c in other._terms.items():
-            nc = get(k, 0) - c
-            if nc:
-                out[k] = nc if type(nc) is int else _norm_coeff(nc)
-            elif k in out:
-                del out[k]
-        return MultiLaurentPoly._raw(out)
+        if isinstance(other, (int, Fraction, MultiLaurentPoly)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
@@ -566,7 +558,8 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
 # * grouped Kronecker (_mul_grouped): int coefficients, at least
 #   _GROUPED_MIN_PAIRS term pairs per pair of q-groups on average, every
 #   q-group passing _dense_pays, and no output accumulator spanning more than
-#   the group products added into it, plus 64.  An operand in q alone is one
+#   the group products added into it, plus 64 (the planner _packed_sum decides
+#   that before anything is packed).  An operand in q alone is one
 #   q-group, so two such operands make a single packed multiply.  Exact for any
 #   operand sizes because the limb width is derived from the coefficient bounds.
 # * generic (_mul_generic): everything else, Fraction coefficients and
@@ -724,26 +717,6 @@ def _spans(factors, lens, cap: int):
     return chain
 
 
-def _term_bound(factors, lens, scale: int = 1) -> int:
-    """A bound on the coefficient magnitudes of scale * the product of ``factors``.
-
-    An output coefficient sums one product of coefficients per choice of a
-    term from every factor but the longest (that choice fixes the last term),
-    so at most prod(lens) / max(lens) products of at most the factors' largest
-    magnitudes.
-    """
-    return abs(scale) * prod(map(_coeff_max, factors)) * (prod(lens) // max(lens))
-
-
-def _sum_limb_bytes(bound: int, nterms: int) -> int:
-    """Limb bytes for a sum of ``nterms`` products with coefficients at most ``bound``.
-
-    The sum's coefficients are below 2^(bits(bound) + bits(nterms)), and one
-    more bit holds the sign.  Only these final coefficients are unpacked.
-    """
-    return _limb_bytes(bound.bit_length() + nterms.bit_length() + 1)
-
-
 def _packed_product(factors, chain, nbytes: int) -> list:
     """[(g, lo, packed q-list)] of the product of ``factors``, each lo as in ``chain``[-1]."""
     bits = 8 * nbytes
@@ -759,52 +732,78 @@ def _packed_product(factors, chain, nbytes: int) -> list:
     return acc
 
 
-def _packed_sum(terms, nbytes: int) -> tuple:
-    """The sum of packed products as (term dict, [term dicts still to add]).
+def _packed_sum(terms, cap: int) -> tuple:
+    """The sum of the terms it keeps, as (term dict, [source of each term it refuses]).
 
-    Each term is (shift, scale, factors, chain): scale times the monomial of
-    key ``shift`` times the product of ``factors`` with its ``chain``
-    from _spans.  Its accumulators add into one per output monomial, shifted
-    to a common least exponent.  An accumulator that a term would stretch past
-    the summed spans of its pieces plus 64 is unpacked on its own first.
+    Each term is (shift, scale, factors, lens, source): scale times the
+    monomial of key ``shift`` times the product of ``factors``, lists of
+    q-groups with ``lens`` terms (None to refuse the term).  Every refusal,
+    by _spans or by _laid_out, is decided before anything is packed.  The
+    kept terms lay out the plan {g: (lo, hi, work)} of the sum's
+    accumulators, and each term adds into them at its final offset.
     """
-    bits = 8 * nbytes
-    sums = {}
-    flushed = []
-    for shift, scale, factors, chain in terms:
-        spans = chain[-1]
+    plan, kept, refused = {}, [], []
+    bound = 0
+    for shift, scale, factors, lens, source in terms:
+        chain = factors and _spans(factors, lens, cap)
         e = ((shift + _OFF) & _MASK) - _OFF  # the q exponent of the shift
+        if not (chain and _laid_out(plan, chain[-1], shift, e)):
+            refused.append(source)
+            continue
+        kept.append((shift - e, e, scale, factors, chain))
+        # An output coefficient of a product sums one product of coefficients
+        # per choice of a term from every factor but the longest (that choice
+        # fixes the last term).
+        bound = max(bound, abs(scale) * prod(map(_coeff_max, factors))
+                    * (prod(lens) // max(lens)))
+    # Packing sends q to 2^w, a ring homomorphism, so only the final
+    # coefficients have to fit their limbs: they are below
+    # 2^(bits(bound) + bits(len(kept))), and one more bit holds the sign.
+    nbytes = _limb_bytes(bound.bit_length() + len(kept).bit_length() + 1)
+    bits = 8 * nbytes
+    sums = dict.fromkeys(plan)  # the plan's key objects, not one more copy of each
+    for m, e, scale, factors, chain in kept:
         for g, lo, v in _packed_product(factors, chain, nbytes):
-            _, hi, work = spans[g]
-            if shift:
-                g += shift - e
-                lo += e
-                hi += e
             if scale != 1:
                 v *= scale
-            s = sums.get(g)
-            if s is not None:
-                slo, shi, swork, sv = s
-                if max(hi, shi) - min(lo, slo) > work + swork + 64:
-                    flushed.append(_unpacked({g: s}, nbytes))
-                else:
-                    if lo >= slo:
-                        v = sv + (v << (bits * (lo - slo)))
-                        lo = slo
-                    else:
-                        v += sv << (bits * (slo - lo))
-                    hi = max(hi, shi)
-                    work += swork
-            sums[g] = (lo, hi, work, v)
-    return _unpacked(sums, nbytes), flushed
+            g += m
+            off = lo + e - plan[g][0]
+            if off:  # a shift by 0 would still copy v
+                v <<= bits * off
+            s = sums[g]
+            sums[g] = v if s is None else s + v
+    return _unpacked(plan, sums, nbytes), refused
 
 
-def _unpacked(sums: dict, nbytes: int) -> dict:
-    """The terms of the accumulators {g: (lo, hi, work, packed q-list)}, range-checked."""
+def _laid_out(plan: dict, spans: dict, shift: int, e: int) -> bool:
+    """Add a term's accumulators, times the monomial of key ``shift`` (q^e in q), to ``plan``.
+
+    False, with ``plan`` unchanged, when that would stretch an accumulator of
+    the sum past the summed spans of the products added into it, plus 64.
+    """
+    if not (plan or shift):  # share an unshifted term's spans: nothing mutates them after _spans
+        plan.update(spans)
+        return True
+    moved = {}
+    for g, (lo, hi, work) in spans.items():
+        if shift:
+            g, lo, hi = g + shift - e, lo + e, hi + e
+        s = plan.get(g)
+        if s is not None:
+            lo, hi, work = min(lo, s[0]), max(hi, s[1]), work + s[2]
+            if hi - lo > work + 64:
+                return False
+        moved[g] = (lo, hi, work)
+    plan.update(moved)
+    return True
+
+
+def _unpacked(plan: dict, sums: dict, nbytes: int) -> dict:
+    """The terms of the accumulators {g: packed q-list} laid out by ``plan``, range-checked."""
     out = {}
     ends = []
-    for g, (lo, hi, _, v) in sums.items():
-        coeffs = _unpack(v, hi - lo + 1, nbytes)
+    for g, (lo, hi, _) in plan.items():
+        coeffs = _unpack(sums[g], hi - lo + 1, nbytes)
         at = range(len(coeffs))
         first = next(compress(at, coeffs), None)
         if first is not None:
@@ -828,8 +827,8 @@ def _mul_grouped(a: dict, b: dict):
     """Product of int-coefficient term dicts, one packed multiply per pair of q-groups.
 
     The one-term, two-factor case of sum_of_products.  None, before any
-    packing, when a cut-over listed above _GROUPED_MIN_PAIRS sends the product
-    to the generic path.
+    packing, when a cut-over listed above _GROUPED_MIN_PAIRS, or the planner
+    _packed_sum, sends the product to the generic path.
     """
     if len(a) * len(b) < _GROUPED_MIN_PAIRS:  # below the mean-pair cut-over for any grouping
         return None
@@ -839,12 +838,9 @@ def _mul_grouped(a: dict, b: dict):
     gb = _q_groups(b) if ga is not None else None
     if gb is None or len(a) * len(b) < _GROUPED_MIN_PAIRS * len(ga) * len(gb):
         return None
-    factors, lens = [ga, gb], (len(a), len(b))
-    chain = _spans(factors, lens, cap)
-    if chain is None:
+    out, refused = _packed_sum([(0, 1, [ga, gb], (len(a), len(b)), None)], cap)
+    if refused:
         return None
-    nbytes = _sum_limb_bytes(_term_bound(factors, lens), 1)
-    out, _ = _packed_sum([(0, 1, factors, chain)], nbytes)
     _check_budget(len(out), cap)
     return MultiLaurentPoly._raw(out)
 
@@ -854,14 +850,25 @@ def _mul_grouped(a: dict, b: dict):
 def sum_of_products(terms) -> MultiLaurentPoly:
     """The sum over ``terms`` of the product of each term's factors (MultiLaurentPolys).
 
-    One packed accumulator per output monomial holds the whole sum, unpacked
-    once (see "Sums of products" in the module docstring).  A term with a
-    Fraction coefficient, or with a factor whose q-groups the grouped product
-    would refuse, is multiplied out with ``*`` and added in.
+    One packed accumulator per output monomial holds the sum of the packed
+    terms, unpacked once (see "Sums of products" in the module docstring).  A
+    term with a Fraction coefficient, with a factor whose q-groups the grouped
+    product would refuse, or that the planner _packed_sum refuses, is
+    multiplied out with ``*`` and added in.
     """
     cap = term_cap()
-    packed, chained = [], []
-    bound = 0
+    out, refused = _packed_sum(_sum_terms(terms), cap)
+    for factors in refused:
+        _add_into(out, reduce(mul, factors, MultiLaurentPoly.const(1))._terms)
+    _check_budget(len(out), cap)
+    return MultiLaurentPoly._raw(out)
+
+
+def _sum_terms(terms):
+    """The nonzero terms of sum_of_products as _packed_sum takes them, one at a time.
+
+    Their q-groups are None for a Fraction coefficient or a factor that _q_groups refuses.
+    """
     for factors in terms:
         factors = tuple(factors)
         shift, scale, polys = 0, 1, []
@@ -875,24 +882,13 @@ def sum_of_products(terms) -> MultiLaurentPoly:
                 polys.append(f._terms)
         if not all(polys):
             continue  # a zero factor
-        chain = None
+        groups = None
         if type(scale) is int and all(_all_int(p.values()) for p in polys):
             polys = polys or [{0: 1}]
-            groups, lens = list(map(_q_groups, polys)), list(map(len, polys))
-            if None not in groups:
-                chain = _spans(groups, lens, cap)
-        if chain is None:
-            chained.append(factors)
-            continue
-        bound = max(bound, _term_bound(groups, lens, scale))
-        packed.append((shift, scale, groups, chain))
-    out, flushed = _packed_sum(packed, _sum_limb_bytes(bound, len(packed)))
-    for factors in chained:
-        flushed.append(reduce(mul, factors)._terms)
-    for more in flushed:
-        _add_into(out, more)
-    _check_budget(len(out), cap)
-    return MultiLaurentPoly._raw(out)
+            groups = list(map(_q_groups, polys))
+            if None in groups:
+                groups = None
+        yield shift, scale, groups, list(map(len, polys)), factors
 
 
 # -- exact division -----------------------------------------------------------

@@ -176,6 +176,18 @@ def test_divrem_rejects_laurent():
         divrem_in_q(P.var("q", -1), 1 + q)
 
 
+def test_divrem_rejects_a_bad_modulus():
+    with pytest.raises(ZeroDivisionError):
+        divrem_in_q(q ** 2, P.zero())
+    for modulus in (q + Fraction(1, 2), q + P.var("q", -1), q + x):
+        with pytest.raises(ValueError):
+            divrem_in_q(q ** 2, modulus)
+
+
+def test_divrem_of_zero():
+    assert divrem_in_q(P.zero(), 1 + q) == (P.zero(), P.zero())
+
+
 def test_is_nonneg_integer_laurent():
     assert is_nonneg_integer_laurent(2 * P.var("q", -1) + 3 + q ** 2)
     assert not is_nonneg_integer_laurent(1 - q)
@@ -453,6 +465,28 @@ def test_sum_of_products_limbs_hold_the_term_count(monkeypatch):
     monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
     assert sum_of_products([(f,)] * 300 + [(f, -q)]) == f * 300 - f * q
     assert sum_of_products([(f, _RUN)] * 300) == f * _RUN * 300
+
+
+def test_sum_of_products_multiplies_out_a_far_shifted_term(monkeypatch):
+    # The second term's accumulators would span 5000 q exponents for the few
+    # products added into them: the planner refuses the term before anything
+    # is packed, and it is multiplied out with * instead.
+    f = 1 + q + q ** 2 + a
+    expected = f * f + f * f * q ** 5000
+    packed, products = [], []
+    pack, times = exactalg._pack, P.__mul__
+    monkeypatch.setattr(exactalg, "_pack", lambda coeffs, nbytes: packed.append(coeffs)
+                        or pack(coeffs, nbytes))
+    monkeypatch.setattr(P, "__mul__", lambda u, v: products.append((len(u), len(v)))
+                        or times(u, v))
+    assert sum_of_products([(f, f), (f, f, q ** 5000)]) == expected
+    assert packed == [[1, 1, 1], [1], [1, 1, 1], [1]]  # the two factors of the first term
+    assert (4, 4) in products  # f * f of the second term
+
+
+def test_sum_of_products_multiplies_out_a_refused_empty_term():
+    g = 1 + q + q ** 2
+    assert sum_of_products([(g, q ** 5000), ()]) == g * q ** 5000 + 1
 
 
 def test_sum_of_products_raises_at_the_exponent_limit():

@@ -339,8 +339,12 @@ def _is_canonical(p) -> bool:
     return all(c and (type(c) is int or c.denominator != 1) for c in p._terms.values())
 
 
+_F = 1 + P.var("q") + P.var("q", 2) + P.var("a")
+
+
 @_SETTINGS
 @given(product_terms())
+@example([[_F, _F], [_F, _F, P.var("q", 5000)]])  # the planner refuses the far-shifted term
 def test_sum_of_products_matches_the_folds(terms):
     fold, generic = P.zero(), P.zero()
     for factors in terms:
