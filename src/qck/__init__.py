@@ -1,6 +1,6 @@
 """qck: exact q-series computation and mechanical identity verification.
 
-Sparse multivariate Laurent polynomials with exact rational arithmetic,
+Sparse multivariate Laurent polynomials with integer coefficients,
 q-Pochhammer / Gaussian-binomial combinatorics, terminating basic
 hypergeometric series, q-Delannoy numbers, and verification suites for the
 product formulas, bracket congruences, and coefficient-positivity claims

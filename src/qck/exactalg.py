@@ -1,14 +1,16 @@
-"""Exact arithmetic kernel: big rationals and sparse multivariate Laurent polynomials.
+"""Exact arithmetic kernel: sparse multivariate Laurent polynomials over the integers.
 
-Every value in this package is a Laurent polynomial with exact rational
-coefficients over a fixed variable universe
+Every value in this package is a Laurent polynomial with integer coefficients
+over a fixed variable universe
 
     q < t < a < b < c < d < x < y < x0 < x1 < ... < x9
 
 (q is the series base, t is an auxiliary base with q = t^2 where half-integer
 powers of q would otherwise appear, x0..x9 are weight slots for linearization
-arguments).  Coefficients are Python ints where possible and ``fractions.Fraction``
-otherwise; both are arbitrary precision and always reduced.
+arguments).  A coefficient is a Python int: ``const`` and ``monomial`` raise
+TypeError for anything else, and dividing one by other than +-1 (a negative
+power of a monomial, a value substituted into a negative exponent) raises
+ValueError.
 
 Representation
 --------------
@@ -37,27 +39,26 @@ of 2**23 in every field) holds e_i + 2**23 in field i: plain non-negative
 adding a constant keeps order, keys sort like their exponent vectors read
 lexicographically from the top field (x9) down to q.
 
-The canonical form is unique: no zero coefficients are stored, Fractions with
-denominator 1 are normalized to int, and the printing order (graded
-lexicographic over the fixed variable order) is deterministic.  All values are
-immutable after construction and safe to share across threads.
+The canonical form is unique: no zero coefficients are stored, and the
+printing order (graded lexicographic over the fixed variable order) is
+deterministic.  All values are immutable after construction and safe to share
+across threads.
 
 Products
 --------
-A product with a one-term side shifts the other side's keys (an int
-monomial times int coefficients is a plain product, no normalization).  A
-product of two polynomials of two or more terms takes one of two paths:
+A product with a one-term side shifts the other side's keys and scales its
+coefficients.  A product of two polynomials of two or more terms takes one of
+two paths:
 
-* grouped Kronecker, for int coefficients: each operand is grouped by its
-  monomial in the variables other than q, each group's dense q-list is
-  packed into one big integer, and every pair of groups is one big-integer
-  multiply in C, added into a packed accumulator for its output monomial.
-  An operand in q alone is one group, found by two C-level scans of its
-  keys (min and max);
-* generic, term by term into a dict, for Fraction coefficients and for
-  operands too small or too sparse in q to pay for packing.  A product in a
-  single variable other than q lands here too: each of its terms is a q-group
-  of its own, which the grouped path refuses.
+* grouped Kronecker: each operand is grouped by its monomial in the variables
+  other than q, each group's dense q-list is packed into one big integer, and
+  every pair of groups is one big-integer multiply in C, added into a packed
+  accumulator for its output monomial.  An operand in q alone is one group,
+  found by two C-level scans of its keys (min and max);
+* generic, term by term into a dict, for operands too small or too sparse in
+  q to pay for packing.  A product in a single variable other than q lands
+  here too: each of its terms is a q-group of its own, which the grouped path
+  refuses.
 
 The cut-overs are stated and measured next to the packing helpers below.
 
@@ -82,24 +83,25 @@ They are below
 
 since an output coefficient of a product sums one product of coefficients per
 choice of a term from every factor but the longest.  The limb holds the bits
-of that bound plus a sign bit.  A term with a Fraction coefficient, with a
-factor the grouped product would refuse, or refused by the planner, is
-multiplied out with ``*`` and added in.
+of that bound plus a sign bit.  A term with a factor the grouped product
+would refuse, or refused by the planner, is multiplied out with ``*`` and
+added in.
 
 Exact division
 --------------
-``exact_divide`` takes one of two paths, chosen from the divisor:
+``exact_divide`` takes one of two paths:
 
-* divisor in q alone: the dividend is grouped by its non-q monomial exactly as
-  the grouped product groups an operand, and each group's dense q-list is
-  divided by the divisor's dense q-list.  Sparse groups are not refused here:
-  the other path is quadratic in the number of terms;
-* any other divisor, one in a single variable other than q included: graded
-  long division term by term, after the least exponent vector of each operand
-  is divided out.
+* divisor in q alone, dividend with q-groups the grouped product would take:
+  each group's dense q-list is divided by the divisor's dense q-list;
+* any other divisor (one in a single variable other than q included), or a
+  dividend sparse in q: graded long division term by term, after the least
+  exponent vector of each operand is divided out.
 
-Either way the quotient's exponents are checked against the limit, and
-``exact_divide`` multiplies the quotient back before it returns it.
+Either way each quotient coefficient is a divmod, and a remainder means "not
+divisible": the quotient over the rationals is unique, so it is integral only
+if every step of the long division is.  The quotient's exponents are checked
+against the limit, and ``exact_divide`` multiplies the quotient back before it
+returns it.
 """
 
 from __future__ import annotations
@@ -108,7 +110,6 @@ import os
 import re
 import sys
 from array import array
-from fractions import Fraction
 from functools import reduce
 from heapq import heapify, heappop, heappush
 from itertools import compress, groupby, repeat
@@ -146,15 +147,6 @@ def term_cap() -> int:
     return int(os.environ.get("QCK_MAX_TERMS", "10000000"))
 
 
-def _norm_coeff(c):
-    # Fractions that collapse to integers are stored as int (faster arithmetic).
-    if type(c) is int:
-        return c
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return c.numerator
-    return c
-
-
 def _encode(powers) -> int:
     key = 0
     for name, e in powers.items():
@@ -182,7 +174,7 @@ def _grade(key) -> int:
 
 
 class MultiLaurentPoly:
-    """A sparse multivariate Laurent polynomial with exact rational coefficients."""
+    """A sparse multivariate Laurent polynomial with integer coefficients."""
 
     __slots__ = ("_terms",)
 
@@ -209,17 +201,17 @@ class MultiLaurentPoly:
         return cls()
 
     @classmethod
-    def const(cls, c) -> "MultiLaurentPoly":
-        c = _norm_coeff(c if isinstance(c, (int, Fraction)) else Fraction(c))
-        return cls._raw({0: c} if c else {})
+    def const(cls, c: int) -> "MultiLaurentPoly":
+        return cls.monomial(c, {})
 
     @classmethod
     def var(cls, name: str, exp: int = 1) -> "MultiLaurentPoly":
         return cls.monomial(1, {name: exp})
 
     @classmethod
-    def monomial(cls, coeff, powers: dict) -> "MultiLaurentPoly":
-        coeff = _norm_coeff(coeff if isinstance(coeff, (int, Fraction)) else Fraction(coeff))
+    def monomial(cls, coeff: int, powers: dict) -> "MultiLaurentPoly":
+        if not isinstance(coeff, int):
+            raise TypeError(f"coefficient {coeff!r} is not an integer")
         if not coeff:
             return cls.zero()
         return cls._raw({_encode(powers): coeff})
@@ -289,7 +281,7 @@ class MultiLaurentPoly:
     def __eq__(self, other):
         if isinstance(other, MultiLaurentPoly):
             return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return self._terms == MultiLaurentPoly.const(other)._terms
         return NotImplemented
 
@@ -300,7 +292,7 @@ class MultiLaurentPoly:
         return MultiLaurentPoly._raw({k: -c for k, c in self._terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             other = MultiLaurentPoly.const(other)
         elif not isinstance(other, MultiLaurentPoly):
             return NotImplemented
@@ -314,7 +306,7 @@ class MultiLaurentPoly:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, MultiLaurentPoly)):
+        if isinstance(other, (int, MultiLaurentPoly)):
             return self + (-other)
         return NotImplemented
 
@@ -322,12 +314,10 @@ class MultiLaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _norm_coeff(other)
+        if isinstance(other, int):
             if not other:
                 return MultiLaurentPoly.zero()
-            return MultiLaurentPoly._raw(
-                {k: _norm_coeff(c * other) for k, c in self._terms.items()})
+            return MultiLaurentPoly._raw({k: c * other for k, c in self._terms.items()})
         if not isinstance(other, MultiLaurentPoly):
             return NotImplemented
         a, b = self._terms, other._terms
@@ -335,29 +325,25 @@ class MultiLaurentPoly:
             return MultiLaurentPoly.zero()
         if len(a) == 1:
             (k1, c1), = a.items()
-            if type(c1) is int and _all_int(b.values()):
-                return MultiLaurentPoly._checked(
-                    dict(zip(map(add, b, repeat(k1)), map(mul, b.values(), repeat(c1)))))
             return MultiLaurentPoly._checked(
-                {k1 + k: _norm_coeff(c1 * c) for k, c in b.items()})
+                dict(zip(map(add, b, repeat(k1)), map(mul, b.values(), repeat(c1)))))
         if len(b) == 1:
             return other.__mul__(self)
-        if _all_int(a.values()) and _all_int(b.values()):
-            product = _mul_grouped(a, b)
-            if product is not None:
-                return product
-        return _mul_generic(a, b)
+        product = _mul_grouped(a, b)
+        return _mul_generic(a, b) if product is None else product
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """self**n for an integer n; a negative n needs a monomial (q/a is q * a**-1)."""
+        """self**n for an integer n; a negative n needs a monomial with coefficient +-1."""
         if not isinstance(n, int):
             raise ValueError("polynomial powers must be integers")
         if len(self._terms) == 1:
             (k, c), = self._terms.items()
+            if n < 0 and c not in (1, -1):
+                raise ValueError(f"{c} has no inverse with integer coefficients")
             powers = {name: e * n for name, e in zip(VAR_NAMES, _decode(k)) if e}
-            return MultiLaurentPoly.monomial(Fraction(c) ** n, powers)
+            return MultiLaurentPoly.monomial(c ** abs(n), powers)
         if n < 0:
             raise ValueError("only a monomial has negative powers")
         result = MultiLaurentPoly.const(1)
@@ -401,15 +387,15 @@ class MultiLaurentPoly:
         acc = {}
         for part in text.split(" + "):
             part = part.strip()
-            coeff = Fraction(1)
+            coeff = 1
             if part.startswith("-"):
                 coeff = -coeff
                 part = part[1:]
             powers = {}
             for factor in part.split("*"):
                 factor = factor.strip()
-                if re.fullmatch(r"\d+(/\d+)?", factor):
-                    coeff *= Fraction(factor)
+                if factor.isdigit():
+                    coeff *= int(factor)
                 else:
                     m = re.fullmatch(r"([a-z][a-z0-9]*)(\^(-?\d+))?", factor)
                     if m is None:
@@ -418,19 +404,20 @@ class MultiLaurentPoly:
                     powers[name] = powers.get(name, 0) + (int(e) if e else 1)
             k = _encode(powers)
             acc[k] = acc.get(k, 0) + coeff
-        return cls._raw({k: _norm_coeff(c) for k, c in acc.items() if c})
+        return cls._raw({k: c for k, c in acc.items() if c})
 
     # -- substitution ---------------------------------------------------------
 
     def substitute(self, bindings: dict) -> "MultiLaurentPoly":
-        """Apply the ring homomorphism sending each bound variable to a monomial or rational.
+        """Apply the ring homomorphism sending each bound variable to a monomial or an int.
 
-        Binding values may be int, Fraction or a single-term MultiLaurentPoly.
-        Unbound variables pass through.  Substituting 0 for a variable that
-        occurs with a negative exponent raises ZeroDivisionError.  ValueError
-        is raised when an exponent of the image reaches the supported limit,
-        and also, before any key is built, when the bound exponents times the
-        bindings' exponents could reach twice that limit.
+        Binding values may be int or a single-term MultiLaurentPoly.  Unbound
+        variables pass through.  Substituting 0 (or a coefficient other than
+        +-1) for a variable with a negative exponent raises ZeroDivisionError
+        (ValueError).  ValueError is also raised when an exponent of the image
+        reaches the supported limit, and also, before any key is built, when
+        the bound exponents times the bindings' exponents could reach twice
+        that limit.
         """
         norm = {}
         reach = 0
@@ -460,20 +447,20 @@ class MultiLaurentPoly:
                             f"substituting 0 for {name!r}, which occurs with exponent {e}")
                     dead = True
                     break
-                if e >= 0 or isinstance(bc, Fraction):
-                    nc = nc * bc ** e
-                else:
-                    nc = nc * Fraction(1, bc ** (-e))
+                if e < 0 and bc not in (1, -1):
+                    raise ValueError(
+                        f"substituting {bc} for {name!r}, which occurs with exponent {e}")
+                nc = nc * bc ** abs(e)
                 nk += bkey * e
             if not dead:
                 acc[nk] = acc.get(nk, 0) + nc
-        return MultiLaurentPoly._checked({k: _norm_coeff(c) for k, c in acc.items() if c})
+        return MultiLaurentPoly._checked({k: c for k, c in acc.items() if c})
 
 
 def _as_monomial(val):
     """Normalize a binding value to (coeff, packed-key)."""
-    if isinstance(val, (int, Fraction)):
-        return (_norm_coeff(val), 0)
+    if isinstance(val, int):
+        return (val, 0)
     if isinstance(val, MultiLaurentPoly):
         if len(val._terms) != 1:
             raise ValueError("substitution values must be single Laurent monomials")
@@ -488,7 +475,7 @@ def _add_into(out: dict, terms: dict) -> None:
     for k, c in terms.items():
         nc = get(k, 0) + c
         if nc:
-            out[k] = nc if type(nc) is int else _norm_coeff(nc)
+            out[k] = nc
         elif k in out:
             del out[k]
 
@@ -529,10 +516,6 @@ def _q_range(terms: dict):
     return None
 
 
-def _all_int(coeffs) -> bool:
-    return set(map(type, coeffs)) == {int}
-
-
 def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
     if len(a) > len(b):
         a, b = b, a
@@ -546,7 +529,7 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
             k = k1 + k2
             v = get(k)
             out[k] = c1 * c2 if v is None else v + c1 * c2
-    out = {k: _norm_coeff(c) for k, c in out.items() if c}
+    out = {k: c for k, c in out.items() if c}
     _check_budget(len(out), cap)
     return MultiLaurentPoly._checked(out)
 
@@ -555,16 +538,15 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
 #
 # The two product paths of the module docstring, and where __mul__ takes each:
 #
-# * grouped Kronecker (_mul_grouped): int coefficients, at least
-#   _GROUPED_MIN_PAIRS term pairs per pair of q-groups on average, every
-#   q-group passing _dense_pays, and no output accumulator spanning more than
-#   the group products added into it, plus 64 (the planner _packed_sum decides
-#   that before anything is packed).  An operand in q alone is one
-#   q-group, so two such operands make a single packed multiply.  Exact for any
-#   operand sizes because the limb width is derived from the coefficient bounds.
-# * generic (_mul_generic): everything else, Fraction coefficients and
-#   operands in one variable other than q included (none of the suites
-#   multiplies two such polynomials, or two q-polynomials with a Fraction).
+# * grouped Kronecker (_mul_grouped): at least _GROUPED_MIN_PAIRS term pairs
+#   per pair of q-groups on average, every q-group passing _dense_pays, and no
+#   output accumulator spanning more than the group products added into it,
+#   plus 64 (the planner _packed_sum decides that before anything is packed).
+#   An operand in q alone is one q-group, so two such operands make a single
+#   packed multiply.  Exact for any operand sizes because the limb width is
+#   derived from the coefficient bounds.
+# * generic (_mul_generic): everything else, operands in one variable other
+#   than q included (none of the suites multiplies two such polynomials).
 #
 # Both paths check the QCK_MAX_TERMS budget and the exponent range of their result.
 
@@ -641,20 +623,19 @@ def _dense(terms: dict, lo: int, hi: int) -> list:
     return dense
 
 
-def _q_groups(terms: dict, sparse: bool = False):
+def _q_groups(terms: dict):
     """[(g, lo, dense q-list)] of terms grouped by their monomial in the variables other than q.
 
     g is that monomial's key (0 in q alone), lo the group's least q exponent.
-    Unless ``sparse`` is set, None when a group's q-span fails _dense_pays,
-    before its dense list is built.  Terms in q alone are one group, found
-    without sorting.  Otherwise each key's q exponent is its signed low digit,
-    and the keys are sorted: q is the lowest field, so the keys of a group are
-    adjacent, in q order.
+    None when a group's q-span fails _dense_pays, before its dense list is
+    built.  Terms in q alone are one group, found without sorting.  Otherwise
+    each key's q exponent is its signed low digit, and the keys are sorted: q is
+    the lowest field, so the keys of a group are adjacent, in q order.
     """
     span = _q_range(terms)
     if span is not None:
         lo, hi = span
-        if not (sparse or _dense_pays(hi - lo, len(terms))):
+        if not _dense_pays(hi - lo, len(terms)):
             return None
         return [(0, lo, _dense(terms, lo, hi))]
     keys = sorted(terms)
@@ -665,7 +646,7 @@ def _q_groups(terms: dict, sparse: bool = False):
     for m, run in groupby(map(sub, keys, qfields)):
         n = len(list(run))
         lo, hi = qfields[i], qfields[i + n - 1]
-        if not (sparse or _dense_pays(hi - lo, n)):
+        if not _dense_pays(hi - lo, n):
             return None
         if hi - lo + 1 == n:
             dense = coeffs[i:i + n]
@@ -824,7 +805,7 @@ def _unpacked(plan: dict, sums: dict, nbytes: int) -> dict:
 
 
 def _mul_grouped(a: dict, b: dict):
-    """Product of int-coefficient term dicts, one packed multiply per pair of q-groups.
+    """Product of term dicts, one packed multiply per pair of q-groups.
 
     The one-term, two-factor case of sum_of_products.  None, before any
     packing, when a cut-over listed above _GROUPED_MIN_PAIRS, or the planner
@@ -852,9 +833,9 @@ def sum_of_products(terms) -> MultiLaurentPoly:
 
     One packed accumulator per output monomial holds the sum of the packed
     terms, unpacked once (see "Sums of products" in the module docstring).  A
-    term with a Fraction coefficient, with a factor whose q-groups the grouped
-    product would refuse, or that the planner _packed_sum refuses, is
-    multiplied out with ``*`` and added in.
+    term with a factor whose q-groups the grouped product would refuse, or
+    that the planner _packed_sum refuses, is multiplied out with ``*`` and
+    added in.
     """
     cap = term_cap()
     out, refused = _packed_sum(_sum_terms(terms), cap)
@@ -867,7 +848,7 @@ def sum_of_products(terms) -> MultiLaurentPoly:
 def _sum_terms(terms):
     """The nonzero terms of sum_of_products as _packed_sum takes them, one at a time.
 
-    Their q-groups are None for a Fraction coefficient or a factor that _q_groups refuses.
+    Their q-groups are None for a factor that _q_groups refuses.
     """
     for factors in terms:
         factors = tuple(factors)
@@ -882,19 +863,15 @@ def _sum_terms(terms):
                 polys.append(f._terms)
         if not all(polys):
             continue  # a zero factor
-        groups = None
-        if type(scale) is int and all(_all_int(p.values()) for p in polys):
-            polys = polys or [{0: 1}]
-            groups = list(map(_q_groups, polys))
-            if None in groups:
-                groups = None
-        yield shift, scale, groups, list(map(len, polys)), factors
+        polys = polys or [{0: 1}]
+        groups = list(map(_q_groups, polys))
+        yield shift, scale, None if None in groups else groups, list(map(len, polys)), factors
 
 
 # -- exact division -----------------------------------------------------------
 
 def _dense_divrem(A, B):
-    """Quotient and remainder of dense coefficient lists (B's lead nonzero).
+    """Quotient and remainder of dense int lists (B's lead nonzero); None if not integral.
 
     Only the nonzero entries of B are walked: most divisors here are 1 - q^k or
     products of a few of them, sparse across their span.
@@ -904,17 +881,14 @@ def _dense_divrem(A, B):
         return [], r
     top = len(B) - 1
     lead = B[top]
-    unit = lead in (1, -1)
     tail = [(j, bj) for j, bj in enumerate(B[:top]) if bj]
     q = [0] * (len(A) - top)
     for i in reversed(range(len(q))):
         c = r[i + top]
         if c:
-            if unit and type(c) is int:
-                qc = c if lead == 1 else -c
-            else:
-                # c may be a Fraction even when the quotient coefficient is whole.
-                qc = _norm_coeff(c * lead if unit else Fraction(c) / lead)
+            qc, rem = divmod(c, lead)
+            if rem:
+                return None
             q[i] = qc
             for j, bj in tail:
                 r[i + j] -= qc * bj
@@ -925,7 +899,7 @@ def _dense_divrem(A, B):
 
 
 def _from_dense(coeffs) -> MultiLaurentPoly:
-    """The polynomial sum_i coeffs[i] q^i; coeffs are normalized.
+    """The polynomial sum_i coeffs[i] q^i.
 
     Callers pass a quotient or remainder of a stored polynomial, whose degrees
     stay below that polynomial's, so no exponent reaches the supported limit.
@@ -937,16 +911,17 @@ def _from_dense(coeffs) -> MultiLaurentPoly:
 def exact_divide(p: MultiLaurentPoly, d: MultiLaurentPoly):
     """Quotient r with r*d == p, or None when d does not divide p exactly.
 
-    A divisor in q alone divides each q-group of p (_divide_in_q); any other
-    divisor takes the graded long division (_divide_graded).  Either way the
-    quotient is verified by multiplying back.
+    A divisor in q alone divides each dense q-group of p (_divide_in_q); any
+    other divisor, or a p sparse in q, takes the graded long division
+    (_divide_graded).  Either way the quotient is verified by multiplying back.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return MultiLaurentPoly.zero()
     span = _q_range(d._terms)
-    q = _divide_graded(p, d) if span is None else _divide_in_q(p, d, *span)
+    groups = span and _q_groups(p._terms)
+    q = _divide_in_q(groups, d, *span) if groups else _divide_graded(p, d)
     if q is None:
         return None
     if q * d != p:  # multiply-back guard; the division loops should never fail it
@@ -962,19 +937,19 @@ def exact_div(p: MultiLaurentPoly, d: MultiLaurentPoly) -> MultiLaurentPoly:
     return q
 
 
-def _divide_in_q(p: MultiLaurentPoly, d: MultiLaurentPoly, lo: int, hi: int):
-    """p / d for d in q alone with least and greatest keys lo and hi; None if inexact.
+def _divide_in_q(groups, d: MultiLaurentPoly, lo: int, hi: int):
+    """p / d for the q-groups of p and d in q alone with least and greatest keys lo and hi.
 
-    Each q-group of p is m q^e A(q) with A(0) != 0, and d is q^lo B(q)
-    with B(0) != 0, so d divides p exactly when B divides every A.  The groups
-    are built even where they are sparse in q: the graded loop is quadratic.
+    None if inexact.  Each q-group of p is m q^e A(q) with A(0) != 0, and d
+    is q^lo B(q) with B(0) != 0, so d divides p exactly when B divides every A.
     """
     B = _dense(d._terms, lo, hi)
     out = {}
-    for g, e, A in _q_groups(p._terms, sparse=True):
-        qd, r = _dense_divrem(A, B)
-        if r:
+    for g, e, A in groups:
+        qr = _dense_divrem(A, B)
+        if qr is None or qr[1]:
             return None
+        qd = qr[0]
         start = g + e - lo
         # small indices first: a sparse quotient need not build a packed key per entry
         out.update(zip(map(start.__add__, compress(range(len(qd)), qd)), filter(None, qd)))
@@ -1024,7 +999,9 @@ def _divide_graded(p: MultiLaurentPoly, d: MultiLaurentPoly):
             if (((qk + _BIAS) >> (_W * i)) & _MASK) < _OFF:
                 return None
         qgrade = -lt_grade - dlead_grade
-        qc = _norm_coeff(Fraction(lt_c) / dlead_c)
+        qc, rem = divmod(lt_c, dlead_c)
+        if rem:
+            return None
         q[qk + sp - sd] = qc
         for g2, k2, c2 in rest:
             k = qk + k2
@@ -1042,8 +1019,8 @@ def _divide_graded(p: MultiLaurentPoly, d: MultiLaurentPoly):
 def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
     """Long division of integer polynomials in q by a monic integer modulus.
 
-    Requires p to have only non-negative q-exponents and integer coefficients.
-    Returns (quotient, remainder) with deg(remainder) < deg(m), both exact.
+    Requires p to have only non-negative q-exponents.  Returns (quotient,
+    remainder) with deg(remainder) < deg(m), both exact.
     """
     for poly, label in ((p, "dividend"), (m, "modulus")):
         if poly and _q_range(poly._terms) is None:
@@ -1053,12 +1030,8 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
     lo_p = min(p._terms) if p else 0
     if lo_p < 0:
         raise ValueError("dividend has negative q-exponents; clear them first")
-    if any(not isinstance(c, int) for c in p._terms.values()):
-        raise ValueError("dividend must have integer coefficients")
     if m.is_zero():
         raise ZeroDivisionError("zero modulus")
-    if any(not isinstance(c, int) for c in m._terms.values()):
-        raise ValueError("modulus must have integer coefficients")
     if min(m._terms) < 0:
         raise ValueError("modulus has negative q-exponents")
     B = _dense(m._terms, 0, max(m._terms))
@@ -1071,9 +1044,8 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
 
 
 def non_positive_terms(p: MultiLaurentPoly) -> MultiLaurentPoly:
-    """The terms of p whose coefficient is not a positive integer."""
-    return MultiLaurentPoly._raw({k: c for k, c in p._terms.items()
-                                  if not (isinstance(c, int) and c > 0)})
+    """The terms of p whose coefficient is negative (no stored coefficient is 0)."""
+    return MultiLaurentPoly._raw({k: c for k, c in p._terms.items() if c < 0})
 
 
 def is_nonneg_integer_laurent(p: MultiLaurentPoly) -> bool:

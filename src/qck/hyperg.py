@@ -1,18 +1,19 @@
 """Terminating basic hypergeometric series: exact terms and sums from a spec.
 
 A series description (PhiSpec) lists the upper and lower parameters and the
-argument, each a Laurent monomial of the kernel (a single-term
-MultiLaurentPoly), and the termination order n (the least n with an upper
-parameter equal to q^{-n}).  The k-th summand is
+argument, each u*m/v held as a pair (u*m, v) of a kernel monomial and a
+positive int with u/v in lowest terms, and the termination order n (the least
+n with an upper parameter equal to q^{-n}).  The k-th summand is
 
     prod_u (u;q)_k / ((q;q)_k prod_b (b;q)_k) * ((-1)^k q^{C(k,2)})^{1+s-r} * z^k
 
 with the literal lower parameter 0 contributing (0;q)_k = 1.
 
 Individual summands and full sums are rational in general.  ``phi_term`` and
-``phi_sum`` return exact Laurent polynomials and raise NotDivisibleError when
-the value is not polynomial; the ``*_cleared`` variants return an exact
-(numerator, denominator) pair and always succeed.  Identity verification works
+``phi_sum`` return exact integer Laurent polynomials and raise
+NotDivisibleError when the value is not one; the ``*_cleared`` variants return
+an exact integer (numerator, denominator) pair and always succeed: v^k
+(u*m/v;q)_k is the running product with lead v.  Identity verification works
 on cleared forms only.
 
 The text grammar (whitespace insensitive)::
@@ -27,7 +28,7 @@ The text grammar (whitespace insensitive)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd, prod
 
 from .exactalg import MultiLaurentPoly, exact_div, sum_of_products
 from .qkit import Q, choose2, poch_prefixes, poch_suffixes, qpochhammer, terminating_weight
@@ -51,15 +52,17 @@ class PhiSpecError(ValueError):
 class PhiSpec:
     """A terminating r-phi-s series: upper/lower parameters, argument, termination order."""
 
-    upper: tuple          # kernel monomials
-    lower: tuple          # kernel monomials, or the literal int 0
-    argument: MultiLaurentPoly
+    upper: tuple          # (monomial, v) pairs
+    lower: tuple          # (monomial, v) pairs, or the literal int 0
+    argument: tuple       # a (monomial, v) pair
     termination: int
 
     @classmethod
     def of(cls, upper, lower, argument) -> "PhiSpec":
-        upper = tuple(upper)
-        lower = tuple(lower)
+        """The spec of kernel monomials or (monomial, v) pairs, and 0 among the lower ones."""
+        upper = tuple(map(_param, upper))
+        lower = tuple(0 if b == 0 else _param(b) for b in lower)
+        argument = _param(argument)
         orders = [-e for u in upper if (e := _q_exponent(u)) is not None and e <= 0]
         if not orders:
             raise PhiSpecError("no upper parameter of the form q^-n; series does not terminate")
@@ -67,13 +70,13 @@ class PhiSpec:
         for b in lower:
             if b == 0:
                 continue
-            if not _is_monomial(b):
+            if not _is_monomial(b[0]):
                 raise PhiSpecError(f"lower parameter {b!r} is neither 0 nor a monomial")
             e = _q_exponent(b)
             if e is not None and -n < e <= 0:
                 raise PhiSpecError(
                     f"lower parameter q^{e} vanishes inside the summation range")
-        if not _is_monomial(argument):
+        if not _is_monomial(argument[0]):
             raise PhiSpecError("argument must be a monomial")
         return cls(upper, lower, argument, n)
 
@@ -90,31 +93,38 @@ def _is_monomial(m) -> bool:
     return isinstance(m, MultiLaurentPoly) and len(m) == 1
 
 
-def _q_exponent(m):
-    """e when m is the monomial q^e, else None."""
-    if not _is_monomial(m):
+def _param(p) -> tuple:
+    return p if isinstance(p, tuple) else (p, 1)
+
+
+def _q_exponent(p):
+    """e when the parameter pair p is q^e, else None."""
+    m, v = p
+    if v != 1 or not _is_monomial(m):
         return None
     e = m.degree_range("q")[0]
     return e if m == Q ** e else None
 
 
-def _sign_factor(spec: PhiSpec, k: int) -> MultiLaurentPoly:
+def _sign_factor(spec: PhiSpec, k: int, scale: int) -> MultiLaurentPoly:
+    """scale * ((-1)^k q^{C(k,2)})^{1+s-r}."""
     e = 1 + spec.s - spec.r
     sign = -1 if (k * e) % 2 else 1
-    return MultiLaurentPoly.monomial(sign, {"q": choose2(k) * e})
+    return MultiLaurentPoly.monomial(sign * scale, {"q": choose2(k) * e})
 
 
 def phi_term_cleared(spec: PhiSpec, k: int) -> tuple:
     """Exact (numerator, denominator) of the k-th summand, without cancellation."""
     if k < 0:
         raise ValueError("summation index must be non-negative")
-    num = _sign_factor(spec, k) * spec.argument ** k
-    for u in spec.upper:
-        num = num * qpochhammer(u, k)
-    den = qpochhammer(Q, k)
-    for b in spec.lower:
-        if b != 0:
-            den = den * qpochhammer(b, k)
+    z, vz = spec.argument
+    lowers = [b for b in spec.lower if b != 0]
+    num = _sign_factor(spec, k, prod(v for _, v in lowers) ** k) * z ** k
+    den = qpochhammer(Q, k) * (prod(v for _, v in spec.upper) * vz) ** k
+    for m, v in spec.upper:
+        num = num * poch_prefixes(m, k, lead=MultiLaurentPoly.const(v))[k]
+    for m, v in lowers:
+        den = den * poch_prefixes(m, k, lead=MultiLaurentPoly.const(v))[k]
     return num, den
 
 
@@ -132,16 +142,22 @@ def phi_sum_cleared(spec: PhiSpec) -> tuple:
     The common denominator is prod_{b != 0} (b;q)_n with n the termination
     order; each summand's lower Pochhammers cancel into (b q^k; q)_{n-k}
     factors, and the terminating upper parameter is paired with (q;q)_k.
+    Clearing the pairs (u*m, v) scales summand k by v^{n-k} for the upper ones
+    and the argument and by v^k for the lower ones, and the denominator by v^n.
     """
     n = spec.termination
     uppers = list(spec.upper)
-    uppers.remove(Q ** -n)  # pairing (q^{-n};q)_k / (q;q)_k
-    prefix_lists = [poch_prefixes(u, n) for u in uppers]
-    suffix_lists = [poch_suffixes(b, n) for b in spec.lower if b != 0]
-    total = sum_of_products((terminating_weight(n, k), _sign_factor(spec, k), spec.argument ** k,
+    uppers.remove((Q ** -n, 1))  # pairing (q^{-n};q)_k / (q;q)_k
+    z, vz = spec.argument
+    lowers = [b for b in spec.lower if b != 0]
+    top, low = prod(v for _, v in uppers) * vz, prod(v for _, v in lowers)
+    prefix_lists = [poch_prefixes(m, n, lead=MultiLaurentPoly.const(v)) for m, v in uppers]
+    suffix_lists = [poch_suffixes(m, n, lead=MultiLaurentPoly.const(v)) for m, v in lowers]
+    total = sum_of_products((terminating_weight(n, k),
+                             _sign_factor(spec, k, top ** (n - k) * low ** k), z ** k,
                              *(pl[k] for pl in prefix_lists), *(sl[k] for sl in suffix_lists))
                             for k in range(n + 1))
-    den = MultiLaurentPoly.const(1)
+    den = MultiLaurentPoly.const(top ** n)
     for sl in suffix_lists:
         den = den * sl[0]
     return total, den
@@ -187,13 +203,13 @@ class _Scanner:
         return int(self.text[start:self.pos])
 
 
-def _parse_mono(sc: _Scanner) -> MultiLaurentPoly:
+def _parse_mono(sc: _Scanner) -> tuple:
+    """The monomial u*m/v at the scanner, as the pair (u*m, v)."""
     sc.skip_ws()
-    start = sc.pos
-    coeff = Fraction(1)
+    sign, num, den, g = 1, 1, 1, 1
     if sc.peek() == "-":
         sc.expect("-")
-        coeff = -coeff
+        sign = -1
     sc.skip_ws()
     if sc.peek().isdigit():
         num = sc.integer()
@@ -202,15 +218,13 @@ def _parse_mono(sc: _Scanner) -> MultiLaurentPoly:
             den = sc.integer()
             if den == 0:
                 raise PhiParseError("zero denominator in coefficient", sc.pos)
-            coeff *= Fraction(num, den)
-        else:
-            coeff *= num
+        g = gcd(num, den)
         if sc.peek() == "*":
             sc.expect("*")
         else:
-            if coeff == 0:
+            if num == 0:
                 raise PhiParseError("zero is not a monomial here", sc.pos)
-            return MultiLaurentPoly.const(coeff)
+            return MultiLaurentPoly.const(sign * num // g), den // g
     powers = {}
     while True:
         sc.skip_ws()
@@ -230,10 +244,10 @@ def _parse_mono(sc: _Scanner) -> MultiLaurentPoly:
             sc.expect("*")
         else:
             break
-    if coeff == 0:
+    if num == 0:
         raise PhiParseError("zero coefficient", sc.pos)
     try:
-        return MultiLaurentPoly.monomial(coeff, powers)
+        return MultiLaurentPoly.monomial(sign * num // g, powers), den // g
     except ValueError as exc:  # an exponent outside the kernel's range
         raise PhiParseError(str(exc), start) from None
 
@@ -283,6 +297,15 @@ def parse_phi(text: str) -> PhiSpec:
 
 def print_phi(spec: PhiSpec) -> str:
     """Canonical text form; parse_phi(print_phi(s)) reproduces s."""
-    upper = ", ".join(map(str, spec.upper))
-    lower = ", ".join(map(str, spec.lower))
-    return f"phi[{spec.r},{spec.s}]{{{upper} ; {lower} ; {spec.argument}}}"
+    upper = ", ".join(map(_print_param, spec.upper))
+    lower = ", ".join(map(_print_param, spec.lower))
+    return f"phi[{spec.r},{spec.s}]{{{upper} ; {lower} ; {_print_param(spec.argument)}}}"
+
+
+def _print_param(p) -> str:
+    """u*m/v printed as the kernel prints u*m, with u/v in place of u when v > 1."""
+    m, v = (p, 1) if p == 0 else p
+    if v == 1:
+        return str(m)
+    (powers, u), = m.sorted_terms()
+    return f"{u}/{v}*{MultiLaurentPoly.monomial(1, powers)}" if powers else f"{u}/{v}"

@@ -67,9 +67,9 @@ def poch_prefixes(a, nmax: int, base: MultiLaurentPoly = Q, lead: MultiLaurentPo
     return out
 
 
-def poch_suffixes(a, n: int, base: MultiLaurentPoly = Q) -> list:
+def poch_suffixes(a, n: int, base: MultiLaurentPoly = Q, lead: MultiLaurentPoly = None) -> list:
     """out[k] = (a * base^k; base)_{n-k} for k = 0..n, i.e. (a;base)_n / (a;base)_k."""
-    return poch_prefixes(a, n, base, reverse=True)[::-1]
+    return poch_prefixes(a, n, base, lead, reverse=True)[::-1]
 
 
 def choose2(k: int) -> int:

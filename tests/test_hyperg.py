@@ -17,9 +17,29 @@ def test_parse_basic():
     spec = parse_phi("phi[3,2]{q^-2, a, x ; c, 0 ; q}")
     assert spec.r == 3 and spec.s == 2
     assert spec.termination == 2
-    assert spec.upper[0] == ParamExpr.q_power(-2)
+    assert spec.upper[0] == (ParamExpr.q_power(-2), 1)
     assert spec.lower[1] == 0
-    assert spec.argument == ParamExpr.var("q")
+    assert spec.argument == (ParamExpr.var("q"), 1)
+
+
+def test_rational_coefficient_is_a_reduced_pair():
+    spec = parse_phi("phi[2,1]{2/4*a, q^-2 ; c ; q}")
+    assert spec.upper[0] == (ParamExpr.var("a"), 2)
+    assert print_phi(spec) == "phi[2,1]{1/2*a, q^-2 ; c ; q}"
+    spec = parse_phi("phi[1,0]{q^-2 ; ; -6/4}")
+    assert spec.argument == (ParamExpr.of(-3), 2)
+    assert print_phi(spec) == "phi[1,0]{q^-2 ;  ; -3/2}"
+
+
+def test_rational_parameters_are_cleared():
+    # 1phi0(q^-1; ; q/2): the summand at k = 1 is (1 - q^-1) (q/2) / (1 - q) = -1/2
+    spec = parse_phi("phi[1,0]{q^-1 ; ; 1/2*q}")
+    num, den = phi_term_cleared(spec, 1)
+    assert -2 * num == den
+    num, den = phi_sum_cleared(spec)
+    assert 2 * num == den
+    with pytest.raises(NotDivisibleError):  # 1/2 is not an integer polynomial
+        phi_sum(spec)
 
 
 def test_parse_termination_from_any_position():

@@ -13,6 +13,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from qck import cli
 from qck.congruence import BracketModulus, congruence_witness, thm2_lhs, thm2_witness
 from qck.delannoy import delannoy_product_sides, dq, dq_star
 from qck.exactalg import MultiLaurentPoly, exact_divide
@@ -214,3 +215,29 @@ def test_thm3_1_cell_against_sympy():
     assert qck_terms(quotient, (q,)) == expected
     assert all(coeff > 0 and coeff.denominator == 1 for coeff in expected.values())
     assert verify_thm3("thm3-1", m, n).passed
+
+
+def sympy_poly(poly: MultiLaurentPoly):
+    """A kernel polynomial as a sympy expression."""
+    return sum((coeff * sp.prod([sp.Symbol(v) ** e for v, e in powers.items()])
+                for powers, coeff in poly.sorted_terms()), sp.Integer(0))
+
+
+@pytest.mark.parametrize("text, upper, lower, z", [
+    ("phi[2,1]{1/2*a, q^-2 ; 3 ; q}", [a / 2, q ** -2], [3], q),
+    ("phi[2,1]{a, q^-2 ; 2/3*c ; q}", [a, q ** -2], [sp.Rational(2, 3) * c], q),
+    ("phi[1,0]{q^-2 ; ; 1/2*q}", [q ** -2], [], q / 2),
+    ("phi[2,1]{3*a, q^-2 ; c ; q}", [3 * a, q ** -2], [c], q),
+], ids=["half-a", "two-thirds-c", "half-q-argument", "three-a"])
+def test_rational_phi_against_sympy(text, upper, lower, z, capsys):
+    # the integer num/den pair printed by `qck phi` against the series summed from
+    # its definition, (-1)^k q^C(k,2) raised to 1 + s - r, up to the termination order 2
+    e = 1 + len(lower) - len(upper)
+    series = sum(sp.prod([poch(u, k) for u in upper]) * ((-1) ** k * q ** (k * (k - 1) // 2)) ** e
+                 * z ** k / (poch(q, k) * sp.prod([poch(b, k) for b in lower])) for k in range(3))
+    want_num, want_den = sp.fraction(sp.cancel(sp.together(series)))
+    assert cli.main(["phi", text]) == 0
+    printed = capsys.readouterr().out.strip()
+    parts = printed[1:-1].split(") / (") if " / " in printed else [printed, "1"]
+    num, den = (sympy_poly(MultiLaurentPoly.from_canonical(part)) for part in parts)
+    assert sp.expand(num * want_den - want_num * den) == 0

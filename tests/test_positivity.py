@@ -1,7 +1,5 @@
 """Positivity-certificate tests."""
 
-from fractions import Fraction
-
 import pytest
 
 from qck import positivity
@@ -159,13 +157,12 @@ def test_thm3_record_shape():
 
 
 def test_thm3_difference_is_the_violating_terms(monkeypatch):
-    half = P.const(Fraction(1, 2))
-    quotient = 2 - 3 * q + half * q ** 2 + q ** 3
+    quotient = 2 - 3 * q - 5 * q ** 2 + q ** 3
     parts = {"thm3-2": lambda m, n, r: (quotient * (1 - q), 1 - q)}
     monkeypatch.setattr(positivity, "_CLAIM_PARTS", parts)
     report = verify_thm3("thm3-2", 1, 1, 1)
     assert not report.passed
-    assert report.difference == -3 * q + half * q ** 2
+    assert report.difference == -3 * q - 5 * q ** 2
     parts["thm3-2"] = lambda m, n, r: (1 + q, 1 - q)  # not divisible
     assert verify_thm3("thm3-2", 1, 1, 1).difference == P.const(1)
 

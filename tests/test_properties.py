@@ -12,15 +12,11 @@ from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _W, _check_keys, _de
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
-# Coefficients are small ints or Fractions with small denominators.
-coeffs = st.one_of(
-    st.integers(-30, 30),
-    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 6)),
-)
+coeffs = st.integers(-30, 30)
 
 
 @st.composite
-def polys(draw, names=None, coeffs=coeffs):
+def polys(draw, names=None):
     """A polynomial in q (alone, to reach the dense path) or in q, a and x."""
     names = names or draw(st.sampled_from((("q",), ("q", "a", "x"))))
     monomial = st.fixed_dictionaries({v: st.integers(-3, 3) for v in names})
@@ -103,7 +99,7 @@ def test_q_only_product_matches_generic(u, v):
 
 
 def _dense_walk_divrem(A, B):
-    """The textbook long division, over every index of B."""
+    """The textbook long division over the rationals, over every index of B."""
     r = list(A)
     if len(A) < len(B):
         return [], r
@@ -122,11 +118,9 @@ def _dense_walk_divrem(A, B):
 
 @st.composite
 def divisions(draw):
-    """(dividend, divisor) lists; the divisor is mostly zeros below its lead."""
+    """(dividend, divisor) int lists; the divisor is mostly zeros below its lead."""
     entry = st.integers(-5, 5)
-    if draw(st.booleans()):
-        entry = st.one_of(entry, st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
-    lead = draw(st.sampled_from((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3))))
+    lead = draw(st.sampled_from((1, -1, 2, -3)))
     tail = draw(st.lists(st.one_of(st.just(0), st.just(0), entry), max_size=12))
     return draw(st.lists(entry, max_size=30)), tail + [lead]
 
@@ -134,11 +128,15 @@ def divisions(draw):
 @_SETTINGS
 @given(divisions())
 def test_sparse_divisor_division_matches_the_dense_walk(AB):
+    # None ("not divisible") exactly when the rational quotient leaves the integers
     A, B = AB
-    q, r = _dense_divrem(A, B)
+    got = _dense_divrem(A, B)
     want_q, want_r = _dense_walk_divrem(A, B)
-    assert q == want_q and r == want_r
-    assert [type(c) for c in q] == [type(c) for c in want_q]
+    if all(type(c) is int for c in want_q):
+        assert got == (want_q, want_r)
+        assert {type(c) for c in got[0] + got[1]} <= {int}
+    else:
+        assert got is None
 
 
 @_SETTINGS
@@ -153,7 +151,7 @@ def test_min_exponent_key_is_the_fieldwise_minimum(p):
 @st.composite
 def q_divisors(draw):
     """A polynomial in q alone whose lead coefficient is not a unit."""
-    lead = draw(st.sampled_from((2, -3, Fraction(1, 2), Fraction(-2, 3))))
+    lead = draw(st.sampled_from((2, -3)))
     return draw(polys(("q",))) + P.monomial(lead, {"q": draw(st.integers(4, 6))})
 
 
@@ -318,17 +316,15 @@ def test_q_range_is_found_exactly_in_q_alone(vs):
 def product_terms(draw):
     """Terms for sum_of_products: lists of factors in q alone or in q, a and x.
 
-    Factors are int polynomials (packed), polynomials with Fraction
-    coefficients (multiplied out), zero, Laurent monomials, and 1 + q^e with
-    e up to 300, whose q-group the grouped product refuses.  Some terms carry
+    Factors are polynomials (packed), zero, Laurent monomials, and 1 + q^e
+    with e up to 300, whose q-group the grouped product refuses.  Some terms carry
     a shift of thousands of q exponents, so the accumulator they share with
     the other terms would span far more than the products added into it.
     """
     names = draw(st.sampled_from((("q",), ("q", "a", "x"))))
     monomial = st.builds(P.monomial, st.integers(-30, 30).filter(bool),
                          st.fixed_dictionaries({v: st.integers(-4, 4) for v in names}))
-    factor = st.one_of(polys(names, st.integers(-30, 30)), polys(names, st.integers(-30, 30)),
-                       polys(names), monomial, st.just(P.zero()),
+    factor = st.one_of(polys(names), polys(names), polys(names), monomial, st.just(P.zero()),
                        st.integers(40, 300).map(lambda e: 1 + P.var("q", e)))
     shift = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-5000, 5000))
     return draw(st.lists(st.builds(lambda fs, e: fs + [P.var("q", e)] if e else fs,
@@ -336,7 +332,7 @@ def product_terms(draw):
 
 
 def _is_canonical(p) -> bool:
-    return all(c and (type(c) is int or c.denominator != 1) for c in p._terms.values())
+    return all(c and type(c) is int for c in p._terms.values())
 
 
 _F = 1 + P.var("q") + P.var("q", 2) + P.var("a")

@@ -162,5 +162,8 @@ def test_param_expr_arithmetic():
 
 
 def test_param_expr_fraction_coeff():
-    half_q = ParamExpr.of(Fraction(1, 2), {"q": 1})
-    assert half_q ** -1 == ParamExpr.of(2, {"q": -1})
+    with pytest.raises(TypeError):  # a rational parameter is a hyperg (monomial, v) pair
+        ParamExpr.of(Fraction(1, 2), {"q": 1})
+    assert ParamExpr.of(-1, {"q": 1}) ** -1 == ParamExpr.of(-1, {"q": -1})
+    with pytest.raises(ValueError):
+        ParamExpr.of(2, {"q": 1}) ** -1
