@@ -942,7 +942,10 @@ def _divide_in_q(groups, d: MultiLaurentPoly, lo: int, hi: int):
 
     None if inexact.  Each q-group of p is m q^e A(q) with A(0) != 0, and d
     is q^lo B(q) with B(0) != 0, so d divides p exactly when B divides every A.
+    An A of lower degree than B is not divisible: None before B is built.
     """
+    if any(len(A) <= hi - lo for _, _, A in groups):
+        return None
     B = _dense(d._terms, lo, hi)
     out = {}
     for g, e, A in groups:

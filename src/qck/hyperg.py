@@ -67,6 +67,9 @@ class PhiSpec:
         if not orders:
             raise PhiSpecError("no upper parameter of the form q^-n; series does not terminate")
         n = min(orders)
+        for u in upper:
+            if not _is_monomial(u[0]):
+                raise PhiSpecError(f"upper parameter {u!r} is not a monomial")
         for b in lower:
             if b == 0:
                 continue

@@ -8,6 +8,9 @@ summand's denominator cancels exactly into tail factors such as
     (c;q)_n / (c;q)_k = (c q^k; q)_{n-k},
 
 and the verified statement is always "difference polynomial equals zero".
+Where it leaves the same nonzero product on both sides (a (c;q)_n, or the
+Pochhammer prefix of every summand of a shifted form), the builder never
+multiplies that product in: in an integral domain the identity is unchanged.
 A side that is a terminating rphis series in base q (the 3phi2 factors, the
 3phi1 transformation, the q-Chu-Vandermonde 2phi1) is built by
 ``hyperg.phi_sum_cleared``, which clears it by exactly these lower Pochhammer
@@ -63,13 +66,14 @@ def _shifted_factorial_ratio(n: int, parts) -> MultiLaurentPoly:
 def clausen_orr_sides(n: int) -> tuple:
     """Cleared sides of the root-free product formula in symbolic a, x, c.
 
-    lhs * (c;q)_n^2 (c;q)_{2n}:
+    lhs * (c;q)_n (c;q)_{2n}:
         [sum_k w_k (a;q)_k (x;q)_k   q^k (cq^k;q)_{n-k}]
-      * [sum_k w_k (a;q)_k (c/x;q)_k q^k (cq^k;q)_{n-k}] * (c;q)_{2n}
+      * [sum_k w_k (a;q)_k (c/x;q)_k q^k (cq^k;q)_{n-k}] * (cq^n;q)_n
     rhs, same clearing:
-        (c;q)_n * sum_k w_k (cq^n;q)_k (a;q)_k a^{n-k} prod_{i<k}(a - cq^i)
+        sum_k w_k (cq^n;q)_k (a;q)_k a^{n-k} prod_{i<k}(a - cq^i)
                   (x;q)_k (c/x;q)_k q^k (cq^k;q)_{n-k} (cq^{2k};q)_{2(n-k)}
-    with w_k = (q^{-n};q)_k / (q;q)_k.
+    with w_k = (q^{-n};q)_k / (q;q)_k.  Clearing by (c;q)_n^2 (c;q)_{2n} leaves one
+    (c;q)_n on both sides, nonzero for symbolic c: it is never multiplied in.
     """
     qn, a, x, c = _mono(q=-n), _mono(a=1), _mono(x=1), _mono(c=1)
     cx = _mono(c=1, x=-1)
@@ -86,9 +90,7 @@ def clausen_orr_sides(n: int) -> tuple:
     rhs_sum = sum_of_products((terminating_weight(n, k), _mono(q=k, a=n - k), pcqn[k], pa[k],
                                aca[k], px[k], pcx[k], ctail[k], c2tail[2 * k])
                               for k in range(n + 1))
-    lhs = s1 * s2 * c2tail[0]
-    rhs = ctail[0] * rhs_sum
-    return lhs, rhs
+    return s1 * s2 * c2tail[n], rhs_sum
 
 
 
@@ -155,7 +157,7 @@ _Q2 = _mono(q=2)
 
 
 def special3_sides(n: int) -> tuple:
-    """Cleared sides of the (x;q^2)-weighted product formula, symbolic in x, c."""
+    """Cleared sides of the (x;q^2)-weighted product formula in x, c; cleared as clausen_orr."""
     px2 = poch_prefixes(_mono(x=1), n, base=_Q2)
     pc2x = poch_prefixes(_mono(c=2, x=-1), n, base=_Q2)
     pcqn = poch_prefixes(_mono(c=1, q=n), n)
@@ -169,12 +171,12 @@ def special3_sides(n: int) -> tuple:
                          for k in ks)
     rhs_sum = sum_of_products((w[k], _mono(q=k), pcqn[k], px2[k], pc2x[k], ctail[k],
                                c2tail[2 * k]) for k in ks)
-    return s1 * s2 * c2tail[0], ctail[0] * rhs_sum
+    return s1 * s2 * c2tail[n], rhs_sum
 
 
 
 def special1_sides(n: int) -> tuple:
-    """Cleared sides of the a = -x specialization of the core product formula."""
+    """Cleared sides of the core product formula at a = -x, by its clearing factor."""
     s2, _ = phi_sum_cleared(PhiSpec.of(
         [_mono(q=-n), _mono(-1, x=1), _mono(c=1, x=-1)], [_mono(c=1), 0], Q))
     px2 = poch_prefixes(_mono(x=2), n, base=_Q2)
@@ -189,7 +191,7 @@ def special1_sides(n: int) -> tuple:
     rhs_sum = sum_of_products((w[k], pcqn[k], px2[k], pc2x2[k], ctail[k], c2tail[2 * k])
                               for k in ks)
     sign = -1 if n % 2 else 1
-    return s1 * s2 * c2tail[0], _mono(sign, x=n) * ctail[0] * rhs_sum
+    return s1 * s2 * c2tail[n], _mono(sign, x=n) * rhs_sum
 
 
 
@@ -234,18 +236,22 @@ def _range_tails(n: int, s: int) -> list:
 def general_s_sides(n: int, s: int) -> tuple:
     """Cleared sides of the shifted product formula with c = q^{2s+1}, symbolic a, x.
 
-    Clearing multiplies both sides by D^2 G E with D = (q;q)_{n-s}(q;q)_{n+s},
-    G = (q^{n+1};q)_s (q/a;q)_s, E = (q;q)_{2n}.
+    Clearing by D^2 G E, D = (q;q)_{n-s}(q;q)_{n+s}, G = (q^{n+1};q)_s (q/a;q)_s,
+    E = (q;q)_{2n}, leaves P^2 D on both sides, P = (q^{-n};q)_s (a;q)_s being
+    carried by every summand and by the rhs prefactor.  It is never multiplied
+    in, so the clearing factor is G E D / P^2, and E / D = [2n; n-s].  P is
+    nonzero: (q^{-n};q)_s has the factors 1 - q^{j-n}, j < s <= n; a is symbolic.
     """
     return _general_s_sides(n, s, _mono(a=1))
 
 
 def _general_s_sides(n: int, s: int, a: MultiLaurentPoly) -> tuple:
-    """``general_s_sides`` with a bound to the monomial ``a``."""
+    """``general_s_sides`` at a bound ``a``; at a = -q^{-n}, (a;q)_s has factors 1 + q^{j-n}."""
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
-    pqn = poch_prefixes(_mono(q=-n), n)
-    pa = poch_prefixes(a, n)
+    # (q^{-n};q)_k (a;q)_k = P (q^{s-n};q)_{k-s} (aq^s;q)_{k-s}: index k - s
+    pqn = poch_prefixes(_mono(q=s - n), n - s)
+    pa = poch_prefixes(a * _mono(q=s), n - s)
     px = poch_prefixes(_mono(x=1), n)
     pqx = poch_prefixes(_mono(q=1, x=-1), n)
     pqa = poch_prefixes(Q * a ** -1, n)
@@ -254,16 +260,12 @@ def _general_s_sides(n: int, s: int, a: MultiLaurentPoly) -> tuple:
     e2tail = poch_suffixes(Q, 2 * n)
 
     ks = range(s, n + 1)
-    s1 = sum_of_products((pqn[k], _mono(q=k), tails[k], pa[k], px[k]) for k in ks)
-    s2 = sum_of_products((pqn[k], _mono(q=k), tails[k], pa[k], pqx[k]) for k in ks)
-    rhs_sum = sum_of_products((pqn[k], _mono(q=k), tails[k], pqn1[k], pa[k], pqa[k], px[k],
-                               pqx[k], e2tail[2 * k]) for k in ks)
-    g = pqn1[s] * pqa[s]
-    lhs = s1 * s2 * g * e2tail[0]
-    d_whole = _qq(n - s) * _qq(n + s)
-    lead = pqn[s] * pa[s] * (a ** (n - s) * _mono(q=(n + 1) * s - s * s))
-    rhs = lead * rhs_sum * d_whole
-    return lhs, rhs
+    s1 = sum_of_products((pqn[k - s], _mono(q=k), tails[k], pa[k - s], px[k]) for k in ks)
+    s2 = sum_of_products((pqn[k - s], _mono(q=k), tails[k], pa[k - s], pqx[k]) for k in ks)
+    rhs_sum = sum_of_products((pqn[k - s], _mono(q=k), tails[k], pqn1[k], pa[k - s], pqa[k],
+                               px[k], pqx[k], e2tail[2 * k]) for k in ks)
+    return (s1 * s2 * (pqn1[s] * pqa[s] * qbinomial(2 * n, n - s)),
+            a ** (n - s) * _mono(q=(n + 1) * s - s * s) * rhs_sum)
 
 
 
@@ -274,10 +276,15 @@ def q2_product_sides(n: int, s: int) -> tuple:
     This is the a = -q^{-n} instance of the shifted product formula, verified
     independently; the specialization consistency is a separate check.  The
     last build is kept: that check, run next for the same (n, s), reuses it.
+    Clearing by D^2 E (q^2;q^2)_{n-s}^2 (D, E of general_s_sides) leaves P^2 D
+    (q^2;q^2)_{n-s}^2 on both sides, P = (-1)^s q^{s(s-1)-2ns} (q^2;q^2)_n /
+    (q^2;q^2)_{n-s} = (q^{-2n};q^2)_s being carried by every series term.  It is
+    never multiplied in (clearing factor D E / P^2); P has the factors
+    1 - q^{2(j-n)}, j < s <= n, so it is nonzero.
     """
     if not 0 <= s <= n:
         raise ValueError("need 0 <= s <= n")
-    pq2n = poch_prefixes(_mono(q=-2 * n), n, base=_Q2)
+    pq2n = poch_prefixes(_mono(q=2 * (s - n)), n - s, base=_Q2)   # index k - s
     px = poch_prefixes(_mono(x=1), n)
     pqx = poch_prefixes(_mono(q=1, x=-1), n)
     tails = _range_tails(n, s)
@@ -285,36 +292,29 @@ def q2_product_sides(n: int, s: int) -> tuple:
     q2up = poch_prefixes(_Q2, n + n, base=_Q2)   # (q^2;q^2)_j for j <= 2n
 
     ks = range(s, n + 1)
-    s1 = sum_of_products((pq2n[k], _mono(q=k), tails[k], px[k]) for k in ks)
-    s2 = sum_of_products((pq2n[k], _mono(q=k), tails[k], pqx[k]) for k in ks)
+    s1 = sum_of_products((pq2n[k - s], _mono(q=k), tails[k], px[k]) for k in ks)
+    s2 = sum_of_products((pq2n[k - s], _mono(q=k), tails[k], pqx[k]) for k in ks)
     # (q^2;q^2)_{n-s} / (q^2;q^2)_{n-k} = (q^{2(n-k)+2}; q^2)_{k-s}
     rhs_sum = sum_of_products((_mono((-1) ** k, q=k * k - 2 * n * k), q2up[n + k], px[k], pqx[k],
                                qpochhammer(_mono(q=2 * (n - k) + 2), k - s, base=_Q2),
                                tails[k], e2tail[2 * k]) for k in ks)
-    # One (q^2;q^2)_{n-s} cancels the prefactor denominator, a second one feeds
-    # the per-term (q^2;q^2)_{n-s}/(q^2;q^2)_{n-k} quotient above.
-    lhs = s1 * s2 * e2tail[0] * q2up[n + s] * q2up[n - s] * q2up[n - s]
-    sign = -1 if n % 2 else 1
-    lead = _mono(sign, q=-n * n) * q2up[n] * q2up[n]
-    d_whole = _qq(n - s) * _qq(n + s)
-    rhs = lead * rhs_sum * d_whole
-    return lhs, rhs
+    return (s1 * s2 * (qbinomial(2 * n, n - s) * q2up[n + s]),
+            _mono((-1) ** n, q=4 * n * s - n * n - 2 * s * (s - 1)) * rhs_sum)
 
 
 
 def general_s_specialization_difference(n: int, s: int) -> MultiLaurentPoly:
     """Cross-check: the a = -q^{-n} image of the shifted formula is the q^2 display.
 
-    With a bound to -q^{-n}, (a;q)_k (q^{-n};q)_k = (q^{-2n};q^2)_k and
-    (q/a;q)_s = (-q^{n+1};q)_s; comparing the two cleared forms requires
-    rebalancing by G|_{a=-q^{-n}} on one side and (q^2;q^2)_{n+s}(q^2;q^2)_{n-s}
-    on the other.
+    With a bound to -q^{-n}, (a;q)_k (q^{-n};q)_k = (q^{-2n};q^2)_k, so both
+    builders divide out the same P^2 D, and (q/a;q)_s = (-q^{n+1};q)_s;
+    comparing the two cleared forms requires rebalancing by G|_{a=-q^{-n}} on
+    one side and (q^2;q^2)_{n+s} on the other.
     """
     gl, gr = _general_s_sides(n, s, _mono(-1, q=-n))
     il, ir = q2_product_sides(n, s)
     g_at = poch_prefixes(_mono(q=n + 1), s)[s] * qpochhammer(_mono(-1, q=n + 1), s)
-    nms = qpochhammer(_Q2, n - s, base=_Q2)
-    scale = qpochhammer(_Q2, n + s, base=_Q2) * nms * nms
+    scale = qpochhammer(_Q2, n + s, base=_Q2)
     diff_l = gl * scale - il * g_at
     diff_r = gr * scale - ir * g_at
     return diff_l if not diff_l.is_zero() else diff_r

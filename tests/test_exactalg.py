@@ -416,7 +416,10 @@ _HALF = 2 ** 19
     # a dividend in q alone spanning 2^21 - 3 exponents, over a divisor in q alone
     (lambda: exact_divide((_TOP * q ** -1 + P.var("q", 1 - 2 ** 20)) * (1 + q), 1 + q),
      lambda: _TOP * q ** -1 + P.var("q", 1 - 2 ** 20)),
-], ids=["two-terms", "sparse-group", "far-apart-products", "q-only", "q-only-division"])
+    # a divisor in q alone of higher degree than the dividend: not divisible
+    (lambda: exact_divide((1 + q) * (2 + q), 1 - _TOP), lambda: None),
+], ids=["two-terms", "sparse-group", "far-apart-products", "q-only", "q-only-division",
+        "short-dividend"])
 def test_sparse_q_span_builds_no_dense_list(build, expected):
     want = expected()
     tracemalloc.start()

@@ -72,6 +72,15 @@ def test_parse_bad_lower_parameter():
         parse_phi("phi[2,2]{a, q^-2 ; c, q^-1 ; q}")
 
 
+def test_non_monomial_upper_parameter_is_rejected():
+    # print_phi would write 1 + a as an item that parse_phi cannot read back
+    a, c = P.var("a"), P.var("c")
+    with pytest.raises(PhiSpecError, match="upper parameter"):
+        PhiSpec.of([q ** -2, 1 + a], [c], q)
+    spec = PhiSpec.of([q ** -2, a], [c], q)
+    assert parse_phi(print_phi(spec)) == spec
+
+
 def test_roundtrip_corpus():
     corpus = [
         "phi[3,2]{q^-2, a, x ; c, 0 ; q}",

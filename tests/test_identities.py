@@ -2,6 +2,7 @@
 
 import pytest
 
+import qck.identities as identities
 from qck.exactalg import MultiLaurentPoly as P, exact_divide
 from qck.identities import (_general_s_sides, b_poly, clausen_orr_sides,
                             connection_coefficients,
@@ -42,15 +43,17 @@ def test_sqrt_corollary_base_cases():
 
 def test_final_square_consistency_with_clausen():
     # substituting c -> x^2 in the cleared product-formula sides reproduces the
-    # squared-series sides up to the (x;q)_n regrouping factor
+    # squared-series sides up to the (x;q)_n regrouping factor, once the (c;q)_n
+    # that clausen_orr_sides cancels is put back
     for n in range(4):
         col, cor = clausen_orr_sides(n)
         fsl, fsr = final_square_sides(n)
         scale = qpochhammer(ParamExpr.var("x"), n)
         binding = {"c": ParamExpr.of(1, {"x": 2})}
-        assert col.substitute(binding) == fsl * scale
-        assert cor.substitute(binding) == fsr * scale
-        assert (col - cor).substitute(binding) == (fsl - fsr) * scale
+        c_n = qpochhammer(ParamExpr.of(1, {"x": 2}), n)
+        assert col.substitute(binding) * c_n == fsl * scale
+        assert cor.substitute(binding) * c_n == fsr * scale
+        assert (col - cor).substitute(binding) * c_n == (fsl - fsr) * scale
 
 
 def test_special1_is_clausen_at_minus_x():
@@ -92,14 +95,39 @@ def test_general_s_small_grid():
 
 def test_general_s_zero_shift_is_clausen_at_c_q():
     # with no shift the cleared sides equal the product-formula sides at c = q,
-    # rescaled by (q;q)_n^2
+    # rescaled by (q;q)_n^2, once each builder's cancelled factor is put back:
+    # P^2 D = (q;q)_n^2 for general_s_sides (P = 1 at s = 0), (c;q)_n = (q;q)_n
+    # for clausen_orr_sides
     for n in range(4):
         gl, gr = general_s_sides(n, 0)
         col, cor = clausen_orr_sides(n)
         scale = qpochhammer(Q, n) ** 2
+        d, c_n = scale, qpochhammer(Q, n)
         binding = {"c": ParamExpr.q_power(1)}
-        assert gl == col.substitute(binding) * scale
-        assert gr == cor.substitute(binding) * scale
+        assert gl * d == col.substitute(binding) * c_n * scale
+        assert gr * d == cor.substitute(binding) * c_n * scale
+
+
+@pytest.mark.parametrize("kind, args, factor", [
+    # P^2 D with P = (q^-n;q)_s (a;q)_s and D = (q;q)_{n-s} (q;q)_{n+s}
+    ("general_s", (3, 1), qpochhammer(ParamExpr.q_power(-3), 1) ** 2
+     * qpochhammer(ParamExpr.var("a"), 1) ** 2 * qpochhammer(Q, 2) * qpochhammer(Q, 4)),
+    # P^2 D (q^2;q^2)_{n-s}^2 with P = (q^-2n;q^2)_s
+    ("q2_product", (3, 1), qpochhammer(ParamExpr.q_power(-6), 1, base=_Q2) ** 2
+     * qpochhammer(Q, 2) * qpochhammer(Q, 4) * qpochhammer(_Q2, 2, base=_Q2) ** 2),
+    ("clausen_orr", (2,), qpochhammer(ParamExpr.var("c"), 2)),
+])
+def test_cancelling_from_one_side_only_fails(monkeypatch, kind, args, factor):
+    # the builders divide a shared factor out of both sides; dividing it out of
+    # the rhs only (the lhs keeps it) must turn the verdict into a failure
+    build = getattr(identities, kind + "_sides")
+    row = getattr(identities, "verify_" + kind)
+    lhs, rhs = build(*args)
+    assert lhs == rhs and row(*args).passed
+    monkeypatch.setattr(identities, kind + "_sides", lambda *a: (build(*a)[0] * factor, rhs))
+    report = row(*args)
+    assert not report.passed
+    assert report.difference == lhs * factor - rhs
 
 
 def test_general_s_bound_before_building_is_the_substituted_sides():
@@ -128,9 +156,10 @@ def test_special3_shifted_zero_is_special3_at_c_q():
         shl, shr = special3_shifted_sides(n, 0)
         s3l, s3r = special3_sides(n)
         scale = qpochhammer(Q, n) ** 2
+        c_n = qpochhammer(Q, n)  # the (c;q)_n that special3_sides cancels, at c = q
         binding = {"c": ParamExpr.q_power(1)}
-        assert shl == s3l.substitute(binding) * scale
-        assert shr == s3r.substitute(binding) * scale
+        assert shl == s3l.substitute(binding) * c_n * scale
+        assert shr == s3r.substitute(binding) * c_n * scale
 
 
 def test_sqrt_corollary_square_consistency():

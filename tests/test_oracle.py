@@ -17,9 +17,9 @@ from qck import cli
 from qck.congruence import BracketModulus, congruence_witness, thm2_lhs, thm2_witness
 from qck.delannoy import delannoy_product_sides, dq, dq_star
 from qck.exactalg import MultiLaurentPoly, exact_divide
-from qck.identities import (_general_s_sides, clausen_orr_sides,
+from qck.identities import (_general_s_sides, clausen_orr_sides, general_s_sides,
                             general_s_specialization_difference, lemma_last_sides,
-                            q2_product_sides)
+                            q2_product_sides, special1_sides, special3_sides)
 from qck.positivity import _poly1_parts, verify_thm3
 from qck.qkit import ParamExpr, qchu_vandermonde_sides
 
@@ -97,7 +97,8 @@ def test_qchu_vandermonde_against_sympy(n):
 def test_clausen_orr_against_sympy(n):
     # 3phi2(q^-n, a, x; c, 0) 3phi2(q^-n, a, c/x; c, 0)
     #   = a^n sum_k (q^-n, cq^n, a, c/a, x, c/x; q)_k q^k / ((q, c; q)_k (c;q)_{2k}),
-    # both sides times (c;q)_n^2 (c;q)_{2n}
+    # both sides times (c;q)_n^2 (c;q)_{2n} / (c;q)_n: the builder never multiplies
+    # in the (c;q)_n that both sides share
     def phi32(y):
         return sum(poch(q ** -n, k) * poch(a, k) * poch(y, k) * q ** k
                    / (poch(q, k) * poch(c, k)) for k in range(n + 1))
@@ -106,10 +107,49 @@ def test_clausen_orr_against_sympy(n):
         poch(q ** -n, k) * poch(c * q ** n, k) * poch(a, k) * poch(c / a, k)
         * poch(x, k) * poch(c / x, k) * q ** k / (poch(q, k) * poch(c, k) * poch(c, 2 * k))
         for k in range(n + 1))
-    clearing = poch(c, n) ** 2 * poch(c, 2 * n)
+    clearing = poch(c, n) ** 2 * poch(c, 2 * n) / poch(c, n)
     lhs, rhs = clausen_orr_sides(n)
     assert_same(lhs, phi32(x) * phi32(c / x) * clearing, (q, a, x, c))
     assert_same(rhs, product * clearing, (q, a, x, c))
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_special3_against_sympy(n):
+    # sum_k (q^-n;q)_k (x;q^2)_k q^k / (q, c;q)_k
+    #   * sum_k (q^-n;q)_k (x;q^2)_k (cq^n/x)^k q^-C(k,2) / (q, c;q)_k
+    #   = sum_k (q^-n, cq^n;q)_k (x, c^2/x;q^2)_k q^k / ((q, c;q)_k (c;q)_{2k}),
+    # both sides times (c;q)_n^2 (c;q)_{2n} / (c;q)_n
+    q2 = q ** 2
+    first = sum(poch(q ** -n, k) * poch(x, k, q2) * q ** k / (poch(q, k) * poch(c, k))
+                for k in range(n + 1))
+    second = sum(poch(q ** -n, k) * poch(x, k, q2) * (c * q ** n / x) ** k
+                 * q ** -(k * (k - 1) // 2) / (poch(q, k) * poch(c, k)) for k in range(n + 1))
+    product = sum(poch(q ** -n, k) * poch(c * q ** n, k) * poch(x, k, q2) * poch(c ** 2 / x, k, q2)
+                  * q ** k / (poch(q, k) * poch(c, k) * poch(c, 2 * k)) for k in range(n + 1))
+    clearing = poch(c, n) ** 2 * poch(c, 2 * n) / poch(c, n)
+    lhs, rhs = special3_sides(n)
+    assert_same(lhs, first * second * clearing, (q, x, c))
+    assert_same(rhs, product * clearing, (q, x, c))
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_special1_against_sympy(n):
+    # the product formula at a = -x:
+    # sum_k (q^-n;q)_k (x^2;q^2)_k q^k / (q, c;q)_k * 3phi2(q^-n, -x, c/x; c, 0; q, q)
+    #   = (-x)^n sum_k (q^-n, cq^n;q)_k (x^2, c^2/x^2;q^2)_k q^k / ((q, c;q)_k (c;q)_{2k}),
+    # both sides times (c;q)_n^2 (c;q)_{2n} / (c;q)_n
+    q2 = q ** 2
+    first = sum(poch(q ** -n, k) * poch(x ** 2, k, q2) * q ** k / (poch(q, k) * poch(c, k))
+                for k in range(n + 1))
+    second = sum(poch(q ** -n, k) * poch(-x, k) * poch(c / x, k) * q ** k
+                 / (poch(q, k) * poch(c, k)) for k in range(n + 1))
+    product = (-x) ** n * sum(
+        poch(q ** -n, k) * poch(c * q ** n, k) * poch(x ** 2, k, q2) * poch(c ** 2 / x ** 2, k, q2)
+        * q ** k / (poch(q, k) * poch(c, k) * poch(c, 2 * k)) for k in range(n + 1))
+    clearing = poch(c, n) ** 2 * poch(c, 2 * n) / poch(c, n)
+    lhs, rhs = special1_sides(n)
+    assert_same(lhs, first * second * clearing, (q, x, c))
+    assert_same(rhs, product * clearing, (q, x, c))
 
 
 def test_thm2_remainder_against_sympy():
@@ -136,7 +176,8 @@ def test_thm2_remainder_against_sympy():
 
 
 def test_general_s_specialization_cell_against_sympy():
-    # the shifted product formula (c = q^{2s+1}) at a = -q^-n against the q^2 display
+    # the shifted product formula (c = q^{2s+1}) in symbolic a and at a = -q^-n, against
+    # the q^2 display; each cleared side divided by the product its builder never multiplies in
     n, s = 3, 1
     bound = -q ** -n
     d = poch(q, n - s) * poch(q, n + s)
@@ -155,18 +196,24 @@ def test_general_s_specialization_cell_against_sympy():
                 * poch(x, k) * poch(q / x, k) * q ** k
                 / (poch(q, k - s) * poch(q, k + s) * poch(q, 2 * k)) for k in range(s, n + 1))
         lead = poch(q ** -n, s) * poch(av, s) * av ** (n - s) * q ** ((n + 1) * s - s * s)
-        return s1 * s2 * d ** 2 * g * e, lead * d ** 2 * e * r
+        cancelled = (poch(q ** -n, s) * poch(av, s)) ** 2 * d  # P^2 D, never multiplied in
+        return s1 * s2 * d ** 2 * g * e / cancelled, lead * d ** 2 * e * r / cancelled
 
     t1 = shifted(x, lambda k: poch(q ** (-2 * n), k, q2))
     t2 = shifted(q / x, lambda k: poch(q ** (-2 * n), k, q2))
     r2 = sum((-1) ** k * q ** (k * k - 2 * n * k) * poch(q2, n + k, q2) * poch(q2, n - s, q2)
              / poch(q2, n - k, q2) * poch(x, k) * poch(q / x, k)
              / (poch(q, k - s) * poch(q, k + s) * poch(q, 2 * k)) for k in range(s, n + 1))
-    q2_lhs = t1 * t2 * d ** 2 * e * poch(q2, n + s, q2) * poch(q2, n - s, q2) ** 2
-    q2_rhs = (-1) ** n * q ** (-n * n) * poch(q2, n, q2) ** 2 * d ** 2 * e * r2
+    q2_cancelled = poch(q ** (-2 * n), s, q2) ** 2 * d * poch(q2, n - s, q2) ** 2
+    q2_lhs = t1 * t2 * d ** 2 * e * poch(q2, n + s, q2) * poch(q2, n - s, q2) ** 2 / q2_cancelled
+    q2_rhs = (-1) ** n * q ** (-n * n) * poch(q2, n, q2) ** 2 * d ** 2 * e * r2 / q2_cancelled
 
-    # sympy substitutes into the symbolic sides; qck builds them with a bound
-    gen_lhs, gen_rhs = (side.subs(a, bound) for side in sides_in_a(a))
+    # the symbolic sides, then the sides bound before building against sympy's
+    # substitution into the symbolic ones
+    gen_sides = sides_in_a(a)
+    for poly, expr in zip(general_s_sides(n, s), gen_sides):
+        assert_same(poly, expr, (q, a, x))
+    gen_lhs, gen_rhs = (side.subs(a, bound) for side in gen_sides)
     for poly, expr in zip(_general_s_sides(n, s, ParamExpr.of(-1, {"q": -n})),
                           (gen_lhs, gen_rhs)):
         assert_same(poly, expr, (q, x))
@@ -174,7 +221,7 @@ def test_general_s_specialization_cell_against_sympy():
         assert_same(poly, expr, (q, x))
 
     g_at = poch(q ** (n + 1), s) * poch(q / bound, s)
-    scale = poch(q2, n + s, q2) * poch(q2, n - s, q2) ** 2
+    scale = poch(q2, n + s, q2)
     assert_same(general_s_specialization_difference(n, s), gen_lhs * scale - q2_lhs * g_at,
                 (q, x))
     assert sp.cancel(gen_rhs * scale - q2_rhs * g_at) == 0
