@@ -142,7 +142,7 @@ def cmd_phi(args) -> int:
 
 def cmd_delannoy(args) -> int:
     try:
-        table = delannoy.build_table(args.q_analogue, args.m, args.n)
+        rows = delannoy.build_table(args.q_analogue, args.m, args.n)
     except (ValueError, delannoy.DelannoyMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -150,16 +150,15 @@ def cmd_delannoy(args) -> int:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["m\\n"] + list(range(args.n + 1)))
-        for m in range(args.m + 1):
-            writer.writerow([m] + [str(table.cell(m, n)) for n in range(args.n + 1)])
+        writer.writerows([m] + [str(v) for v in row] for m, row in enumerate(rows))
         text = buf.getvalue()
     elif args.format == "json":
         text = json.dumps({
-            "kind": table.kind, "max_m": table.max_m, "max_n": table.max_n,
-            "entries": [[str(v) for v in row] for row in table.entries],
+            "kind": args.q_analogue, "max_m": args.m, "max_n": args.n,
+            "entries": [[str(v) for v in row] for row in rows],
         }, indent=2, sort_keys=True) + "\n"
     else:
-        text = f"{table.cell(args.m, args.n)}\n"
+        text = f"{rows[args.m][args.n]}\n"
     _write(text, args.out)
     return EXIT_OK
 

@@ -8,13 +8,12 @@ north (0,1) and diagonal (1,1) steps.  Two q-analogues are used:
 
 Both admit alternative expansions with (-1;q)_k and (-q;q)_k weights, and
 their product collapses to a single sum (``product_expansion_rhs``); all of it
-is verified exactly over polynomials in q (and symbolically in x for the
-parametrized form the alternative expansions specialize from).
+is verified exactly over polynomials in q, and symbolically in x for the
+(x;q)_k form that both expansions and the product specialize from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -84,16 +83,6 @@ def _alt_sum(m: int, n: int, weight_param: MultiLaurentPoly) -> MultiLaurentPoly
                             MultiLaurentPoly.var("q", (m - k) * (n - k))) for k in range(m + 1))
 
 
-def general_x_expansion(m: int, n: int) -> tuple:
-    """Both sides of sum_k q^{(m-k)(n-k)} [m;k][n;k] (x;q)_k == sum_i q^{C(i,2)} [n;i][n+m-i;n] (-x)^i.
-
-    Specializing x to -1 and -q recovers the two alternative expansions.  The
-    right side is the D_q sum with weight w = -x; its terms past min(m, n) vanish.
-    """
-    x = MultiLaurentPoly.var("x")
-    return _alt_sum(m, n, x), _dq_sum(m, n, -x)
-
-
 def _product_sum(m: int, n: int, w: MultiLaurentPoly) -> MultiLaurentPoly:
     """sum_{k<=n} q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (w;q)_k (q/w;q)_k."""
     w1 = poch_prefixes(w, n)
@@ -113,16 +102,21 @@ def delannoy_product_sides(m: int, n: int) -> tuple:
     return dq(m, n) * dq_star(m, n), product_expansion_rhs(m, n)
 
 
-def delannoy_product_x_sides(m: int, n: int) -> tuple:
-    """The x-parametrized product identity the single-sum expansion specializes from.
+def product_x_difference(m: int, n: int) -> MultiLaurentPoly:
+    """The x-parametrized product identity, then the x-form of D_q it rests on.
 
-    (sum_k q^{(m-k)(n-k)} [m;k][n;k] (x;q)_k)(same with x -> q/x)
-        == sum_k q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (x;q)_k (q/x;q)_k
+    With f(x) = sum_k q^{(m-k)(n-k)} [m;k][n;k] (x;q)_k, checks
+        f(x) f(q/x) == sum_k q^{(m-k)(n-k)} [n+k;2k][m;k][m+k;k] (x;q)_k (q/x;q)_k
+    and f(x) == sum_i q^{C(i,2)} [n;i][n+m-i;n] (-x)^i, the D_q sum with weight
+    w = -x, whose terms past min(m, n) vanish.  At x = -1 and x = -q the x-form
+    gives the two alternative expansions, and the product gives the single-sum
+    expansion of D_q D*_q.
     """
     x = MultiLaurentPoly.var("x")
     f1 = _alt_sum(m, n, x)
-    f2 = _alt_sum(m, n, Q * x ** -1)
-    return f1 * f2, _product_sum(m, n, x)
+    diffs = [f1 * _alt_sum(m, n, Q * x ** -1) - _product_sum(m, n, x),
+             f1 - _dq_sum(m, n, -x)]
+    return next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
 
 
 def relations_difference(m: int, n: int) -> MultiLaurentPoly:
@@ -143,34 +137,19 @@ def relations_difference(m: int, n: int) -> MultiLaurentPoly:
     return next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
 
 
-@dataclass
-class DelannoyTable:
-    """A rectangle of Delannoy values; entries[m][n] covers 0..max_m x 0..max_n."""
-
-    kind: str
-    max_m: int
-    max_n: int
-    entries: list
-
-    def cell(self, m: int, n: int):
-        return self.entries[m][n]
+_TABLES = {"plain": delannoy, "dq": dq, "dqstar": dq_star, "product-rhs": product_expansion_rhs}
 
 
-_TABLE_KINDS = ("plain", "dq", "dqstar", "product-rhs")
-
-
-def build_table(kind: str, max_m: int, max_n: int) -> DelannoyTable:
-    """Tabulate D, D_q, D*_q, or the product-formula right side."""
-    if kind not in _TABLE_KINDS:
-        raise ValueError(f"unknown table kind {kind!r}; expected one of {_TABLE_KINDS}")
-    fns = {"plain": delannoy, "dq": dq, "dqstar": dq_star,
-           "product-rhs": product_expansion_rhs}
-    fn = fns[kind]
-    entries = [[fn(m, n) for n in range(max_n + 1)] for m in range(max_m + 1)]
-    return DelannoyTable(kind, max_m, max_n, entries)
+def build_table(kind: str, max_m: int, max_n: int) -> list:
+    """Rows m = 0..max_m of D, D_q, D*_q, or the product-formula right side at n = 0..max_n."""
+    if kind not in _TABLES:
+        raise ValueError(f"unknown table kind {kind!r}; expected one of {tuple(_TABLES)}")
+    fn = _TABLES[kind]
+    return [[fn(m, n) for n in range(max_n + 1)] for m in range(max_m + 1)]
 
 
 product_expansion = CaseKind("delannoy_product", __name__, ("m", "n"), ("q",))
-product_x_identity = CaseKind("delannoy_product_x", __name__, ("m", "n"), ("q", "x"))
+product_x_identity = CaseKind("delannoy_product_x", __name__, ("m", "n"), ("q", "x"),
+                              difference="product_x_difference")
 verify_relations = CaseKind("delannoy_relations", __name__, ("m", "n"), ("q",),
                             difference="relations_difference")

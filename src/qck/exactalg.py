@@ -162,15 +162,11 @@ def _encode(powers) -> int:
 def _decode(key) -> tuple:
     # Exponent tuple in fixed variable order (length _NVARS).
     key += _BIAS
-    return tuple(((key >> (_W * i)) & _MASK) - _OFF for i in range(_NVARS))
+    return tuple([(key >> sh & _MASK) - _OFF for sh in _SHIFT.values()])
 
 
 def _grade(key) -> int:
-    key += _BIAS
-    g = 0
-    for i in range(_NVARS):
-        g += ((key >> (_W * i)) & _MASK)
-    return g - _NVARS * _OFF
+    return sum(_decode(key))
 
 
 class MultiLaurentPoly:
@@ -229,13 +225,7 @@ class MultiLaurentPoly:
 
     def variables(self) -> tuple:
         """Names of the variables that actually occur, in canonical order."""
-        seen = [False] * _NVARS
-        for k in self._terms:
-            k += _BIAS
-            for i in range(_NVARS):
-                if ((k >> (_W * i)) & _MASK) != _OFF:
-                    seen[i] = True
-        return tuple(VAR_NAMES[i] for i in range(_NVARS) if seen[i])
+        return tuple(compress(VAR_NAMES, map(any, zip(*map(_decode, self._terms)))))
 
     def sorted_terms(self):
         """Terms as (exponents-dict, coeff), graded-lexicographically sorted."""
@@ -961,13 +951,7 @@ def _divide_in_q(groups, d: MultiLaurentPoly, lo: int, hi: int):
 
 def _min_exponent_key(p: MultiLaurentPoly) -> int:
     """Packed key of the componentwise-minimal exponent vector of p's support."""
-    mins = [None] * _NVARS
-    for k in p._terms:
-        k += _BIAS
-        for i in range(_NVARS):
-            e = ((k >> (_W * i)) & _MASK) - _OFF
-            if mins[i] is None or e < mins[i]:
-                mins[i] = e
+    mins = map(min, zip(*map(_decode, p._terms)))
     return sum(m << (_W * i) for i, m in enumerate(mins))
 
 
@@ -997,10 +981,8 @@ def _divide_graded(p: MultiLaurentPoly, d: MultiLaurentPoly):
         if lt_c is None:
             continue  # cancelled
         qk = -lt_key - dlead_key
-        # Quotient monomial must be ordinary (componentwise >= 0).
-        for i in range(_NVARS):
-            if (((qk + _BIAS) >> (_W * i)) & _MASK) < _OFF:
-                return None
+        if min(_decode(qk)) < 0:  # the quotient monomial must stay ordinary
+            return None
         qgrade = -lt_grade - dlead_grade
         qc, rem = divmod(lt_c, dlead_c)
         if rem:

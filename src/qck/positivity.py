@@ -10,10 +10,11 @@ error, never a verdict.  The first family is Theorem 2's odd-weighted sum
 ``congruence.thm2_lhs`` taken over k < n for any n >= 1 (n need not be
 prime), so every cell also cross-checks that sum's two routes.
 
-The supporting machinery: the basis B_k(n) = [n+k;2k][2k;k] q^{-nk}, whose
-products linearize with non-negative structure constants (a Pfaff-Saalschutz
-consequence), the alternating telescoping sum, and the generic-weight lemma
-checked with fully symbolic weights x0..x_{n-1}.
+The supporting identities: products of the basis B_k(n) = [n+k;2k][2k;k] q^{-nk}
+linearize (a Pfaff-Saalschutz consequence, the ``schmidt`` rows) with constants
+[i+j;i][j;s-i][s;j] times a power of q, non-negative by construction; the
+alternating telescoping sum; and the generic-weight lemma checked with fully
+symbolic weights x0..x_{n-1}.
 """
 
 from __future__ import annotations
@@ -21,34 +22,15 @@ from __future__ import annotations
 from .congruence import thm2_lhs
 from .delannoy import dq, dq_inverse_base
 from .exactalg import MultiLaurentPoly, exact_divide, non_positive_terms, sum_of_products
-from .qkit import choose2, one_minus_q, poch_prefixes, qbinomial
+from .qkit import choose2, one_minus_q, qbinomial
 from .report import CaseKind, VerificationReport, make_report
 
 
-def _sn_factors(n: int, k: int) -> tuple:
-    """The factors [n+k; 2k], [2k; k] and q^{-nk} of B_k(n)."""
-    return qbinomial(n + k, 2 * k), qbinomial(2 * k, k), MultiLaurentPoly.var("q", -n * k)
-
-
-def sn_basis(n: int, k: int) -> MultiLaurentPoly:
-    """B_k(n) = [n+k; 2k] [2k; k] q^{-nk}, the weight of x_k in the generic sum."""
-    if k > n:
-        raise ValueError("need k <= n")
-    upper, central, shift = _sn_factors(n, k)
-    return upper * central * shift
-
-
-def s_n(values, n: int) -> MultiLaurentPoly:
-    """sum_{k=0}^{n} [n+k;2k][2k;k] q^{-nk} x_k for the given x_k values."""
-    values = [MultiLaurentPoly.const(v) if isinstance(v, int) else v for v in values]
-    if len(values) != n + 1:
-        raise ValueError(f"expected {n + 1} values, got {len(values)}")
-    return sum_of_products((*_sn_factors(n, k), v) for k, v in enumerate(values))
-
-
 def s_n_symbolic(n: int) -> MultiLaurentPoly:
-    """s_n with the symbolic weights x0..xn."""
-    return s_n([MultiLaurentPoly.var(f"x{k}") for k in range(n + 1)], n)
+    """sum_{k=0}^{n} [n+k;2k][2k;k] q^{-nk} x_k with the symbolic weights x0..xn."""
+    return sum_of_products((qbinomial(n + k, 2 * k), qbinomial(2 * k, k),
+                            MultiLaurentPoly.var("q", -n * k), MultiLaurentPoly.var(f"x{k}"))
+                           for k in range(n + 1))
 
 
 def schmidt_sides(k: int, i: int, j: int) -> tuple:
@@ -65,42 +47,6 @@ def schmidt_sides(k: int, i: int, j: int) -> tuple:
                            MultiLaurentPoly.var("q", (i + j - s) * (k - s)))
                           for s in range(i, i + j + 1))
     return lhs, rhs
-
-
-def structure_constant(i: int, j: int, s: int) -> MultiLaurentPoly:
-    """[i+j;i][j;s-i][s;j] q^{-s(i+j-s)}; zero outside i <= s <= i+j."""
-    term = qbinomial(i + j, i) * qbinomial(j, s - i) * qbinomial(s, j)
-    return term * MultiLaurentPoly.monomial(1, {"q": -s * (i + j - s)})
-
-
-def linearize_power(indices) -> dict:
-    """Expand prod_j B_{i_j}(k) in the basis B_s(k): {s: constant polynomial}.
-
-    The result does not depend on k; these are the repeated-linearization
-    coefficients P(i_1, ..., i_r, s).
-    """
-    indices = list(indices)
-    out = {indices[0]: MultiLaurentPoly.const(1)}
-    for idx in indices[1:]:
-        nxt = {}
-        for s0, coeff in out.items():
-            for s in range(s0, s0 + idx + 1):
-                piece = coeff * structure_constant(s0, idx, s)
-                if piece.is_zero():
-                    continue
-                nxt[s] = nxt.get(s, MultiLaurentPoly.zero()) + piece
-        out = {s: v for s, v in nxt.items() if not v.is_zero()}
-    return out
-
-
-def xk_weights(m: int, k: int) -> MultiLaurentPoly:
-    """The Delannoy specialization weight x_k = [m+k;2k] (-1;q)_k (-q;q)_k q^{k^2 - mk}."""
-    if m < 1 or k < 0:
-        raise ValueError("need m >= 1 and k >= 0")
-    w1 = poch_prefixes(MultiLaurentPoly.const(-1), k)[k]
-    w2 = poch_prefixes(MultiLaurentPoly.monomial(-1, {"q": 1}), k)[k]
-    return qbinomial(m + k, 2 * k) * w1 * w2 \
-        * MultiLaurentPoly.monomial(1, {"q": k * k - m * k})
 
 
 def alternating_sum_sides(n: int, s: int) -> tuple:

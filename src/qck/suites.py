@@ -222,7 +222,7 @@ def manifest_cases(manifest: list) -> list:
         if not isinstance(entry, dict):
             raise ValueError(f"manifest entry {entry!r} is not an object")
         name = entry.get("name")
-        if name not in CASE_REGISTRY:
+        if not isinstance(name, str) or name not in CASE_REGISTRY:
             raise ValueError(f"unknown case name {name!r} in manifest")
         params = entry.get("params", {})
         if not isinstance(params, dict):

@@ -198,7 +198,8 @@ def test_manifest_corrupted_case_fails(tmp_path):
 
 
 @pytest.mark.parametrize("manifest", [{"a": 1}, [1],
-                                      [{"name": "thm2", "params": [1, 2]}]])
+                                      [{"name": "thm2", "params": [1, 2]}],
+                                      [{"name": ["thm2"]}], [{"name": {"thm2": 1}}]])
 def test_malformed_manifest_is_an_error(tmp_path, manifest):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))

@@ -4,14 +4,15 @@ from functools import lru_cache
 
 import pytest
 
-from qck.delannoy import (DelannoyTable, build_table, delannoy, dq, dq_alt,
-                          dq_inverse_base, dq_star, dq_star_alt, general_x_expansion,
-                          product_expansion, product_expansion_rhs,
-                          product_x_identity, verify_relations)
+from qck import delannoy as delannoy_module
+from qck.delannoy import (_alt_sum, _dq_sum, build_table, delannoy, dq, dq_alt,
+                          dq_inverse_base, dq_star, dq_star_alt, product_expansion,
+                          product_expansion_rhs, product_x_identity, verify_relations)
 from qck.exactalg import MultiLaurentPoly as P, is_nonneg_integer_laurent
-from qck.qkit import ParamExpr
+from qck.qkit import ParamExpr, qbinomial
 
 q = P.var("q")
+x = P.var("x")
 
 
 @lru_cache(maxsize=None)
@@ -117,20 +118,19 @@ def test_product_expansion_zero_row():
 
 
 def test_general_x_expansion():
+    # the (x;q)_k form of D_q: the D_q sum with weight -x
     for m in range(5):
         for n in range(5):
-            lhs, rhs = general_x_expansion(m, n)
-            assert lhs == rhs, (m, n)
+            assert _alt_sum(m, n, x) == _dq_sum(m, n, -x), (m, n)
 
 
 def test_general_x_specializations():
     for m in range(5):
         for n in range(5):
-            lhs, _ = general_x_expansion(m, n)
+            lhs = _alt_sum(m, n, x)
             assert lhs.substitute({"x": -1}) == dq(m, n)
             assert lhs.substitute({"x": ParamExpr.of(-1, {"q": 1})}) == dq_star(n, m)
             # x -> 0 collapses the alternating side to a single binomial
-            from qck.qkit import qbinomial
             assert lhs.substitute({"x": 0}) == qbinomial(n + m, n)
 
 
@@ -140,6 +140,18 @@ def test_product_x_identity_small():
             assert product_x_identity(m, n).passed
 
 
+def test_product_x_row_checks_the_x_form(monkeypatch):
+    # a D_q sum at weight -x that is off by x fails the row with exactly that difference
+    orig = delannoy_module._dq_sum
+
+    def perturbed(m, n, w):
+        return orig(m, n, w) + x if w == -x else orig(m, n, w)
+    monkeypatch.setattr(delannoy_module, "_dq_sum", perturbed)
+    report = product_x_identity(2, 2)
+    assert not report.passed
+    assert report.difference == -x
+
+
 def test_verify_relations():
     for m in range(5):
         for n in range(5):
@@ -147,11 +159,13 @@ def test_verify_relations():
 
 
 def test_build_table():
-    table = build_table("plain", 3, 3)
-    assert table.cell(2, 2) == 13
-    assert table.cell(0, 3) == 1
-    dq_table = build_table("dq", 2, 2)
-    assert dq_table.cell(1, 1) == 2 + q
+    rows = build_table("plain", 3, 3)
+    assert len(rows) == 4 and all(len(row) == 4 for row in rows)
+    assert rows[2][2] == 13
+    assert rows[0][3] == 1
+    dq_rows = build_table("dq", 2, 1)
+    assert dq_rows[1][1] == 2 + q
+    assert len(dq_rows) == 3 and len(dq_rows[2]) == 2
     with pytest.raises(ValueError):
         build_table("nope", 2, 2)
 

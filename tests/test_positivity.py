@@ -5,9 +5,9 @@ import pytest
 from qck import positivity
 from qck.delannoy import delannoy, dq, dq_inverse_base
 from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
-from qck.positivity import (lemma41_generic, linearize_power, s_n, s_n_symbolic,
-                            sn_basis, structure_constant, verify_alternating_sum,
-                            verify_schmidt, verify_thm3, xk_weights)
+from qck.positivity import (lemma41_generic, s_n_symbolic, verify_alternating_sum,
+                            verify_schmidt, verify_thm3)
+from qck.qkit import poch_prefixes, qbinomial
 
 q = P.var("q")
 
@@ -31,13 +31,11 @@ def test_schmidt_examples():
 
 
 def test_sn_base_cases():
-    assert s_n([1], 0) == P.const(1)
+    assert s_n_symbolic(0).substitute({"x0": 1}) == P.const(1)
     # only x_0 nonzero -> the k = 0 basis element, which is 1
-    assert s_n([1, 0, 0], 2) == P.const(1)
+    assert s_n_symbolic(2).substitute({"x0": 1, "x1": 0, "x2": 0}) == P.const(1)
     # [2;2][2;1] q^{-1} = (1+q) q^{-1}, so s_1(1,1) = 1 + q^{-1} + 1
-    assert s_n([1, 1], 1) == 2 + P.var("q", -1)
-    with pytest.raises(ValueError):
-        s_n([1, 1], 2)
+    assert s_n_symbolic(1).substitute({"x0": 1, "x1": 1}) == 2 + P.var("q", -1)
 
 
 def test_sn_symbolic_linearity():
@@ -48,52 +46,9 @@ def test_sn_symbolic_linearity():
 
 
 def test_sn_basis_element():
-    assert sn_basis(2, 1) == (1 + q + q ** 2) * (1 + q) * P.monomial(1, {"q": -2})
-    with pytest.raises(ValueError):
-        sn_basis(1, 2)
-
-
-def test_structure_constants_nonneg():
-    for i in range(6):
-        for j in range(6):
-            for s in range(i, i + j + 1):
-                assert is_nonneg_integer_laurent(structure_constant(i, j, s))
-
-
-def test_linearize_power_matches_direct_product():
-    # expanding prod B_{i_l}(k) through repeated linearization agrees with the
-    # direct product for sample k
-    for indices, k in (((1, 1), 3), ((2, 1), 4), ((1, 2, 2), 5)):
-        direct = P.const(1)
-        for i in indices:
-            direct = direct * sn_basis(k, i)
-        expansion = linearize_power(indices)
-        rebuilt = P.zero()
-        for s, constant in expansion.items():
-            rebuilt = rebuilt + constant * sn_basis(k, s)
-        assert direct == rebuilt
-
-
-def test_linearize_power_constants_nonneg():
-    for indices in ((1, 1), (2, 3), (1, 2, 1)):
-        for constant in linearize_power(indices).values():
-            assert is_nonneg_integer_laurent(constant)
-
-
-def test_sn_power_via_linearization():
-    # S_k(x)^r expanded monomial-by-monomial through the linearization table
-    k, r = 2, 2
-    direct = s_n_symbolic(k) ** r
-    xs = [f"x{i}" for i in range(k + 1)]
-    rebuilt = P.zero()
-    for i1 in range(k + 1):
-        for i2 in range(k + 1):
-            mono = P.var(xs[i1]) * P.var(xs[i2])
-            for s, constant in linearize_power((i1, i2)).items():
-                if s > k:
-                    continue  # [k+s; 2s] vanishes there
-                rebuilt = rebuilt + constant * sn_basis(k, s) * mono
-    assert direct == rebuilt
+    # the weight of x1 in s_2 is B_1(2) = [3;2][2;1] q^{-2}
+    groups = s_n_symbolic(2).coefficients_by(("x0", "x1", "x2"))
+    assert groups[(("x1", 1),)] == (1 + q + q ** 2) * (1 + q) * P.monomial(1, {"q": -2})
 
 
 def test_thm3_poly1_hand_case():
@@ -179,24 +134,19 @@ def test_alternating_sum_examples():
         verify_alternating_sum(3, 3)
 
 
-def test_xk_weights_base():
-    assert xk_weights(1, 0) == P.const(1)
-    # [2;2] (-1;q)_1 (-q;q)_1 q^0 = 2 (1 + q)
-    assert xk_weights(1, 1) == 2 + 2 * q
-
-
 def test_xk_weights_product_identity():
-    # sum_k [n+k;2k][2k;k] q^{-nk} x_k(m) = D_q(m,n) D_{1/q}(m,n)
-    for m in range(1, 7):
-        for n in range(1, 7):
-            values = [xk_weights(m, k) for k in range(n + 1)]
-            assert s_n(values, n) == dq(m, n) * dq_inverse_base(m, n), (m, n)
-
-
-def test_xk_weights_nonneg():
-    for m in range(1, 6):
-        for k in range(5):
-            assert is_nonneg_integer_laurent(xk_weights(m, k))
+    # sum_k [n+k;2k][2k;k] q^{-nk} x_k(m) = D_q(m,n) D_{1/q}(m,n) for the Delannoy
+    # weights x_k(m) = [m+k;2k] (-1;q)_k (-q;q)_k q^{k^2 - mk}
+    for n in range(1, 7):
+        xs = [f"x{k}" for k in range(n + 1)]
+        basis = s_n_symbolic(n).coefficients_by(xs)
+        w1, w2 = poch_prefixes(P.const(-1), n), poch_prefixes(-q, n)
+        for m in range(1, 7):
+            total = P.zero()
+            for k, name in enumerate(xs):
+                weight = qbinomial(m + k, 2 * k) * w1[k] * w2[k] * P.var("q", k * k - m * k)
+                total = total + basis[((name, 1),)] * weight
+            assert total == dq(m, n) * dq_inverse_base(m, n), (m, n)
 
 
 def test_lemma41_coefficient_of_x0():
