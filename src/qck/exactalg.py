@@ -139,12 +139,10 @@ class NotDivisibleError(ArithmeticError):
 
 
 class TermBudgetExceeded(RuntimeError):
-    """Raised when a result would exceed the QCK_MAX_TERMS term cap."""
+    """Raised when a product would store or lay out over QCK_MAX_TERMS terms, or pair 50x that."""
 
 
-def term_cap() -> int:
-    """Maximum number of stored terms allowed in any single polynomial."""
-    return int(os.environ.get("QCK_MAX_TERMS", "10000000"))
+_MAX_TERMS = int(os.environ.get("QCK_MAX_TERMS", "10000000"))  # read once, at start-up
 
 
 def _encode(powers) -> int:
@@ -470,16 +468,16 @@ def _add_into(out: dict, terms: dict) -> None:
             del out[k]
 
 
-def _check_budget(n: int, cap: int) -> None:
-    if n > cap:
-        raise TermBudgetExceeded(f"result would hold {n} terms, above QCK_MAX_TERMS={cap}")
+def _check_budget(n: int) -> None:
+    if n > _MAX_TERMS:
+        raise TermBudgetExceeded(f"result would hold {n} terms, above QCK_MAX_TERMS={_MAX_TERMS}")
 
 
-def _check_pairs(n1: int, n2: int, cap: int) -> None:
-    """Refuse a product of n1 x n2 terms before anything is allocated for it."""
-    if n1 * n2 > 50 * cap:
+def _check_pairs(n1: int, n2: int) -> None:
+    """Refuse n1 x n2 pairs of work before anything is allocated for it."""
+    if n1 * n2 > 50 * _MAX_TERMS:
         raise TermBudgetExceeded(
-            f"product of {n1} x {n2} terms is far above QCK_MAX_TERMS={cap}")
+            f"{n1} x {n2} pairs are far above QCK_MAX_TERMS={_MAX_TERMS}")
 
 
 def _check_keys(keys) -> None:
@@ -509,8 +507,7 @@ def _q_range(terms: dict):
 def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
     if len(a) > len(b):
         a, b = b, a
-    cap = term_cap()
-    _check_pairs(len(a), len(b), cap)
+    _check_pairs(len(a), len(b))
     out = {}
     get = out.get
     bitems = list(b.items())
@@ -520,7 +517,7 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
             v = get(k)
             out[k] = c1 * c2 if v is None else v + c1 * c2
     out = {k: c for k, c in out.items() if c}
-    _check_budget(len(out), cap)
+    _check_budget(len(out))
     return MultiLaurentPoly._checked(out)
 
 
@@ -538,7 +535,8 @@ def _mul_generic(a: dict, b: dict) -> MultiLaurentPoly:
 # * generic (_mul_generic): everything else, operands in one variable other
 #   than q included (none of the suites multiplies two such polynomials).
 #
-# Both paths check the QCK_MAX_TERMS budget and the exponent range of their result.
+# Both paths check the exponent range of their result.  Against QCK_MAX_TERMS the
+# generic path checks its term pairs (at 50x) and stored terms, the grouped path its layout.
 
 # Taken from timing both paths on the products of clausen_orr_sides(5) and the
 # general_s/q2_product sides for n = 5: below this the grouping costs more
@@ -649,27 +647,23 @@ def _q_groups(terms: dict):
     return groups
 
 
-def _spans(factors, lens, cap: int):
+def _spans(factors):
     """The output accumulators of each partial product of ``factors``, or None.
 
-    ``factors`` are lists of q-groups and ``lens`` their term counts.  Entry i
-    maps the key g of each output monomial of factors[0] * ... *
-    factors[i] to [lo, hi, work]: its least and greatest q exponent and the
-    summed spans of the group products added into it.  None, before anything
-    is packed, when an accumulator spans more than its work plus 64.  Each
-    step is held to the term budget, with the partial product's term count
-    bounded by its dense span, and a partial product that is multiplied
-    further must hold its monomials inside the exponent range.
+    ``factors`` are lists of q-groups.  Entry i maps the key g of each output
+    monomial of factors[0] * ... * factors[i] to [lo, hi, work]: its least and
+    greatest q exponent and the summed spans of the group products added into
+    it.  None, before anything is packed, when an accumulator spans more than
+    its work plus 64.  Each step's pairs of q-groups, the work of this loop
+    and of _packed_product, are held to the budget, and a partial product that
+    is multiplied further must hold its monomials inside the exponent range.
     """
     spans = {g: [lo, lo + len(A) - 1, len(A) - 1] for g, lo, A in factors[0]}
     chain = [spans]
-    n = lens[0]
-    for groups, n2 in zip(factors[1:], lens[1:]):
+    for groups in factors[1:]:
         if len(chain) > 1:
             _check_keys(spans)
-            n = min(n, sum(hi - lo + 1 for lo, hi, _ in spans.values()))
-        _check_pairs(n, n2, cap)
-        n *= n2
+        _check_pairs(len(spans), len(groups))
         nxt = {}
         for g1, (lo1, hi1, _) in spans.items():
             for g2, lo2, B in groups:
@@ -703,7 +697,7 @@ def _packed_product(factors, chain, nbytes: int) -> list:
     return acc
 
 
-def _packed_sum(terms, cap: int) -> tuple:
+def _packed_sum(terms) -> tuple:
     """The sum of the terms it keeps, as (term dict, [source of each term it refuses]).
 
     Each term is (shift, scale, factors, lens, source): scale times the
@@ -716,7 +710,7 @@ def _packed_sum(terms, cap: int) -> tuple:
     plan, kept, refused = {}, [], []
     bound = 0
     for shift, scale, factors, lens, source in terms:
-        chain = factors and _spans(factors, lens, cap)
+        chain = factors and _spans(factors)
         e = ((shift + _OFF) & _MASK) - _OFF  # the q exponent of the shift
         if not (chain and _laid_out(plan, chain[-1], shift, e)):
             refused.append(source)
@@ -727,6 +721,10 @@ def _packed_sum(terms, cap: int) -> tuple:
         # fixes the last term).
         bound = max(bound, abs(scale) * prod(map(_coeff_max, factors))
                     * (prod(lens) // max(lens)))
+    # The plan's dense layout is what the accumulators store.  Adding one fixed
+    # group monomial of each later factor maps a partial product's accumulators
+    # one to one into the plan's, each at least as wide: it bounds every step too.
+    _check_budget(sum(hi - lo + 1 for lo, hi, _ in plan.values()))
     # Packing sends q to 2^w, a ring homomorphism, so only the final
     # coefficients have to fit their limbs: they are below
     # 2^(bits(bound) + bits(len(kept))), and one more bit holds the sign.
@@ -803,17 +801,12 @@ def _mul_grouped(a: dict, b: dict):
     """
     if len(a) * len(b) < _GROUPED_MIN_PAIRS:  # below the mean-pair cut-over for any grouping
         return None
-    cap = term_cap()
-    _check_pairs(len(a), len(b), cap)
     ga = _q_groups(a)
     gb = _q_groups(b) if ga is not None else None
     if gb is None or len(a) * len(b) < _GROUPED_MIN_PAIRS * len(ga) * len(gb):
         return None
-    out, refused = _packed_sum([(0, 1, [ga, gb], (len(a), len(b)), None)], cap)
-    if refused:
-        return None
-    _check_budget(len(out), cap)
-    return MultiLaurentPoly._raw(out)
+    out, refused = _packed_sum([(0, 1, [ga, gb], (len(a), len(b)), None)])
+    return None if refused else MultiLaurentPoly._raw(out)
 
 
 # -- packed sums of products ------------------------------------------------------
@@ -827,11 +820,10 @@ def sum_of_products(terms) -> MultiLaurentPoly:
     that the planner _packed_sum refuses, is multiplied out with ``*`` and
     added in.
     """
-    cap = term_cap()
-    out, refused = _packed_sum(_sum_terms(terms), cap)
+    out, refused = _packed_sum(_sum_terms(terms))
     for factors in refused:
         _add_into(out, reduce(mul, factors, MultiLaurentPoly.const(1))._terms)
-    _check_budget(len(out), cap)
+    _check_budget(len(out))
     return MultiLaurentPoly._raw(out)
 
 

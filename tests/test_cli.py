@@ -5,6 +5,8 @@ import inspect
 import json
 import subprocess
 import sys
+from functools import reduce
+from operator import add, mul
 
 import pytest
 
@@ -343,9 +345,44 @@ def test_equal_sides_are_not_subtracted(monkeypatch):
     assert verify_clausen_orr(2).to_dict()["difference"] == "2"
 
 
+DEFAULT_REPORT_SHA256 = "e95bfb246eb9106618e626b0227133d7408f5d48eb7ca5333cbc1828a769c098"
+
+
 def test_default_report_bytes():
     """The full default report is pinned byte for byte (694 cases)."""
     result = run_cli("verify", "--suite", "all", "--format", "json")
     assert result.returncode == 0
-    assert hashlib.sha256(result.stdout.encode()).hexdigest() == \
-        "e95bfb246eb9106618e626b0227133d7408f5d48eb7ca5333cbc1828a769c098"
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+def _qck_modules() -> list:
+    return [m for name, m in sys.modules.items() if name.split(".")[0] == "qck"]
+
+
+def _default_report_in_process(capsys) -> str:
+    for value in (v for m in _qck_modules() for v in vars(m).values()):
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()  # nothing computed by the other kernel is reused
+    assert cli.main(["verify", "--suite", "all", "--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+def test_plain_kernel_reproduces_the_default_report(monkeypatch, capsys):
+    """The packed paths are held to the schoolbook ones on every row of the default report."""
+    fast = _default_report_in_process(capsys)
+    monkeypatch.setattr(exactalg, "_mul_grouped", lambda a, b: None)  # every product term by term
+    one, zero = MultiLaurentPoly.const(1), MultiLaurentPoly.zero()
+
+    def folded(terms):
+        return reduce(add, (reduce(mul, factors, one) for factors in terms), zero)
+    packed = exactalg.sum_of_products
+    for module in _qck_modules():
+        if getattr(module, "sum_of_products", None) is packed:
+            monkeypatch.setattr(module, "sum_of_products", folded)
+    # With products and sums unpacked, only exact_divide groups by q: no groups
+    # sends every division through the graded long division.
+    monkeypatch.setattr(exactalg, "_q_groups", lambda terms: None)
+    monkeypatch.setattr(exactalg, "_divide_in_q", None)
+    plain = _default_report_in_process(capsys)
+    assert plain == fast
+    assert hashlib.sha256(fast.encode()).hexdigest() == DEFAULT_REPORT_SHA256

@@ -2,6 +2,7 @@
 
 import ast
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -326,7 +327,7 @@ def test_unknown_variable_rejected():
 
 
 def test_term_budget(monkeypatch):
-    monkeypatch.setenv("QCK_MAX_TERMS", "4")
+    monkeypatch.setattr(exactalg, "_MAX_TERMS", 4)
     with pytest.raises(TermBudgetExceeded):
         (1 + q + q ** 2) * (1 + a + a ** 2)
 
@@ -338,16 +339,39 @@ def _forbidden(*args):
 _GROUPED = (_RUN * (a + x), _RUN * (a - x + c))  # int operands with q-groups of 8 terms
 
 
-@pytest.mark.parametrize("cap", ["4", "40"])  # refused before grouping, and after the multiply
+# p * r lays out 5 accumulators of 15 (a^2, a*x, x^2, a*c, x*c): 75 > cap
+@pytest.mark.parametrize("cap", [4, 40])
 def test_term_budget_on_the_grouped_path(monkeypatch, cap):
     p, r = _GROUPED
     monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
     assert len(p * r) == 4 * 15  # a^2, x^2, a*c, x*c times q^0..q^14
-    monkeypatch.setenv("QCK_MAX_TERMS", cap)
-    if cap == "4":  # 16 x 24 term pairs are above 50 * 4
-        monkeypatch.setattr(exactalg, "_q_groups", _forbidden)
+    monkeypatch.setattr(exactalg, "_MAX_TERMS", cap)
+    monkeypatch.setattr(exactalg, "_pack", _forbidden)  # refused before packing
     with pytest.raises(TermBudgetExceeded):
         p * r
+
+
+def test_packed_budget_caps_the_layout_not_the_term_pairs(monkeypatch):
+    run = sum((q ** i for i in range(101)), P.zero())
+    want = sum(((min(i, 200 - i) + 1) * q ** i for i in range(201)), P.zero())
+    monkeypatch.setattr(exactalg, "_mul_generic", _forbidden)
+    monkeypatch.setattr(exactalg, "_MAX_TERMS", 201)  # 101 x 101 term pairs are above 50 * 201
+    assert run * run == sum_of_products([(run, run)]) == want
+    monkeypatch.setattr(exactalg, "_MAX_TERMS", 200)  # the layout q^0..q^200 is not
+    monkeypatch.setattr(exactalg, "_pack", _forbidden)
+    for build in (lambda: run * run, lambda: sum_of_products([(run, run)])):
+        with pytest.raises(TermBudgetExceeded):
+            build()
+
+
+def test_term_budget_refuses_many_q_groups_fast():
+    xkey, = x._terms  # one q-group a term: 30000 x 30000 group pairs are above 50 * 10^7
+    p, r = (P._raw({k * xkey: k + c for k in range(30000)}) for c in (1, 2))
+    for build in (lambda: p * r, lambda: sum_of_products([(p, r)])):
+        started = time.perf_counter()
+        with pytest.raises(TermBudgetExceeded):
+            build()
+        assert time.perf_counter() - started < 1
 
 
 _RUN2 = _RUN * _RUN
@@ -526,25 +550,13 @@ def test_sum_of_products_raises_at_the_exponent_limit():
             sum_of_products(terms)
 
 
-@pytest.mark.parametrize("cap", ["4", "40"])  # refused before packing, and after the unpack
+@pytest.mark.parametrize("cap", [4, 40])  # the layout holds at least p * r's 75
 def test_term_budget_of_sum_of_products(monkeypatch, cap):
     p, r = _GROUPED
-    monkeypatch.setenv("QCK_MAX_TERMS", cap)
-    if cap == "4":  # 16 x 24 term pairs are above 50 * 4
-        monkeypatch.setattr(exactalg, "_pack", _forbidden)
+    monkeypatch.setattr(exactalg, "_MAX_TERMS", cap)
+    monkeypatch.setattr(exactalg, "_pack", _forbidden)  # refused before packing
     with pytest.raises(TermBudgetExceeded):
         sum_of_products([(p, r), (q, p)])
-
-
-def test_term_cap_is_read_once_per_kernel_call(monkeypatch):
-    reads = []
-    monkeypatch.setattr(exactalg, "term_cap", lambda: reads.append(1) or 10 ** 7)
-    p, r = _GROUPED
-    for build in (lambda: p * r, lambda: (1 + a) * (1 - a),
-                  lambda: sum_of_products([(p, r), (p, r, q ** 3, r)])):
-        reads.clear()
-        build()
-        assert len(reads) == 1
 
 
 def test_keys_in_q_alone_are_their_exponents():

@@ -1,4 +1,4 @@
-"""Every public top-level function and class of qck is reached by the program.
+"""Every top-level function and class of qck, private or public, is reached by the program.
 
 A name counts as reached when code in src/qck or perfbench refers to it
 outside its own definition (as a name, an attribute, or an exact string such
@@ -40,8 +40,7 @@ def _unreached() -> list:
                  *sorted((ROOT / "perfbench").rglob("*.py"))]:
         for stmt in ast.parse(path.read_text()).body:
             own = None
-            if (path.parent.name == "qck" and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                    and not stmt.name.startswith("_")):
+            if path.parent.name == "qck" and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 own = stmt.name
                 defined.add(own)
             reached.update(name for name in _references(stmt) if name != own)
@@ -50,5 +49,5 @@ def _unreached() -> list:
     return sorted(defined - reached - set(qck.__all__) - builders)
 
 
-def test_every_public_name_is_reached_or_allowed():
+def test_every_top_level_name_is_reached_or_allowed():
     assert _unreached() == sorted(ALLOWED)
