@@ -12,7 +12,7 @@ from .exactalg import (MultiLaurentPoly, NotDivisibleError, TermBudgetExceeded,
 from .qkit import ParamExpr, bracket, qbinomial, qpochhammer
 from .hyperg import PhiSpec, parse_phi, phi_sum, phi_term, print_phi
 from .delannoy import dq, dq_star
-from .report import IdentityCase, VerificationReport
+from .report import VerificationReport
 
 __version__ = "1.0.0"
 
@@ -23,6 +23,6 @@ __all__ = [
     "ParamExpr", "bracket", "qbinomial", "qpochhammer",
     "PhiSpec", "parse_phi", "print_phi", "phi_sum", "phi_term",
     "dq", "dq_star",
-    "IdentityCase", "VerificationReport",
+    "VerificationReport",
     "__version__",
 ]

@@ -107,7 +107,6 @@ returns it.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from array import array
 from functools import reduce
@@ -365,34 +364,6 @@ class MultiLaurentPoly:
     def __repr__(self):
         s = str(self)
         return f"MultiLaurentPoly({s if len(s) <= 60 else s[:57] + '...'})"
-
-    @classmethod
-    def from_canonical(cls, text: str) -> "MultiLaurentPoly":
-        """Inverse of str() on canonical output."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        acc = {}
-        for part in text.split(" + "):
-            part = part.strip()
-            coeff = 1
-            if part.startswith("-"):
-                coeff = -coeff
-                part = part[1:]
-            powers = {}
-            for factor in part.split("*"):
-                factor = factor.strip()
-                if factor.isdigit():
-                    coeff *= int(factor)
-                else:
-                    m = re.fullmatch(r"([a-z][a-z0-9]*)(\^(-?\d+))?", factor)
-                    if m is None:
-                        raise ValueError(f"cannot parse polynomial factor {factor!r}")
-                    name, _, e = m.groups()
-                    powers[name] = powers.get(name, 0) + (int(e) if e else 1)
-            k = _encode(powers)
-            acc[k] = acc.get(k, 0) + coeff
-        return cls._raw({k: c for k, c in acc.items() if c})
 
     # -- substitution ---------------------------------------------------------
 

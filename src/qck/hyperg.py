@@ -27,11 +27,13 @@ The text grammar (whitespace insensitive)::
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from math import gcd, prod
 
 from .exactalg import MultiLaurentPoly, exact_div, sum_of_products
 from .qkit import Q, choose2, poch_prefixes, poch_suffixes, qpochhammer, terminating_weight
+from .report import CaseKind
 
 _GRAMMAR_VARS = ("q", "a", "b", "c", "x", "y", "d")
 
@@ -312,3 +314,34 @@ def _print_param(p) -> str:
         return str(m)
     (powers, u), = m.sorted_terms()
     return f"{u}/{v}*{MultiLaurentPoly.monomial(1, powers)}" if powers else f"{u}/{v}"
+
+
+def phi_permutation_difference(seed: int, trials: int) -> MultiLaurentPoly:
+    """Parameter-order invariance of the cleared sum, on seeded shuffles of three specs.
+
+    Zero when every shuffle gives the same value, else the first nonzero
+    cross-multiplied difference.
+    """
+    rng = random.Random(seed)
+    specs = [
+        "phi[3,2]{q^-3, a, x ; c, 0 ; q}",
+        "phi[2,1]{a, q^-2 ; c ; q}",
+        "phi[4,3]{q^-2, a, x, y ; c, d, 0 ; q}",
+    ]
+    for text in specs:
+        spec = parse_phi(text)
+        num, den = phi_sum_cleared(spec)
+        for _ in range(trials):
+            upper = list(spec.upper)
+            lower = list(spec.lower)
+            rng.shuffle(upper)
+            rng.shuffle(lower)
+            num2, den2 = phi_sum_cleared(PhiSpec.of(upper, lower, spec.argument))
+            d = num * den2 - num2 * den
+            if not d.is_zero():
+                return d
+    return MultiLaurentPoly.zero()
+
+
+phi_permutation = CaseKind("phi_permutation", __name__, ("seed", "trials"), ("q",),
+                           difference="phi_permutation_difference")

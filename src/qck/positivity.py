@@ -23,7 +23,7 @@ from .congruence import thm2_lhs
 from .delannoy import dq, dq_inverse_base
 from .exactalg import MultiLaurentPoly, exact_divide, non_positive_terms, sum_of_products
 from .qkit import choose2, one_minus_q, qbinomial
-from .report import CaseKind, VerificationReport, make_report
+from .report import CaseKind, VerificationReport
 
 
 def s_n_symbolic(n: int) -> MultiLaurentPoly:
@@ -121,7 +121,7 @@ def verify_thm3(claim: str, m: int, n: int, r: int = 1) -> VerificationReport:
         raise ValueError(f"unknown claim {claim!r}")
     quotient = exact_divide(*_CLAIM_PARTS[claim](m, n, r))
     bad = MultiLaurentPoly.const(1) if quotient is None else non_positive_terms(quotient)
-    return make_report(claim, {"m": m, "n": n, "r": r}, ("q",), bad)
+    return VerificationReport(claim, {"m": m, "n": n, "r": r}, ("q",), bad)
 
 
 def lemma41_generic(n: int, r: int) -> VerificationReport:
@@ -140,7 +140,7 @@ def lemma41_generic(n: int, r: int) -> VerificationReport:
     for total in (_odd_sum(powers, False), _odd_sum(powers, True)):
         quotient = exact_divide(total, one_minus_q(n))
         bad = bad + (total if quotient is None else non_positive_terms(quotient))
-    return make_report("lemma41_generic", {"n": n, "r": r}, ("q",) + xvars, bad)
+    return VerificationReport("lemma41_generic", {"n": n, "r": r}, ("q",) + xvars, bad)
 
 
 verify_schmidt = CaseKind("schmidt", __name__, ("k", "i", "j"), ("q",))

@@ -9,7 +9,7 @@ Conventions:
 Pochhammer arguments and series parameters are Laurent monomials, e.g. q^{-n},
 c*q^n or c/x: single-term MultiLaurentPolys of the kernel, multiplied, raised
 to powers and substituted by the kernel itself, so every symbol expands to an
-exact MultiLaurentPoly.  ``ParamExpr`` only names three constructors of such
+exact MultiLaurentPoly.  ``ParamExpr`` only names two constructors of such
 monomials.  The classical q-binomial theorem and q-Chu-Vandermonde summation
 are verified here as exact polynomial identities; both are used as proof
 engines by the identity suites.
@@ -31,10 +31,6 @@ class ParamExpr:
         return MultiLaurentPoly.monomial(coeff, {**(powers or {}), **kw})
 
     var = staticmethod(MultiLaurentPoly.var)
-
-    @staticmethod
-    def q_power(exp: int) -> MultiLaurentPoly:
-        return MultiLaurentPoly.var("q", exp)
 
 
 Q = MultiLaurentPoly.var("q")

@@ -9,44 +9,29 @@ from .exactalg import MultiLaurentPoly
 
 
 @dataclass
-class IdentityCase:
-    """One configured check: a name plus its integer parameters and symbolic variables."""
+class VerificationReport:
+    """Outcome of one check: its name, parameters, variables and difference polynomial."""
 
     name: str
-    meta_params: dict
-    free_vars: tuple = ()
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of one check; ``passed`` holds exactly when ``difference`` is zero."""
-
-    case: IdentityCase
-    passed: bool
+    params: dict
+    free_vars: tuple
     difference: MultiLaurentPoly
+
+    @property
+    def passed(self) -> bool:
+        """A check passes exactly when its difference is the zero polynomial."""
+        return self.difference.is_zero()
 
     def to_dict(self) -> dict:
         # No timings: reports must be byte-identical across reruns and
         # across parallel/serial execution.
         return {
-            "name": self.case.name,
-            "params": dict(sorted(self.case.meta_params.items())),
-            "free_vars": list(self.case.free_vars),
+            "name": self.name,
+            "params": dict(sorted(self.params.items())),
+            "free_vars": list(self.free_vars),
             "passed": self.passed,
             "difference": str(self.difference),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        case = IdentityCase(d["name"], dict(d["params"]), tuple(d["free_vars"]))
-        return cls(case, d["passed"], MultiLaurentPoly.from_canonical(d["difference"]))
-
-
-def make_report(name: str, params: dict, free_vars,
-                difference: MultiLaurentPoly) -> VerificationReport:
-    """Package a computed difference polynomial into a report."""
-    case = IdentityCase(name, dict(params), tuple(free_vars))
-    return VerificationReport(case, difference.is_zero(), difference)
 
 
 @dataclass(frozen=True)
@@ -80,7 +65,7 @@ class CaseKind:
             lhs, rhs = built
             diff = MultiLaurentPoly.zero() if lhs == rhs else lhs - rhs
         params = dict(zip(self.params, args), **kwargs)
-        return make_report(self.name, params, self.free_vars, diff)
+        return VerificationReport(self.name, params, self.free_vars, diff)
 
     def run(self, params: dict) -> VerificationReport:
         """Run on a case's parameter dict; a missing parameter raises KeyError."""

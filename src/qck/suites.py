@@ -10,12 +10,11 @@ byte-identical no matter how it was scheduled.
 
 from __future__ import annotations
 
-import random
 from concurrent.futures import ProcessPoolExecutor
 
 from . import congruence, delannoy, hyperg, identities, positivity, qkit
 from .exactalg import MultiLaurentPoly
-from .report import CaseKind, VerificationReport, make_report
+from .report import CaseKind, VerificationReport
 
 SUITE_NAMES = ("all", "clausen", "lemmas", "transforms", "delannoy",
                "congruence", "positivity")
@@ -34,50 +33,24 @@ DEFAULT_BOUNDS = {
 _PRIMES = (3, 5, 7, 11, 13)
 
 
-def _corrupted_fixture(_params) -> VerificationReport:
+def corrupted_fixture_sides() -> tuple:
     """Intentionally wrong identity used by failure-path tests: (1-q)(1+q) != 1-q^3."""
     q = MultiLaurentPoly.var("q")
     one = MultiLaurentPoly.const(1)
-    diff = (one - q) * (one + q) - (one - q ** 3)
-    return make_report("corrupted_fixture", {}, ("q",), diff)
+    return (one - q) * (one + q), one - q ** 3
 
 
-def _phi_permutation(params) -> VerificationReport:
-    """Parameter-order invariance of the cleared series sum, on seeded samples."""
-    rng = random.Random(params.get("seed", 0))
-    specs = [
-        "phi[3,2]{q^-3, a, x ; c, 0 ; q}",
-        "phi[2,1]{a, q^-2 ; c ; q}",
-        "phi[4,3]{q^-2, a, x, y ; c, d, 0 ; q}",
-    ]
-    diff = MultiLaurentPoly.zero()
-    for text in specs:
-        spec = hyperg.parse_phi(text)
-        num, den = hyperg.phi_sum_cleared(spec)
-        for _ in range(params.get("trials", 4)):
-            upper = list(spec.upper)
-            lower = list(spec.lower)
-            rng.shuffle(upper)
-            rng.shuffle(lower)
-            shuffled = hyperg.PhiSpec.of(upper, lower, spec.argument)
-            num2, den2 = hyperg.phi_sum_cleared(shuffled)
-            d = num * den2 - num2 * den
-            if not d.is_zero():
-                diff = d
-                break
-    return make_report("phi_permutation", dict(params), ("q",), diff)
-
+corrupted_fixture = CaseKind("corrupted_fixture", __name__, (), ("q",))
 
 CASE_REGISTRY = {row.name: row.run
-                 for module in (identities, qkit, delannoy, congruence, positivity)
+                 for module in (identities, qkit, hyperg, delannoy, congruence, positivity)
                  for row in vars(module).values() if isinstance(row, CaseKind)}
 CASE_REGISTRY.update({
     "thm3-1": lambda p: positivity.verify_thm3("thm3-1", p["m"], p["n"]),
     "thm3-2": lambda p: positivity.verify_thm3("thm3-2", p["m"], p["n"], p["r"]),
     "thm3-3": lambda p: positivity.verify_thm3("thm3-3", p["m"], p["n"], p["r"]),
     "lemma41": lambda p: positivity.lemma41_generic(p["n"], p["r"]),
-    "phi_permutation": _phi_permutation,
-    "corrupted_fixture": _corrupted_fixture,
+    "corrupted_fixture": corrupted_fixture.run,
 })
 
 
@@ -195,14 +168,8 @@ def run_case(case) -> dict:
     try:
         return CASE_REGISTRY[name](params).to_dict()
     except Exception as exc:  # reported as an error, never as a verdict
-        return {
-            "name": name,
-            "params": dict(sorted(params.items())),
-            "free_vars": [],
-            "passed": False,
-            "difference": "1",
-            "error": f"{type(exc).__name__}: {exc}",
-        }
+        record = VerificationReport(name, params, (), MultiLaurentPoly.const(1)).to_dict()
+        return dict(record, error=f"{type(exc).__name__}: {exc}")
 
 
 def run_cases(cases, parallel: bool = False) -> list:
@@ -227,5 +194,9 @@ def manifest_cases(manifest: list) -> list:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"params of manifest entry {name!r} is not an object")
+        for key, value in params.items():
+            if type(value) is not int:  # bool is an int subclass, and is refused too
+                raise ValueError(f"parameter {key!r} of manifest entry {name!r} is not an "
+                                 f"integer: {value!r}")
         cases.append((name, dict(params)))
     return cases

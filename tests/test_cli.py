@@ -14,7 +14,7 @@ from qck import cli, congruence, exactalg, identities, positivity, qkit
 from qck.exactalg import MultiLaurentPoly, NotDivisibleError
 from qck.identities import verify_clausen_orr
 from qck.report import CaseKind, VerificationReport
-from qck.suites import CASE_REGISTRY, manifest_cases, run_cases, suite_cases
+from qck.suites import CASE_REGISTRY, manifest_cases, run_case, run_cases, suite_cases
 
 
 def run_cli(*args, env_extra=None):
@@ -150,9 +150,30 @@ def test_subcommand_case_error_exits_two(monkeypatch, capsys, argv):
 def test_json_report_roundtrip():
     cases = suite_cases("clausen", {"nmax": 1})
     records = run_cases(cases)
-    for record in records:
-        report = VerificationReport.from_dict(record)
-        assert report.to_dict() == {k: v for k, v in record.items() if k != "error"}
+    assert json.loads(json.dumps(records)) == records
+    for (name, params), record in zip(cases, records):
+        assert record == CASE_REGISTRY[name](params).to_dict()
+        assert list(record) == ["name", "params", "free_vars", "passed", "difference"]
+        assert record["params"] == params and record["passed"] is True
+        assert record["difference"] == "0" and record["free_vars"]
+
+
+def test_passed_is_derived_from_the_difference():
+    q = MultiLaurentPoly.var("q")
+    failing = VerificationReport("clausen_orr", {"n": 1}, ("q",), q - q ** 2)
+    assert not failing.passed and failing.to_dict()["passed"] is False
+    assert VerificationReport("clausen_orr", {"n": 1}, ("q",), q - q).passed
+    with pytest.raises(AttributeError):
+        failing.passed = True
+
+
+def test_error_record_is_a_verdict_record_plus_error():
+    record = run_case(("clausen_orr", {"n": -1}))
+    verdict = VerificationReport("clausen_orr", {"n": -1}, (), MultiLaurentPoly.const(1))
+    assert record == dict(verdict.to_dict(), error=record["error"])
+    assert record == {"name": "clausen_orr", "params": {"n": -1}, "free_vars": [],
+                      "passed": False, "difference": "1", "error": record["error"]}
+    assert record["error"].startswith("PhiSpecError: ")
 
 
 def test_parallel_determinism():
@@ -201,7 +222,10 @@ def test_manifest_corrupted_case_fails(tmp_path):
 
 @pytest.mark.parametrize("manifest", [{"a": 1}, [1],
                                       [{"name": "thm2", "params": [1, 2]}],
-                                      [{"name": ["thm2"]}], [{"name": {"thm2": 1}}]])
+                                      [{"name": ["thm2"]}], [{"name": {"thm2": 1}}],
+                                      [{"name": "clausen_orr", "params": {"n": True}}],
+                                      [{"name": "clausen_orr", "params": {"n": 1.0}}],
+                                      [{"name": "clausen_orr", "params": {"n": "1"}}]])
 def test_malformed_manifest_is_an_error(tmp_path, manifest):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
@@ -245,11 +269,12 @@ def test_term_budget_abort():
 
 def test_manifest_missing_parameter_is_an_error(tmp_path):
     path = tmp_path / "manifest.json"
-    path.write_text(json.dumps([{"name": "clausen_orr", "params": {}}]))
-    result = run_cli("verify", "--manifest", str(path))
-    assert result.returncode == 2
-    assert "error: clausen_orr(): KeyError" in result.stderr
-    assert "FAILED" not in result.stderr
+    for name in ("clausen_orr", "phi_permutation"):  # phi_permutation has no defaults
+        path.write_text(json.dumps([{"name": name, "params": {}}]))
+        result = run_cli("verify", "--manifest", str(path))
+        assert result.returncode == 2
+        assert f"error: {name}(): KeyError" in result.stderr
+        assert "FAILED" not in result.stderr
 
 
 def test_subcommands_reject_flags_they_would_ignore():
@@ -324,11 +349,11 @@ def test_registry_covers_manifest_names():
 def test_rows_match_their_builders():
     rows = [fn.__self__ for fn in CASE_REGISTRY.values()
             if isinstance(getattr(fn, "__self__", None), CaseKind)]
-    assert len(rows) == len(CASE_REGISTRY) - 6  # thm3-1/2/3, lemma41, phi, fixture
+    assert len(rows) == len(CASE_REGISTRY) - 4  # thm3-1/2/3, lemma41
     for row in rows:
         assert tuple(inspect.signature(row.builder()).parameters) == row.params, row.name
     by_keyword = verify_clausen_orr(n=1)
-    assert by_keyword.passed and by_keyword.case.meta_params == {"n": 1}
+    assert by_keyword.passed and by_keyword.params == {"n": 1}
 
 
 def test_equal_sides_are_not_subtracted(monkeypatch):
@@ -353,6 +378,17 @@ def test_default_report_bytes():
     result = run_cli("verify", "--suite", "all", "--format", "json")
     assert result.returncode == 0
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == DEFAULT_REPORT_SHA256
+
+
+ACCEPTANCE_REPORT_SHA256 = "70121b978c523599432fce4bf1154d7c7117bcfe40a0fe009fd0ae5c428e29f4"
+
+
+def test_acceptance_report_bytes(capsys):
+    """The report at the acceptance bounds is pinned byte for byte."""
+    argv = ["verify", "--suite", "all", "--nmax", "6", "--mmax", "9", "--pmax", "13",
+            "--rmax", "3", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ACCEPTANCE_REPORT_SHA256
 
 
 def _qck_modules() -> list:

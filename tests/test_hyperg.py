@@ -17,7 +17,7 @@ def test_parse_basic():
     spec = parse_phi("phi[3,2]{q^-2, a, x ; c, 0 ; q}")
     assert spec.r == 3 and spec.s == 2
     assert spec.termination == 2
-    assert spec.upper[0] == (ParamExpr.q_power(-2), 1)
+    assert spec.upper[0] == (ParamExpr.var("q", -2), 1)
     assert spec.lower[1] == 0
     assert spec.argument == (ParamExpr.var("q"), 1)
 
@@ -157,7 +157,7 @@ def test_phi_sum_qchu_closed_form():
 
 
 def test_phi_sum_upper_one_collapses():
-    spec = PhiSpec.of([ParamExpr.of(1), ParamExpr.q_power(-3)],
+    spec = PhiSpec.of([ParamExpr.of(1), ParamExpr.var("q", -3)],
                       [ParamExpr.var("c")], ParamExpr.var("q"))
     assert spec.termination == 0
     assert phi_sum(spec) == P.const(1)

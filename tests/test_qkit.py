@@ -155,8 +155,8 @@ def test_param_expr_arithmetic():
     assert cx == P.monomial(1, {"c": 1, "x": -1}) == ParamExpr.of(1, c=1, x=-1)
     assert cx ** 2 == ParamExpr.of(1, {"c": 2, "x": -2})
     assert (cx * ParamExpr.var("x")) == ParamExpr.var("c")
-    assert ParamExpr.q_power(-3) == P.var("q", -3)
-    assert ParamExpr.of(1) == ParamExpr.q_power(0) == P.const(1)
+    assert ParamExpr.var("q", -3) == P.var("q", -3)
+    assert ParamExpr.of(1) == ParamExpr.var("q", 0) == P.const(1)
     with pytest.raises(ValueError):
         ParamExpr.var("zz")
 

@@ -1,14 +1,16 @@
-"""Every top-level function and class of qck, private or public, is reached by the program.
+"""Every top-level function and class of qck, and every member of its classes, is reached.
 
 A name counts as reached when code in src/qck or perfbench refers to it
 outside its own definition (as a name, an attribute, or an exact string such
 as a getattr argument), when qck.__all__ exports it, or when it builds a
-CaseKind row.  Tests do not count.  A name that nothing reaches is dead code,
-unless ALLOWED gives the reason it stays; an ALLOWED name that is reached
-again must leave the list.
+CaseKind row.  A class member (a method or an assigned class attribute,
+dunders aside) is reached by the same references to its own name.  Tests do not count.  A name
+that nothing reaches is dead code, unless ALLOWED gives the reason it stays;
+an ALLOWED name that is reached again must leave the list.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import qck
@@ -21,6 +23,9 @@ ALLOWED = {
     "nonneg_divisibility_fact": "a congruence-suite row for it would change the univariate "
                                 "report pinned in perfbench/golden, so it waits for a "
                                 "change to the benchmark",
+    "MultiLaurentPoly.coefficients_by": "the tests read per-monomial coefficients through it "
+                                        "for lemma41 positivity and the leading-coefficient "
+                                        "checks",
 }
 
 
@@ -34,19 +39,40 @@ def _references(node):
             yield sub.value
 
 
+def _member_names(stmt):
+    """Methods and assigned class attributes; annotated dataclass fields are instance data."""
+    if isinstance(stmt, ast.FunctionDef):
+        yield stmt.name
+    elif isinstance(stmt, ast.Assign):
+        yield from (t.id for t in stmt.targets if isinstance(t, ast.Name))
+
+
+def _definitions(tree):
+    """(qualified name, name, defining node) of each top-level def and class member."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for member in stmt.body:
+                for name in _member_names(member):
+                    if not (name.startswith("__") and name.endswith("__")):
+                        yield f"{stmt.name}.{name}", name, member
+
+
 def _unreached() -> list:
-    defined, reached = set(), set()
+    definitions, references = [], Counter()
     for path in [*sorted((ROOT / "src" / "qck").glob("*.py")),
                  *sorted((ROOT / "perfbench").rglob("*.py"))]:
-        for stmt in ast.parse(path.read_text()).body:
-            own = None
-            if path.parent.name == "qck" and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own = stmt.name
-                defined.add(own)
-            reached.update(name for name in _references(stmt) if name != own)
+        tree = ast.parse(path.read_text())
+        references.update(_references(tree))
+        if path.parent.name == "qck":
+            definitions.extend(_definitions(tree))
     builders = {fn.__self__.builder().__name__ for fn in CASE_REGISTRY.values()
                 if isinstance(getattr(fn, "__self__", None), CaseKind)}
-    return sorted(defined - reached - set(qck.__all__) - builders)
+    exempt = set(qck.__all__) | builders
+    return sorted(qualified for qualified, name, node in definitions
+                  if qualified not in exempt
+                  and references[name] == Counter(_references(node))[name])
 
 
 def test_every_top_level_name_is_reached_or_allowed():
