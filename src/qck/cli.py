@@ -18,7 +18,7 @@ import io
 import json
 import sys
 
-from . import delannoy, hyperg, suites
+from . import congruence, delannoy, hyperg, suites
 from .exactalg import TermBudgetExceeded, exact_divide
 
 EXIT_OK = 0
@@ -84,11 +84,10 @@ def _bound_error(args):
     """The error for the first grid bound of args out of range, or None.
 
     A negative bound is always an error, a bound above its hard cap only
-    without --unsafe-bounds.  --p must be a suite prime; past the cap, where
-    --unsafe-bounds admits it, its own cases reject a non-prime.
+    without --unsafe-bounds.  --p must also pass the congruence cases' own
+    rule, ``congruence.odd_prime``, so a value they would reject never runs.
     """
-    cap_p = suites.HARD_CAPS["pmax"]
-    for key, cap in dict(suites.HARD_CAPS, p=cap_p).items():
+    for key, cap in dict(suites.HARD_CAPS, p=suites.HARD_CAPS["pmax"]).items():
         value = getattr(args, key, None)
         if value is None:
             continue
@@ -97,8 +96,8 @@ def _bound_error(args):
         if value > cap and not args.unsafe_bounds:
             return f"--{key} {value} above hard cap {cap}; pass --unsafe-bounds to override"
     p = getattr(args, "p", None)
-    if p is not None and p <= cap_p and p not in suites._PRIMES:
-        return f"--p {p} must be an odd prime <= {cap_p} (pass --unsafe-bounds for larger primes)"
+    if p is not None and not congruence.odd_prime(p):
+        return f"--p {p} is not an odd prime <= {congruence.PRIME_CAP}"
     return None
 
 

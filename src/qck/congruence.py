@@ -1,10 +1,12 @@
 """Laurent-polynomial congruences modulo [p] and [p]^2.
 
 For an odd prime p, [p] = 1 + q + ... + q^{p-1} is irreducible, and q is a
-unit modulo [p]^2 (a witness Y with q*Y + [p]^2 == 1 is constructed for every
-modulus).  A congruence u == v between Laurent polynomials therefore means:
-after multiplying u - v by the minimal q-power that clears negative exponents,
-the result is an integer polynomial divisible by [p] (or [p]^2).
+unit modulo [p]^2, because [p]^2 has constant term 1.  A congruence u == v
+between Laurent polynomials therefore means: after multiplying u - v by the
+minimal q-power that clears negative exponents, the result is an integer
+polynomial divisible by [p] (or [p]^2).  A modulus p is valid when it is an
+odd prime no larger than a fixed cap (``odd_prime``); each case checks this
+before it builds anything.
 
 The headline check: the odd-weighted sum over k < p of
 D_q(m,k) D_{1/q}(m,k) q^{-k} collapses modulo [p]^2 to one of three closed
@@ -16,8 +18,8 @@ prime: the first positivity family is this sum with p replaced by any n >= 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .delannoy import dq, dq_inverse_base
 from .exactalg import (MultiLaurentPoly, divrem_in_q, exact_div, exact_divide,
@@ -25,46 +27,21 @@ from .exactalg import (MultiLaurentPoly, divrem_in_q, exact_div, exact_divide,
 from .qkit import bracket, one_minus_q, qbinomial, qpochhammer
 from .report import CaseKind
 
-_PRIME_CAP = 10 ** 4
+PRIME_CAP = 10 ** 4
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def odd_prime(p: int) -> bool:
+    """The one rule for a modulus: p is an odd prime no larger than the cap."""
+    return 2 < p <= PRIME_CAP and all(p % d for d in range(2, isqrt(p) + 1))
 
 
-@dataclass(frozen=True)
-class BracketModulus:
-    """An odd prime p with [p] and [p]^2, plus the unit witness for q."""
-
-    p: int
-    bracket: MultiLaurentPoly
-    bracket_sq: MultiLaurentPoly
-    q_unit_witness: MultiLaurentPoly  # Y with q*Y + [p]^2 == 1
-
-    @classmethod
-    def of(cls, p: int) -> "BracketModulus":
-        if p > _PRIME_CAP:
-            raise ValueError(f"prime {p} above supported cap {_PRIME_CAP}")
-        if p == 2 or not _is_prime(p):
-            raise ValueError(f"{p} is not an odd prime")
-        br = bracket(p)
-        sq = br * br
-        # [p]^2 has constant term 1, so 1 - [p]^2 is divisible by q.
-        witness = exact_div(MultiLaurentPoly.const(1) - sq,
-                            MultiLaurentPoly.var("q"))
-        assert MultiLaurentPoly.var("q") * witness + sq == MultiLaurentPoly.const(1)
-        return cls(p, br, sq, witness)
+def _require_odd_prime(p: int) -> None:
+    if not odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime <= {PRIME_CAP}")
 
 
 def congruence_witness(u: MultiLaurentPoly, v: MultiLaurentPoly,
-                       mod: BracketModulus, square: bool = False) -> MultiLaurentPoly:
+                       p: int, square: bool = False) -> MultiLaurentPoly:
     """Remainder of the cleared difference u - v modulo [p] or [p]^2 (zero iff congruent)."""
     d = u - v
     if d.is_zero():
@@ -75,16 +52,17 @@ def congruence_witness(u: MultiLaurentPoly, v: MultiLaurentPoly,
     if square:
         # (q^p - 1)^2 = (q - 1)^2 [p]^2 is a monic multiple of [p]^2 with three
         # terms: reducing by it first is cheap, and leaves the same remainder.
-        _, d = divrem_in_q(d, (MultiLaurentPoly.var("q", mod.p) - 1) ** 2)
-    _, rem = divrem_in_q(d, mod.bracket_sq if square else mod.bracket)
+        _, d = divrem_in_q(d, (MultiLaurentPoly.var("q", p) - 1) ** 2)
+    br = bracket(p)
+    _, rem = divrem_in_q(d, br * br if square else br)
     return rem
 
 
 def minus_q_pochhammer_witness(p: int) -> MultiLaurentPoly:
     """(-q; q)_{p-1} == 1 (mod [p])."""
-    mod = BracketModulus.of(p)
+    _require_odd_prime(p)
     value = qpochhammer(MultiLaurentPoly.monomial(-1, {"q": 1}), p - 1)
-    return congruence_witness(value, MultiLaurentPoly.const(1), mod, square=False)
+    return congruence_witness(value, MultiLaurentPoly.const(1), p)
 
 
 def qidentity_sides(n: int, j: int) -> tuple:
@@ -172,8 +150,8 @@ def thm2_witness(p: int, m: int) -> MultiLaurentPoly:
     """Sum over k < p of [2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k}, minus its case target, mod [p]^2."""
     if m < 1:
         raise ValueError("need m >= 1")
-    mod = BracketModulus.of(p)
-    return congruence_witness(thm2_lhs(p, m), thm2_target(p, m), mod, square=True)
+    _require_odd_prime(p)
+    return congruence_witness(thm2_lhs(p, m), thm2_target(p, m), p, square=True)
 
 
 def nonneg_divisibility_fact(p: int, j: int, m: int) -> bool:
@@ -189,7 +167,7 @@ def nonneg_divisibility_fact(p: int, j: int, m: int) -> bool:
     return quotient is not None and is_nonneg_integer_laurent(quotient)
 
 
-verify_minus_q_pochhammer = CaseKind("minus_q_pochhammer", __name__, ("p",), ("q",),
+verify_minus_q_pochhammer = CaseKind("minus_q_pochhammer", __name__, ("q",),
                                      difference="minus_q_pochhammer_witness")
-verify_qidentity = CaseKind("qidentity", __name__, ("n", "j"), ("q",))
-verify_thm2 = CaseKind("thm2", __name__, ("p", "m"), ("q",), difference="thm2_witness")
+verify_qidentity = CaseKind("qidentity", __name__, ("q",))
+verify_thm2 = CaseKind("thm2", __name__, ("q",), difference="thm2_witness")

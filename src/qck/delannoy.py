@@ -148,8 +148,8 @@ def build_table(kind: str, max_m: int, max_n: int) -> list:
     return [[fn(m, n) for n in range(max_n + 1)] for m in range(max_m + 1)]
 
 
-product_expansion = CaseKind("delannoy_product", __name__, ("m", "n"), ("q",))
-product_x_identity = CaseKind("delannoy_product_x", __name__, ("m", "n"), ("q", "x"),
+product_expansion = CaseKind("delannoy_product", __name__, ("q",))
+product_x_identity = CaseKind("delannoy_product_x", __name__, ("q", "x"),
                               difference="product_x_difference")
-verify_relations = CaseKind("delannoy_relations", __name__, ("m", "n"), ("q",),
+verify_relations = CaseKind("delannoy_relations", __name__, ("q",),
                             difference="relations_difference")

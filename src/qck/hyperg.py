@@ -343,5 +343,5 @@ def phi_permutation_difference(seed: int, trials: int) -> MultiLaurentPoly:
     return MultiLaurentPoly.zero()
 
 
-phi_permutation = CaseKind("phi_permutation", __name__, ("seed", "trials"), ("q",),
+phi_permutation = CaseKind("phi_permutation", __name__, ("q",),
                            difference="phi_permutation_difference")

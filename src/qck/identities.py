@@ -473,22 +473,22 @@ def connection_coefficients_difference(n: int, m: int) -> MultiLaurentPoly:
     return next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
 
 
-verify_clausen_orr = CaseKind("clausen_orr", __name__, ("n",), ("q", "a", "x", "c"))
-verify_final_square = CaseKind("final_square", __name__, ("n",), ("q", "a", "x"))
-verify_sqrt_corollary = CaseKind("sqrt_corollary", __name__, ("m",), ("t", "a", "x"))
-verify_special3 = CaseKind("special3", __name__, ("n",), ("q", "x", "c"))
-verify_special1 = CaseKind("special1", __name__, ("n",), ("q", "x", "c"))
-verify_special222 = CaseKind("special222", __name__, ("n",), ("q", "x", "y", "c"))
-verify_special2 = CaseKind("special2", __name__, ("n",), ("q", "x", "c"))
-verify_general_s = CaseKind("general_s", __name__, ("n", "s"), ("q", "a", "x"))
-verify_q2_product = CaseKind("q2_product", __name__, ("n", "s"), ("q", "x"))
+verify_clausen_orr = CaseKind("clausen_orr", __name__, ("q", "a", "x", "c"))
+verify_final_square = CaseKind("final_square", __name__, ("q", "a", "x"))
+verify_sqrt_corollary = CaseKind("sqrt_corollary", __name__, ("t", "a", "x"))
+verify_special3 = CaseKind("special3", __name__, ("q", "x", "c"))
+verify_special1 = CaseKind("special1", __name__, ("q", "x", "c"))
+verify_special222 = CaseKind("special222", __name__, ("q", "x", "y", "c"))
+verify_special2 = CaseKind("special2", __name__, ("q", "x", "c"))
+verify_general_s = CaseKind("general_s", __name__, ("q", "a", "x"))
+verify_q2_product = CaseKind("q2_product", __name__, ("q", "x"))
 verify_general_s_specialization = CaseKind(
-    "general_s_specialization", __name__, ("n", "s"), ("q", "x"),
+    "general_s_specialization", __name__, ("q", "x"),
     difference="general_s_specialization_difference")
-verify_special3_shifted = CaseKind("special3_shifted", __name__, ("n", "s"), ("q", "x"))
-verify_lemma_last = CaseKind("lemma_last", __name__, ("n", "m", "h"), ("q", "x", "c"))
-verify_lemma_am2 = CaseKind("lemma_am2", __name__, ("n", "m", "h"), ("q", "a", "c"))
-verify_lem_important2 = CaseKind("lem_important2", __name__, ("n",), ("q", "a", "x"))
+verify_special3_shifted = CaseKind("special3_shifted", __name__, ("q", "x"))
+verify_lemma_last = CaseKind("lemma_last", __name__, ("q", "x", "c"))
+verify_lemma_am2 = CaseKind("lemma_am2", __name__, ("q", "a", "c"))
+verify_lem_important2 = CaseKind("lem_important2", __name__, ("q", "a", "x"))
 connection_coefficients = CaseKind(
-    "connection_coefficients", __name__, ("n", "m"), ("q", "a", "c"),
+    "connection_coefficients", __name__, ("q", "a", "c"),
     difference="connection_coefficients_difference")

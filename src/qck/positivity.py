@@ -143,5 +143,5 @@ def lemma41_generic(n: int, r: int) -> VerificationReport:
     return VerificationReport("lemma41_generic", {"n": n, "r": r}, ("q",) + xvars, bad)
 
 
-verify_schmidt = CaseKind("schmidt", __name__, ("k", "i", "j"), ("q",))
-verify_alternating_sum = CaseKind("alternating_sum", __name__, ("n", "s"), ("q",))
+verify_schmidt = CaseKind("schmidt", __name__, ("q",))
+verify_alternating_sum = CaseKind("alternating_sum", __name__, ("q",))

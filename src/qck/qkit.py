@@ -130,5 +130,5 @@ def qchu_vandermonde_sides(n: int) -> tuple:
     return lhs, rhs
 
 
-check_qbinomial_theorem = CaseKind("qbinomial_theorem", __name__, ("n",), ("q", "x"))
-check_qchu_vandermonde = CaseKind("qchu_vandermonde", __name__, ("n",), ("q", "a", "c"))
+check_qbinomial_theorem = CaseKind("qbinomial_theorem", __name__, ("q", "x"))
+check_qchu_vandermonde = CaseKind("qchu_vandermonde", __name__, ("q", "a", "c"))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import sys
 from dataclasses import dataclass
 
@@ -42,12 +43,13 @@ class CaseKind:
     the cleared (lhs, rhs) pair, or the function named by ``difference``,
     which returns the difference itself.  It is looked up on the module at
     call time, so a wrapper installed on the module attribute (a tracer, say)
-    sees every call the row makes.
+    sees every call the row makes.  The builder's signature (a wrapper's is
+    its original's, through ``functools.wraps``) names the kind's parameters:
+    a missing, unknown or surplus one is a TypeError before anything is built.
     """
 
     name: str
     module: str
-    params: tuple
     free_vars: tuple
     difference: str = None
 
@@ -56,17 +58,13 @@ class CaseKind:
         return getattr(sys.modules[self.module], self.difference or self.name + "_sides")
 
     def __call__(self, *args, **kwargs) -> VerificationReport:
-        # The builder's parameters are named as in ``params``, so once it has
-        # accepted the call, args and kwargs name every parameter exactly once.
-        built = self.builder()(*args, **kwargs)
+        builder = self.builder()
+        bound = inspect.signature(builder).bind(*args, **kwargs)
+        # Positionally: a wrapper on the builder may take positional arguments only.
+        built = builder(*bound.args)
         if self.difference:
             diff = built
         else:  # equal sides need no subtraction: their difference is the zero polynomial
             lhs, rhs = built
             diff = MultiLaurentPoly.zero() if lhs == rhs else lhs - rhs
-        params = dict(zip(self.params, args), **kwargs)
-        return VerificationReport(self.name, params, self.free_vars, diff)
-
-    def run(self, params: dict) -> VerificationReport:
-        """Run on a case's parameter dict; a missing parameter raises KeyError."""
-        return self(*(params[p] for p in self.params))
+        return VerificationReport(self.name, bound.arguments, self.free_vars, diff)

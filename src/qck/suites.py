@@ -1,11 +1,12 @@
 """Named verification suites: deterministic case grids over the check registry.
 
 A case is (registry name, integer-parameter dict); the registry maps each name
-to a function of the parameter dict returning a VerificationReport, derived
-from the CaseKind rows of the check modules.  Suites expand bounds into ordered
-case lists; the runner executes them (optionally in a process pool), buffers
-the outcomes, and always emits them in case order, so a report is
-byte-identical no matter how it was scheduled.
+to a callable that takes the case's parameters as keywords and returns a
+VerificationReport, so a parameter the callable does not take, or one it
+lacks, is a TypeError.  Suites expand bounds into ordered case lists; the
+runner executes them (optionally in a process pool), buffers the outcomes, and
+always emits them in case order, so a report is byte-identical no matter how
+it was scheduled.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ from concurrent.futures import ProcessPoolExecutor
 from . import congruence, delannoy, hyperg, identities, positivity, qkit
 from .exactalg import MultiLaurentPoly
 from .report import CaseKind, VerificationReport
-
-SUITE_NAMES = ("all", "clausen", "lemmas", "transforms", "delannoy",
-               "congruence", "positivity")
 
 HARD_CAPS = {"nmax": 10, "pmax": 13, "rmax": 3, "mmax": 40, "m": 12, "n": 12}
 
@@ -30,8 +28,6 @@ DEFAULT_BOUNDS = {
     "seed": 0,
 }
 
-_PRIMES = (3, 5, 7, 11, 13)
-
 
 def corrupted_fixture_sides() -> tuple:
     """Intentionally wrong identity used by failure-path tests: (1-q)(1+q) != 1-q^3."""
@@ -40,17 +36,17 @@ def corrupted_fixture_sides() -> tuple:
     return (one - q) * (one + q), one - q ** 3
 
 
-corrupted_fixture = CaseKind("corrupted_fixture", __name__, (), ("q",))
+corrupted_fixture = CaseKind("corrupted_fixture", __name__, ("q",))
 
-CASE_REGISTRY = {row.name: row.run
+CASE_REGISTRY = {row.name: row
                  for module in (identities, qkit, hyperg, delannoy, congruence, positivity)
                  for row in vars(module).values() if isinstance(row, CaseKind)}
 CASE_REGISTRY.update({
-    "thm3-1": lambda p: positivity.verify_thm3("thm3-1", p["m"], p["n"]),
-    "thm3-2": lambda p: positivity.verify_thm3("thm3-2", p["m"], p["n"], p["r"]),
-    "thm3-3": lambda p: positivity.verify_thm3("thm3-3", p["m"], p["n"], p["r"]),
-    "lemma41": lambda p: positivity.lemma41_generic(p["n"], p["r"]),
-    "corrupted_fixture": corrupted_fixture.run,
+    "thm3-1": lambda m, n: positivity.verify_thm3("thm3-1", m, n),
+    "thm3-2": lambda m, n, r: positivity.verify_thm3("thm3-2", m, n, r),
+    "thm3-3": lambda m, n, r: positivity.verify_thm3("thm3-3", m, n, r),
+    "lemma41": positivity.lemma41_generic,
+    "corrupted_fixture": corrupted_fixture,
 })
 
 
@@ -105,7 +101,8 @@ def _delannoy_cases(b):
 
 
 def _congruence_cases(b):
-    primes = [b["p"]] if b["p"] is not None else [p for p in _PRIMES if p <= b["pmax"]]
+    primes = [b["p"]] if b["p"] is not None else \
+        [p for p in range(b["pmax"] + 1) if congruence.odd_prime(p)]
     for p in primes:
         yield ("minus_q_pochhammer", {"p": p})
     for n in range(1, min(b["nmax"] + 2, 7)):
@@ -148,6 +145,8 @@ _SUITE_BUILDERS = {
     "positivity": _positivity_cases,
 }
 
+SUITE_NAMES = ("all", *_SUITE_BUILDERS)
+
 
 def suite_cases(suite: str, bounds: dict) -> list:
     """Expand a suite name and bounds into the ordered case list."""
@@ -155,9 +154,8 @@ def suite_cases(suite: str, bounds: dict) -> list:
         raise ValueError(f"unknown suite {suite!r}; expected one of {SUITE_NAMES}")
     b = dict(DEFAULT_BOUNDS)
     b.update({k: v for k, v in bounds.items() if v is not None})
-    names = [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
     cases = []
-    for name in names:
+    for name in _SUITE_BUILDERS if suite == "all" else [suite]:
         cases.extend(_SUITE_BUILDERS[name](b))
     return cases
 
@@ -166,7 +164,7 @@ def run_case(case) -> dict:
     """Execute one (name, params) case; an exception becomes a failed record with ``error``."""
     name, params = case
     try:
-        return CASE_REGISTRY[name](params).to_dict()
+        return CASE_REGISTRY[name](**params).to_dict()
     except Exception as exc:  # reported as an error, never as a verdict
         record = VerificationReport(name, params, (), MultiLaurentPoly.const(1)).to_dict()
         return dict(record, error=f"{type(exc).__name__}: {exc}")

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, determinism, report round-trips."""
 
+import functools
 import hashlib
 import inspect
 import json
@@ -152,7 +153,7 @@ def test_json_report_roundtrip():
     records = run_cases(cases)
     assert json.loads(json.dumps(records)) == records
     for (name, params), record in zip(cases, records):
-        assert record == CASE_REGISTRY[name](params).to_dict()
+        assert record == CASE_REGISTRY[name](**params).to_dict()
         assert list(record) == ["name", "params", "free_vars", "passed", "difference"]
         assert record["params"] == params and record["passed"] is True
         assert record["difference"] == "0" and record["free_vars"]
@@ -273,8 +274,21 @@ def test_manifest_missing_parameter_is_an_error(tmp_path):
         path.write_text(json.dumps([{"name": name, "params": {}}]))
         result = run_cli("verify", "--manifest", str(path))
         assert result.returncode == 2
-        assert f"error: {name}(): KeyError" in result.stderr
+        assert f"error: {name}(): TypeError" in result.stderr
         assert "FAILED" not in result.stderr
+
+
+@pytest.mark.parametrize("entry, param", [
+    ({"name": "thm3-1", "params": {"m": 1, "n": 2, "r": 3}}, "'r'"),
+    ({"name": "clausen_orr", "params": {"n": 1, "m": 5}}, "'m'"),
+])
+def test_manifest_unknown_parameter_is_an_error(tmp_path, entry, param):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([entry]))
+    result = run_cli("verify", "--manifest", str(path))
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ") and param in result.stderr
+    assert "PASS" not in result.stdout
 
 
 def test_subcommands_reject_flags_they_would_ignore():
@@ -311,6 +325,8 @@ def test_subcommands_share_the_hard_caps():
     ["congruence", "--p", "9", "--unsafe-bounds"],
     ["delannoy", "--m", "13", "--n", "1"],
     ["delannoy", "--m", "-1", "--n", "1"],
+    ["verify", "--suite", "congruence", "--p", "15", "--unsafe-bounds"],
+    ["congruence", "--p", "15", "--unsafe-bounds"],
 ])
 def test_out_of_range_bounds_are_usage_errors(capsys, argv):
     assert cli.main(argv) == 2
@@ -346,14 +362,30 @@ def test_registry_covers_manifest_names():
     assert len(cases) == len(CASE_REGISTRY)
 
 
-def test_rows_match_their_builders():
-    rows = [fn.__self__ for fn in CASE_REGISTRY.values()
-            if isinstance(getattr(fn, "__self__", None), CaseKind)]
+def test_rows_match_their_builders(monkeypatch):
+    rows = [fn for fn in CASE_REGISTRY.values() if isinstance(fn, CaseKind)]
     assert len(rows) == len(CASE_REGISTRY) - 4  # thm3-1/2/3, lemma41
-    for row in rows:
-        assert tuple(inspect.signature(row.builder()).parameters) == row.params, row.name
+    for row in rows:  # a default would let a manifest leave its parameter out
+        assert all(param.default is param.empty
+                   for param in inspect.signature(row.builder()).parameters.values()), row.name
     by_keyword = verify_clausen_orr(n=1)
     assert by_keyword.passed and by_keyword.params == {"n": 1}
+
+    original = identities.clausen_orr_sides
+
+    @functools.wraps(original)
+    def positional_only(*args):  # the benchmark tracer's wrappers take no keywords
+        return original(*args)
+    monkeypatch.setattr(identities, "clausen_orr_sides", positional_only)
+    by_keyword = verify_clausen_orr(n=1)
+    assert by_keyword.passed and by_keyword.params == {"n": 1}
+
+    def unreachable(n):
+        raise AssertionError("the builder ran on a call its signature refuses")
+    monkeypatch.setattr(identities, "clausen_orr_sides", unreachable)
+    for args, kwargs in (((1, 2), {}), ((), {"n": 1, "m": 5}), ((), {})):
+        with pytest.raises(TypeError):
+            verify_clausen_orr(*args, **kwargs)
 
 
 def test_equal_sides_are_not_subtracted(monkeypatch):

@@ -1,104 +1,104 @@
 """Congruence tests with division oracles."""
 
 import hashlib
+import time
 from fractions import Fraction
 
 import pytest
 
 from qck import cli, congruence
-from qck.congruence import (BracketModulus, Thm2MismatchError, congruence_witness,
-                            nonneg_divisibility_fact, thm2_case, thm2_lhs,
-                            thm2_target, verify_minus_q_pochhammer,
+from qck.congruence import (Thm2MismatchError, congruence_witness,
+                            minus_q_pochhammer_witness, nonneg_divisibility_fact, thm2_case,
+                            thm2_lhs, thm2_target, thm2_witness, verify_minus_q_pochhammer,
                             verify_qidentity, verify_thm2)
 from qck.delannoy import _dq_sum, delannoy
 from qck.exactalg import MultiLaurentPoly as P, divrem_in_q, exact_div
 from qck.qkit import bracket, one_minus_q, poch_prefixes, qbinomial
+from qck.suites import suite_cases
 
 q = P.var("q")
 
 
 def test_modulus_construction():
-    mod = BracketModulus.of(3)
-    assert mod.bracket == 1 + q + q ** 2
-    assert mod.bracket_sq == mod.bracket * mod.bracket
-    # the witness proves q is a unit modulo [p]^2
-    assert q * mod.q_unit_witness + mod.bracket_sq == P.const(1)
+    assert bracket(3) == 1 + q + q ** 2
+    square = bracket(3) * bracket(3)
+    assert congruence_witness(square, P.zero(), 3, square=True).is_zero()
+    assert congruence_witness(bracket(3), P.zero(), 3, square=True) == bracket(3)
 
 
 def test_modulus_rejects_non_prime():
-    with pytest.raises(ValueError):
-        BracketModulus.of(9)
-    with pytest.raises(ValueError):
-        BracketModulus.of(2)
-    with pytest.raises(ValueError):
-        BracketModulus.of(10 ** 5 + 3)
+    for p in (9, 2, 10 ** 5 + 3):
+        for witness in (lambda: thm2_witness(p, 1), lambda: minus_q_pochhammer_witness(p)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="not an odd prime"):
+                witness()
+            assert time.perf_counter() - start < 0.5, p
+
+
+def test_grid_runs_every_odd_prime_up_to_pmax():
+    cases = suite_cases("congruence", {"pmax": 17, "mmax": 1})
+    assert [c[1]["p"] for c in cases if c[0] == "thm2"] == [3, 5, 7, 11, 13, 17]
+    assert ("minus_q_pochhammer", {"p": 17}) in cases
 
 
 def test_congruence_oracle_cases():
-    mod = BracketModulus.of(3)
     # q^3 - q = q(q-1)(q+1); [3] does not divide it
-    assert not congruence_witness(q ** 3, q, mod).is_zero()
+    assert not congruence_witness(q ** 3, q, 3).is_zero()
     # q^3 - 1 = (q - 1)(1 + q + q^2)
-    assert congruence_witness(q ** 3, P.const(1), mod).is_zero()
-    assert congruence_witness(q, q, mod).is_zero()
+    assert congruence_witness(q ** 3, P.const(1), 3).is_zero()
+    assert congruence_witness(q, q, 3).is_zero()
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])
 def test_square_witness_is_the_remainder_modulo_the_squared_bracket(p):
     # the witness reduces by (q^p - 1)^2 first; the remainder is the one modulo [p]^2
-    mod = BracketModulus.of(p)
     signs = [(-1) ** (e * e // 3) * (e % 7 + 1) for e in range(90)]
     for u in (thm2_lhs(p, 4), P.var("q", -3) * (1 + q) ** 9,
               sum((P.monomial(c, {"q": e}) for e, c in enumerate(signs)), P.zero())):
         cleared = u * P.var("q", max(0, -u.degree_range("q")[0]))
-        assert congruence_witness(u, P.zero(), mod, square=True) \
-            == divrem_in_q(cleared, mod.bracket_sq)[1]
+        assert congruence_witness(u, P.zero(), p, square=True) \
+            == divrem_in_q(cleared, bracket(p) ** 2)[1]
 
 
 def test_congruence_laurent_clearing():
-    mod = BracketModulus.of(3)
     # q^{-1} == q^2 mod [3] because q^{-1}(1 - q^3) is divisible by [3]
-    assert congruence_witness(P.var("q", -1), q ** 2, mod).is_zero()
+    assert congruence_witness(P.var("q", -1), q ** 2, 3).is_zero()
 
 
 def test_congruence_rejects_non_integer_univariate_input():
-    mod = BracketModulus.of(3)
     with pytest.raises(ValueError, match="univariate"):
-        congruence_witness(q * P.var("x"), q, mod)
+        congruence_witness(q * P.var("x"), q, 3)
     with pytest.raises(TypeError, match="not an integer"):  # a rational input cannot be built
         P.monomial(Fraction(1, 2), {"q": -1})
 
 
 def test_congruence_unit_invariance():
-    mod = BracketModulus.of(5)
     u = 1 + 3 * q ** 2
     v = q ** 5 + 3 * q ** 2
     for j in (-2, 0, 1, 3):
         shift = P.monomial(1, {"q": j})
-        assert (congruence_witness(u * shift, v * shift, mod).is_zero()
-                == congruence_witness(u, v, mod).is_zero())
+        assert (congruence_witness(u * shift, v * shift, 5).is_zero()
+                == congruence_witness(u, v, 5).is_zero())
 
 
 def test_congruence_equivalence_relation_sample():
-    mod = BracketModulus.of(3)
     xs = [P.const(1), q ** 3, q ** 6, q, 1 + q]
     for u in xs:
-        assert congruence_witness(u, u, mod).is_zero()
+        assert congruence_witness(u, u, 3).is_zero()
         for v in xs:
-            assert (congruence_witness(u, v, mod).is_zero()
-                    == congruence_witness(v, u, mod).is_zero())
+            assert (congruence_witness(u, v, 3).is_zero()
+                    == congruence_witness(v, u, 3).is_zero())
     for u in xs:
         for v in xs:
             for w in xs:
-                if (congruence_witness(u, v, mod).is_zero()
-                        and congruence_witness(v, w, mod).is_zero()):
-                    assert congruence_witness(u, w, mod).is_zero()
+                if (congruence_witness(u, v, 3).is_zero()
+                        and congruence_witness(v, w, 3).is_zero()):
+                    assert congruence_witness(u, w, 3).is_zero()
 
 
 def test_congruence_rejects_extra_variables():
-    mod = BracketModulus.of(3)
     with pytest.raises(ValueError):
-        congruence_witness(P.var("a"), P.zero(), mod)
+        congruence_witness(P.var("a"), P.zero(), 3)
 
 
 def test_minus_q_pochhammer():
@@ -160,8 +160,7 @@ def test_thm2_all_three_cases():
 
 
 def test_congruence_witness_nonzero_on_failure():
-    mod = BracketModulus.of(3)
-    w = congruence_witness(q, P.const(1), mod)
+    w = congruence_witness(q, P.const(1), 3)
     assert not w.is_zero()
 
 

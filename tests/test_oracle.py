@@ -14,7 +14,7 @@ import pytest
 sp = pytest.importorskip("sympy")
 
 from qck import cli
-from qck.congruence import BracketModulus, congruence_witness, thm2_lhs, thm2_witness
+from qck.congruence import congruence_witness, thm2_lhs, thm2_witness
 from qck.delannoy import delannoy_product_sides, dq, dq_star
 from qck.exactalg import MultiLaurentPoly, exact_divide
 from qck.identities import (_general_s_sides, clausen_orr_sides, general_s_sides,
@@ -168,7 +168,7 @@ def test_thm2_remainder_against_sympy():
 
     lhs = thm2_lhs(p, m)
     assert_same(lhs, total, (q,))
-    witness = congruence_witness(lhs, MultiLaurentPoly.zero(), BracketModulus.of(p), square=True)
+    witness = congruence_witness(lhs, MultiLaurentPoly.zero(), p, square=True)
     assert not witness.is_zero()
     assert_same(witness, remainder(total), (q,))
     assert_same(thm2_witness(p, m), remainder(total - target), (q,))

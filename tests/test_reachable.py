@@ -67,8 +67,8 @@ def _unreached() -> list:
         references.update(_references(tree))
         if path.parent.name == "qck":
             definitions.extend(_definitions(tree))
-    builders = {fn.__self__.builder().__name__ for fn in CASE_REGISTRY.values()
-                if isinstance(getattr(fn, "__self__", None), CaseKind)}
+    builders = {fn.builder().__name__ for fn in CASE_REGISTRY.values()
+                if isinstance(fn, CaseKind)}
     exempt = set(qck.__all__) | builders
     return sorted(qualified for qualified, name, node in definitions
                   if qualified not in exempt
