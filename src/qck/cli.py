@@ -170,14 +170,8 @@ def cmd_congruence(args) -> int:
 
 
 def cmd_positivity(args) -> int:
-    """thm3-1 at each (m, n), each followed by thm3-2 and thm3-3 at each r."""
-    cases = []
-    for m in range(1, args.mmax + 1):
-        for n in range(1, args.nmax + 1):
-            cases.append(("thm3-1", {"m": m, "n": n}))
-            for r in range(1, args.rmax + 1):
-                cases.append(("thm3-2", {"m": m, "n": n, "r": r}))
-                cases.append(("thm3-3", {"m": m, "n": n, "r": r}))
+    """The thm3 cases of the positivity suite over an m <= mmax, n <= nmax, r <= rmax grid."""
+    cases = list(suites.thm3_cases(args.mmax, args.nmax, args.rmax))
     return _finish(suites.run_cases(cases), args.format, args.out)
 
 

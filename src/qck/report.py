@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import inspect
 import sys
 from dataclasses import dataclass
 
 from .exactalg import MultiLaurentPoly
+
+_signature = functools.cache(inspect.signature)  # per builder object: a later wrapper is new
 
 
 @dataclass
@@ -59,7 +62,7 @@ class CaseKind:
 
     def __call__(self, *args, **kwargs) -> VerificationReport:
         builder = self.builder()
-        bound = inspect.signature(builder).bind(*args, **kwargs)
+        bound = _signature(builder).bind(*args, **kwargs)
         # Positionally: a wrapper on the builder may take positional arguments only.
         built = builder(*bound.args)
         if self.difference:

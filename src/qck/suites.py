@@ -6,7 +6,8 @@ VerificationReport, so a parameter the callable does not take, or one it
 lacks, is a TypeError.  Suites expand bounds into ordered case lists; the
 runner executes them (optionally in a process pool), buffers the outcomes, and
 always emits them in case order, so a report is byte-identical no matter how
-it was scheduled.
+it was scheduled.  Every grid runs to its bound but for three caps, marked
+below (sqrt_corollary, the D_q grids, the shifted transforms grid).
 """
 
 from __future__ import annotations
@@ -55,20 +56,19 @@ def _clausen_cases(b):
         yield ("clausen_orr", {"n": n})
     for n in range(b["nmax"] + 1):
         yield ("final_square", {"n": n})
-    for m in range(min(3, b["nmax"]) + 1):
+    for m in range(min(3, b["nmax"]) + 1):  # each step of m costs about 3x the last
         yield ("sqrt_corollary", {"m": m})
 
 
 def _lemmas_cases(b):
-    nmax = min(b["nmax"], 5)
-    for n in range(1, nmax + 1):
+    for n in range(1, b["nmax"] + 1):
         for m in range(0, n):
             for h in range(1, n - m + 1):
                 yield ("lemma_last", {"n": n, "m": m, "h": h})
                 yield ("lemma_am2", {"n": n, "m": m, "h": h})
     for n in range(1, b["nmax"] + 1):
         yield ("lem_important2", {"n": n})
-    for n in range(min(b["nmax"], 4) + 1):
+    for n in range(b["nmax"] + 1):
         for m in range(n + 1):
             yield ("connection_coefficients", {"n": n, "m": m})
 
@@ -77,8 +77,7 @@ def _transforms_cases(b):
     for name in ("special3", "special1", "special2", "special222"):
         for n in range(b["nmax"] + 1):
             yield (name, {"n": n})
-    smax = min(b["nmax"], 5)
-    for n in range(smax + 1):
+    for n in range(min(b["nmax"], 5) + 1):  # pinned by the benchmark's `symbolic` grid
         for s in range(n + 1):
             for name in ("general_s", "q2_product", "general_s_specialization",
                          "special3_shifted"):
@@ -90,13 +89,13 @@ def _transforms_cases(b):
 
 
 def _delannoy_cases(b):
-    top = min(b["mmax"], 8)
+    top = min(b["mmax"], HARD_CAPS["m"])  # the D_q tables stop where `qck delannoy` does
     for m in range(top + 1):
         for n in range(top + 1):
             yield ("delannoy_product", {"m": m, "n": n})
             yield ("delannoy_relations", {"m": m, "n": n})
-    for m in range(min(top, 6) + 1):
-        for n in range(min(top, 6) + 1):
+    for m in range(top + 1):
+        for n in range(top + 1):
             yield ("delannoy_product_x", {"m": m, "n": n})
 
 
@@ -105,7 +104,7 @@ def _congruence_cases(b):
         [p for p in range(b["pmax"] + 1) if congruence.odd_prime(p)]
     for p in primes:
         yield ("minus_q_pochhammer", {"p": p})
-    for n in range(1, min(b["nmax"] + 2, 7)):
+    for n in range(1, b["nmax"] + 2):
         for j in range(n):
             yield ("qidentity", {"n": n, "j": j})
     for p in primes:
@@ -113,26 +112,28 @@ def _congruence_cases(b):
             yield ("thm2", {"p": p, "m": m})
 
 
-def _positivity_cases(b):
-    top = min(b["mmax"], 6)
-    for m in range(1, top + 1):
-        for n in range(1, top + 1):
+def thm3_cases(mmax: int, nmax: int, rmax: int):
+    """thm3-1 at each (m, n), each followed by thm3-2 and thm3-3 at each r <= rmax."""
+    for m in range(1, mmax + 1):
+        for n in range(1, nmax + 1):
             yield ("thm3-1", {"m": m, "n": n})
-            for r in range(1, b["rmax"] + 1):
-                if r == 3 and (m > 4 or n > 4):
-                    continue
+            for r in range(1, rmax + 1):
                 yield ("thm3-2", {"m": m, "n": n, "r": r})
                 yield ("thm3-3", {"m": m, "n": n, "r": r})
-    kmax = min(b["nmax"] + 2, 6)
-    for k in range(kmax + 1):
+
+
+def _positivity_cases(b):
+    top = min(b["mmax"], HARD_CAPS["m"])  # the D_q tables stop where `qck delannoy` does
+    yield from thm3_cases(top, top, b["rmax"])
+    for k in range(b["nmax"] + 3):
         for i in range(k + 1):
             for j in range(k + 1):
                 yield ("schmidt", {"k": k, "i": i, "j": j})
-    for n in range(1, min(b["nmax"] + 2, 7)):
+    for n in range(1, b["nmax"] + 2):
         for s in range(n):
             yield ("alternating_sum", {"n": n, "s": s})
-    for n in range(1, min(b["nmax"], 4) + 1):
-        for r in range(1, min(b["rmax"], 2) + 1):
+    for n in range(1, b["nmax"] + 1):
+        for r in range(1, b["rmax"] + 1):
             yield ("lemma41", {"n": n, "r": r})
 
 
