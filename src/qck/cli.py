@@ -40,7 +40,7 @@ def _label(record) -> str:
     return f"{record['name']}({params})"
 
 
-def _emit(records, fmt: str, out_path) -> str:
+def _emit(records, fmt: str, out_path) -> None:
     if fmt == "json":
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
@@ -62,7 +62,6 @@ def _emit(records, fmt: str, out_path) -> str:
         lines.append(f"{len(records)} cases, {failed} failed")
         text = "\n".join(lines) + "\n"
     _write(text, out_path)
-    return text
 
 
 def _finish(records, fmt, out) -> int:

@@ -9,11 +9,16 @@ odd prime no larger than a fixed cap (``odd_prime``); each case checks this
 before it builds anything.
 
 The headline check: the odd-weighted sum over k < p of
-D_q(m,k) D_{1/q}(m,k) q^{-k} collapses modulo [p]^2 to one of three closed
-forms selected by m mod p.  The sum is computed both from the Delannoy product
-formula directly and through its single-sum rewriting; the two must agree
-exactly before any reduction happens.  The sum itself (``thm2_lhs``) needs no
-prime: the first positivity family is this sum with p replaced by any n >= 1.
+[2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k} collapses modulo [p]^2 to one of three
+closed forms selected by m mod p.  Both the sum and its target are checked
+multiplied by 1-q (the cleared form): the sum is then ``qkit.odd_sum``, with
+(1-q^{2k+1}) in place of [2k+1], and no division by 1-q is needed.  This is
+the same congruence, because [p] is monic and coprime to 1-q ([p] at q = 1 is
+p, not 0), so [p]^2 divides (1-q) X in Z[q] exactly when it divides X.  The
+sum is computed both from the Delannoy product formula directly and through
+its single-sum rewriting; the two must agree exactly before any reduction
+happens.  The sum itself (``thm2_lhs``) needs no prime: the first positivity
+family is this sum with p replaced by any n >= 1.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from math import isqrt
 from .delannoy import dq, dq_inverse_base
 from .exactalg import (MultiLaurentPoly, divrem_in_q, exact_div, exact_divide,
                        is_nonneg_integer_laurent, sum_of_products)
-from .qkit import bracket, one_minus_q, qbinomial, qpochhammer
+from .qkit import bracket, odd_sum, one_minus_q, qbinomial, qpochhammer
 from .report import CaseKind
 
 PRIME_CAP = 10 ** 4
@@ -70,12 +75,13 @@ def qidentity_sides(n: int, j: int) -> tuple:
 
     sum_{k=j}^{n-1} (1-q^{2k+1}) [k+j;2j] q^{-(j+1)k} * (1-q^{j+1})
         == (1-q^n)(1-q^{n-j}) [n+j;2j] q^{-(j+1)(n-1)}
+
+    The sum runs over every k < n: [k+j;2j] = 0 for k < j.
     """
     if not 0 <= j <= n - 1:
         raise ValueError("need 0 <= j <= n-1")
-    lhs = sum_of_products((one_minus_q(2 * k + 1), qbinomial(k + j, 2 * j),
-                           MultiLaurentPoly.var("q", -(j + 1) * k))
-                          for k in range(j, n)) * one_minus_q(j + 1)
+    lhs = odd_sum([(qbinomial(k + j, 2 * j), MultiLaurentPoly.var("q", -j * k))
+                   for k in range(n)]) * one_minus_q(j + 1)
     rhs = one_minus_q(n) * one_minus_q(n - j) * qbinomial(n + j, 2 * j) \
         * MultiLaurentPoly.monomial(1, {"q": -(j + 1) * (n - 1)})
     return lhs, rhs
@@ -85,17 +91,14 @@ class Thm2MismatchError(RuntimeError):
     """The two routes to the left-hand sum disagreed; transcription is broken."""
 
 
-def _thm2_lhs_direct(p: int, m: int) -> MultiLaurentPoly:
-    return sum_of_products((bracket(2 * k + 1), dq(m, k), dq_inverse_base(m, k),
-                            MultiLaurentPoly.var("q", -k)) for k in range(p))
-
-
 @lru_cache(maxsize=None)
 def _single_sum_ratio(p: int, j: int) -> MultiLaurentPoly:
-    """[p](1-q^{p-j})[p+j;2j] / (1-q^{j+1}): the j-th summand's factor free of m."""
-    # [p] = (1-q^p)/(1-q), so this ratio carries the full displayed
-    # prefactor (1-q^p)(1-q^{p-j}) / ((1-q)(1-q^{j+1})).
-    num = bracket(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
+    """(1-q^p)(1-q^{p-j})[p+j;2j] / (1-q^{j+1}): the j-th summand's factor free of m.
+
+    This is the displayed prefactor (1-q^p)(1-q^{p-j}) / ((1-q)(1-q^{j+1}))
+    times 1-q, the cleared form of the sum.
+    """
+    num = one_minus_q(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
     return exact_div(num, one_minus_q(j + 1))
 
 
@@ -114,12 +117,13 @@ def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
 
 
 def thm2_lhs(p: int, m: int) -> MultiLaurentPoly:
-    """sum_{k<p} [2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k}, by both routes and cross-checked.
+    """(1-q) sum_{k<p} [2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k}, by both routes and cross-checked.
 
-    Both routes hold for every p >= 1, prime or not: the positivity module
-    uses this sum with p = n for its first family.
+    The direct route is ``odd_sum`` over the Delannoy products.  Both routes
+    hold for every p >= 1, prime or not: the positivity module uses this sum
+    with p = n for its first family.
     """
-    direct = _thm2_lhs_direct(p, m)
+    direct = odd_sum([(dq(m, k), dq_inverse_base(m, k)) for k in range(p)])
     single = _thm2_lhs_single_sum(p, m)
     if direct != single:
         raise Thm2MismatchError(f"sum routes disagree at p={p}, m={m}")
@@ -137,17 +141,17 @@ def thm2_case(p: int, m: int) -> str:
 
 
 def thm2_target(p: int, m: int) -> MultiLaurentPoly:
-    """The closed form the sum must match modulo [p]^2, materialized by exact division."""
+    """(1-q) times the sum's closed form (q - q^top)/(1-q^2) mod [p]^2: (q - q^top)/(1+q)."""
     case = thm2_case(p, m)
     if case == "other":
         return MultiLaurentPoly.zero()
     top = 1 - 2 * m if case == "zero" else 2 * m + 3
     num = MultiLaurentPoly.var("q") - MultiLaurentPoly.monomial(1, {"q": top})
-    return exact_div(num, one_minus_q(2))
+    return exact_div(num, bracket(2))
 
 
 def thm2_witness(p: int, m: int) -> MultiLaurentPoly:
-    """Sum over k < p of [2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k}, minus its case target, mod [p]^2."""
+    """The cleared sum ``thm2_lhs`` minus its cleared case target, mod [p]^2."""
     if m < 1:
         raise ValueError("need m >= 1")
     _require_odd_prime(p)

@@ -242,27 +242,6 @@ class MultiLaurentPoly:
         es = [(((k + _BIAS) >> sh) & _MASK) - _OFF for k in self._terms]
         return (min(es), max(es))
 
-    def coefficients_by(self, names) -> dict:
-        """Group terms by their monomial in ``names``.
-
-        Returns {powers-dict-over-names (as sorted tuple of pairs): polynomial
-        in the remaining variables}.
-        """
-        idxs = [_INDEX[n] for n in names]
-        buckets = {}
-        for k, c in self._terms.items():
-            sel = []
-            rest = k
-            kb = k + _BIAS
-            for i in idxs:
-                e = ((kb >> (_W * i)) & _MASK) - _OFF
-                if e:
-                    sel.append((VAR_NAMES[i], e))
-                    rest -= e << (_W * i)
-            sel = tuple(sorted(sel, key=lambda pair: _INDEX[pair[0]]))
-            buckets.setdefault(sel, {})[rest] = c
-        return {sel: MultiLaurentPoly._raw(d) for sel, d in buckets.items()}
-
     # -- ring operations ----------------------------------------------------
 
     def __eq__(self, other):
@@ -273,6 +252,9 @@ class MultiLaurentPoly:
         return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as the int it equals, zero included
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self):
@@ -349,8 +331,7 @@ class MultiLaurentPoly:
             return "0"
         parts = []
         for powers, c in self.sorted_terms():
-            mono = "*".join(v if e == 1 else f"{v}^{e}"
-                            for v, e in sorted(powers.items(), key=lambda p: _INDEX[p[0]]))
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers.items())
             if not mono:
                 parts.append(str(c))
             elif c == 1:

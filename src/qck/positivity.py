@@ -22,7 +22,7 @@ from __future__ import annotations
 from .congruence import thm2_lhs
 from .delannoy import dq, dq_inverse_base
 from .exactalg import MultiLaurentPoly, exact_divide, non_positive_terms, sum_of_products
-from .qkit import choose2, one_minus_q, qbinomial
+from .qkit import choose2, odd_sum, one_minus_q, qbinomial
 from .report import CaseKind, VerificationReport
 
 
@@ -57,10 +57,8 @@ def alternating_sum_sides(n: int, s: int) -> tuple:
     """
     if not 0 <= s <= n - 1:
         raise ValueError("need 0 <= s <= n-1")
-    lhs = sum_of_products((one_minus_q(2 * k + 1), qbinomial(k + s, 2 * s), qbinomial(2 * s, s),
-                           MultiLaurentPoly.monomial((-1) ** (n - k - 1),
-                                                     {"q": choose2(k) - s * k}))
-                          for k in range(s, n))
+    lhs = odd_sum([(qbinomial(k + s, 2 * s), qbinomial(2 * s, s), MultiLaurentPoly.var("q", -s * k))
+                   for k in range(n)], alternating=True)  # [k+s;2s] = 0 for k < s
     rhs = one_minus_q(n) * qbinomial(n - 1, s) * qbinomial(n + s, s) \
         * MultiLaurentPoly.monomial(1, {"q": choose2(n) - s * n})
     return lhs, rhs
@@ -70,38 +68,23 @@ def alternating_sum_sides(n: int, s: int) -> tuple:
 # The three certified families.
 # ---------------------------------------------------------------------------
 
-def _odd_sum(values, alternating: bool) -> MultiLaurentPoly:
-    """sum_{k<n} (1-q^{2k+1}) v_k q^{-k}, with n = len(values).
-
-    When ``alternating`` the weight q^{-k} becomes (-1)^{n-k-1} q^{C(k,2)}.
-    """
-    n = len(values)
-    weights = [MultiLaurentPoly.monomial((-1) ** (n - k - 1), {"q": choose2(k)}) if alternating
-               else MultiLaurentPoly.var("q", -k) for k in range(n)]
-    return sum_of_products((one_minus_q(2 * k + 1), v, weights[k]) for k, v in enumerate(values))
-
-
 def _poly1_parts(m: int, n: int) -> tuple:
     if m < 1 or n < 1:
         raise ValueError("need m, n >= 1")
-    num = thm2_lhs(n, m) * one_minus_q(1) * one_minus_q(m) * one_minus_q(m + 1)
+    num = thm2_lhs(n, m) * one_minus_q(m) * one_minus_q(m + 1)
     return num, one_minus_q(2) * one_minus_q(n) * one_minus_q(n)
 
 
-def _delannoy_powers(m: int, n: int, r: int) -> list:
-    """(D_q(m,k) D_{1/q}(m,k))^r for k < n."""
+def _odd_parts(m: int, n: int, r: int, alternating: bool) -> tuple:
     if m < 1 or n < 1 or r < 1:
         raise ValueError("need m, n, r >= 1")
-    return [(dq(m, k) * dq_inverse_base(m, k)) ** r for k in range(n)]
-
-
-def _odd_parts(m: int, n: int, r: int, alternating: bool) -> tuple:
-    return _odd_sum(_delannoy_powers(m, n, r), alternating), one_minus_q(n)
+    powers = [((dq(m, k) * dq_inverse_base(m, k)) ** r,) for k in range(n)]
+    return odd_sum(powers, alternating), one_minus_q(n)
 
 
 # (numerator, divisor) of each claim; only the final division decides divisibility.
 #   thm3-1: sum_{k<n} (1-q^m)(1-q^{m+1})(1-q^{2k+1}) D_q(m,k) D_{1/q}(m,k) q^{-k}
-#           / ((1-q^2)(1-q^n)^2), built on Theorem 2's sum thm2_lhs;
+#           / ((1-q^2)(1-q^n)^2), built on Theorem 2's cleared sum thm2_lhs;
 #   thm3-2: sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{-k} / (1-q^n);
 #   thm3-3: sum_{k<n} (-1)^{n-k-1} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{C(k,2)} / (1-q^n).
 _CLAIM_PARTS = {
@@ -135,9 +118,9 @@ def lemma41_generic(n: int, r: int) -> VerificationReport:
     if n < 1 or r < 1:
         raise ValueError("need n, r >= 1")
     xvars = tuple(f"x{k}" for k in range(n))
-    powers = [s_n_symbolic(k) ** r for k in range(n)]
+    powers = [(s_n_symbolic(k) ** r,) for k in range(n)]
     bad = MultiLaurentPoly.zero()
-    for total in (_odd_sum(powers, False), _odd_sum(powers, True)):
+    for total in (odd_sum(powers), odd_sum(powers, alternating=True)):
         quotient = exact_divide(total, one_minus_q(n))
         bad = bad + (total if quotient is None else non_positive_terms(quotient))
     return VerificationReport("lemma41_generic", {"n": n, "r": r}, ("q",) + xvars, bad)

@@ -10,9 +10,11 @@ Pochhammer arguments and series parameters are Laurent monomials, e.g. q^{-n},
 c*q^n or c/x: single-term MultiLaurentPolys of the kernel, multiplied, raised
 to powers and substituted by the kernel itself, so every symbol expands to an
 exact MultiLaurentPoly.  ``ParamExpr`` only names two constructors of such
-monomials.  The classical q-binomial theorem and q-Chu-Vandermonde summation
-are verified here as exact polynomial identities; both are used as proof
-engines by the identity suites.
+monomials.  ``odd_sum`` is the odd-weighted sum sum_k (1-q^{2k+1}) f_k w_k:
+Theorem 2's sum cleared by 1-q (see ``congruence`` for why that is the same
+congruence), its two lemmas and the positivity families.  The classical
+q-binomial theorem and q-Chu-Vandermonde summation are verified here as exact
+polynomial identities; both are used as proof engines by the identity suites.
 """
 
 from __future__ import annotations
@@ -103,6 +105,19 @@ def bracket(p: int) -> MultiLaurentPoly:
 def one_minus_q(e: int) -> MultiLaurentPoly:
     """1 - q^e."""
     return MultiLaurentPoly.const(1) - MultiLaurentPoly.monomial(1, {"q": e})
+
+
+def odd_sum(terms, alternating: bool = False) -> MultiLaurentPoly:
+    """sum_{k<n} (1-q^{2k+1}) f_k w_k, with n = len(terms) and f_k the product of terms[k].
+
+    The weight w_k is q^{-k}, or (-1)^{n-k-1} q^{C(k,2)} when ``alternating``.
+    """
+    n = len(terms)
+    return sum_of_products(
+        (one_minus_q(2 * k + 1), *factors,
+         MultiLaurentPoly.monomial((-1) ** (n - k - 1), {"q": choose2(k)}) if alternating
+         else MultiLaurentPoly.var("q", -k))
+        for k, factors in enumerate(terms))
 
 
 def qbinomial_theorem_sides(n: int) -> tuple:

@@ -85,7 +85,7 @@ def _transforms_cases(b):
     for n in range(b["nmax"] + 3):
         yield ("qbinomial_theorem", {"n": n})
         yield ("qchu_vandermonde", {"n": n})
-    yield ("phi_permutation", {"seed": b.get("seed", 0), "trials": 4})
+    yield ("phi_permutation", {"seed": b["seed"], "trials": 4})
 
 
 def _delannoy_cases(b):

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from qck import cli, congruence
+from qck import cli, congruence, qkit
 from qck.congruence import (Thm2MismatchError, congruence_witness,
                             minus_q_pochhammer_witness, nonneg_divisibility_fact, thm2_case,
                             thm2_lhs, thm2_target, thm2_witness, verify_minus_q_pochhammer,
                             verify_qidentity, verify_thm2)
-from qck.delannoy import _dq_sum, delannoy
+from qck.delannoy import _dq_sum, delannoy, dq, dq_inverse_base
 from qck.exactalg import MultiLaurentPoly as P, divrem_in_q, exact_div
 from qck.qkit import bracket, one_minus_q, poch_prefixes, qbinomial
 from qck.suites import suite_cases
@@ -123,7 +123,8 @@ def test_thm2_lhs_q1_oracle():
     # at q = 1 the sum is sum_k (2k+1) D(m,k)^2; for p=3, m=1: 1 + 27 + 125 = 153
     expected = sum((2 * k + 1) * delannoy(1, k) ** 2 for k in range(3))
     assert expected == 153
-    assert thm2_lhs(3, 1).substitute({"q": 1}) == 153
+    # thm2_lhs is the sum cleared by 1 - q
+    assert exact_div(thm2_lhs(3, 1), one_minus_q(1)).substitute({"q": 1}) == 153
 
 
 def test_thm2_lhs_routes_agree_small():
@@ -140,12 +141,15 @@ def test_thm2_case_selection():
 
 
 def test_thm2_target_materialization():
-    # m = 3, p = 3: q(1 - q^-6)/(1 - q^2) = -q^-5(1 - q^6)/(1 - q^2) = -(q^-5 + q^-3 + q^-1)
+    # the closed form times 1 - q, as thm2_lhs is cleared
+    # m = 3, p = 3: q(1 - q^-6)/(1 + q) = -q^-5(1 - q^6)/(1 + q) = -q^-5 + q^-4 - ... + 1
     target = thm2_target(3, 3)
-    assert target == -(P.monomial(1, {"q": -5}) + P.monomial(1, {"q": -3}) + P.monomial(1, {"q": -1}))
-    # m = 2, p = 3: q(1 - q^6)/(1 - q^2) = q + q^3 + q^5
+    assert target == sum((P.monomial((-1) ** (e % 2), {"q": e}) for e in range(-5, 1)), P.zero())
+    assert target == -(1 - q) * (P.var("q", -5) + P.var("q", -3) + P.var("q", -1))
+    # m = 2, p = 3: q(1 - q^6)/(1 + q) = q - q^2 + q^3 - q^4 + q^5 - q^6
     target = thm2_target(3, 2)
-    assert target == q + q ** 3 + q ** 5
+    assert target == q - q ** 2 + q ** 3 - q ** 4 + q ** 5 - q ** 6
+    assert target == (1 - q) * (q + q ** 3 + q ** 5)
     assert thm2_target(3, 1).is_zero()
 
 
@@ -157,6 +161,22 @@ def test_thm2_all_three_cases():
         verify_thm2(3, 0)
     with pytest.raises(ValueError):
         verify_thm2(9, 2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_cleared_check_neither_hides_nor_invents_a_failure(monkeypatch, p):
+    # thm2 is checked times the factor thm2_lhs carries over the displayed [2k+1] sum; a
+    # target off by [p] q (a multiple of [p], not of [p]^2) must fail, one off by [p]^2 pass
+    right = congruence.thm2_target
+    for m in (p, p - 1, 1):  # the 'zero', 'minus_one' and 'other' cases
+        shown = sum((bracket(2 * k + 1) * dq(m, k) * dq_inverse_base(m, k) * P.var("q", -k)
+                     for k in range(p)), P.zero())
+        clearing = exact_div(thm2_lhs(p, m), shown)
+        for delta, passes in ((bracket(p) * q, False), (bracket(p) ** 2, True)):
+            monkeypatch.setattr(congruence, "thm2_target",
+                                lambda p, m, d=clearing * delta: right(p, m) + d)
+            assert thm2_witness(p, m).is_zero() is passes, (m, delta)
+            assert verify_thm2(p, m).passed is passes, (m, delta)
 
 
 def test_congruence_witness_nonzero_on_failure():
@@ -176,7 +196,7 @@ def test_single_sum_factors_match_the_inline_expressions(p):
     w1 = poch_prefixes(P.const(-1), p - 1)
     w2 = poch_prefixes(P.monomial(-1, {"q": 1}), p - 1)
     for j in range(p):
-        num = bracket(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
+        num = one_minus_q(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
         assert congruence._single_sum_ratio(p, j) == exact_div(num, one_minus_q(j + 1))
         assert congruence._single_sum_weight(j) == w1[j] * w2[j]
 
@@ -201,11 +221,14 @@ def test_running_sums_add_no_term_at_a_time(monkeypatch):
     want_dq_star = sum((qbinomial(n, k) * qbinomial(n + m - k, n) * q ** (k * (k + 1) // 2)
                         for k in range(n + 1)), P.zero())
     want_thm2 = thm2_lhs(p, m)
+    # 1 - q^e is built with -, that is with +: the factors of the sum are built before + goes
+    factors = {e: one_minus_q(e) for e in range(2 * p)}
+    monkeypatch.setattr(qkit, "one_minus_q", factors.__getitem__)
 
     def one_term_at_a_time(*args):
         raise AssertionError("a running sum added one term at a time")
     monkeypatch.setattr(P, "__add__", one_term_at_a_time)
     monkeypatch.setattr(P, "__radd__", one_term_at_a_time)
     assert _dq_sum(m, n, q) == want_dq_star
-    assert congruence._thm2_lhs_direct(p, m) == want_thm2
+    assert thm2_lhs(p, m) == want_thm2  # the direct route, qkit.odd_sum, against the other
     assert congruence._thm2_lhs_single_sum(p, m) == want_thm2

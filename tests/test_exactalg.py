@@ -567,11 +567,14 @@ def test_keys_in_q_alone_are_their_exponents():
     assert (a * q ** -2)._terms == {(1 << 48) - 2: 1}  # a is the third field
 
 
-def test_coefficients_by():
-    p = a * q + 2 * a + q ** 2
-    groups = p.coefficients_by(("a",))
-    assert groups[(("a", 1),)] == q + 2
-    assert groups[()] == q ** 2
+def test_a_constant_hashes_as_the_int_it_equals():
+    # equal values must hash alike, so a constant polynomial finds its int in a set or dict
+    for c in (3, 0, -1, 2 ** 70):
+        assert P.const(c) == c
+        assert c in {P.const(c)} and P.const(c) in {c}
+        assert {c: "int"}.get(P.const(c)) == "int"
+    assert P.zero() in {0}
+    assert len({P.const(5), 5, q - q + 5}) == 1
 
 
 def _private_kernel_names(tree):

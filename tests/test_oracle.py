@@ -153,12 +153,13 @@ def test_special1_against_sympy(n):
 
 
 def test_thm2_remainder_against_sympy():
-    # sum_{k<p} [2k+1] D_q(m,k) D_{1/q}(m,k) q^-k at p = 5, m = 4 (the m = -1 mod p case)
+    # sum_{k<p} [2k+1] D_q(m,k) D_{1/q}(m,k) q^-k at p = 5, m = 4 (the m = -1 mod p case),
+    # and its target, both cleared by 1 - q as qck checks them
     p, m = 5, 4
 
-    total = sp.cancel(sum((1 - q ** (2 * k + 1)) / (1 - q) * sympy_dq(m, k)
-                          * sympy_dq(m, k).subs(q, 1 / q) * q ** -k for k in range(p)))
-    target = (q - q ** (2 * m + 3)) / (1 - q ** 2)
+    total = sp.cancel((1 - q) * sum((1 - q ** (2 * k + 1)) / (1 - q) * sympy_dq(m, k)
+                                    * sympy_dq(m, k).subs(q, 1 / q) * q ** -k for k in range(p)))
+    target = (1 - q) * (q - q ** (2 * m + 3)) / (1 - q ** 2)
     bracket_sq = sp.cancel((1 - q ** p) / (1 - q)) ** 2
 
     def remainder(expr):

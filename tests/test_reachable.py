@@ -23,9 +23,6 @@ ALLOWED = {
     "nonneg_divisibility_fact": "a congruence-suite row for it would change the univariate "
                                 "report pinned in perfbench/golden, so it waits for a "
                                 "change to the benchmark",
-    "MultiLaurentPoly.coefficients_by": "the tests read per-monomial coefficients through it "
-                                        "for lemma41 positivity and the leading-coefficient "
-                                        "checks",
 }
 
 
