@@ -3,14 +3,13 @@
 Every value in this package is a Laurent polynomial with integer coefficients
 over a fixed variable universe
 
-    q < t < a < b < c < d < x < y < x0 < x1 < ... < x9
+    q < a < b < c < d < x < y < x0 < x1 < ... < x9
 
-(q is the series base, t is an auxiliary base with q = t^2 where half-integer
-powers of q would otherwise appear, x0..x9 are weight slots for linearization
-arguments).  A coefficient is a Python int: ``const`` and ``monomial`` raise
-TypeError for anything else, and dividing one by other than +-1 (a negative
-power of a monomial, a value substituted into a negative exponent) raises
-ValueError.
+(q is the series base, x0..x9 are weight slots for linearization arguments).
+A coefficient is a Python int: ``const`` and ``monomial`` store the int a
+coefficient equals (True is stored as 1) and raise TypeError for anything
+else, and dividing one by other than +-1 (a negative power of a monomial, a
+value substituted into a negative exponent) raises ValueError.
 
 Representation
 --------------
@@ -25,7 +24,7 @@ multiplication is a single integer addition:
     key(m1 * m2) = key(m1) + key(m2)
 
 A key in q alone is a small int, and any key is only as wide as the field of
-its highest variable (a key in q, a, x and c has at most 168 bits).  Exponents
+its highest variable (a key in q, a, x and c has at most 144 bits).  Exponents
 must stay below 2**20 in absolute value, which leaves three bits of headroom
 per field: a sum of two valid exponents cannot carry into the next field.
 Every operation that makes new keys (products, powers, substitution, the
@@ -115,15 +114,14 @@ from itertools import compress, groupby, repeat
 from math import prod
 from operator import add, and_, mul, or_, sub
 
-VAR_NAMES = ("q", "t", "a", "b", "c", "d", "x", "y",
+VAR_NAMES = ("q", "a", "b", "c", "d", "x", "y",
              "x0", "x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9")
 
 _W = 24
 _OFF = 1 << 23
 _MASK = (1 << _W) - 1
 _NVARS = len(VAR_NAMES)
-_INDEX = {name: i for i, name in enumerate(VAR_NAMES)}
-_SHIFT = {name: _W * i for name, i in _INDEX.items()}
+_SHIFT = {name: _W * i for i, name in enumerate(VAR_NAMES)}
 _BIAS = sum(_OFF << (_W * i) for i in range(_NVARS))
 _BASE = 0  # the key of the empty monomial (perfbench/tracing.py reads this name)
 _EXP_LIMIT = 1 << 20
@@ -144,15 +142,21 @@ class TermBudgetExceeded(RuntimeError):
 _MAX_TERMS = int(os.environ.get("QCK_MAX_TERMS", "10000000"))  # read once, at start-up
 
 
+def _field(name) -> int:
+    """The bit offset of the variable's field; ValueError for a name outside the ring."""
+    if name not in _SHIFT:
+        raise ValueError(f"unknown variable {name!r}; ring has {VAR_NAMES}")
+    return _SHIFT[name]
+
+
 def _encode(powers) -> int:
     key = 0
     for name, e in powers.items():
         if e:
-            if name not in _INDEX:
-                raise ValueError(f"unknown variable {name!r}; ring has {VAR_NAMES}")
+            sh = _field(name)
             if not -_EXP_LIMIT < e < _EXP_LIMIT:
                 raise ValueError(f"exponent {e} for {name!r} out of supported range")
-            key += e << _SHIFT[name]
+            key += e << sh
     return key
 
 
@@ -207,7 +211,7 @@ class MultiLaurentPoly:
             raise TypeError(f"coefficient {coeff!r} is not an integer")
         if not coeff:
             return cls.zero()
-        return cls._raw({_encode(powers): coeff})
+        return cls._raw({_encode(powers): int(coeff)})
 
     # -- inspection --------------------------------------------------------
 
@@ -235,10 +239,10 @@ class MultiLaurentPoly:
                 for _, exps, c in decorated]
 
     def degree_range(self, name: str) -> tuple:
-        """(min, max) exponent of ``name`` across all terms; (0, 0) for 0."""
+        """(min, max) exponent of ``name`` over all terms, (0, 0) for 0; ValueError off the ring."""
+        sh = _field(name)
         if not self._terms:
             return (0, 0)
-        sh = _SHIFT[name]
         es = [(((k + _BIAS) >> sh) & _MASK) - _OFF for k in self._terms]
         return (min(es), max(es))
 
@@ -362,8 +366,7 @@ class MultiLaurentPoly:
         norm = {}
         reach = 0
         for name, val in bindings.items():
-            if name not in _INDEX:
-                raise ValueError(f"unknown variable {name!r}")
+            _field(name)
             norm[name] = _as_monomial(val)
             lo, hi = self.degree_range(name)
             reach += max(-lo, hi) * max(map(abs, _decode(norm[name][1])))

@@ -17,10 +17,11 @@ A side that is a terminating rphis series in base q (the 3phi2 factors, the
 symbols; sums in base q^2 or over a shifted range k >= s are written out here.
 Square roots never appear: identities stated with sqrt(c) or q^{1/2} are
 verified in an equivalent root-free form, via (c;q)_{2k} regrouping or the
-base substitution q = t^2.  A specialization of a parameter to a monomial (a =
--q^{-n} in the shifted formula, a = c q^{2j} in the connection kernel) is built
-with the parameter already bound, never substituted into the symbolic sides
-afterwards; substitution is a ring homomorphism, so the polynomial is the same.
+injective ring map q -> q^2, under which q^{1/2} is q itself.  A specialization
+of a parameter to a monomial (a = -q^{-n} in the shifted formula, a = c q^{2j}
+in the connection kernel) is built with the parameter already bound, never
+substituted into the symbolic sides afterwards; substitution is a ring
+homomorphism, so the polynomial is the same.
 
 Builders named ``*_sides`` return the cleared (lhs, rhs) pair so that tests
 can exercise substitution consistency between related identities; the public
@@ -43,7 +44,7 @@ def _mono(coeff=1, **powers) -> MultiLaurentPoly:
     return MultiLaurentPoly.monomial(coeff, powers)
 
 
-_T2 = _mono(t=2)  # the base t^2 used where sqrt(q) would appear
+_Q2 = _mono(q=2)  # the base q^2, and the image of q under q -> q^2
 
 
 def _qq(n: int) -> MultiLaurentPoly:
@@ -122,38 +123,33 @@ def final_square_sides(n: int) -> tuple:
 def sqrt_corollary_sides(m: int) -> tuple:
     """Cleared sides of the even-order square root: 3phi2(q^{-2m},a,x;x^2,0) = a^m 4phi3.
 
-    Verified after the base substitution q = t^2, so q^{1/2} becomes t and both
-    sides live in the Laurent ring over t, a, x.  Clearing factor:
-    (x^2;t^2)_{2m} (xt;t^2)_m (-xt;t^2)_m (-x;t^2)_m.
+    Verified under the injective ring map q -> q^2, so t = q^{1/2} of the display
+    (its record's free variable t) is carried by the kernel's q, and both sides
+    live in the Laurent ring over q, a, x.  Clearing factor:
+    (x^2;q^2)_{2m} (xq;q^2)_m (-xq;q^2)_m (-x;q^2)_m.
     """
     a, x2 = _mono(a=1), _mono(x=2)
     lhs_sum, x2_whole = phi_sum_cleared(
         PhiSpec.of([_mono(q=-2 * m), a, _mono(x=1)], [x2, 0], Q))
-    pa = poch_prefixes(a, m, base=_T2)
-    pxtm = poch_prefixes(_mono(x=1, t=2 * m), m, base=_T2)
-    xt_tail = poch_suffixes(_mono(x=1, t=1), m, base=_T2)
-    mxt_tail = poch_suffixes(_mono(-1, x=1, t=1), m, base=_T2)
-    mx_tail = poch_suffixes(_mono(-1, x=1), m, base=_T2)
-    axa = poch_prefixes(x2, m, base=_T2, lead=_mono(a=1))
+    pa = poch_prefixes(a, m, base=_Q2)
+    pxqm = poch_prefixes(_mono(x=1, q=2 * m), m, base=_Q2)
+    xq_tail = poch_suffixes(_mono(x=1, q=1), m, base=_Q2)
+    mxq_tail = poch_suffixes(_mono(-1, x=1, q=1), m, base=_Q2)
+    mx_tail = poch_suffixes(_mono(-1, x=1), m, base=_Q2)
+    axa = poch_prefixes(x2, m, base=_Q2, lead=_mono(a=1))
 
-    lhs = lhs_sum.substitute({"q": _T2}) * xt_tail[0] * mxt_tail[0] * mx_tail[0]
-
-    rhs = MultiLaurentPoly.zero()
-    for k in range(m + 1):
-        w = terminating_weight(m, k).substitute({"q": _T2}) * _mono(t=2 * k)
-        term = w * pxtm[k] * pa[k] * axa[k] * _mono(a=m - k)
-        term = term * xt_tail[k] * mxt_tail[k] * mx_tail[k]
-        rhs = rhs + term
-    rhs = rhs * x2_whole.substitute({"q": _T2})
-    return lhs, rhs
+    lhs = lhs_sum.substitute({"q": _Q2}) * xq_tail[0] * mxq_tail[0] * mx_tail[0]
+    rhs_sum = sum_of_products((terminating_weight(m, k).substitute({"q": _Q2}),
+                               _mono(q=2 * k, a=m - k), pxqm[k], pa[k], axa[k],
+                               xq_tail[k], mxq_tail[k], mx_tail[k])
+                              for k in range(m + 1))
+    return lhs, rhs_sum * x2_whole.substitute({"q": _Q2})
 
 
 
 # ---------------------------------------------------------------------------
 # The (x;q^2) companion product formula and its transformation lemmas.
 # ---------------------------------------------------------------------------
-
-_Q2 = _mono(q=2)
 
 
 def special3_sides(n: int) -> tuple:

@@ -6,8 +6,8 @@ VerificationReport, so a parameter the callable does not take, or one it
 lacks, is a TypeError.  Suites expand bounds into ordered case lists; the
 runner executes them (optionally in a process pool), buffers the outcomes, and
 always emits them in case order, so a report is byte-identical no matter how
-it was scheduled.  Every grid runs to its bound but for three caps, marked
-below (sqrt_corollary, the D_q grids, the shifted transforms grid).
+it was scheduled.  Every grid runs to its bound but for two caps, marked
+below (the D_q grids, the shifted transforms grid).
 """
 
 from __future__ import annotations
@@ -52,12 +52,9 @@ CASE_REGISTRY.update({
 
 
 def _clausen_cases(b):
-    for n in range(b["nmax"] + 1):
-        yield ("clausen_orr", {"n": n})
-    for n in range(b["nmax"] + 1):
-        yield ("final_square", {"n": n})
-    for m in range(min(3, b["nmax"]) + 1):  # each step of m costs about 3x the last
-        yield ("sqrt_corollary", {"m": m})
+    for name, key in (("clausen_orr", "n"), ("final_square", "n"), ("sqrt_corollary", "m")):
+        for n in range(b["nmax"] + 1):
+            yield (name, {key: n})
 
 
 def _lemmas_cases(b):

@@ -43,9 +43,9 @@ def test_criterion_02_corollaries(announce):
     failures = []
     failures += [("final_square", n) for n in range(7)
                  if not identities.verify_final_square(n).passed]
-    failures += [("sqrt_corollary", m) for m in range(4)
+    failures += [("sqrt_corollary", m) for m in range(7)
                  if not identities.verify_sqrt_corollary(m).passed]
-    _finish(announce, 2, "squared form n <= 6, root-free split m <= 3", failures, started)
+    _finish(announce, 2, "squared form n <= 6, root-free split m <= 6", failures, started)
 
 
 def test_criterion_03_companion_products(announce):

@@ -64,10 +64,10 @@ def test_two_term_q_only_operand_takes_the_packed_path(monkeypatch, e):
 
 
 def test_product_in_one_other_variable():
-    t = P.var("t")
-    product = (1 + t + t ** 2) * (1 - t)
-    assert product == exactalg._mul_generic((1 + t + t ** 2)._terms, (1 - t)._terms)
-    assert product == 1 - t ** 3
+    y = P.var("y")
+    product = (1 + y + y ** 2) * (1 - y)
+    assert product == exactalg._mul_generic((1 + y + y ** 2)._terms, (1 - y)._terms)
+    assert product == 1 - y ** 3
     assert (1 + x + x ** 2) * (1 + x + x ** 2) * (1 - x) == (1 - x ** 3) * (1 + x + x ** 2)
 
 
@@ -121,6 +121,12 @@ def test_const_takes_only_an_int():
             P.const(value)
         with pytest.raises(TypeError):
             P.monomial(value, {"q": 1})
+
+
+def test_a_bool_coefficient_is_stored_as_its_int():
+    for poly in (P.const(True), P.monomial(True, {"q": 2})):
+        assert all(type(coeff) is int for _, coeff in poly.sorted_terms())
+    assert str(P.const(True)) == "1" and str(P.monomial(True, {"q": 2})) == "q^2"
 
 
 def test_negative_power_of_a_non_unit_monomial():
@@ -324,6 +330,13 @@ def test_exponents_up_to_the_limit_are_kept():
 def test_unknown_variable_rejected():
     with pytest.raises(ValueError):
         P.var("zz")
+
+
+def test_degree_range_rejects_an_unknown_variable():
+    for poly in (q + a, P.zero()):
+        for name in ("z", "t"):  # no t in the ring: q -> q^2 makes q itself carry q^{1/2}
+            with pytest.raises(ValueError, match="unknown variable"):
+                poly.degree_range(name)
 
 
 def test_term_budget(monkeypatch):
@@ -564,7 +577,7 @@ def test_keys_in_q_alone_are_their_exponents():
     assert sorted(qbinomial(20, 10)._terms) == list(range(101))
     assert P.var("q", -5)._terms == {-5: 1}
     assert P.const(7)._terms == {0: 7}
-    assert (a * q ** -2)._terms == {(1 << 48) - 2: 1}  # a is the third field
+    assert (a * q ** -2)._terms == {(1 << 24) - 2: 1}  # a is the second field
 
 
 def test_a_constant_hashes_as_the_int_it_equals():

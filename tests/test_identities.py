@@ -22,7 +22,6 @@ from qck.qkit import ParamExpr, Q, qbinomial, qpochhammer
 
 q = P.var("q")
 _Q2 = ParamExpr.of(1, {"q": 2})
-_T2 = ParamExpr.of(1, {"t": 2})
 
 
 def test_clausen_orr_base_cases():
@@ -164,23 +163,23 @@ def test_special3_shifted_zero_is_special3_at_c_q():
 
 def test_sqrt_corollary_square_consistency():
     # squaring the even-order square-root form reproduces the squared-series
-    # form at n = 2m (after q -> t^2), up to the two clearing factors
+    # form at n = 2m (after q -> q^2), up to the two clearing factors
     xp = ParamExpr.var("x")
     for m in (1, 2):
         n = 2 * m
         scl, scr = sqrt_corollary_sides(m)
         fsl, fsr = final_square_sides(n)
-        to_t = {"q": _T2}
-        f_sc = (qpochhammer(ParamExpr.of(1, {"x": 2}), 2 * m, base=_T2)
-                * qpochhammer(ParamExpr.of(1, {"x": 1, "t": 1}), m, base=_T2)
-                * qpochhammer(ParamExpr.of(-1, {"x": 1, "t": 1}), m, base=_T2)
-                * qpochhammer(ParamExpr.of(-1, {"x": 1}), m, base=_T2))
+        to_q2 = {"q": _Q2}
+        f_sc = (qpochhammer(ParamExpr.of(1, {"x": 2}), 2 * m, base=_Q2)
+                * qpochhammer(ParamExpr.of(1, {"x": 1, "q": 1}), m, base=_Q2)
+                * qpochhammer(ParamExpr.of(-1, {"x": 1, "q": 1}), m, base=_Q2)
+                * qpochhammer(ParamExpr.of(-1, {"x": 1}), m, base=_Q2))
         f_fs = (qpochhammer(ParamExpr.of(1, {"x": 2}), n) ** 2
                 * qpochhammer(ParamExpr.of(-1, {"x": 1}), n)
                 * qpochhammer(ParamExpr.of(1, {"x": 2, "q": 1}), n, base=_Q2)
-                ).substitute(to_t)
-        assert scl * scl * f_fs == fsl.substitute(to_t) * f_sc * f_sc
-        assert scr * scr * f_fs == fsr.substitute(to_t) * f_sc * f_sc
+                ).substitute(to_q2)
+        assert scl * scl * f_fs == fsl.substitute(to_q2) * f_sc * f_sc
+        assert scr * scr * f_fs == fsr.substitute(to_q2) * f_sc * f_sc
 
 
 def test_lemma_last_smallest():

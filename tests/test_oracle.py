@@ -19,7 +19,8 @@ from qck.delannoy import delannoy_product_sides, dq, dq_star
 from qck.exactalg import MultiLaurentPoly, exact_divide
 from qck.identities import (_general_s_sides, clausen_orr_sides, general_s_sides,
                             general_s_specialization_difference, lemma_last_sides,
-                            q2_product_sides, special1_sides, special3_sides)
+                            q2_product_sides, special1_sides, special3_sides,
+                            sqrt_corollary_sides)
 from qck.positivity import _poly1_parts, verify_thm3
 from qck.qkit import ParamExpr, qchu_vandermonde_sides
 
@@ -150,6 +151,29 @@ def test_special1_against_sympy(n):
     lhs, rhs = special1_sides(n)
     assert_same(lhs, first * second * clearing, (q, x, c))
     assert_same(rhs, product * clearing, (q, x, c))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_sqrt_corollary_against_sympy(m):
+    # with t = q^{1/2}:
+    # 3phi2(q^-2m, a, x; x^2, 0; q, q)
+    #   = a^m sum_k (q^-m, xq^m, a, x^2/a; q)_k q^k / (q, xt, -xt, -x; q)_k,
+    # both sides times (x^2;t^2)_{2m} (xt;t^2)_m (-xt;t^2)_m (-x;t^2)_m.  qck builds
+    # the display under q -> q^2, so its q is read as t
+    t = sp.Symbol("t")
+    base = t ** 2
+    series = sum(poch(base ** (-2 * m), k, base) * poch(a, k, base) * poch(x, k, base) * base ** k
+                 / (poch(base, k, base) * poch(x ** 2, k, base)) for k in range(2 * m + 1))
+    product = a ** m * sum(
+        poch(base ** -m, k, base) * poch(x * base ** m, k, base) * poch(a, k, base)
+        * poch(x ** 2 / a, k, base) * base ** k
+        / (poch(base, k, base) * poch(x * t, k, base) * poch(-x * t, k, base) * poch(-x, k, base))
+        for k in range(m + 1))
+    clearing = (poch(x ** 2, 2 * m, base) * poch(x * t, m, base) * poch(-x * t, m, base)
+                * poch(-x, m, base))
+    lhs, rhs = sqrt_corollary_sides(m)
+    assert qck_terms(lhs, (q, a, x)) == sympy_terms(series * clearing, (t, a, x))
+    assert qck_terms(rhs, (q, a, x)) == sympy_terms(product * clearing, (t, a, x))
 
 
 def test_thm2_remainder_against_sympy():

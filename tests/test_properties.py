@@ -297,7 +297,7 @@ def test_check_keys_raises_exactly_when_an_exponent_reaches_the_limit(vs):
 
 
 # Zero above the lowest one to three fields, the ones above q mostly -1, 0 or 1:
-# t^-1 q^e and t q^-e are the keys nearest to those in q alone.
+# a^-1 q^e and a q^-e are the keys nearest to those in q alone.
 low_vectors = st.tuples(field, st.lists(st.one_of(st.integers(-1, 1), field), max_size=2)).map(
     lambda qv: (qv[0], *qv[1]) + (0,) * (len(VAR_NAMES) - 1 - len(qv[1])))
 _ZEROS = (0,) * (len(VAR_NAMES) - 2)

@@ -25,12 +25,12 @@ def _reach(cases) -> dict:
 
 
 def test_every_grid_reaches_its_bound():
-    """Below the three named caps, every kind runs to --nmax, --mmax and --rmax."""
+    """Below the two named caps, every kind runs to --nmax, --mmax and --rmax."""
     cases = suite_cases("all", {"nmax": 7, "mmax": 10, "rmax": 3})
     shifted = {"n": 5, "s": 5}  # the transforms shifted grid stops at n = 5
     assert _reach(cases) == {
         "clausen_orr": {"n": 7}, "final_square": {"n": 7},
-        "sqrt_corollary": {"m": 3},
+        "sqrt_corollary": {"m": 7},
         "lemma_last": {"n": 7, "m": 6, "h": 7}, "lemma_am2": {"n": 7, "m": 6, "h": 7},
         "lem_important2": {"n": 7}, "connection_coefficients": {"n": 7, "m": 7},
         "special3": {"n": 7}, "special1": {"n": 7}, "special2": {"n": 7},
@@ -56,14 +56,14 @@ def test_every_grid_reaches_its_bound():
 
 
 def test_named_caps_hold_at_the_hard_caps():
-    """At --mmax 40 the D_q grids stop at 12; sqrt_corollary and the shifted grid keep theirs."""
+    """At --mmax 40 the D_q grids stop at 12; only the shifted grid stops below --nmax."""
     reach = _reach(suite_cases("all", {"nmax": 10, "mmax": 40, "rmax": 3}))
     for name in ("delannoy_product", "delannoy_relations", "delannoy_product_x", "thm3-1"):
         assert reach[name] == {"m": 12, "n": 12}, name
     for name in ("thm3-2", "thm3-3"):
         assert reach[name] == {"m": 12, "n": 12, "r": 3}, name
     assert reach["thm2"]["m"] == 40  # --mmax still sets the congruence m-range
-    assert reach["sqrt_corollary"] == {"m": 3}
+    assert reach["sqrt_corollary"] == {"m": 10}
     assert reach["general_s"] == {"n": 5, "s": 5}
     assert reach["lemma_last"]["n"] == 10
 
