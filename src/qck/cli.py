@@ -80,7 +80,7 @@ def _finish(records, fmt, out) -> int:
 
 
 def _bound_error(args):
-    """The error for the first grid bound of args out of range, or None.
+    """The error for the first grid bound of args out of range or beside --manifest, or None.
 
     A negative bound is always an error, a bound above its hard cap only
     without --unsafe-bounds.  --p must also pass the congruence cases' own
@@ -90,6 +90,8 @@ def _bound_error(args):
         value = getattr(args, key, None)
         if value is None:
             continue
+        if getattr(args, "manifest", None):
+            return f"--{key} with --manifest: a manifest's cases carry their own parameters"
         if value < 0:
             return f"--{key} {value} is negative"
         if value > cap and not args.unsafe_bounds:

@@ -22,7 +22,7 @@ The text grammar (whitespace insensitive)::
     params := item ("," item)*      item := mono | "0" (lower list only)
     mono   := ["-"] [RAT "*"] factor ("*" factor)*
     factor := VAR ["^" SINT]        VAR in {q, a, b, c, x, y, d}
-    INT    := non-negative integer; SINT signed; RAT := INT ["/" INT]
+    INT    := ASCII digits 0-9; SINT signed; RAT := INT ["/" INT]
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .qkit import Q, choose2, poch_prefixes, poch_suffixes, qpochhammer, termina
 from .report import CaseKind
 
 _GRAMMAR_VARS = ("q", "a", "b", "c", "x", "y", "d")
+_DIGITS = frozenset("0123456789")  # INT is ASCII; str.isdigit also takes "²" and "٣"
 
 
 class PhiParseError(ValueError):
@@ -201,11 +202,14 @@ class _Scanner:
         start = self.pos
         if signed and self.pos < len(self.text) and self.text[self.pos] in "+-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             raise PhiParseError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int() converts
+            raise PhiParseError("integer too long", start) from None
 
 
 def _parse_mono(sc: _Scanner) -> tuple:
@@ -216,7 +220,7 @@ def _parse_mono(sc: _Scanner) -> tuple:
         sc.expect("-")
         sign = -1
     sc.skip_ws()
-    if sc.peek().isdigit():
+    if sc.peek() in _DIGITS:
         num = sc.integer()
         if sc.peek() == "/":
             sc.expect("/")
@@ -319,8 +323,8 @@ def _print_param(p) -> str:
 def phi_permutation_difference(seed: int, trials: int) -> MultiLaurentPoly:
     """Parameter-order invariance of the cleared sum, on seeded shuffles of three specs.
 
-    Zero when every shuffle gives the same value, else the first nonzero
-    cross-multiplied difference.
+    Zero when every shuffle reproduces the cleared (numerator, denominator) pair
+    exactly, else the difference of the first unequal part.
     """
     rng = random.Random(seed)
     specs = [
@@ -337,9 +341,8 @@ def phi_permutation_difference(seed: int, trials: int) -> MultiLaurentPoly:
             rng.shuffle(upper)
             rng.shuffle(lower)
             num2, den2 = phi_sum_cleared(PhiSpec.of(upper, lower, spec.argument))
-            d = num * den2 - num2 * den
-            if not d.is_zero():
-                return d
+            if (num2, den2) != (num, den):
+                return num - num2 if num != num2 else den - den2
     return MultiLaurentPoly.zero()
 
 

@@ -9,8 +9,9 @@ summand's denominator cancels exactly into tail factors such as
 
 and the verified statement is always "difference polynomial equals zero".
 Where it leaves the same nonzero product on both sides (a (c;q)_n, or the
-Pochhammer prefix of every summand of a shifted form), the builder never
-multiplies that product in: in an integral domain the identity is unchanged.
+s-prefix that every summand of a shifted form carries), the builder never
+multiplies that product in: in an integral domain the identity is unchanged, and
+both shifted displays at a = -q^{-n} then clear to the same pair.
 A side that is a terminating rphis series in base q (the 3phi2 factors, the
 3phi1 transformation, the q-Chu-Vandermonde 2phi1) is built by
 ``hyperg.phi_sum_cleared``, which clears it by exactly these lower Pochhammer
@@ -29,8 +30,6 @@ can exercise substitution consistency between related identities; the public
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from .exactalg import MultiLaurentPoly, exact_div, sum_of_products
 from .hyperg import PhiSpec, phi_sum_cleared
@@ -224,6 +223,8 @@ def special2_sides(n: int) -> tuple:
 
 def _range_tails(n: int, s: int) -> list:
     """tails[k] = (q^{k-s+1};q)_{n-k} (q^{k+s+1};q)_{n-k} for k = s..n (index k)."""
+    if not 0 <= s <= n:
+        raise ValueError("need 0 <= s <= n")
     t1 = poch_suffixes(Q, n - s)
     t2 = poch_suffixes(_mono(q=2 * s + 1), n - s)
     return [None] * s + [a * b for a, b in zip(t1, t2)]
@@ -233,68 +234,64 @@ def general_s_sides(n: int, s: int) -> tuple:
     """Cleared sides of the shifted product formula with c = q^{2s+1}, symbolic a, x.
 
     Clearing by D^2 G E, D = (q;q)_{n-s}(q;q)_{n+s}, G = (q^{n+1};q)_s (q/a;q)_s,
-    E = (q;q)_{2n}, leaves P^2 D on both sides, P = (q^{-n};q)_s (a;q)_s being
-    carried by every summand and by the rhs prefactor.  It is never multiplied
-    in, so the clearing factor is G E D / P^2, and E / D = [2n; n-s].  P is
-    nonzero: (q^{-n};q)_s has the factors 1 - q^{j-n}, j < s <= n; a is symbolic.
+    E = (q;q)_{2n}, leaves P^2 D G on both sides, P = (q^{-n};q)_s (a;q)_s being
+    carried by every summand (k >= s) and by the rhs prefactor, G by every rhs
+    summand.  It is never multiplied in, so the clearing factor is E D / P^2, and
+    E / D = [2n; n-s].  P and G are nonzero: (q^{-n};q)_s (q^{n+1};q)_s has the
+    factors 1 - q^e, e != 0, as j - n < 0 for j < s <= n; a is symbolic.
     """
     return _general_s_sides(n, s, _mono(a=1))
 
 
 def _general_s_sides(n: int, s: int, a: MultiLaurentPoly) -> tuple:
-    """``general_s_sides`` at a bound ``a``; at a = -q^{-n}, (a;q)_s has factors 1 + q^{j-n}."""
-    if not 0 <= s <= n:
-        raise ValueError("need 0 <= s <= n")
-    # (q^{-n};q)_k (a;q)_k = P (q^{s-n};q)_{k-s} (aq^s;q)_{k-s}: index k - s
+    """``general_s_sides`` at a bound ``a``; at -q^{-n}, (a;q)_s (q/a;q)_s has factors 1 + q^e."""
+    tails = _range_tails(n, s)
+    # each prefix (y;q)_k over k >= s is (y;q)_s (yq^s;q)_{k-s}: index k - s
     pqn = poch_prefixes(_mono(q=s - n), n - s)
     pa = poch_prefixes(a * _mono(q=s), n - s)
+    pqa = poch_prefixes(_mono(q=s + 1) * a ** -1, n - s)
+    pqn1 = poch_prefixes(_mono(q=n + s + 1), n - s)
     px = poch_prefixes(_mono(x=1), n)
     pqx = poch_prefixes(_mono(q=1, x=-1), n)
-    pqa = poch_prefixes(Q * a ** -1, n)
-    pqn1 = poch_prefixes(_mono(q=n + 1), n)
-    tails = _range_tails(n, s)
     e2tail = poch_suffixes(Q, 2 * n)
 
     ks = range(s, n + 1)
     s1 = sum_of_products((pqn[k - s], _mono(q=k), tails[k], pa[k - s], px[k]) for k in ks)
     s2 = sum_of_products((pqn[k - s], _mono(q=k), tails[k], pa[k - s], pqx[k]) for k in ks)
-    rhs_sum = sum_of_products((pqn[k - s], _mono(q=k), tails[k], pqn1[k], pa[k - s], pqa[k],
-                               px[k], pqx[k], e2tail[2 * k]) for k in ks)
-    return (s1 * s2 * (pqn1[s] * pqa[s] * qbinomial(2 * n, n - s)),
+    rhs_sum = sum_of_products((pqn[k - s], _mono(q=k), tails[k], pqn1[k - s], pa[k - s],
+                               pqa[k - s], px[k], pqx[k], e2tail[2 * k]) for k in ks)
+    return (s1 * s2 * qbinomial(2 * n, n - s),
             a ** (n - s) * _mono(q=(n + 1) * s - s * s) * rhs_sum)
 
 
 
-@lru_cache(maxsize=1)
 def q2_product_sides(n: int, s: int) -> tuple:
     """Cleared sides of the (q^{-2n};q^2)-weighted product identity, coded from its own display.
 
     This is the a = -q^{-n} instance of the shifted product formula, verified
-    independently; the specialization consistency is a separate check.  The
-    last build is kept: that check, run next for the same (n, s), reuses it.
-    Clearing by D^2 E (q^2;q^2)_{n-s}^2 (D, E of general_s_sides) leaves P^2 D
-    (q^2;q^2)_{n-s}^2 on both sides, P = (-1)^s q^{s(s-1)-2ns} (q^2;q^2)_n /
-    (q^2;q^2)_{n-s} = (q^{-2n};q^2)_s being carried by every series term.  It is
-    never multiplied in (clearing factor D E / P^2); P has the factors
-    1 - q^{2(j-n)}, j < s <= n, so it is nonzero.
+    independently; the specialization consistency is a separate check.  Clearing
+    by D^2 E (q^2;q^2)_{n-s}^2 (q^2;q^2)_{n+s} (D, E of general_s_sides) leaves P^2 D
+    (q^2;q^2)_{n-s}^2 (q^2;q^2)_{n+s} on both sides, P = (q^{-2n};q^2)_s being carried
+    by every series term and (q^2;q^2)_{n+s} by every rhs summand's (q^2;q^2)_{n+k}.
+    It is never multiplied in: the clearing factor is D E / P^2, as for general_s_sides
+    at a = -q^{-n}.  P has the factors 1 - q^{2(j-n)}, j < s <= n, so it is nonzero.
     """
-    if not 0 <= s <= n:
-        raise ValueError("need 0 <= s <= n")
-    pq2n = poch_prefixes(_mono(q=2 * (s - n)), n - s, base=_Q2)   # index k - s
+    tails = _range_tails(n, s)
+    # (q^{-2n};q^2)_k and (q^2;q^2)_{n+k} over k >= s, each less its s-prefix: index k - s
+    pq2n = poch_prefixes(_mono(q=2 * (s - n)), n - s, base=_Q2)
+    q2up = poch_prefixes(_mono(q=2 * (n + s + 1)), n - s, base=_Q2)
     px = poch_prefixes(_mono(x=1), n)
     pqx = poch_prefixes(_mono(q=1, x=-1), n)
-    tails = _range_tails(n, s)
+    q2down = poch_suffixes(_Q2, n - s, base=_Q2)  # index n - k
     e2tail = poch_suffixes(Q, 2 * n)
-    q2up = poch_prefixes(_Q2, n + n, base=_Q2)   # (q^2;q^2)_j for j <= 2n
 
     ks = range(s, n + 1)
     s1 = sum_of_products((pq2n[k - s], _mono(q=k), tails[k], px[k]) for k in ks)
     s2 = sum_of_products((pq2n[k - s], _mono(q=k), tails[k], pqx[k]) for k in ks)
     # (q^2;q^2)_{n-s} / (q^2;q^2)_{n-k} = (q^{2(n-k)+2}; q^2)_{k-s}
-    rhs_sum = sum_of_products((_mono((-1) ** k, q=k * k - 2 * n * k), q2up[n + k], px[k], pqx[k],
-                               qpochhammer(_mono(q=2 * (n - k) + 2), k - s, base=_Q2),
-                               tails[k], e2tail[2 * k]) for k in ks)
-    return (s1 * s2 * (qbinomial(2 * n, n - s) * q2up[n + s]),
+    rhs_sum = sum_of_products((_mono((-1) ** k, q=k * k - 2 * n * k), q2up[k - s], px[k],
+                               pqx[k], q2down[n - k], tails[k], e2tail[2 * k]) for k in ks)
+    return (s1 * s2 * qbinomial(2 * n, n - s),
             _mono((-1) ** n, q=4 * n * s - n * n - 2 * s * (s - 1)) * rhs_sum)
 
 
@@ -302,42 +299,39 @@ def q2_product_sides(n: int, s: int) -> tuple:
 def general_s_specialization_difference(n: int, s: int) -> MultiLaurentPoly:
     """Cross-check: the a = -q^{-n} image of the shifted formula is the q^2 display.
 
-    With a bound to -q^{-n}, (a;q)_k (q^{-n};q)_k = (q^{-2n};q^2)_k, so both
-    builders divide out the same P^2 D, and (q/a;q)_s = (-q^{n+1};q)_s;
-    comparing the two cleared forms requires rebalancing by G|_{a=-q^{-n}} on
-    one side and (q^2;q^2)_{n+s} on the other.
+    There (a;q)_k (q^{-n};q)_k = (q^{-2n};q^2)_k, and both builders clear by the
+    same factor, so the cleared pairs are equal; else the first unequal side's difference.
     """
     gl, gr = _general_s_sides(n, s, _mono(-1, q=-n))
     il, ir = q2_product_sides(n, s)
-    g_at = poch_prefixes(_mono(q=n + 1), s)[s] * qpochhammer(_mono(-1, q=n + 1), s)
-    scale = qpochhammer(_Q2, n + s, base=_Q2)
-    diff_l = gl * scale - il * g_at
-    diff_r = gr * scale - ir * g_at
-    return diff_l if not diff_l.is_zero() else diff_r
+    return gl - il if gl != il else gr - ir
 
 
 def special3_shifted_sides(n: int, s: int) -> tuple:
-    """Cleared sides of the shifted (x;q^2)-weighted product formula."""
-    if not 0 <= s <= n:
-        raise ValueError("need 0 <= s <= n")
-    pqn = poch_prefixes(_mono(q=-n), n)
-    px2 = poch_prefixes(_mono(x=1), n, base=_Q2)
-    pq2x = poch_prefixes(_mono(q=2, x=-1), n, base=_Q2)
-    pqn1 = poch_prefixes(_mono(q=n + 1), n)
+    """Cleared sides of the shifted (x;q^2)-weighted product formula.
+
+    Clearing by D^2 E (of general_s_sides) leaves (q;q)_n S on both sides: (q;q)_n from
+    E = (q;q)_n (q^{n+1};q)_n and the rhs (q;q)_n^2, and S = (q^{-n};q)_s (x;q^2)_s^2
+    (q^2/x;q^2)_s (q^{n+1};q)_s from the summands (k >= s) and the explicit factors.
+    It is never multiplied in.  (q^{-n};q)_s has the factors 1 - q^{j-n}, j < s <= n.
+    """
     tails = _range_tails(n, s)
+    # each prefix over k >= s less its s-prefix, as in general_s_sides: index k - s
+    pqn = poch_prefixes(_mono(q=s - n), n - s)
+    px2 = poch_prefixes(_mono(x=1, q=2 * s), n - s, base=_Q2)
+    pq2x = poch_prefixes(_mono(q=2 * s + 2, x=-1), n - s, base=_Q2)
+    pqn1 = poch_prefixes(_mono(q=n + s + 1), n - s)
     e2tail = poch_suffixes(Q, 2 * n)
 
     ks = range(s, n + 1)
-    s1 = sum_of_products((pqn[k], px2[k], tails[k], _mono(q=k)) for k in ks)
-    s2 = sum_of_products((pqn[k], px2[k], tails[k], _mono(q=(n + 1) * k - choose2(k), x=-k))
-                         for k in ks)
-    rhs_sum = sum_of_products((pqn[k], pqn1[k], px2[k], pq2x[k], _mono(q=k), tails[k],
-                               e2tail[2 * k]) for k in ks)
-    lhs = s1 * s2 * pq2x[s] * e2tail[0]
-    sign = -1 if s % 2 else 1
-    lead = _mono(sign, q=s, x=-s) * _qq(n) * _qq(n) * px2[s]
-    rhs = lead * rhs_sum
-    return lhs, rhs
+    s1 = sum_of_products((pqn[k - s], px2[k - s], tails[k], _mono(q=k)) for k in ks)
+    s2 = sum_of_products((pqn[k - s], px2[k - s], tails[k],
+                          _mono(q=(n + 1) * k - choose2(k), x=-k)) for k in ks)
+    rhs_sum = sum_of_products((pqn[k - s], pqn1[k - s], px2[k - s], pq2x[k - s], _mono(q=k),
+                               tails[k], e2tail[2 * k]) for k in ks)
+    # the lhs keeps one of its two (q^{-n};q)_s, and (q^{n+s+1};q)_{n-s} of E
+    return (s1 * s2 * (qpochhammer(_mono(q=-n), s) * e2tail[n + s]),
+            _mono((-1) ** s, q=s, x=-s) * _qq(n) * rhs_sum)
 
 
 

@@ -63,6 +63,14 @@ def test_exit_two_on_out_of_range_phi_literal():
     assert "Traceback" not in result.stderr
 
 
+def test_exit_two_on_non_ascii_phi_digit():
+    # "²" passes str.isdigit, but the grammar's INT is ASCII
+    result = run_cli("phi", "phi[1,0]{q^-1 ; ; q^²}")
+    assert result.returncode == 2
+    assert "column" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def test_exit_two_on_phi_exponent_overflow():
     # q^600000 is in range, but the k = 2 summand needs q^1200000
     result = run_cli("phi", "phi[2,1]{q^-2, a ; c ; q^600000}")
@@ -212,6 +220,16 @@ def test_manifest_run(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps([{"name": "no_such_case"}]))
     assert run_cli("verify", "--manifest", str(bad)).returncode == 2
+
+
+@pytest.mark.parametrize("flag", ["--nmax", "--mmax", "--pmax", "--rmax", "--p"])
+def test_manifest_rejects_grid_bounds(tmp_path, capsys, flag):
+    # a manifest's cases carry their own parameters; a bound would be ignored
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"name": "thm2", "params": {"p": 3, "m": 4}}]))
+    assert cli.main(["verify", "--manifest", str(path), flag, "3"]) == 2
+    assert f"error: {flag} with --manifest" in capsys.readouterr().err
+    assert cli.main(["verify", "--manifest", str(path), "--seed", "3"]) == 0
 
 
 def test_manifest_corrupted_case_fails(tmp_path):

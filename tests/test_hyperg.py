@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qck.exactalg import MultiLaurentPoly as P, NotDivisibleError
 from qck.hyperg import (PhiParseError, PhiSpec, PhiSpecError, parse_phi,
@@ -59,6 +60,27 @@ def test_parse_syntax_error_offset():
     with pytest.raises(PhiParseError) as err:
         parse_phi("phi[2,1]{a q^-1 ; c ; q}")
     assert err.value.offset > 0
+
+
+def test_parse_non_ascii_digits():
+    # str.isdigit takes "٣" and "²"; the grammar's INT is ASCII 0-9
+    for text in ["phi[1,0]{q^-1 ; ; 1/٣*q}", "phi[1,0]{q^-1 ; ; q^²}", "phi[٢,1]{a ; c ; q}"]:
+        with pytest.raises(PhiParseError):
+            parse_phi(text)
+    with pytest.raises(PhiParseError, match="integer too long"):
+        parse_phi("phi[1,0]{q^-1 ; ; q^" + "9" * 5000 + "}")
+
+
+_GRAMMAR_TEXT = st.text(alphabet="phi[],{};-*/^ 0123456789qabcxyd²٣ｑ", max_size=30)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(["", "phi[", "phi[2,1]{", "phi[1,0]{q^-1 ; ; "]), _GRAMMAR_TEXT)
+def test_parse_raises_only_its_own_errors(head, tail):
+    try:
+        parse_phi(head + tail)
+    except (PhiParseError, PhiSpecError):
+        pass
 
 
 def test_parse_arity_mismatch():

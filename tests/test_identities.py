@@ -108,12 +108,20 @@ def test_general_s_zero_shift_is_clausen_at_c_q():
 
 
 @pytest.mark.parametrize("kind, args, factor", [
-    # P^2 D with P = (q^-n;q)_s (a;q)_s and D = (q;q)_{n-s} (q;q)_{n+s}
+    # P^2 D G with P = (q^-n;q)_s (a;q)_s, D = (q;q)_{n-s} (q;q)_{n+s}
+    # and G = (q^{n+1};q)_s (q/a;q)_s
     ("general_s", (3, 1), qpochhammer(ParamExpr.var("q", -3), 1) ** 2
-     * qpochhammer(ParamExpr.var("a"), 1) ** 2 * qpochhammer(Q, 2) * qpochhammer(Q, 4)),
-    # P^2 D (q^2;q^2)_{n-s}^2 with P = (q^-2n;q^2)_s
+     * qpochhammer(ParamExpr.var("a"), 1) ** 2 * qpochhammer(Q, 2) * qpochhammer(Q, 4)
+     * qpochhammer(ParamExpr.var("q", 4), 1) * qpochhammer(ParamExpr.of(1, {"q": 1, "a": -1}), 1)),
+    # P^2 D (q^2;q^2)_{n-s}^2 (q^2;q^2)_{n+s} with P = (q^-2n;q^2)_s
     ("q2_product", (3, 1), qpochhammer(ParamExpr.var("q", -6), 1, base=_Q2) ** 2
-     * qpochhammer(Q, 2) * qpochhammer(Q, 4) * qpochhammer(_Q2, 2, base=_Q2) ** 2),
+     * qpochhammer(Q, 2) * qpochhammer(Q, 4) * qpochhammer(_Q2, 2, base=_Q2) ** 2
+     * qpochhammer(_Q2, 4, base=_Q2)),
+    # (q;q)_n S with S = (q^-n;q)_s (x;q^2)_s^2 (q^2/x;q^2)_s (q^{n+1};q)_s
+    ("special3_shifted", (3, 1), qpochhammer(Q, 3) * qpochhammer(ParamExpr.var("q", -3), 1)
+     * qpochhammer(ParamExpr.var("x"), 1, base=_Q2) ** 2
+     * qpochhammer(ParamExpr.of(1, {"q": 2, "x": -1}), 1, base=_Q2)
+     * qpochhammer(ParamExpr.var("q", 4), 1)),
     ("clausen_orr", (2,), qpochhammer(ParamExpr.var("c"), 2)),
 ])
 def test_cancelling_from_one_side_only_fails(monkeypatch, kind, args, factor):
@@ -154,7 +162,7 @@ def test_special3_shifted_zero_is_special3_at_c_q():
     for n in range(4):
         shl, shr = special3_shifted_sides(n, 0)
         s3l, s3r = special3_sides(n)
-        scale = qpochhammer(Q, n) ** 2
+        scale = qpochhammer(Q, n)  # (q;q)_n^2 / the (q;q)_n that the shifted builder cancels
         c_n = qpochhammer(Q, n)  # the (c;q)_n that special3_sides cancels, at c = q
         binding = {"c": ParamExpr.var("q")}
         assert shl == s3l.substitute(binding) * c_n * scale

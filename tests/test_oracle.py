@@ -19,8 +19,8 @@ from qck.delannoy import delannoy_product_sides, dq, dq_star
 from qck.exactalg import MultiLaurentPoly, exact_divide
 from qck.identities import (_general_s_sides, clausen_orr_sides, general_s_sides,
                             general_s_specialization_difference, lemma_last_sides,
-                            q2_product_sides, special1_sides, special3_sides,
-                            sqrt_corollary_sides)
+                            q2_product_sides, special1_sides, special3_shifted_sides,
+                            special3_sides, sqrt_corollary_sides)
 from qck.positivity import _poly1_parts, verify_thm3
 from qck.qkit import ParamExpr, qchu_vandermonde_sides
 
@@ -221,7 +221,7 @@ def test_general_s_specialization_cell_against_sympy():
                 * poch(x, k) * poch(q / x, k) * q ** k
                 / (poch(q, k - s) * poch(q, k + s) * poch(q, 2 * k)) for k in range(s, n + 1))
         lead = poch(q ** -n, s) * poch(av, s) * av ** (n - s) * q ** ((n + 1) * s - s * s)
-        cancelled = (poch(q ** -n, s) * poch(av, s)) ** 2 * d  # P^2 D, never multiplied in
+        cancelled = (poch(q ** -n, s) * poch(av, s)) ** 2 * d * g  # P^2 D G, never multiplied in
         return s1 * s2 * d ** 2 * g * e / cancelled, lead * d ** 2 * e * r / cancelled
 
     t1 = shifted(x, lambda k: poch(q ** (-2 * n), k, q2))
@@ -229,7 +229,8 @@ def test_general_s_specialization_cell_against_sympy():
     r2 = sum((-1) ** k * q ** (k * k - 2 * n * k) * poch(q2, n + k, q2) * poch(q2, n - s, q2)
              / poch(q2, n - k, q2) * poch(x, k) * poch(q / x, k)
              / (poch(q, k - s) * poch(q, k + s) * poch(q, 2 * k)) for k in range(s, n + 1))
-    q2_cancelled = poch(q ** (-2 * n), s, q2) ** 2 * d * poch(q2, n - s, q2) ** 2
+    q2_cancelled = (poch(q ** (-2 * n), s, q2) ** 2 * d * poch(q2, n - s, q2) ** 2
+                    * poch(q2, n + s, q2))
     q2_lhs = t1 * t2 * d ** 2 * e * poch(q2, n + s, q2) * poch(q2, n - s, q2) ** 2 / q2_cancelled
     q2_rhs = (-1) ** n * q ** (-n * n) * poch(q2, n, q2) ** 2 * d ** 2 * e * r2 / q2_cancelled
 
@@ -245,11 +246,40 @@ def test_general_s_specialization_cell_against_sympy():
     for poly, expr in zip(q2_product_sides(n, s), (q2_lhs, q2_rhs)):
         assert_same(poly, expr, (q, x))
 
-    g_at = poch(q ** (n + 1), s) * poch(q / bound, s)
-    scale = poch(q2, n + s, q2)
-    assert_same(general_s_specialization_difference(n, s), gen_lhs * scale - q2_lhs * g_at,
-                (q, x))
-    assert sp.cancel(gen_rhs * scale - q2_rhs * g_at) == 0
+    # both clear by the same factor, so the cleared pairs are equal
+    assert sp.cancel(gen_lhs - q2_lhs) == 0
+    assert sp.cancel(gen_rhs - q2_rhs) == 0
+    assert general_s_specialization_difference(n, s).is_zero()
+
+
+def test_special3_shifted_cell_against_sympy():
+    # sum_{k>=s} (q^-n;q)_k (x;q^2)_k q^k / ((q;q)_{k-s} (q;q)_{k+s})
+    #   * sum_{k>=s} (q^-n;q)_k (x;q^2)_k q^{(n+1)k-C(k,2)} x^-k / ((q;q)_{k-s} (q;q)_{k+s})
+    #   * (q^2/x;q^2)_s
+    #   = (-1)^s q^s x^-s (q;q)_n^2 (x;q^2)_s / ((q;q)_{n-s} (q;q)_{n+s})
+    #     * sum_{k>=s} (q^-n, q^{n+1};q)_k (x, q^2/x;q^2)_k q^k
+    #                  / ((q;q)_{k-s} (q;q)_{k+s} (q;q)_{2k}),
+    # both sides times D^2 E / ((q;q)_n S), S = (q^-n;q)_s (x;q^2)_s^2 (q^2/x;q^2)_s (q^{n+1};q)_s
+    n, s = 3, 1
+    q2 = q ** 2
+    d = poch(q, n - s) * poch(q, n + s)
+    e = poch(q, 2 * n)
+
+    def shifted(term):
+        return sum(term(k) / (poch(q, k - s) * poch(q, k + s)) for k in range(s, n + 1))
+
+    first = shifted(lambda k: poch(q ** -n, k) * poch(x, k, q2) * q ** k)
+    second = shifted(lambda k: poch(q ** -n, k) * poch(x, k, q2)
+                     * q ** ((n + 1) * k - k * (k - 1) // 2) * x ** -k)
+    product = shifted(lambda k: poch(q ** -n, k) * poch(q ** (n + 1), k) * poch(x, k, q2)
+                      * poch(q2 / x, k, q2) * q ** k / poch(q, 2 * k))
+    lead = (-1) ** s * q ** s * x ** -s * poch(q, n) ** 2 * poch(x, s, q2) / d
+    cancelled = (poch(q, n) * poch(q ** -n, s) * poch(x, s, q2) ** 2 * poch(q2 / x, s, q2)
+                 * poch(q ** (n + 1), s))
+    clearing = d ** 2 * e / cancelled
+    lhs, rhs = special3_shifted_sides(n, s)
+    assert_same(lhs, first * second * poch(q2 / x, s, q2) * clearing, (q, x))
+    assert_same(rhs, lead * product * clearing, (q, x))
 
 
 def test_lemma_last_cell_against_sympy():
