@@ -117,12 +117,12 @@ def test_general_s_zero_shift_is_clausen_at_c_q():
     ("q2_product", (3, 1), qpochhammer(ParamExpr.var("q", -6), 1, base=_Q2) ** 2
      * qpochhammer(Q, 2) * qpochhammer(Q, 4) * qpochhammer(_Q2, 2, base=_Q2) ** 2
      * qpochhammer(_Q2, 4, base=_Q2)),
+    ("clausen_orr", (2,), qpochhammer(ParamExpr.var("c"), 2)),
     # (q;q)_n S with S = (q^-n;q)_s (x;q^2)_s^2 (q^2/x;q^2)_s (q^{n+1};q)_s
     ("special3_shifted", (3, 1), qpochhammer(Q, 3) * qpochhammer(ParamExpr.var("q", -3), 1)
      * qpochhammer(ParamExpr.var("x"), 1, base=_Q2) ** 2
      * qpochhammer(ParamExpr.of(1, {"q": 2, "x": -1}), 1, base=_Q2)
      * qpochhammer(ParamExpr.var("q", 4), 1)),
-    ("clausen_orr", (2,), qpochhammer(ParamExpr.var("c"), 2)),
 ])
 def test_cancelling_from_one_side_only_fails(monkeypatch, kind, args, factor):
     # the builders divide a shared factor out of both sides; dividing it out of
