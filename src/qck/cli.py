@@ -6,8 +6,9 @@ positivity (the thm3 claims over an m, n, r grid).  congruence and positivity
 run their cases through the same runner and report as verify.  Exit codes:
 0 all checks passed, 1 at least one mathematical check failed, 2 usage or
 configuration error, or a case that raised (a term-budget abort, say) instead
-of reaching a verdict.  Reports are emitted in canonical case order and are
-byte-identical for identical configurations, with or without --parallel.
+of reaching a verdict.  Reports list their records in case order, whatever
+order the cases ran in, and are byte-identical for identical configurations,
+with or without --parallel.
 """
 
 from __future__ import annotations
@@ -80,12 +81,14 @@ def _finish(records, fmt, out) -> int:
 
 
 def _bound_error(args):
-    """The error for the first grid bound of args out of range or beside --manifest, or None.
+    """The error for --suite or the first grid bound beside --manifest, or a bound out of range.
 
     A negative bound is always an error, a bound above its hard cap only
     without --unsafe-bounds.  --p must also pass the congruence cases' own
     rule, ``congruence.odd_prime``, so a value they would reject never runs.
     """
+    if getattr(args, "manifest", None) and getattr(args, "suite", None) is not None:
+        return "--suite with --manifest: a manifest names its own cases"
     for key, cap in dict(suites.HARD_CAPS, p=suites.HARD_CAPS["pmax"]).items():
         value = getattr(args, key, None)
         if value is None:
@@ -110,7 +113,7 @@ def cmd_verify(args) -> int:
             with open(args.manifest) as fh:
                 cases = suites.manifest_cases(json.load(fh))
         else:
-            cases = suites.suite_cases(args.suite, bounds)
+            cases = suites.suite_cases(args.suite or "all", bounds)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -189,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="lift the hard caps on grid bounds")
 
     pv = sub.add_parser("verify", help="run a verification suite or manifest")
-    pv.add_argument("--suite", choices=suites.SUITE_NAMES, default="all")
+    pv.add_argument("--suite", choices=suites.SUITE_NAMES, default=None,
+                    help="suite to run (default: all)")
     pv.add_argument("--manifest", default=None, help="JSON case list to run instead")
     pv.add_argument("--nmax", type=int, default=None)
     pv.add_argument("--mmax", type=int, default=None)

@@ -19,6 +19,11 @@ sum is computed both from the Delannoy product formula directly and through
 its single-sum rewriting; the two must agree exactly before any reduction
 happens.  The sum itself (``thm2_lhs``) needs no prime: the first positivity
 family is this sum with p replaced by any n >= 1.
+
+Both routes read one cached row per m (``_m_row``): the direct route's prefix
+sums, each extended from the last, and the single sum's m-factors.  The suites
+run the thm2 cases m-major with p ascending, an order that differs from report
+order, so each m builds its row once; in any order the sums are the same.
 """
 
 from __future__ import annotations
@@ -92,26 +97,47 @@ class Thm2MismatchError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _single_sum_ratio(p: int, j: int) -> MultiLaurentPoly:
-    """(1-q^p)(1-q^{p-j})[p+j;2j] / (1-q^{j+1}): the j-th summand's factor free of m.
+def _single_sum_factor(p: int, j: int) -> MultiLaurentPoly:
+    """(1-q^p)(1-q^{p-j})[p+j;2j] / (1-q^{j+1}) * (-1;q)_j (-q;q)_j, the j-th factor free of m.
 
-    This is the displayed prefactor (1-q^p)(1-q^{p-j}) / ((1-q)(1-q^{j+1}))
+    The quotient is the displayed prefactor (1-q^p)(1-q^{p-j}) / ((1-q)(1-q^{j+1}))
     times 1-q, the cleared form of the sum.
     """
     num = one_minus_q(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
-    return exact_div(num, one_minus_q(j + 1))
-
-
-@lru_cache(maxsize=None)
-def _single_sum_weight(j: int) -> MultiLaurentPoly:
-    """(-1;q)_j (-q;q)_j, the j-th summand's factor free of p and m."""
-    return qpochhammer(MultiLaurentPoly.const(-1), j) \
+    return exact_div(num, one_minus_q(j + 1)) * qpochhammer(MultiLaurentPoly.const(-1), j) \
         * qpochhammer(MultiLaurentPoly.monomial(-1, {"q": 1}), j)
 
 
+@lru_cache(maxsize=1)
+def _m_row(m: int) -> tuple:
+    """The row at m: the direct sums S(m, n) of ``thm2_direct`` by n, and U_j(m) = [m;j][m+j;j]."""
+    return {0: MultiLaurentPoly.zero()}, {}
+
+
+def thm2_direct(n: int, m: int) -> MultiLaurentPoly:
+    """S(m, n) = sum_{k<n} (1-q^{2k+1}) D_q(m,k) D_{1/q}(m,k) q^{-k}, the sum's direct route.
+
+    It extends the largest S(m, n') with n' < n that the row at m holds by
+    ``odd_sum`` over n' <= k < n.
+    """
+    sums = _m_row(m)[0]
+    if n not in sums:
+        lo = max(k for k in list(sums) if k < n)
+        sums[n] = sums[lo] + odd_sum([(dq(m, k), dq_inverse_base(m, k)) for k in range(lo, n)],
+                                     start=lo)
+    return sums[n]
+
+
+def _u(m: int, j: int) -> MultiLaurentPoly:
+    """U_j(m) = [m;j][m+j;j], from the row at m."""
+    us = _m_row(m)[1]
+    if j not in us:
+        us[j] = qbinomial(m, j) * qbinomial(m + j, j)
+    return us[j]
+
+
 def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
-    return sum_of_products((_single_sum_ratio(p, j), qbinomial(m, j), qbinomial(m + j, j),
-                            _single_sum_weight(j),
+    return sum_of_products((_single_sum_factor(p, j), _u(m, j),
                             MultiLaurentPoly.var("q", j * j - m * j - (j + 1) * (p - 1)))
                            for j in range(p))
 
@@ -119,11 +145,11 @@ def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
 def thm2_lhs(p: int, m: int) -> MultiLaurentPoly:
     """(1-q) sum_{k<p} [2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k}, by both routes and cross-checked.
 
-    The direct route is ``odd_sum`` over the Delannoy products.  Both routes
-    hold for every p >= 1, prime or not: the positivity module uses this sum
-    with p = n for its first family.
+    The direct route is ``thm2_direct``.  Both routes hold for every p >= 1,
+    prime or not: the positivity module uses this sum with p = n for its first
+    family.
     """
-    direct = odd_sum([(dq(m, k), dq_inverse_base(m, k)) for k in range(p)])
+    direct = thm2_direct(p, m)
     single = _thm2_lhs_single_sum(p, m)
     if direct != single:
         raise Thm2MismatchError(f"sum routes disagree at p={p}, m={m}")

@@ -10,6 +10,10 @@ Both admit alternative expansions with (-1;q)_k and (-q;q)_k weights, and
 their product collapses to a single sum (``product_expansion_rhs``); all of it
 is verified exactly over polynomials in q, and symbolically in x for the
 (x;q)_k form that both expansions and the product specialize from.
+
+D_q and D_{1/q} are built by their recurrence, each entry by addition from
+cached neighbours, in whatever order the cases ask for entries: the suites run
+cases in an order that differs from report order, and no entry depends on it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 from math import comb
 
 from .exactalg import MultiLaurentPoly, sum_of_products
-from .qkit import Q, choose2, poch_prefixes, qbinomial
+from .qkit import Q, choose2, fill_shallow, poch_prefixes, qbinomial
 from .report import CaseKind
 
 
@@ -44,22 +48,37 @@ def _dq_sum(m: int, n: int, w: MultiLaurentPoly) -> MultiLaurentPoly:
                             MultiLaurentPoly.var("q", choose2(k)), w ** k) for k in range(n + 1))
 
 
+def _by_recurrence(table, b: MultiLaurentPoly, m: int, n: int) -> MultiLaurentPoly:
+    """D(m,n) = D(m-1,n) + b^m D(m,n-1) + b^{m-1} D(m-1,n-1), with D(0,n) = D(m,0) = 1.
+
+    With b = q this is D_q: q-Pascal on both Gaussian binomials of the
+    defining sum.  q -> 1/q is a ring automorphism, so b = 1/q gives D_{1/q}.
+    Each term comes from ``table``, the cached function being built.
+    """
+    if m < 0 or n < 0:
+        return MultiLaurentPoly.zero()
+    if not m or not n:
+        return MultiLaurentPoly.const(1)
+    fill_shallow(table, m, n)
+    return table(m - 1, n) + b ** m * table(m, n - 1) + b ** (m - 1) * table(m - 1, n - 1)
+
+
 @lru_cache(maxsize=None)
 def dq(m: int, n: int) -> MultiLaurentPoly:
-    """D_q(m,n) = sum_k q^{C(k,2)} [n;k] [n+m-k; n]."""
-    return _dq_sum(m, n, MultiLaurentPoly.const(1))
+    """D_q(m,n) = sum_k q^{C(k,2)} [n;k] [n+m-k; n], built by its recurrence."""
+    return _by_recurrence(dq, Q, m, n)
 
 
 @lru_cache(maxsize=None)
 def dq_star(m: int, n: int) -> MultiLaurentPoly:
-    """D*_q(m,n) = sum_k q^{C(k+1,2)} [n;k] [n+m-k; n]."""
+    """D*_q(m,n) = sum_k q^{C(k+1,2)} [n;k] [n+m-k; n], by the sum: it checks the recurrence."""
     return _dq_sum(m, n, Q)
 
 
 @lru_cache(maxsize=None)
 def dq_inverse_base(m: int, n: int) -> MultiLaurentPoly:
-    """D_{1/q}(m,n): the image of D_q(m,n) under q -> q^{-1} (Laurent)."""
-    return dq(m, n).substitute({"q": Q ** -1})
+    """D_{1/q}(m,n): D_q(m,n) under q -> q^{-1}, built by the recurrence with b = 1/q."""
+    return _by_recurrence(dq_inverse_base, Q ** -1, m, n)
 
 
 def dq_alt(m: int, n: int) -> MultiLaurentPoly:
@@ -122,12 +141,14 @@ def product_x_difference(m: int, n: int) -> MultiLaurentPoly:
 def relations_difference(m: int, n: int) -> MultiLaurentPoly:
     """Cross-relations at one (m,n): alternative expansions, q = 1, and the q -> 1/q twin.
 
-    Checks dq_alt == D_q(m,n), dq_star_alt == D*_q(n,m) (note the swap),
-    D*_q(m,n) == q^{mn} D_{1/q}(m,n), and that both q-analogues collapse to
-    D(m,n) at q = 1.
+    Checks the defining sum == the recurrence for D_q(m,n), dq_alt == D_q(m,n),
+    dq_star_alt == D*_q(n,m) (note the swap), D*_q(m,n) == q^{mn} D_{1/q}(m,n)
+    (the defining sum against the recurrence at b = 1/q), and that both
+    q-analogues collapse to D(m,n) at q = 1.
     """
     d_plain = MultiLaurentPoly.const(delannoy(m, n))
     diffs = [
+        _dq_sum(m, n, MultiLaurentPoly.const(1)) - dq(m, n),
         dq_alt(m, n) - dq(m, n),
         dq_star_alt(m, n) - dq_star(n, m),
         dq_star(m, n) - dq_inverse_base(m, n) * MultiLaurentPoly.monomial(1, {"q": m * n}),

@@ -8,7 +8,8 @@ Only that final division can fail the polynomiality claim (difference 1); an
 exception raised while building the numerator propagates, so it is a case
 error, never a verdict.  The first family is Theorem 2's odd-weighted sum
 ``congruence.thm2_lhs`` taken over k < n for any n >= 1 (n need not be
-prime), so every cell also cross-checks that sum's two routes.
+prime), so every cell also cross-checks that sum's two routes; the second
+family at r = 1 is that sum's direct route, taken from the same row.
 
 The supporting identities: products of the basis B_k(n) = [n+k;2k][2k;k] q^{-nk}
 linearize (a Pfaff-Saalschutz consequence, the ``schmidt`` rows) with constants
@@ -19,7 +20,7 @@ symbolic weights x0..x_{n-1}.
 
 from __future__ import annotations
 
-from .congruence import thm2_lhs
+from .congruence import thm2_direct, thm2_lhs
 from .delannoy import dq, dq_inverse_base
 from .exactalg import MultiLaurentPoly, exact_divide, non_positive_terms, sum_of_products
 from .qkit import choose2, odd_sum, one_minus_q, qbinomial
@@ -78,6 +79,8 @@ def _poly1_parts(m: int, n: int) -> tuple:
 def _odd_parts(m: int, n: int, r: int, alternating: bool) -> tuple:
     if m < 1 or n < 1 or r < 1:
         raise ValueError("need m, n, r >= 1")
+    if r == 1 and not alternating:  # Theorem 2's direct sum, from its row at m
+        return thm2_direct(n, m), one_minus_q(n)
     powers = [((dq(m, k) * dq_inverse_base(m, k)) ** r,) for k in range(n)]
     return odd_sum(powers, alternating), one_minus_q(n)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactalg import MultiLaurentPoly, exact_div, sum_of_products
+from .exactalg import MultiLaurentPoly, sum_of_products
 from .report import CaseKind
 
 
@@ -74,19 +74,36 @@ def choose2(k: int) -> int:
     return k * (k - 1) // 2
 
 
+def fill_shallow(table, a: int, b: int) -> None:
+    """Make a cold corner of a two-index table recurse shallowly before table(a, b) is built.
+
+    For a table built from table(a-1, .) and table(., b-1), with a + b above
+    64 (plain recursion up to that depth is safe), this calls table(i, b) for
+    0 < i < a and then table(a, j) for 0 < j < b, in that order: each such
+    call finds its own neighbours cached, so the recursion stays a few calls
+    deep however large a and b are.
+    """
+    if a + b > 64:
+        for i in range(1, a):
+            table(i, b)
+        for j in range(1, b):
+            table(a, j)
+
+
 @lru_cache(maxsize=None)
 def qbinomial(n: int, k: int) -> MultiLaurentPoly:
-    """Gaussian binomial [n; k]; the zero polynomial outside n >= k >= 0."""
+    """Gaussian binomial [n; k]; the zero polynomial outside n >= k >= 0.
+
+    Built by q-Pascal, [n; k] = [n-1; k-1] + q^k [n-1; k], each term from the cache.
+    """
     if not (n >= k >= 0):
         return MultiLaurentPoly.zero()
     if k > n - k:
         return qbinomial(n, n - k)
     if k == 0:
         return MultiLaurentPoly.const(1)
-    if k > 32:  # a cold row is filled 32 entries at a time, so the recursion stays shallow
-        qbinomial(n, k - 32)
-    # [n; k] = [n; k-1] (1 - q^{n-k+1}) / (1 - q^k), each step from the cache.
-    return exact_div(qbinomial(n, k - 1) * one_minus_q(n - k + 1), one_minus_q(k))
+    fill_shallow(lambda a, b: qbinomial(a + b, a), k, n - k)
+    return qbinomial(n - 1, k - 1) + qbinomial(n - 1, k) * MultiLaurentPoly.var("q", k)
 
 
 def terminating_weight(n: int, k: int) -> MultiLaurentPoly:
@@ -107,17 +124,18 @@ def one_minus_q(e: int) -> MultiLaurentPoly:
     return MultiLaurentPoly.const(1) - MultiLaurentPoly.monomial(1, {"q": e})
 
 
-def odd_sum(terms, alternating: bool = False) -> MultiLaurentPoly:
-    """sum_{k<n} (1-q^{2k+1}) f_k w_k, with n = len(terms) and f_k the product of terms[k].
+def odd_sum(terms, alternating: bool = False, start: int = 0) -> MultiLaurentPoly:
+    """sum_{start<=k<n} (1-q^{2k+1}) f_k w_k, with n = start + len(terms) and f_k the product
+    of terms[k - start].
 
     The weight w_k is q^{-k}, or (-1)^{n-k-1} q^{C(k,2)} when ``alternating``.
     """
-    n = len(terms)
+    n = start + len(terms)
     return sum_of_products(
         (one_minus_q(2 * k + 1), *factors,
          MultiLaurentPoly.monomial((-1) ** (n - k - 1), {"q": choose2(k)}) if alternating
          else MultiLaurentPoly.var("q", -k))
-        for k, factors in enumerate(terms))
+        for k, factors in enumerate(terms, start))
 
 
 def qbinomial_theorem_sides(n: int) -> tuple:

@@ -4,10 +4,11 @@ A case is (registry name, integer-parameter dict); the registry maps each name
 to a callable that takes the case's parameters as keywords and returns a
 VerificationReport, so a parameter the callable does not take, or one it
 lacks, is a TypeError.  Suites expand bounds into ordered case lists; the
-runner executes them (optionally in a process pool), buffers the outcomes, and
-always emits them in case order, so a report is byte-identical no matter how
-it was scheduled.  Every grid runs to its bound but for two caps, marked
-below (the D_q grids, the shifted transforms grid).
+runner executes them (optionally in a process pool) in canonical order, by
+name and then sorted parameters, which differs from case order.  It buffers
+the outcomes and always emits them in case order, so a report is
+byte-identical no matter how it was scheduled.  Every grid runs to its bound
+but for two caps, marked below (the D_q grids, the shifted transforms grid).
 """
 
 from __future__ import annotations
@@ -169,11 +170,25 @@ def run_case(case) -> dict:
 
 
 def run_cases(cases, parallel: bool = False) -> list:
-    """Run cases, preserving case order in the returned records."""
+    """Run cases in canonical order and return their records in case order.
+
+    The canonical order is by name, then by sorted parameters, so the cases
+    of a kind run side by side and the thm2 cases run m-major with p
+    ascending, each m reusing one row of sums.  A pool takes contiguous
+    chunks of that order.  A record depends on its case alone, never on the
+    order the cases ran in.
+    """
+    order = sorted(range(len(cases)), key=lambda i: (cases[i][0], sorted(cases[i][1].items())))
+    ordered = [cases[i] for i in order]
     if parallel and len(cases) > 1:
         with ProcessPoolExecutor() as pool:
-            return list(pool.map(run_case, cases))
-    return [run_case(c) for c in cases]
+            done = list(pool.map(run_case, ordered, chunksize=1 + len(cases) // 64))
+    else:
+        done = [run_case(c) for c in ordered]
+    records = [None] * len(cases)
+    for i, record in zip(order, done):
+        records[i] = record
+    return records
 
 
 def manifest_cases(manifest: list) -> list:

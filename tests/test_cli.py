@@ -4,6 +4,7 @@ import functools
 import hashlib
 import inspect
 import json
+import random
 import subprocess
 import sys
 from functools import reduce
@@ -11,7 +12,7 @@ from operator import add, mul
 
 import pytest
 
-from qck import cli, congruence, exactalg, identities, positivity, qkit
+from qck import cli, congruence, exactalg, identities, positivity, qkit, suites
 from qck.exactalg import MultiLaurentPoly, NotDivisibleError
 from qck.identities import verify_clausen_orr
 from qck.report import CaseKind, VerificationReport
@@ -156,6 +157,22 @@ def test_subcommand_case_error_exits_two(monkeypatch, capsys, argv):
     assert capsys.readouterr().err.startswith("error: thm")
 
 
+@pytest.mark.parametrize("parallel", [False, True])
+def test_records_do_not_depend_on_execution_order(parallel):
+    # cases run in canonical order; each record goes back to its case's slot
+    cases = suite_cases("congruence", {"pmax": 7, "mmax": 3, "nmax": 1}) \
+        + suite_cases("delannoy", {"mmax": 1}) \
+        + [("corrupted_fixture", {}), ("thm2", {"p": 9, "m": 1})]  # a FAIL and a case error
+    random.Random(3).shuffle(cases)
+    records = run_cases(cases, parallel=parallel)
+    assert records == [run_case(c) for c in cases]
+    raised = cases.index(("thm2", {"p": 9, "m": 1}))
+    assert records[raised]["params"] == {"p": 9, "m": 1}
+    assert records[raised]["error"] == "ValueError: 9 is not an odd prime <= 10000"
+    assert [i for i, r in enumerate(records) if not r["passed"]] == sorted(
+        [raised, cases.index(("corrupted_fixture", {}))])
+
+
 def test_json_report_roundtrip():
     cases = suite_cases("clausen", {"nmax": 1})
     records = run_cases(cases)
@@ -230,6 +247,19 @@ def test_manifest_rejects_grid_bounds(tmp_path, capsys, flag):
     assert cli.main(["verify", "--manifest", str(path), flag, "3"]) == 2
     assert f"error: {flag} with --manifest" in capsys.readouterr().err
     assert cli.main(["verify", "--manifest", str(path), "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["all", "clausen"])
+def test_manifest_rejects_suite(tmp_path, capsys, monkeypatch, suite):
+    # without --manifest a missing --suite is read as "all"; beside one it would be ignored
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"name": "thm2", "params": {"p": 3, "m": 4}}]))
+    assert cli.main(["verify", "--manifest", str(path), "--suite", suite]) == 2
+    assert "error: --suite with --manifest" in capsys.readouterr().err
+    ran = []
+    monkeypatch.setattr(suites, "run_cases", lambda cases, parallel: ran.append(cases) or [])
+    assert cli.main(["verify", "--nmax", "1"]) == 0
+    assert ran == [suite_cases("all", {"nmax": 1})]
 
 
 def test_manifest_corrupted_case_fails(tmp_path):

@@ -1,6 +1,7 @@
 """Congruence tests with division oracles."""
 
 import hashlib
+import random
 import time
 from fractions import Fraction
 
@@ -133,6 +134,20 @@ def test_thm2_lhs_routes_agree_small():
             thm2_lhs(p, m)  # raises Thm2MismatchError on route disagreement
 
 
+def test_thm2_lhs_does_not_depend_on_the_order_of_its_calls():
+    # each m keeps one row of sums; a shuffled order must give what a cold start gives
+    pairs = [(p, m) for p in (1, 2, 3, 5, 7) for m in range(1, 7)]
+    random.Random(1).shuffle(pairs)
+    warm = [thm2_lhs(p, m) for p, m in pairs]
+    cold = []
+    for p, m in pairs:
+        for table in (congruence._m_row, congruence._single_sum_factor, dq, dq_inverse_base,
+                      qbinomial):
+            table.cache_clear()
+        cold.append(thm2_lhs(p, m))
+    assert warm == cold
+
+
 def test_thm2_case_selection():
     assert thm2_case(3, 3) == "zero"
     assert thm2_case(3, 2) == "minus_one"
@@ -197,8 +212,8 @@ def test_single_sum_factors_match_the_inline_expressions(p):
     w2 = poch_prefixes(P.monomial(-1, {"q": 1}), p - 1)
     for j in range(p):
         num = one_minus_q(p) * one_minus_q(p - j) * qbinomial(p + j, 2 * j)
-        assert congruence._single_sum_ratio(p, j) == exact_div(num, one_minus_q(j + 1))
-        assert congruence._single_sum_weight(j) == w1[j] * w2[j]
+        assert congruence._single_sum_factor(p, j) == \
+            exact_div(num, one_minus_q(j + 1)) * w1[j] * w2[j]
 
 
 # sha256 of `qck verify --suite congruence --pmax 13 --mmax 39 --format json`
@@ -207,8 +222,8 @@ _CONGRUENCE_GRID_DIGEST = "907c7f883915a66e1a751bbff9c1bc9c5d33a20b4e32cb300ffcd
 
 def test_cleared_caches_leave_the_congruence_grid_report_unchanged(capsys):
     argv = ["verify", "--suite", "congruence", "--pmax", "13", "--mmax", "39", "--format", "json"]
-    congruence._single_sum_ratio.cache_clear()
-    congruence._single_sum_weight.cache_clear()
+    congruence._single_sum_factor.cache_clear()
+    congruence._m_row.cache_clear()
     for _ in ("cold", "warm"):
         assert cli.main(argv) == 0
         report = capsys.readouterr().out

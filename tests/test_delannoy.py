@@ -1,10 +1,14 @@
 """Delannoy tests against lattice-path oracles."""
 
+import inspect
+import sys
 from functools import lru_cache
 
 import pytest
 
+from qck import congruence
 from qck import delannoy as delannoy_module
+from qck.congruence import Thm2MismatchError, thm2_witness
 from qck.delannoy import (_alt_sum, _dq_sum, build_table, delannoy, dq, dq_alt,
                           dq_inverse_base, dq_star, dq_star_alt, product_expansion,
                           product_expansion_rhs, product_x_identity, verify_relations)
@@ -173,3 +177,49 @@ def test_build_table():
 def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
         delannoy(-1, 2)
+
+
+def test_recurrences_match_the_defining_sums():
+    # D_q by its recurrence against the defining sum, and D_{1/q} against that sum at q -> 1/q
+    one = P.const(1)
+    for m in range(21):
+        for n in range(14):
+            want = _dq_sum(m, n, one)
+            assert dq(m, n) == want, (m, n)
+            assert dq_inverse_base(m, n) == want.substitute({"q": q ** -1}), (m, n)
+
+
+def test_cold_corner_needs_no_deep_recursion():
+    # plain recursion from (700, 2) would nest about 700 calls deep
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        d, d_inv = dq(700, 2), dq_inverse_base(700, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert d.substitute({"q": 1}) == delannoy(700, 2)
+    assert d_inv == d.substitute({"q": q ** -1})
+
+
+def _clear_tables():
+    for table in (dq, dq_star, dq_inverse_base, congruence._m_row):
+        table.cache_clear()
+
+
+def test_a_wrong_power_in_the_recurrence_is_caught(monkeypatch):
+    right = delannoy_module._by_recurrence
+
+    def mutant(table, b, m, n):  # b^{m+1} where the recurrence has b^m
+        if m < 1 or n < 1:
+            return right(table, b, m, n)
+        return table(m - 1, n) + b ** (m + 1) * table(m, n - 1) + b ** (m - 1) * table(m - 1, n - 1)
+    _clear_tables()
+    monkeypatch.setattr(delannoy_module, "_by_recurrence", mutant)
+    try:
+        assert not verify_relations(2, 2).passed
+        with pytest.raises(Thm2MismatchError):
+            thm2_witness(3, 2)
+    finally:
+        monkeypatch.undo()
+        _clear_tables()
+    assert verify_relations(2, 2).passed

@@ -15,7 +15,7 @@ sp = pytest.importorskip("sympy")
 
 from qck import cli
 from qck.congruence import congruence_witness, thm2_lhs, thm2_witness
-from qck.delannoy import delannoy_product_sides, dq, dq_star
+from qck.delannoy import delannoy_product_sides, dq, dq_inverse_base, dq_star
 from qck.exactalg import MultiLaurentPoly, exact_divide
 from qck.identities import (_general_s_sides, clausen_orr_sides, general_s_sides,
                             general_s_specialization_difference, lemma_last_sides,
@@ -70,7 +70,9 @@ def sympy_dq(m, n, star=False):
 
 @pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (4, 3), (2, 5)])
 def test_dq_against_sympy(m, n):
+    # D_q and D_{1/q} are built by their recurrence, D*_q by its sum
     assert_same(dq(m, n), sympy_dq(m, n), (q,))
+    assert_same(dq_inverse_base(m, n), sympy_dq(m, n).subs(q, 1 / q), (q,))
     assert_same(dq_star(m, n), sympy_dq(m, n, star=True), (q,))
 
 

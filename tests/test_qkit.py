@@ -7,9 +7,9 @@ from math import comb
 
 import pytest
 
-from qck.exactalg import MultiLaurentPoly as P, is_nonneg_integer_laurent
+from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
 from qck.qkit import (ParamExpr, bracket, check_qbinomial_theorem,
-                      check_qchu_vandermonde, poch_prefixes, poch_suffixes,
+                      check_qchu_vandermonde, one_minus_q, poch_prefixes, poch_suffixes,
                       qbinomial, qpochhammer)
 
 q = P.var("q")
@@ -87,8 +87,17 @@ def test_qbinomial_nonneg_and_degree():
             assert b.degree_range("q") == (0, k * (n - k))
 
 
+def test_qbinomial_matches_the_division_formula():
+    # q-Pascal against the row by [n; k] = [n; k-1] (1-q^{n-k+1}) / (1-q^k), every n <= 40
+    for n in range(41):
+        row = [P.const(1)]
+        for k in range(1, n + 1):
+            row.append(exact_div(row[-1] * one_minus_q(n - k + 1), one_minus_q(k)))
+        assert [qbinomial(n, k) for k in range(n + 1)] == row, n
+
+
 def test_qbinomial_cold_row_needs_no_deep_recursion():
-    # [120; 60] is built from [120; 59] and so on down: 60 nested calls, over 120 frames
+    # plain q-Pascal recursion from [120; 60] would nest 120 calls deep
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:
