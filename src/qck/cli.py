@@ -41,17 +41,20 @@ def _label(record) -> str:
     return f"{record['name']}({params})"
 
 
+def _csv(header, rows) -> str:
+    """The header and then each row as one CSV line."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
 def _emit(records, fmt: str, out_path) -> None:
     if fmt == "json":
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "params", "passed", "difference"])
-        for r in records:
-            params = ";".join(f"{k}={v}" for k, v in sorted(r["params"].items()))
-            writer.writerow([r["name"], params, r["passed"], r["difference"]])
-        text = buf.getvalue()
+        text = _csv(["name", "params", "passed", "difference"], (
+            [r["name"], ";".join(f"{k}={v}" for k, v in sorted(r["params"].items())),
+             r["passed"], r["difference"]] for r in records))
     else:
         lines = []
         for r in records:
@@ -150,11 +153,8 @@ def cmd_delannoy(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["m\\n"] + list(range(args.n + 1)))
-        writer.writerows([m] + [str(v) for v in row] for m, row in enumerate(rows))
-        text = buf.getvalue()
+        text = _csv(["m\\n", *range(args.n + 1)],
+                    ([m, *map(str, row)] for m, row in enumerate(rows)))
     elif args.format == "json":
         text = json.dumps({
             "kind": args.q_analogue, "max_m": args.m, "max_n": args.n,
@@ -249,6 +249,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except TermBudgetExceeded as exc:
         print(f"aborted: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # an unwritable --out, say: an error, not a verdict
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

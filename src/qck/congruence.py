@@ -20,9 +20,9 @@ its single-sum rewriting; the two must agree exactly before any reduction
 happens.  The sum itself (``thm2_lhs``) needs no prime: the first positivity
 family is this sum with p replaced by any n >= 1.
 
-Both routes read one cached row per m (``_m_row``): the direct route's prefix
-sums, each extended from the last, and the single sum's m-factors.  The suites
-run the thm2 cases m-major with p ascending, an order that differs from report
+The direct route keeps one cached row per m (``_m_row``) of its prefix sums,
+each extended from the last; each single-sum term takes [m;j] and [m+j;j] as
+factors.  The suites run the thm2 cases m-major with p ascending, not in report
 order, so each m builds its row once; in any order the sums are the same.
 """
 
@@ -109,9 +109,9 @@ def _single_sum_factor(p: int, j: int) -> MultiLaurentPoly:
 
 
 @lru_cache(maxsize=1)
-def _m_row(m: int) -> tuple:
-    """The row at m: the direct sums S(m, n) of ``thm2_direct`` by n, and U_j(m) = [m;j][m+j;j]."""
-    return {0: MultiLaurentPoly.zero()}, {}
+def _m_row(m: int) -> dict:
+    """The row at m: the direct sums S(m, n) of ``thm2_direct`` built so far, by n."""
+    return {0: MultiLaurentPoly.zero()}
 
 
 def thm2_direct(n: int, m: int) -> MultiLaurentPoly:
@@ -120,7 +120,7 @@ def thm2_direct(n: int, m: int) -> MultiLaurentPoly:
     It extends the largest S(m, n') with n' < n that the row at m holds by
     ``odd_sum`` over n' <= k < n.
     """
-    sums = _m_row(m)[0]
+    sums = _m_row(m)
     if n not in sums:
         lo = max(k for k in list(sums) if k < n)
         sums[n] = sums[lo] + odd_sum([(dq(m, k), dq_inverse_base(m, k)) for k in range(lo, n)],
@@ -128,16 +128,8 @@ def thm2_direct(n: int, m: int) -> MultiLaurentPoly:
     return sums[n]
 
 
-def _u(m: int, j: int) -> MultiLaurentPoly:
-    """U_j(m) = [m;j][m+j;j], from the row at m."""
-    us = _m_row(m)[1]
-    if j not in us:
-        us[j] = qbinomial(m, j) * qbinomial(m + j, j)
-    return us[j]
-
-
 def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
-    return sum_of_products((_single_sum_factor(p, j), _u(m, j),
+    return sum_of_products((_single_sum_factor(p, j), qbinomial(m, j), qbinomial(m + j, j),
                             MultiLaurentPoly.var("q", j * j - m * j - (j + 1) * (p - 1)))
                            for j in range(p))
 

@@ -11,9 +11,10 @@ their product collapses to a single sum (``product_expansion_rhs``); all of it
 is verified exactly over polynomials in q, and symbolically in x for the
 (x;q)_k form that both expansions and the product specialize from.
 
-D_q and D_{1/q} are built by their recurrence, each entry by addition from
-cached neighbours, in whatever order the cases ask for entries: the suites run
-cases in an order that differs from report order, and no entry depends on it.
+D_q is built by ``qkit.lattice`` (q-Pascal on both Gaussian binomials of its
+sum), each entry by addition from cached neighbours, in whatever order cases
+ask for entries: the suites run cases in an order that differs from report
+order, and no entry depends on it.  D_{1/q} is D_q's mirror image, q -> 1/q.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from functools import lru_cache
 from math import comb
 
 from .exactalg import MultiLaurentPoly, sum_of_products
-from .qkit import Q, choose2, fill_shallow, poch_prefixes, qbinomial
+from .qkit import Q, choose2, lattice, poch_prefixes, qbinomial
 from .report import CaseKind
 
 
@@ -48,25 +49,12 @@ def _dq_sum(m: int, n: int, w: MultiLaurentPoly) -> MultiLaurentPoly:
                             MultiLaurentPoly.var("q", choose2(k)), w ** k) for k in range(n + 1))
 
 
-def _by_recurrence(table, b: MultiLaurentPoly, m: int, n: int) -> MultiLaurentPoly:
-    """D(m,n) = D(m-1,n) + b^m D(m,n-1) + b^{m-1} D(m-1,n-1), with D(0,n) = D(m,0) = 1.
-
-    With b = q this is D_q: q-Pascal on both Gaussian binomials of the
-    defining sum.  q -> 1/q is a ring automorphism, so b = 1/q gives D_{1/q}.
-    Each term comes from ``table``, the cached function being built.
-    """
-    if m < 0 or n < 0:
-        return MultiLaurentPoly.zero()
-    if not m or not n:
-        return MultiLaurentPoly.const(1)
-    fill_shallow(table, m, n)
-    return table(m - 1, n) + b ** m * table(m, n - 1) + b ** (m - 1) * table(m - 1, n - 1)
-
-
 @lru_cache(maxsize=None)
 def dq(m: int, n: int) -> MultiLaurentPoly:
-    """D_q(m,n) = sum_k q^{C(k,2)} [n;k] [n+m-k; n], built by its recurrence."""
-    return _by_recurrence(dq, Q, m, n)
+    """D_q(m,n) = sum_k q^{C(k,2)} [n;k] [n+m-k; n], built by ``qkit.lattice`` with its diagonal."""
+    if m < 0 or n < 0:
+        return MultiLaurentPoly.zero()
+    return lattice(dq, True, m, n)
 
 
 @lru_cache(maxsize=None)
@@ -77,8 +65,8 @@ def dq_star(m: int, n: int) -> MultiLaurentPoly:
 
 @lru_cache(maxsize=None)
 def dq_inverse_base(m: int, n: int) -> MultiLaurentPoly:
-    """D_{1/q}(m,n): D_q(m,n) under q -> q^{-1}, built by the recurrence with b = 1/q."""
-    return _by_recurrence(dq_inverse_base, Q ** -1, m, n)
+    """D_{1/q}(m,n): D_q(m,n) under q -> q^{-1}, its mirror image."""
+    return dq(m, n).invert_variables()
 
 
 def dq_alt(m: int, n: int) -> MultiLaurentPoly:
@@ -143,7 +131,7 @@ def relations_difference(m: int, n: int) -> MultiLaurentPoly:
 
     Checks the defining sum == the recurrence for D_q(m,n), dq_alt == D_q(m,n),
     dq_star_alt == D*_q(n,m) (note the swap), D*_q(m,n) == q^{mn} D_{1/q}(m,n)
-    (the defining sum against the recurrence at b = 1/q), and that both
+    (the defining sum against the recurrence's mirror image), and that both
     q-analogues collapse to D(m,n) at q = 1.
     """
     d_plain = MultiLaurentPoly.const(delannoy(m, n))

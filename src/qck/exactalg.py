@@ -139,7 +139,18 @@ class TermBudgetExceeded(RuntimeError):
     """Raised when a product would store or lay out over QCK_MAX_TERMS terms, or pair 50x that."""
 
 
-_MAX_TERMS = int(os.environ.get("QCK_MAX_TERMS", "10000000"))  # read once, at start-up
+_MAX_TERMS = None  # QCK_MAX_TERMS, parsed on the first budget check
+
+
+def _max_terms() -> int:
+    """QCK_MAX_TERMS (default 10000000), parsed once; ValueError naming it when malformed."""
+    global _MAX_TERMS
+    if _MAX_TERMS is None:
+        raw = os.environ.get("QCK_MAX_TERMS", "10000000")
+        if not raw.strip().isdecimal():
+            raise ValueError(f"QCK_MAX_TERMS={raw!r} is not a non-negative integer")
+        _MAX_TERMS = int(raw)
+    return _MAX_TERMS
 
 
 def _field(name) -> int:
@@ -399,6 +410,10 @@ class MultiLaurentPoly:
                 acc[nk] = acc.get(nk, 0) + nc
         return MultiLaurentPoly._checked({k: c for k, c in acc.items() if c})
 
+    def invert_variables(self) -> "MultiLaurentPoly":
+        """The image under every variable -> its inverse: key -> -key negates each exponent."""
+        return MultiLaurentPoly._raw({-k: c for k, c in self._terms.items()})
+
 
 def _as_monomial(val):
     """Normalize a binding value to (coeff, packed-key)."""
@@ -424,13 +439,13 @@ def _add_into(out: dict, terms: dict) -> None:
 
 
 def _check_budget(n: int) -> None:
-    if n > _MAX_TERMS:
+    if n > _max_terms():
         raise TermBudgetExceeded(f"result would hold {n} terms, above QCK_MAX_TERMS={_MAX_TERMS}")
 
 
 def _check_pairs(n1: int, n2: int) -> None:
     """Refuse n1 x n2 pairs of work before anything is allocated for it."""
-    if n1 * n2 > 50 * _MAX_TERMS:
+    if n1 * n2 > 50 * _max_terms():
         raise TermBudgetExceeded(
             f"{n1} x {n2} pairs are far above QCK_MAX_TERMS={_MAX_TERMS}")
 

@@ -10,11 +10,13 @@ Pochhammer arguments and series parameters are Laurent monomials, e.g. q^{-n},
 c*q^n or c/x: single-term MultiLaurentPolys of the kernel, multiplied, raised
 to powers and substituted by the kernel itself, so every symbol expands to an
 exact MultiLaurentPoly.  ``ParamExpr`` only names two constructors of such
-monomials.  ``odd_sum`` is the odd-weighted sum sum_k (1-q^{2k+1}) f_k w_k:
-Theorem 2's sum cleared by 1-q (see ``congruence`` for why that is the same
-congruence), its two lemmas and the positivity families.  The classical
-q-binomial theorem and q-Chu-Vandermonde summation are verified here as exact
-polynomial identities; both are used as proof engines by the identity suites.
+monomials.  ``lattice`` is the one lattice-path recurrence: q-Pascal for [n; k]
+and, with a diagonal step, D_q.  ``odd_sum`` is the odd-weighted sum sum_k
+(1-q^{2k+1}) f_k w_k: Theorem 2's sum cleared by 1-q (see ``congruence`` for
+why that is the same congruence), its two lemmas and the positivity families.
+The classical q-binomial theorem and q-Chu-Vandermonde summation are verified
+here as exact polynomial identities; both are used as proof engines by the
+identity suites.
 """
 
 from __future__ import annotations
@@ -74,36 +76,35 @@ def choose2(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def fill_shallow(table, a: int, b: int) -> None:
-    """Make a cold corner of a two-index table recurse shallowly before table(a, b) is built.
+def lattice(table, diagonal: bool, i: int, j: int) -> MultiLaurentPoly:
+    """T(i,j) = T(i-1,j) + q^i T(i,j-1) [+ q^{i-1} T(i-1,j-1) if ``diagonal``]; 1 on the axes.
 
-    For a table built from table(a-1, .) and table(., b-1), with a + b above
-    64 (plain recursion up to that depth is safe), this calls table(i, b) for
-    0 < i < a and then table(a, j) for 0 < j < b, in that order: each such
-    call finds its own neighbours cached, so the recursion stays a few calls
-    deep however large a and b are.
+    q-Pascal gives [i+j; i], the diagonal step D_q(i,j).  Each term comes from ``table``, the
+    cached function being built.  A cold corner past depth 32 (safe for plain recursion) fills
+    its row, then its column, each entry finding its neighbours cached: the recursion stays shallow.
     """
-    if a + b > 64:
-        for i in range(1, a):
-            table(i, b)
-        for j in range(1, b):
-            table(a, j)
+    if not i or not j:
+        return MultiLaurentPoly.const(1)
+    if i + j > 32:
+        for k in range(1, i):
+            table(k, j)
+        for k in range(1, j):
+            table(i, k)
+    out = table(i - 1, j) + Q ** i * table(i, j - 1)
+    return out + Q ** (i - 1) * table(i - 1, j - 1) if diagonal else out
 
 
 @lru_cache(maxsize=None)
 def qbinomial(n: int, k: int) -> MultiLaurentPoly:
     """Gaussian binomial [n; k]; the zero polynomial outside n >= k >= 0.
 
-    Built by q-Pascal, [n; k] = [n-1; k-1] + q^k [n-1; k], each term from the cache.
+    Built by q-Pascal, [n; k] = [n-1; k-1] + q^k [n-1; k], the lattice without its diagonal.
     """
     if not (n >= k >= 0):
         return MultiLaurentPoly.zero()
     if k > n - k:
         return qbinomial(n, n - k)
-    if k == 0:
-        return MultiLaurentPoly.const(1)
-    fill_shallow(lambda a, b: qbinomial(a + b, a), k, n - k)
-    return qbinomial(n - 1, k - 1) + qbinomial(n - 1, k) * MultiLaurentPoly.var("q", k)
+    return lattice(lambda i, j: qbinomial(i + j, i), False, k, n - k)
 
 
 def terminating_weight(n: int, k: int) -> MultiLaurentPoly:

@@ -109,6 +109,10 @@ def test_delannoy_examples():
     assert run_cli("delannoy", "--m", "0", "--n", "5",
                    "--q-analogue", "dqstar").stdout.strip() == "1"
     assert run_cli("delannoy", "--m", "2", "--n", "-1").returncode == 2
+    assert run_cli("delannoy", "--m", "2", "--n", "2", "--q-analogue", "dq",
+                   "--format", "csv").stdout == (
+        "m\\n,0,1,2\n0,1,1,1\n1,1,2 + q,2 + 2*q + q^2\n"
+        "2,1,2 + 2*q + q^2,2 + 4*q + 4*q^2 + 2*q^3 + q^4\n")
 
 
 def test_congruence_subcommand():
@@ -314,6 +318,23 @@ def test_term_budget_abort():
     assert result.returncode == 2  # an abort is an error, not a verdict
     assert "error: clausen_orr(n=1): TermBudgetExceeded" in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_malformed_term_budget_is_an_error():
+    result = run_cli("verify", "--suite", "clausen", "--nmax", "1",
+                     env_extra={"QCK_MAX_TERMS": "abc"})
+    assert result.returncode == 2  # a configuration error, not a verdict
+    assert result.stderr.count("\n") == 1
+    assert result.stderr.startswith("error: ") and "QCK_MAX_TERMS='abc'" in result.stderr
+
+
+def test_unwritable_out_is_an_error(tmp_path):
+    out = str(tmp_path / "missing" / "r.json")
+    for args in (("verify", "--suite", "clausen", "--nmax", "0"),
+                 ("delannoy", "--m", "1", "--n", "1")):
+        result = run_cli(*args, "--out", out)
+        assert result.returncode == 2, args  # the checks ran; the report could not be written
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), args
 
 
 def test_manifest_missing_parameter_is_an_error(tmp_path):

@@ -13,7 +13,7 @@ from qck.delannoy import (_alt_sum, _dq_sum, build_table, delannoy, dq, dq_alt,
                           dq_inverse_base, dq_star, dq_star_alt, product_expansion,
                           product_expansion_rhs, product_x_identity, verify_relations)
 from qck.exactalg import MultiLaurentPoly as P, is_nonneg_integer_laurent
-from qck.qkit import ParamExpr, qbinomial
+from qck.qkit import ParamExpr, lattice, qbinomial
 
 q = P.var("q")
 x = P.var("x")
@@ -206,15 +206,10 @@ def _clear_tables():
         table.cache_clear()
 
 
-def test_a_wrong_power_in_the_recurrence_is_caught(monkeypatch):
-    right = delannoy_module._by_recurrence
-
-    def mutant(table, b, m, n):  # b^{m+1} where the recurrence has b^m
-        if m < 1 or n < 1:
-            return right(table, b, m, n)
-        return table(m - 1, n) + b ** (m + 1) * table(m, n - 1) + b ** (m - 1) * table(m - 1, n - 1)
+def _assert_caught(monkeypatch, mutant):
+    """A mutant of delannoy's recurrence fails delannoy_relations and splits thm2's routes."""
     _clear_tables()
-    monkeypatch.setattr(delannoy_module, "_by_recurrence", mutant)
+    monkeypatch.setattr(delannoy_module, "lattice", mutant)
     try:
         assert not verify_relations(2, 2).passed
         with pytest.raises(Thm2MismatchError):
@@ -223,3 +218,22 @@ def test_a_wrong_power_in_the_recurrence_is_caught(monkeypatch):
         monkeypatch.undo()
         _clear_tables()
     assert verify_relations(2, 2).passed
+
+
+def test_a_wrong_power_in_the_recurrence_is_caught(monkeypatch):
+    def mutant(table, diagonal, i, j):  # q^{i+1} where the recurrence has q^i
+        if i < 1 or j < 1:
+            return lattice(table, diagonal, i, j)
+        return table(i - 1, j) + q ** (i + 1) * table(i, j - 1) \
+            + q ** (i - 1) * table(i - 1, j - 1)
+    _assert_caught(monkeypatch, mutant)
+
+
+def test_a_missing_diagonal_step_is_caught(monkeypatch):
+    _assert_caught(monkeypatch, lambda table, diagonal, i, j: lattice(table, False, i, j))
+
+
+def test_the_inverse_base_is_the_mirror_image():
+    for m in range(13):
+        for n in range(13):
+            assert dq_inverse_base(m, n) == dq(m, n).substitute({"q": q ** -1}), (m, n)

@@ -259,6 +259,19 @@ field = st.one_of(st.just(0), st.integers(-3, 3), st.integers(1 - _LIMIT, _LIMIT
 vectors = st.lists(field, min_size=len(VAR_NAMES), max_size=len(VAR_NAMES)).map(tuple)
 
 
+@_SETTINGS
+@given(polys(), polys(), vectors)
+def test_invert_variables_is_the_inverse_substitution(a, b, v):
+    # each present variable to its inverse, an involution, and a ring automorphism
+    inverse = a.invert_variables()
+    assert inverse == a.substitute({name: P.var(name, -1) for name in a.variables()})
+    assert inverse.invert_variables() == a
+    assert (a * b).invert_variables() == inverse * b.invert_variables()
+    # at the stored extremes too: -key holds -e in every field
+    assert P.monomial(3, dict(zip(VAR_NAMES, v))).invert_variables() == \
+        P.monomial(3, {name: -e for name, e in zip(VAR_NAMES, v)})
+
+
 def _key(vector) -> int:
     """The balanced key of any exponent vector, built without _encode's range check."""
     return sum(e << (_W * i) for i, e in enumerate(vector))

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from qck import qkit
 from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
 from qck.qkit import (ParamExpr, bracket, check_qbinomial_theorem,
                       check_qchu_vandermonde, one_minus_q, poch_prefixes, poch_suffixes,
@@ -87,13 +88,36 @@ def test_qbinomial_nonneg_and_degree():
             assert b.degree_range("q") == (0, k * (n - k))
 
 
+def division_row(n):
+    """Oracle: the row [n; 0..n] by [n; k] = [n; k-1] (1-q^{n-k+1}) / (1-q^k)."""
+    row = [P.const(1)]
+    for k in range(1, n + 1):
+        row.append(exact_div(row[-1] * one_minus_q(n - k + 1), one_minus_q(k)))
+    return row
+
+
 def test_qbinomial_matches_the_division_formula():
-    # q-Pascal against the row by [n; k] = [n; k-1] (1-q^{n-k+1}) / (1-q^k), every n <= 40
+    # q-Pascal against the division formula, every n <= 40
     for n in range(41):
-        row = [P.const(1)]
-        for k in range(1, n + 1):
-            row.append(exact_div(row[-1] * one_minus_q(n - k + 1), one_minus_q(k)))
-        assert [qbinomial(n, k) for k in range(n + 1)] == row, n
+        assert [qbinomial(n, k) for k in range(n + 1)] == division_row(n), n
+
+
+def test_a_broken_q_pascal_step_is_caught(monkeypatch):
+    right = qkit.lattice
+
+    def mutant(table, diagonal, i, j):  # q^{i+1} where the q-Pascal step has q^i
+        if i < 1 or j < 1:
+            return right(table, diagonal, i, j)
+        return table(i - 1, j) + q ** (i + 1) * table(i, j - 1)
+    qbinomial.cache_clear()
+    monkeypatch.setattr(qkit, "lattice", mutant)
+    try:
+        for n in range(2, 13):
+            assert [qbinomial(n, k) for k in range(n + 1)] != division_row(n), n
+    finally:
+        monkeypatch.undo()
+        qbinomial.cache_clear()
+    assert [qbinomial(12, k) for k in range(13)] == division_row(12)
 
 
 def test_qbinomial_cold_row_needs_no_deep_recursion():

@@ -1,6 +1,6 @@
 """The suite grids: how far each kind reaches at given bounds, and the benchmark's grids.
 
-These tests only build case lists; nothing is computed.
+All but the last test only build case lists; the last runs two benchmark grids.
 """
 
 import importlib.util
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from qck.suites import suite_cases
+from qck.suites import run_cases, suite_cases
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -69,19 +69,28 @@ def test_named_caps_hold_at_the_hard_caps():
 
 
 def _benchmark_workloads():
-    """perfbench/workloads.py, loaded from its path: the benchmark's own workload table."""
+    """perfbench/workloads.py, loaded from its path: the benchmark's workloads and report format."""
     name = "perfbench_workloads"
     if name not in sys.modules:  # its dataclasses look their module up there
         spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
         sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name].WORKLOADS
+    return sys.modules[name]
 
 
 @pytest.mark.parametrize("name", ["symbolic", "univariate"])
 def test_suite_grid_matches_the_benchmark_golden(name):
     """A grid change shows here, not as a failed benchmark run."""
-    workload = _benchmark_workloads()[name]
+    workload = _benchmark_workloads().WORKLOADS[name]
     bounds = {flag.lstrip("-"): value for flag, value in workload.bounds}
     golden = [tuple(entry["case"]) for entry in workload.golden()["entries"]]
     assert suite_cases(workload.suite, dict(bounds, seed=0)) == golden
+
+
+@pytest.mark.parametrize("name", ["symbolic", "all-parallel"])
+def test_serial_report_is_the_benchmark_golden(name):
+    """A report change shows here, not as a failed benchmark run (univariate is pinned by
+    ``_CONGRUENCE_GRID_DIGEST`` in test_congruence.py)."""
+    workloads = _benchmark_workloads()
+    cases, records = workloads.WORKLOADS[name].expected(0)
+    assert workloads.report_text(run_cases(cases)) == workloads.report_text(records)
