@@ -6,9 +6,11 @@ positivity (the thm3 claims over an m, n, r grid).  congruence and positivity
 run their cases through the same runner and report as verify.  Exit codes:
 0 all checks passed, 1 at least one mathematical check failed, 2 usage or
 configuration error, or a case that raised (a term-budget abort, say) instead
-of reaching a verdict.  Reports list their records in case order, whatever
-order the cases ran in, and are byte-identical for identical configurations,
-with or without --parallel.
+of reaching a verdict.  A subcommand raises on error; the one except ladder in
+``main`` maps each error it knows to one stderr line and exit 2, and lets any
+other exception (a bug) propagate.  Reports list their records in case order,
+whatever order the cases ran in, and are byte-identical for identical
+configurations, with or without --parallel.
 """
 
 from __future__ import annotations
@@ -56,14 +58,13 @@ def _emit(records, fmt: str, out_path) -> None:
             [r["name"], ";".join(f"{k}={v}" for k, v in sorted(r["params"].items())),
              r["passed"], r["difference"]] for r in records))
     else:
-        lines = []
-        for r in records:
-            if r["passed"]:
-                lines.append(f"PASS {_label(r)}")
-            else:
-                lines.append(f"FAIL {_label(r)} difference={r['difference']}")
-        failed = sum(1 for r in records if not r["passed"])
-        lines.append(f"{len(records)} cases, {failed} failed")
+        lines = [f"ERROR {_label(r)} {r['error']}" if "error" in r
+                 else f"PASS {_label(r)}" if r["passed"]
+                 else f"FAIL {_label(r)} difference={r['difference']}" for r in records]
+        errors = sum("error" in r for r in records)
+        failed = sum(not r["passed"] for r in records) - errors
+        lines.append(f"{len(records)} cases, {failed} failed"
+                     + (f", {errors} errors" if errors else ""))
         text = "\n".join(lines) + "\n"
     _write(text, out_path)
 
@@ -83,75 +84,53 @@ def _finish(records, fmt, out) -> int:
     return EXIT_OK
 
 
-def _bound_error(args):
-    """The error for --suite or the first grid bound beside --manifest, or a bound out of range.
+def _check_bounds(args) -> None:
+    """Raise ValueError for --suite or a grid bound beside --manifest, or a bound out of range.
 
     A negative bound is always an error, a bound above its hard cap only
     without --unsafe-bounds.  --p must also pass the congruence cases' own
     rule, ``congruence.odd_prime``, so a value they would reject never runs.
     """
-    if getattr(args, "manifest", None) and getattr(args, "suite", None) is not None:
-        return "--suite with --manifest: a manifest names its own cases"
+    manifest = getattr(args, "manifest", None)
+    if manifest and getattr(args, "suite", None) is not None:
+        raise ValueError("--suite with --manifest: a manifest names its own cases")
     for key, cap in dict(suites.HARD_CAPS, p=suites.HARD_CAPS["pmax"]).items():
         value = getattr(args, key, None)
         if value is None:
             continue
-        if getattr(args, "manifest", None):
-            return f"--{key} with --manifest: a manifest's cases carry their own parameters"
+        if manifest:
+            raise ValueError(f"--{key} with --manifest: a manifest's cases carry their own "
+                             "parameters")
         if value < 0:
-            return f"--{key} {value} is negative"
+            raise ValueError(f"--{key} {value} is negative")
         if value > cap and not args.unsafe_bounds:
-            return f"--{key} {value} above hard cap {cap}; pass --unsafe-bounds to override"
+            raise ValueError(f"--{key} {value} above hard cap {cap}; pass --unsafe-bounds to "
+                             "override")
     p = getattr(args, "p", None)
     if p is not None and not congruence.odd_prime(p):
-        return f"--p {p} is not an odd prime <= {congruence.PRIME_CAP}"
-    return None
+        raise ValueError(f"--p {p} is not an odd prime <= {congruence.PRIME_CAP}")
 
 
 def cmd_verify(args) -> int:
     bounds = {"nmax": args.nmax, "mmax": args.mmax, "pmax": args.pmax,
               "rmax": args.rmax, "p": args.p, "seed": args.seed}
-    try:
-        if args.manifest:
-            with open(args.manifest) as fh:
-                cases = suites.manifest_cases(json.load(fh))
-        else:
-            cases = suites.suite_cases(args.suite or "all", bounds)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    records = suites.run_cases(cases, parallel=args.parallel)
-    return _finish(records, args.format, args.out)
+    if args.manifest:
+        with open(args.manifest) as fh:
+            cases = suites.manifest_cases(json.load(fh))
+    else:
+        cases = suites.suite_cases(args.suite or "all", bounds)
+    return _finish(suites.run_cases(cases, parallel=args.parallel), args.format, args.out)
 
 
 def cmd_phi(args) -> int:
-    try:
-        spec = hyperg.parse_phi(args.expr)
-    except hyperg.PhiParseError as exc:
-        print(f"parse error: line 1, column {exc.offset + 1}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except hyperg.PhiSpecError as exc:
-        print(f"invalid series: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        num, den = hyperg.phi_sum_cleared(spec)
-        whole = exact_divide(num, den)
-    except ValueError as exc:  # an exponent leaving the kernel's range
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if whole is not None:
-        print(whole)
-    else:
-        print(f"({num}) / ({den})")
+    num, den = hyperg.phi_sum_cleared(hyperg.parse_phi(args.expr))
+    whole = exact_divide(num, den)
+    print(whole if whole is not None else f"({num}) / ({den})")
     return EXIT_OK
 
 
 def cmd_delannoy(args) -> int:
-    try:
-        rows = delannoy.build_table(args.q_analogue, args.m, args.n)
-    except (ValueError, delannoy.DelannoyMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    rows = delannoy.build_table(args.q_analogue, args.m, args.n)
     if args.format == "csv":
         text = _csv(["m\\n", *range(args.n + 1)],
                     ([m, *map(str, row)] for m, row in enumerate(rows)))
@@ -241,18 +220,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    error = _bound_error(args)
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        _check_bounds(args)
         return args.fn(args)
+    except hyperg.PhiParseError as exc:  # the phi errors first: both are ValueErrors
+        message = f"parse error: line 1, column {exc.offset + 1}: {exc}"
+    except hyperg.PhiSpecError as exc:
+        message = f"invalid series: {exc}"
     except TermBudgetExceeded as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # an unwritable --out, say: an error, not a verdict
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message = f"aborted: {exc}"
+    except (ValueError, OSError, delannoy.DelannoyMismatchError) as exc:
+        message = f"error: {exc}"  # an unwritable --out, say: an error, not a verdict
+    print(message, file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

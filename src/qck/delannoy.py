@@ -106,6 +106,8 @@ def product_expansion_rhs(m: int, n: int) -> MultiLaurentPoly:
 
 def delannoy_product_sides(m: int, n: int) -> tuple:
     """D_q(m,n) D*_q(m,n) and the single-sum expansion it must equal."""
+    if m < 0 or n < 0:  # both sides vanish there: a pass would check nothing
+        raise ValueError("Delannoy indices must be non-negative")
     return dq(m, n) * dq_star(m, n), product_expansion_rhs(m, n)
 
 

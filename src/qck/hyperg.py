@@ -326,6 +326,8 @@ def phi_permutation_difference(seed: int, trials: int) -> MultiLaurentPoly:
     Zero when every shuffle reproduces the cleared (numerator, denominator) pair
     exactly, else the difference of the first unequal part.
     """
+    if trials < 1:  # no shuffle would be compared
+        raise ValueError(f"trials must be positive, got {trials}")
     rng = random.Random(seed)
     specs = [
         "phi[3,2]{q^-3, a, x ; c, 0 ; q}",

@@ -1,5 +1,6 @@
 """CLI contract tests: exit codes, determinism, report round-trips."""
 
+import ast
 import functools
 import hashlib
 import inspect
@@ -9,10 +10,12 @@ import subprocess
 import sys
 from functools import reduce
 from operator import add, mul
+from pathlib import Path
 
 import pytest
 
-from qck import cli, congruence, exactalg, identities, positivity, qkit, suites
+from qck import (cli, congruence, delannoy, exactalg, hyperg, identities, positivity, qkit,
+                 suites)
 from qck.exactalg import MultiLaurentPoly, NotDivisibleError
 from qck.identities import verify_clausen_orr
 from qck.report import CaseKind, VerificationReport
@@ -335,6 +338,109 @@ def test_unwritable_out_is_an_error(tmp_path):
         result = run_cli(*args, "--out", out)
         assert result.returncode == 2, args  # the checks ran; the report could not be written
         assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), args
+
+
+LADDER = [
+    (hyperg.PhiParseError("unexpected '-'", 4), "parse error: line 1, column 5: "),
+    (hyperg.PhiSpecError("argument must be a monomial"), "invalid series: "),
+    (exactalg.TermBudgetExceeded("product needs 11 terms"), "aborted: "),
+    (ValueError("a bad value"), "error: "),
+    (OSError("an unwritable path"), "error: "),
+    (delannoy.DelannoyMismatchError("closed forms disagree"), "error: "),
+]
+
+
+@pytest.mark.parametrize("exc, prefix", LADDER, ids=[type(exc).__name__ for exc, _ in LADDER])
+def test_one_ladder_maps_each_error_to_exit_two(monkeypatch, capsys, exc, prefix):
+    def raising(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_delannoy", raising)
+    assert cli.main(["delannoy", "--m", "1", "--n", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"{prefix}{exc}\n"
+    assert captured.out == ""
+
+
+def test_a_bug_propagates_out_of_main(monkeypatch):
+    def raising(args):
+        raise RuntimeError("a bug, not a usage error")
+    monkeypatch.setattr(cli, "cmd_phi", raising)
+    with pytest.raises(RuntimeError, match="a bug"):
+        cli.main(["phi", "phi[2,1]{a, q^-2 ; c ; q}"])
+
+
+def test_no_command_catches_its_own_errors():
+    """The ladder in ``main`` is the only one: no ``cmd_*`` function holds a ``try``."""
+    tree = ast.parse(Path(inspect.getsourcefile(cli)).read_text())
+    commands = [f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    assert {f.name for f in commands} == {"cmd_verify", "cmd_phi", "cmd_delannoy",
+                                          "cmd_congruence", "cmd_positivity"}
+    for function in commands:
+        assert not any(isinstance(node, ast.Try) for node in ast.walk(function)), function.name
+
+
+def test_phi_term_budget_abort():
+    result = run_cli("phi", "phi[3,2]{q^-3,a,x;c,0;q}", env_extra={"QCK_MAX_TERMS": "3"})
+    assert result.returncode == 2
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("aborted: ")
+    assert result.stdout == ""
+
+
+def test_delannoy_malformed_term_budget_is_an_error():
+    result = run_cli("delannoy", "--m", "4", "--n", "4", "--q-analogue", "dqstar",
+                     env_extra={"QCK_MAX_TERMS": "abc"})
+    assert result.returncode == 2
+    assert result.stderr == "error: QCK_MAX_TERMS='abc' is not a non-negative integer\n"
+    assert result.stdout == ""
+
+
+def test_text_report_prints_case_errors_as_errors():
+    result = run_cli("verify", "--suite", "clausen", "--nmax", "1",
+                     env_extra={"QCK_MAX_TERMS": "abc"})
+    assert result.returncode == 2
+    lines = result.stdout.splitlines()
+    assert len(lines) == 7 and lines[-1] == "6 cases, 0 failed, 6 errors"
+    assert all(line.startswith("ERROR ") and "QCK_MAX_TERMS='abc'" in line
+               for line in lines[:-1])
+
+
+def test_text_report_tells_a_failure_from_an_error(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"name": "corrupted_fixture", "params": {}},
+                                {"name": "thm2", "params": {"p": 9, "m": 1}}]))
+    assert cli.main(["verify", "--manifest", str(path)]) == 2
+    fail, error, summary = capsys.readouterr().out.splitlines()
+    assert fail.startswith("FAIL corrupted_fixture() difference=")
+    assert error.startswith("ERROR thm2(m=1,p=9) ValueError: ")
+    assert summary == "2 cases, 1 failed, 1 errors"
+
+
+def _first_case_of_each_kind() -> dict:
+    first = {}
+    for name, params in suite_cases("all", {"nmax": 2, "mmax": 2, "pmax": 3, "rmax": 1}):
+        first.setdefault(name, params)
+    return first
+
+
+@pytest.mark.parametrize("name, params, key", [
+    pytest.param(name, params, key, id=f"{name}-{key}")
+    for name, params in _first_case_of_each_kind().items() for key in params if key != "seed"])
+def test_a_negative_parameter_is_a_case_error(name, params, key):
+    """Below its range no kind reaches a verdict: a vacuous PASS would check nothing."""
+    record = run_case((name, dict(params, **{key: -1})))
+    assert "error" in record, record
+
+
+def test_vacuous_manifest_cases_are_errors(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"name": "delannoy_product", "params": {"m": -3, "n": 2}},
+                                {"name": "phi_permutation", "params": {"seed": 0, "trials": 0}},
+                                {"name": "phi_permutation", "params": {"seed": 0, "trials": -2}}]))
+    assert cli.main(["verify", "--manifest", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == ["ERROR"] * 3
+    assert lines[-1] == "3 cases, 0 failed, 3 errors"
 
 
 def test_manifest_missing_parameter_is_an_error(tmp_path):
