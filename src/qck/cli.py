@@ -5,10 +5,11 @@ series spec), delannoy (tables), congruence (the thm2 cases at one prime) and
 positivity (the thm3 claims over an m, n, r grid).  congruence and positivity
 run their cases through the same runner and report as verify.  Exit codes:
 0 all checks passed, 1 at least one mathematical check failed, 2 usage or
-configuration error, or a case that raised (a term-budget abort, say) instead
-of reaching a verdict.  A subcommand raises on error; the one except ladder in
-``main`` maps each error it knows to one stderr line and exit 2, and lets any
-other exception (a bug) propagate.  Reports list their records in case order,
+configuration error, a run with no cases, or a case that raised (a term-budget
+abort, say) instead of a verdict: an ERROR line, or ``error`` in a CSV row's
+passed cell.  A subcommand raises on error; the one except ladder in ``main``
+maps each error it knows to one stderr line and exit 2, and lets any other
+exception (a bug) propagate.  Reports list their records in case order,
 whatever order the cases ran in, and are byte-identical for identical
 configurations, with or without --parallel.
 """
@@ -56,7 +57,8 @@ def _emit(records, fmt: str, out_path) -> None:
     elif fmt == "csv":
         text = _csv(["name", "params", "passed", "difference"], (
             [r["name"], ";".join(f"{k}={v}" for k, v in sorted(r["params"].items())),
-             r["passed"], r["difference"]] for r in records))
+             "error" if "error" in r else r["passed"], r.get("error", r["difference"])]
+            for r in records))
     else:
         lines = [f"ERROR {_label(r)} {r['error']}" if "error" in r
                  else f"PASS {_label(r)}" if r["passed"]
@@ -69,9 +71,12 @@ def _emit(records, fmt: str, out_path) -> None:
     _write(text, out_path)
 
 
-def _finish(records, fmt, out) -> int:
-    """Emit the report; a case that raised is an error (exit 2), not a verdict."""
-    _emit(records, fmt, out)
+def _run(cases, args, parallel=False) -> int:
+    """Run and report the cases; no case at all, or one that raised, is an error (exit 2)."""
+    if not cases:
+        raise ValueError("no cases to run")
+    records = suites.run_cases(cases, parallel=parallel)
+    _emit(records, args.format, args.out)
     errors = [r for r in records if "error" in r]
     if errors:
         print(f"error: {_label(errors[0])}: {errors[0]['error']}", file=sys.stderr)
@@ -119,7 +124,7 @@ def cmd_verify(args) -> int:
             cases = suites.manifest_cases(json.load(fh))
     else:
         cases = suites.suite_cases(args.suite or "all", bounds)
-    return _finish(suites.run_cases(cases, parallel=args.parallel), args.format, args.out)
+    return _run(cases, args, args.parallel)
 
 
 def cmd_phi(args) -> int:
@@ -149,13 +154,12 @@ def cmd_congruence(args) -> int:
     """The thm2 cases of the congruence suite at one prime."""
     cases = [c for c in suites.suite_cases("congruence", {"p": args.p, "mmax": args.mmax})
              if c[0] == "thm2"]
-    return _finish(suites.run_cases(cases), args.format, args.out)
+    return _run(cases, args)
 
 
 def cmd_positivity(args) -> int:
     """The thm3 cases of the positivity suite over an m <= mmax, n <= nmax, r <= rmax grid."""
-    cases = list(suites.thm3_cases(args.mmax, args.nmax, args.rmax))
-    return _finish(suites.run_cases(cases), args.format, args.out)
+    return _run(list(suites.thm3_cases(args.mmax, args.nmax, args.rmax)), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

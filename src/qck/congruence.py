@@ -20,10 +20,12 @@ its single-sum rewriting; the two must agree exactly before any reduction
 happens.  The sum itself (``thm2_lhs``) needs no prime: the first positivity
 family is this sum with p replaced by any n >= 1.
 
-The direct route keeps one cached row per m (``_m_row``) of its prefix sums,
-each extended from the last; each single-sum term takes [m;j] and [m+j;j] as
-factors.  The suites run the thm2 cases m-major with p ascending, not in report
-order, so each m builds its row once; in any order the sums are the same.
+The direct route, ``odd_delannoy_sum``, is the one transcription of the sum
+S_r(m, n) = sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r w_k: Theorem 2's at
+r = 1, w_k = q^{-k}, and positivity's thm3-2/3 at every r, one weight each.  One
+cached row per m (``_m_row``) holds the prefix sums of every (r, weight), and
+the suites run a kind's cases m-major, so each m builds its row once; in any
+order the sums are the same.  A single-sum term has [m;j], [m+j;j] as factors.
 """
 
 from __future__ import annotations
@@ -110,21 +112,22 @@ def _single_sum_factor(p: int, j: int) -> MultiLaurentPoly:
 
 @lru_cache(maxsize=1)
 def _m_row(m: int) -> dict:
-    """The row at m: the direct sums S(m, n) of ``thm2_direct`` built so far, by n."""
-    return {0: MultiLaurentPoly.zero()}
+    """The row at m: for each (r, alternating), the sums S_r(m, n) built so far, by n."""
+    return {}
 
 
-def thm2_direct(n: int, m: int) -> MultiLaurentPoly:
-    """S(m, n) = sum_{k<n} (1-q^{2k+1}) D_q(m,k) D_{1/q}(m,k) q^{-k}, the sum's direct route.
+def odd_delannoy_sum(m: int, n: int, r: int = 1, alternating: bool = False) -> MultiLaurentPoly:
+    """S_r(m, n) = sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r w_k, w_k as in ``odd_sum``.
 
-    It extends the largest S(m, n') with n' < n that the row at m holds by
-    ``odd_sum`` over n' <= k < n.
+    It extends the row's largest S_r(m, n'), n' < n (if alternating, times (-1)^{n-n'}), by
+    ``odd_sum`` over n' <= k < n, whose terms take r copies of D_q(m,k), D_{1/q}(m,k).
     """
-    sums = _m_row(m)
+    sums = _m_row(m).setdefault((r, alternating), {0: MultiLaurentPoly.zero()})
     if n not in sums:
-        lo = max(k for k in list(sums) if k < n)
-        sums[n] = sums[lo] + odd_sum([(dq(m, k), dq_inverse_base(m, k)) for k in range(lo, n)],
-                                     start=lo)
+        lo = max(k for k in sums if k < n)
+        head = -sums[lo] if alternating and (n - lo) % 2 else sums[lo]
+        sums[n] = head + odd_sum([(dq(m, k), dq_inverse_base(m, k)) * r for k in range(lo, n)],
+                                 alternating, start=lo)
     return sums[n]
 
 
@@ -137,11 +140,11 @@ def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
 def thm2_lhs(p: int, m: int) -> MultiLaurentPoly:
     """(1-q) sum_{k<p} [2k+1] D_q(m,k) D_{1/q}(m,k) q^{-k}, by both routes and cross-checked.
 
-    The direct route is ``thm2_direct``.  Both routes hold for every p >= 1,
+    The direct route is ``odd_delannoy_sum``.  Both routes hold for every p >= 1,
     prime or not: the positivity module uses this sum with p = n for its first
     family.
     """
-    direct = thm2_direct(p, m)
+    direct = odd_delannoy_sum(m, p)
     single = _thm2_lhs_single_sum(p, m)
     if direct != single:
         raise Thm2MismatchError(f"sum routes disagree at p={p}, m={m}")

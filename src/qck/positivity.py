@@ -8,8 +8,10 @@ Only that final division can fail the polynomiality claim (difference 1); an
 exception raised while building the numerator propagates, so it is a case
 error, never a verdict.  The first family is Theorem 2's odd-weighted sum
 ``congruence.thm2_lhs`` taken over k < n for any n >= 1 (n need not be
-prime), so every cell also cross-checks that sum's two routes; the second
-family at r = 1 is that sum's direct route, taken from the same row.
+prime), so every cell also cross-checks that sum's two routes.  The second
+and third families are that sum's direct route at any power r of the Delannoy
+product and with either weight, ``congruence.odd_delannoy_sum``: their
+numerators are read from the same cached row of prefix sums per m.
 
 The supporting identities: products of the basis B_k(n) = [n+k;2k][2k;k] q^{-nk}
 linearize (a Pfaff-Saalschutz consequence, the ``schmidt`` rows) with constants
@@ -20,8 +22,7 @@ symbolic weights x0..x_{n-1}.
 
 from __future__ import annotations
 
-from .congruence import thm2_direct, thm2_lhs
-from .delannoy import dq, dq_inverse_base
+from .congruence import odd_delannoy_sum, thm2_lhs
 from .exactalg import MultiLaurentPoly, exact_divide, non_positive_terms, sum_of_products
 from .qkit import choose2, odd_sum, one_minus_q, qbinomial
 from .report import CaseKind, VerificationReport
@@ -69,42 +70,29 @@ def alternating_sum_sides(n: int, s: int) -> tuple:
 # The three certified families.
 # ---------------------------------------------------------------------------
 
-def _poly1_parts(m: int, n: int) -> tuple:
-    if m < 1 or n < 1:
-        raise ValueError("need m, n >= 1")
-    num = thm2_lhs(n, m) * one_minus_q(m) * one_minus_q(m + 1)
-    return num, one_minus_q(2) * one_minus_q(n) * one_minus_q(n)
-
-
-def _odd_parts(m: int, n: int, r: int, alternating: bool) -> tuple:
-    if m < 1 or n < 1 or r < 1:
-        raise ValueError("need m, n, r >= 1")
-    if r == 1 and not alternating:  # Theorem 2's direct sum, from its row at m
-        return thm2_direct(n, m), one_minus_q(n)
-    powers = [((dq(m, k) * dq_inverse_base(m, k)) ** r,) for k in range(n)]
-    return odd_sum(powers, alternating), one_minus_q(n)
-
-
 # (numerator, divisor) of each claim; only the final division decides divisibility.
 #   thm3-1: sum_{k<n} (1-q^m)(1-q^{m+1})(1-q^{2k+1}) D_q(m,k) D_{1/q}(m,k) q^{-k}
 #           / ((1-q^2)(1-q^n)^2), built on Theorem 2's cleared sum thm2_lhs;
 #   thm3-2: sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{-k} / (1-q^n);
 #   thm3-3: sum_{k<n} (-1)^{n-k-1} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r q^{C(k,2)} / (1-q^n).
 _CLAIM_PARTS = {
-    "thm3-1": lambda m, n, r: _poly1_parts(m, n),
-    "thm3-2": lambda m, n, r: _odd_parts(m, n, r, False),
-    "thm3-3": lambda m, n, r: _odd_parts(m, n, r, True),
+    "thm3-1": lambda m, n, r: (thm2_lhs(n, m) * one_minus_q(m) * one_minus_q(m + 1),
+                               one_minus_q(2) * one_minus_q(n) * one_minus_q(n)),
+    "thm3-2": lambda m, n, r: (odd_delannoy_sum(m, n, r), one_minus_q(n)),
+    "thm3-3": lambda m, n, r: (odd_delannoy_sum(m, n, r, True), one_minus_q(n)),
 }
 
 
 def verify_thm3(claim: str, m: int, n: int, r: int = 1) -> VerificationReport:
-    """Certificate for one (claim, m, n, r) cell.
+    """Certificate for one (claim, m, n, r) cell; m, n, r >= 1.
 
     The difference is 1 when the claim's final division is inexact, and
     otherwise the quotient's violating terms (zero when it passes).
     """
     if claim not in _CLAIM_PARTS:
         raise ValueError(f"unknown claim {claim!r}")
+    if m < 1 or n < 1 or r < 1:
+        raise ValueError("need m, n, r >= 1")
     quotient = exact_divide(*_CLAIM_PARTS[claim](m, n, r))
     bad = MultiLaurentPoly.const(1) if quotient is None else non_positive_terms(quotient)
     return VerificationReport(claim, {"m": m, "n": n, "r": r}, ("q",), bad)

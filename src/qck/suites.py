@@ -173,10 +173,9 @@ def run_cases(cases, parallel: bool = False) -> list:
     """Run cases in canonical order and return their records in case order.
 
     The canonical order is by name, then by sorted parameters, so the cases
-    of a kind run side by side and the thm2 cases run m-major with p
-    ascending, each m reusing one row of sums.  A pool takes contiguous
-    chunks of that order.  A record depends on its case alone, never on the
-    order the cases ran in.
+    of a kind run side by side and the thm2 and thm3 cases run m-major, each
+    m reusing one row of sums.  A pool takes contiguous chunks of that order.
+    A record depends on its case alone, never on the order the cases ran in.
     """
     order = sorted(range(len(cases)), key=lambda i: (cases[i][0], sorted(cases[i][1].items())))
     ordered = [cases[i] for i in order]

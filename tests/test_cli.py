@@ -416,6 +416,33 @@ def test_text_report_tells_a_failure_from_an_error(tmp_path, capsys):
     assert summary == "2 cases, 1 failed, 1 errors"
 
 
+def test_csv_report_tells_a_failure_from_an_error(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"name": "corrupted_fixture", "params": {}},
+                                {"name": "thm2", "params": {"p": 4, "m": 1}}]))
+    assert cli.main(["verify", "--manifest", str(path), "--format", "csv"]) == 2
+    header, fail, error = capsys.readouterr().out.splitlines()
+    assert header == "name,params,passed,difference"
+    assert fail == "corrupted_fixture,,False,-q^2 + q^3"
+    assert error == "thm2,m=1;p=4,error,ValueError: 4 is not an odd prime <= 10000"
+
+
+@pytest.mark.parametrize("argv, manifest", [
+    (["congruence", "--p", "3", "--mmax", "0"], None),
+    (["positivity", "--mmax", "0"], None),
+    (["verify", "--format", "csv"], []),
+], ids=["congruence", "positivity", "verify-manifest"])
+def test_a_run_with_no_cases_is_an_error(tmp_path, capsys, argv, manifest):
+    """A run that checks nothing is not a PASS."""
+    if manifest is not None:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        argv = [*argv, "--manifest", str(path)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: no cases to run\n")
+
+
 def _first_case_of_each_kind() -> dict:
     first = {}
     for name, params in suite_cases("all", {"nmax": 2, "mmax": 2, "pmax": 3, "rmax": 1}):
@@ -606,6 +633,16 @@ def test_acceptance_report_bytes(capsys):
             "--rmax", "3", "--format", "json"]
     assert cli.main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == ACCEPTANCE_REPORT_SHA256
+
+
+POSITIVITY_GRID_SHA256 = "b334547600d9959c6934735a6de40e82548d666bb1e9202daa86ac17409a646d"
+
+
+def test_positivity_grid_report_bytes(capsys):
+    """The thm3 grid at its hard caps is pinned byte for byte: the only pin of m, n = 10-12."""
+    argv = ["positivity", "--mmax", "12", "--nmax", "10", "--rmax", "3", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == POSITIVITY_GRID_SHA256
 
 
 def _qck_modules() -> list:

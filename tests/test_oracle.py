@@ -21,7 +21,7 @@ from qck.identities import (_general_s_sides, clausen_orr_sides, general_s_sides
                             general_s_specialization_difference, lemma_last_sides,
                             q2_product_sides, special1_sides, special3_shifted_sides,
                             special3_sides, sqrt_corollary_sides)
-from qck.positivity import _poly1_parts, verify_thm3
+from qck.positivity import _CLAIM_PARTS, verify_thm3
 from qck.qkit import ParamExpr, qchu_vandermonde_sides
 
 pytestmark = pytest.mark.slow
@@ -315,7 +315,7 @@ def test_thm3_1_cell_against_sympy():
     total = sum((1 - q ** m) * (1 - q ** (m + 1)) * (1 - q ** (2 * k + 1)) * sympy_dq(m, k)
                 * sympy_dq(m, k).subs(q, 1 / q) * q ** -k for k in range(n))
     expected = sympy_terms(total / ((1 - q ** 2) * (1 - q ** n) ** 2), (q,))
-    quotient = exact_divide(*_poly1_parts(m, n))
+    quotient = exact_divide(*_CLAIM_PARTS["thm3-1"](m, n, 1))
     assert qck_terms(quotient, (q,)) == expected
     assert all(coeff > 0 and coeff.denominator == 1 for coeff in expected.values())
     assert verify_thm3("thm3-1", m, n).passed

@@ -1,13 +1,16 @@
 """Positivity-certificate tests."""
 
+import random
+
 import pytest
 
-from qck import positivity
+from qck import congruence, positivity
 from qck.delannoy import delannoy, dq, dq_inverse_base
 from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
 from qck.positivity import (lemma41_generic, s_n_symbolic, verify_alternating_sum,
                             verify_schmidt, verify_thm3)
 from qck.qkit import poch_prefixes, qbinomial
+from qck.suites import run_case
 
 q = P.var("q")
 
@@ -108,6 +111,38 @@ def test_thm3_nonneg_small():
             for r in (1, 2):
                 assert is_nonneg_integer_laurent(_quotient("thm3-2", m, n, r))
                 assert is_nonneg_integer_laurent(_quotient("thm3-3", m, n, r))
+
+
+def _inline_odd_sum(m, n, r, alternating):
+    """The displayed sum, one + at a time: sum_{k<n} (1-q^{2k+1}) (D_q D_{1/q})^r w_k."""
+    total = P.zero()
+    for k in range(n):
+        weight = P.monomial((-1) ** (n - k - 1), {"q": k * (k - 1) // 2}) if alternating \
+            else P.monomial(1, {"q": -k})
+        total = total + (1 - q ** (2 * k + 1)) * (dq(m, k) * dq_inverse_base(m, k)) ** r * weight
+    return total
+
+
+def test_thm3_23_numerators_are_the_displayed_sums():
+    # every (r, weight) row at m, extended in two shuffled orders, each from empty rows
+    cells = [(claim, m, n, r) for claim in ("thm3-2", "thm3-3") for m in range(1, 6)
+             for n in range(1, 6) for r in range(1, 4)]
+    want = {cell: _inline_odd_sum(*cell[1:], cell[0] == "thm3-3") for cell in cells}
+    for seed in (1, 2):
+        congruence._m_row.cache_clear()
+        random.Random(seed).shuffle(cells)
+        for claim, m, n, r in cells:
+            num, den = positivity._CLAIM_PARTS[claim](m, n, r)
+            assert (num, den) == (want[claim, m, n, r], 1 - q ** n), (claim, m, n, r)
+
+
+@pytest.mark.parametrize("claim", ["thm3-1", "thm3-2", "thm3-3"])
+def test_thm3_zero_parameter_is_a_case_error(claim):
+    # with r copies of each factor, r = 0 would build a non-vacuous sum of the wrong claim
+    params = {"m": 1, "n": 1} if claim == "thm3-1" else {"m": 1, "n": 1, "r": 1}
+    for key in params:
+        record = run_case((claim, dict(params, **{key: 0})))
+        assert record.get("error") == "ValueError: need m, n, r >= 1", (claim, key)
 
 
 def test_thm3_record_shape():
