@@ -3,15 +3,15 @@
 Subcommands: verify (run suites or a manifest), phi (evaluate a terminating
 series spec), delannoy (tables), congruence (the thm2 cases at one prime) and
 positivity (the thm3 claims over an m, n, r grid).  congruence and positivity
-run their cases through the same runner and report as verify.  Exit codes:
-0 all checks passed, 1 at least one mathematical check failed, 2 usage or
-configuration error, a run with no cases, or a case that raised (a term-budget
-abort, say) instead of a verdict: an ERROR line, or ``error`` in a CSV row's
-passed cell.  A subcommand raises on error; the one except ladder in ``main``
-maps each error it knows to one stderr line and exit 2, and lets any other
-exception (a bug) propagate.  Reports list their records in case order,
-whatever order the cases ran in, and are byte-identical for identical
-configurations, with or without --parallel.
+run their cases through the same runner and report as verify.  Exit codes: 0
+all checks passed, 1 at least one mathematical check failed, 2 usage or
+configuration error, a run with no cases or a grid bound that empties one
+family of cases, or a case that raised (a term-budget abort, say) instead of a
+verdict: an ERROR line, or ``error`` in a CSV row's passed cell.  A subcommand
+raises on error; the one except ladder in ``main`` maps each error it knows to
+one stderr line and exit 2, and lets any other exception (a bug) propagate.
+Reports list their records in case order, whatever order the cases ran in, and
+are byte-identical for identical configurations, with or without --parallel.
 """
 
 from __future__ import annotations
@@ -116,6 +116,20 @@ def _check_bounds(args) -> None:
         raise ValueError(f"--p {p} is not an odd prime <= {congruence.PRIME_CAP}")
 
 
+_LEAST = {"nmax": 1, "mmax": 1, "pmax": 3, "rmax": 1}  # each family of each grid has a case here
+
+
+def _whole_grid(grid, bounds: dict) -> list:
+    """grid(bounds); ValueError for a bound below _LEAST that, raised to it, adds a family."""
+    cases = list(grid(bounds))  # an empty grid is _run's "no cases" error
+    for key in [k for k, v in _LEAST.items() if cases and bounds.get(k) in range(v)]:
+        gone = {n for n, _ in grid(dict(bounds, **{key: _LEAST[key]}))} - {n for n, _ in cases}
+        if gone:
+            raise ValueError(f"--{key} {bounds[key]} leaves {', '.join(sorted(gone))} "
+                             "with no cases")
+    return cases
+
+
 def cmd_verify(args) -> int:
     bounds = {"nmax": args.nmax, "mmax": args.mmax, "pmax": args.pmax,
               "rmax": args.rmax, "p": args.p, "seed": args.seed}
@@ -123,7 +137,7 @@ def cmd_verify(args) -> int:
         with open(args.manifest) as fh:
             cases = suites.manifest_cases(json.load(fh))
     else:
-        cases = suites.suite_cases(args.suite or "all", bounds)
+        cases = _whole_grid(lambda b: suites.suite_cases(args.suite or "all", b), bounds)
     return _run(cases, args, args.parallel)
 
 
@@ -159,7 +173,8 @@ def cmd_congruence(args) -> int:
 
 def cmd_positivity(args) -> int:
     """The thm3 cases of the positivity suite over an m <= mmax, n <= nmax, r <= rmax grid."""
-    return _run(list(suites.thm3_cases(args.mmax, args.nmax, args.rmax)), args)
+    cases = _whole_grid(lambda b: suites.thm3_cases(b["mmax"], b["nmax"], b["rmax"]), vars(args))
+    return _run(cases, args)
 
 
 def build_parser() -> argparse.ArgumentParser:

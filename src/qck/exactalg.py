@@ -93,8 +93,8 @@ Exact division
 * divisor in q alone, dividend with q-groups the grouped product would take:
   each group's dense q-list is divided by the divisor's dense q-list;
 * any other divisor (one in a single variable other than q included), or a
-  dividend sparse in q: graded long division term by term, after the least
-  exponent vector of each operand is divided out.
+  dividend sparse in q: long division term by term in key order, with every
+  quotient key held inside the box of exponent bounds the operands fix.
 
 Either way each quotient coefficient is a divmod, and a remainder means "not
 divisible": the quotient over the rationals is unique, so it is integral only
@@ -175,10 +175,6 @@ def _decode(key) -> tuple:
     # Exponent tuple in fixed variable order (length _NVARS).
     key += _BIAS
     return tuple([(key >> sh & _MASK) - _OFF for sh in _SHIFT.values()])
-
-
-def _grade(key) -> int:
-    return sum(_decode(key))
 
 
 class MultiLaurentPoly:
@@ -850,22 +846,17 @@ def _dense_divrem(A, B):
     return q, r
 
 
-def _from_dense(coeffs) -> MultiLaurentPoly:
-    """The polynomial sum_i coeffs[i] q^i.
-
-    Callers pass a quotient or remainder of a stored polynomial, whose degrees
-    stay below that polynomial's, so no exponent reaches the supported limit.
-    """
-    keys = range(len(coeffs))
-    return MultiLaurentPoly._raw(dict(zip(compress(keys, coeffs), filter(None, coeffs))))
+def _from_dense(coeffs, start: int = 0):
+    """(start + i, c) for each nonzero c = coeffs[i]: no key is built for a zero entry."""
+    return zip(map(start.__add__, compress(range(len(coeffs)), coeffs)), filter(None, coeffs))
 
 
 def exact_divide(p: MultiLaurentPoly, d: MultiLaurentPoly):
     """Quotient r with r*d == p, or None when d does not divide p exactly.
 
     A divisor in q alone divides each dense q-group of p (_divide_in_q); any
-    other divisor, or a p sparse in q, takes the graded long division
-    (_divide_graded).  Either way the quotient is verified by multiplying back.
+    other divisor, or a p sparse in q, takes the long division in key order
+    (_divide_terms).  Either way the quotient is verified by multiplying back.
     """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -873,7 +864,7 @@ def exact_divide(p: MultiLaurentPoly, d: MultiLaurentPoly):
         return MultiLaurentPoly.zero()
     span = _q_range(d._terms)
     groups = span and _q_groups(p._terms)
-    q = _divide_in_q(groups, d, *span) if groups else _divide_graded(p, d)
+    q = _divide_in_q(groups, d, *span) if groups else _divide_terms(p, d)
     if q is None:
         return None
     if q * d != p:  # multiply-back guard; the division loops should never fail it
@@ -904,62 +895,55 @@ def _divide_in_q(groups, d: MultiLaurentPoly, lo: int, hi: int):
         qr = _dense_divrem(A, B)
         if qr is None or qr[1]:
             return None
-        qd = qr[0]
-        start = g + e - lo
-        # small indices first: a sparse quotient need not build a packed key per entry
-        out.update(zip(map(start.__add__, compress(range(len(qd)), qd)), filter(None, qd)))
+        out.update(_from_dense(qr[0], g + e - lo))
     return MultiLaurentPoly._checked(out)
 
 
-def _min_exponent_key(p: MultiLaurentPoly) -> int:
-    """Packed key of the componentwise-minimal exponent vector of p's support."""
-    mins = map(min, zip(*map(_decode, p._terms)))
-    return sum(m << (_W * i) for i, m in enumerate(mins))
+def _box(terms: dict) -> tuple:
+    """(low, high): the packed keys of the fieldwise least and greatest exponents of ``terms``."""
+    fields = list(zip(*map(_decode, terms)))
+    return tuple(sum(e << (_W * i) for i, e in enumerate(map(bound, fields)))
+                 for bound in (min, max))
 
 
-def _divide_graded(p: MultiLaurentPoly, d: MultiLaurentPoly):
-    """p / d by graded long division for nonzero p; None if inexact.
+def _divide_terms(p: MultiLaurentPoly, d: MultiLaurentPoly):
+    """p / d by long division in key order for nonzero p; None if inexact.
 
-    The minimal exponent vector of each operand is divided out first, so both
-    are ordinary polynomials, and every quotient monomial must stay ordinary.
-    The normalised exponents run up to an operand's span, below 2^21: the
-    fields hold them exactly, so only the quotient's are checked against the
-    limit.  Each leading term of the remainder is popped from a heap of
-    (grade, key) pairs, largest first; a key whose term has cancelled since it
-    was pushed is skipped.  Grades add up like keys, so a new key's grade
-    comes from its quotient term and divisor term.
+    Each step divides the remainder's greatest term by d's.  In a domain each
+    variable's least and greatest exponents add under products, so an exact
+    quotient's keys lie in the box [low(p) - low(d), high(p) - high(d)]: a key
+    outside it means None.  Quotient keys strictly decrease inside that box, so
+    the loop ends, and every remainder key stays inside p's box: no field wraps.
     """
-    sp = _min_exponent_key(p)
-    sd = _min_exponent_key(d)
-    dterms = sorted(((_grade(k - sd), k - sd, c) for k, c in d._terms.items()), reverse=True)
-    (dlead_grade, dlead_key, dlead_c), rest = dterms[0], dterms[1:]
-    r = {k - sp: c for k, c in p._terms.items()}
-    heap = [(-_grade(k), -k) for k in r]  # heapq pops the least: negate for the largest
+    (plow, phigh), (dlow, dhigh) = _box(p._terms), _box(d._terms)
+    # qk - low and high - qk hold e - L + 2^23 and H - e + 2^23 in each field, below
+    # 2^24 (every |e|, |L|, |H| < 2^21): all top bits are set exactly when L <= e <= H.
+    low, high = plow - dlow - _BIAS, phigh - dhigh + _BIAS
+    (dlead, dlead_c), *rest = sorted(d._terms.items(), reverse=True)
+    r = dict(p._terms)
+    heap = [-k for k in r]  # heapq pops the least: negate for the greatest
     heapify(heap)
     q = {}
     while r:
-        lt_grade, lt_key = heappop(heap)
-        lt_c = r.pop(-lt_key, None)
-        if lt_c is None:
+        k = -heappop(heap)
+        c = r.pop(k, None)
+        if c is None:
             continue  # cancelled
-        qk = -lt_key - dlead_key
-        if min(_decode(qk)) < 0:  # the quotient monomial must stay ordinary
+        qk = k - dlead
+        qc, rem = divmod(c, dlead_c)
+        if rem or (qk - low) & (high - qk) & _BIAS != _BIAS:
             return None
-        qgrade = -lt_grade - dlead_grade
-        qc, rem = divmod(lt_c, dlead_c)
-        if rem:
-            return None
-        q[qk + sp - sd] = qc
-        for g2, k2, c2 in rest:
-            k = qk + k2
-            c = r.get(k)
+        q[qk] = qc
+        for k2, c2 in rest:
+            k2 += qk
+            c = r.get(k2)
             if c is None:
-                r[k] = -qc * c2
-                heappush(heap, (-qgrade - g2, -k))
+                r[k2] = -qc * c2
+                heappush(heap, -k2)
             elif c := c - qc * c2:
-                r[k] = c
+                r[k2] = c
             else:
-                del r[k]
+                del r[k2]
     return MultiLaurentPoly._checked(q)
 
 
@@ -970,10 +954,9 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
     remainder) with deg(remainder) < deg(m), both exact.
     """
     for poly, label in ((p, "dividend"), (m, "modulus")):
-        if poly and _q_range(poly._terms) is None:
+        if poly and _q_range(poly._terms) is None:  # so some key has a variable besides q
             extra = [v for v in poly.variables() if v != "q"]
-            if extra:
-                raise ValueError(f"{label} must be univariate in q, found {extra}")
+            raise ValueError(f"{label} must be univariate in q, found {extra}")
     lo_p = min(p._terms) if p else 0
     if lo_p < 0:
         raise ValueError("dividend has negative q-exponents; clear them first")
@@ -987,7 +970,8 @@ def divrem_in_q(p: MultiLaurentPoly, m: MultiLaurentPoly) -> tuple:
     if p.is_zero():
         return MultiLaurentPoly.zero(), MultiLaurentPoly.zero()
     q, r = _dense_divrem(_dense(p._terms, 0, max(p._terms)), B)
-    return _from_dense(q), _from_dense(r)
+    # both stay below p's degree, so no exponent reaches the supported limit
+    return MultiLaurentPoly._raw(dict(_from_dense(q))), MultiLaurentPoly._raw(dict(_from_dense(r)))
 
 
 def non_positive_terms(p: MultiLaurentPoly) -> MultiLaurentPoly:

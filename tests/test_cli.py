@@ -92,7 +92,7 @@ def test_exit_two_on_hard_cap():
 def test_phi_examples():
     for spec, printed in [
         ("phi[2,1]{a, q^-0 ; c ; q}", "1"),
-        # the README example: its denominator (c;q)_2 is in q and c, so graded division
+        # the README example: its denominator (c;q)_2 is in q and c, so key-order division
         ("phi[2,1]{a, q^-2 ; c ; q}",
          "(-a*c + a^2 + q*c^2 + -q*a*c) / (1 + -c + -q*c + q*c^2)"),
         # a denominator in q alone that does not divide the numerator
@@ -443,6 +443,35 @@ def test_a_run_with_no_cases_is_an_error(tmp_path, capsys, argv, manifest):
     assert (out, err) == ("", "error: no cases to run\n")
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["positivity", "--rmax", "0", "--mmax", "1", "--nmax", "1"],
+     "--rmax 0 leaves thm3-2, thm3-3"),
+    (["verify", "--suite", "congruence", "--mmax", "0", "--pmax", "0"],
+     "--pmax 0 leaves minus_q_pochhammer"),  # with --pmax 3, --mmax 0 would name thm2
+    (["verify", "--suite", "congruence", "--pmax", "2"],
+     "--pmax 2 leaves minus_q_pochhammer, thm2"),
+    (["verify", "--suite", "congruence", "--mmax", "0"], "--mmax 0 leaves thm2"),
+    (["verify", "--suite", "lemmas", "--nmax", "0"],
+     "--nmax 0 leaves lem_important2, lemma_am2, lemma_last"),
+    (["verify", "--rmax", "0", "--parallel"], "--rmax 0 leaves lemma41, thm3-2, thm3-3"),
+], ids=["positivity-rmax", "congruence-mmax-pmax", "congruence-pmax", "congruence-mmax",
+        "lemmas-nmax", "all-rmax"])
+def test_a_bound_that_empties_a_family_is_an_error(monkeypatch, capsys, argv, named):
+    """A grid that drops a whole family of cases is not a PASS, and nothing runs."""
+    monkeypatch.setattr(suites, "run_cases", None)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {named} with no cases\n")
+
+
+def test_a_low_bound_that_empties_no_family_runs(capsys):
+    # every clausen family has its n = 0 case, and --p replaces --pmax
+    for argv in (["verify", "--suite", "clausen", "--nmax", "0"],
+                 ["verify", "--suite", "congruence", "--p", "3", "--pmax", "0", "--mmax", "1",
+                  "--nmax", "0"]):
+        assert cli.main(argv) == 0, argv
+    assert capsys.readouterr().out.count("0 failed") == 2
+
+
 def _first_case_of_each_kind() -> dict:
     first = {}
     for name, params in suite_cases("all", {"nmax": 2, "mmax": 2, "pmax": 3, "rmax": 1}):
@@ -670,7 +699,7 @@ def test_plain_kernel_reproduces_the_default_report(monkeypatch, capsys):
         if getattr(module, "sum_of_products", None) is packed:
             monkeypatch.setattr(module, "sum_of_products", folded)
     # With products and sums unpacked, only exact_divide groups by q: no groups
-    # sends every division through the graded long division.
+    # sends every division through the long division in key order.
     monkeypatch.setattr(exactalg, "_q_groups", lambda terms: None)
     monkeypatch.setattr(exactalg, "_divide_in_q", None)
     plain = _default_report_in_process(capsys)

@@ -5,6 +5,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
+from heapq import heappop
 from pathlib import Path
 
 import pytest
@@ -308,9 +309,10 @@ _RUN = sum((q ** i for i in range(8)), P.zero())  # a dense q-run: groups of 8 t
     lambda: (_TOP + a).substitute({"q": _TOP}),                  # substitution
     lambda: (_TOP * a).substitute({"a": q}),                     # substituted image
     lambda: exact_divide(_TOP, P.var("q", 1 - 2 ** 20)),         # shift of the quotient
+    lambda: exact_divide(c ** (2 ** 20 - 1) * (1 + a), c ** -1 * (1 + a)),  # key-order path
 ], ids=["pow", "neg-pow", "monomial", "univariate", "q-only-negative", "q-only-packed",
         "q-only-packed-negative", "generic", "negative", "grouped", "substitute",
-        "substitute-image", "shift"])
+        "substitute-image", "shift", "key-order"])
 def test_exponent_overflow_raises(build):
     with pytest.raises(ValueError):
         build()
@@ -469,9 +471,9 @@ def test_sparse_q_span_builds_no_dense_list(build, expected):
     assert peak < 1 << 20  # a dense list over 2^20 exponents takes 8 MB
 
 
-def test_q_only_divisor_takes_graded_division_only_for_sparse_q_groups(monkeypatch):
-    graded = exactalg._divide_graded
-    monkeypatch.setattr(exactalg, "_divide_graded", _forbidden)
+def test_q_only_divisor_takes_key_order_division_only_for_sparse_q_groups(monkeypatch):
+    terms = exactalg._divide_terms
+    monkeypatch.setattr(exactalg, "_divide_terms", _forbidden)
     for p, d in [(1 + q, 1 - q), (_RUN * (a + x), 2 - 3 * q ** 2),
                  (q ** -3 * _RUN * (a - c * x ** -1), 2 * q ** -1 - q ** 5),
                  (_RUN, P.const(3))]:
@@ -479,7 +481,7 @@ def test_q_only_divisor_takes_graded_division_only_for_sparse_q_groups(monkeypat
     assert exact_divide(_RUN + a, 1 - q) is None
     assert exact_divide(_RUN * (2 - q), 2 + q) is None  # the first quotient step is 3/2
     sparse = (1 + q ** 200) * (a + x)  # q-groups of 2 terms spanning 200 exponents
-    monkeypatch.setattr(exactalg, "_divide_graded", graded)
+    monkeypatch.setattr(exactalg, "_divide_terms", terms)
     monkeypatch.setattr(exactalg, "_divide_in_q", _forbidden)
     for d in (1 + q, 2 - 3 * q ** 2):
         assert exactalg._q_groups((sparse * d)._terms) is None  # the product would refuse them
@@ -487,11 +489,11 @@ def test_q_only_divisor_takes_graded_division_only_for_sparse_q_groups(monkeypat
     assert exact_divide(sparse, 1 + q) is None  # 1 + q^200 is 2 at q = -1
 
 
-def test_divisor_outside_q_takes_graded_division(monkeypatch):
-    graded, divisors = exactalg._divide_graded, []
+def test_divisor_outside_q_takes_key_order_division(monkeypatch):
+    terms, divisors = exactalg._divide_terms, []
     monkeypatch.setattr(exactalg, "_divide_in_q", _forbidden)
-    monkeypatch.setattr(exactalg, "_divide_graded",
-                        lambda p, d: divisors.append(d) or graded(p, d))
+    monkeypatch.setattr(exactalg, "_divide_terms",
+                        lambda p, d: divisors.append(d) or terms(p, d))
     p = 1 + a * q + q ** -2 * x
     for d in (1 - c, (1 - q) * (1 - c), 1 - x):
         assert exact_divide(p * d, d) == p
@@ -501,18 +503,36 @@ def test_divisor_outside_q_takes_graded_division(monkeypatch):
 
 @pytest.mark.parametrize("z", [x, c * x], ids=["1-x", "1-cx"])
 @pytest.mark.parametrize("coeff", [lambda i: i + 1, lambda i: 1], ids=["801-terms", "2-terms"])
-def test_graded_division_of_a_long_dividend(monkeypatch, z, coeff):
+def test_key_order_division_of_a_long_dividend(monkeypatch, z, coeff):
     # 801 terms over 1 - z, or 1 - z^800, where every step adds a new key to the
-    # remainder: the leading terms come off a heap, so each key's grade is
-    # computed once, not once per step of the division
+    # remainder: the quotient box is checked on packed keys, so each operand key
+    # is decoded once, not once per step of the division
     quotient = sum((P.monomial(coeff(i), {}) * z ** i for i in range(800)), P.zero())
     d = 1 - z
     p = quotient * d
-    grade, calls = exactalg._grade, []
-    monkeypatch.setattr(exactalg, "_grade", lambda k: calls.append(k) or grade(k))
-    assert exactalg._divide_graded(p, d) == quotient
+    decode, calls = exactalg._decode, []
+    monkeypatch.setattr(exactalg, "_decode", lambda k: calls.append(k) or decode(k))
+    assert exactalg._divide_terms(p, d) == quotient
     assert len(calls) == len(p) + len(d)
-    assert exactalg._divide_graded(p + z ** 1000, d) is None
+    assert exactalg._divide_terms(p + z ** 1000, d) is None
+
+
+def test_a_remainder_that_would_descend_without_end_is_not_divisible(monkeypatch):
+    # x^5 + 2 over 1 - x leaves the remainder 3 after five steps, and then 3/x,
+    # 3/x^2, ... without end: the sixth quotient key, 1/x, is outside the box
+    # x^0..x^4 of an exact quotient, so the division stops there
+    pops = []
+
+    def counted(heap):
+        pops.append(1)
+        assert len(pops) <= 12, "the division does not stop"
+        return heappop(heap)
+    monkeypatch.setattr(exactalg, "heappop", counted)
+    assert exact_divide(x ** 5 + 2, 1 - x) is None
+    # here 1 is the greatest term of the divisor: the quotient keys descend to c^5/x^5,
+    # past the box's c^4
+    assert exact_divide(c ** 5 * x ** -5 + 2, 1 - c * x ** -1) is None
+    assert len(pops) == 12
 
 
 def test_sum_of_products_limbs_hold_the_term_count(monkeypatch):

@@ -339,3 +339,31 @@ def test_rational_phi_against_sympy(text, upper, lower, z, capsys):
     parts = printed[1:-1].split(") / (") if " / " in printed else [printed, "1"]
     num, den = (sp.parse_expr(part.replace("^", "**")) for part in parts)
     assert sp.expand(num * want_den - want_num * den) == 0
+
+
+_KQ, _KA, _KC, _KX = (MultiLaurentPoly.var(v) for v in "qacx")
+_COFACTOR = 1 + _KA * _KQ - _KX * _KQ ** -2 + 3 * _KA * _KC
+
+
+def sympy_of(poly: MultiLaurentPoly):
+    return sum(coeff * sp.prod([sp.Symbol(v) ** e for v, e in powers.items()])
+               for powers, coeff in poly.sorted_terms())
+
+
+@pytest.mark.parametrize("d", [1 - _KQ ** 2, 2 + _KQ ** -1, 1 - _KC * _KX, _KA - _KQ,
+                               2 * _KX - _KA * _KQ ** -1],
+                         ids=["1-q^2", "2+1/q", "1-cx", "a-q", "2x-a/q"])
+def test_exact_divide_against_sympy(d):
+    # None exactly when sympy's quotient is not a Laurent polynomial with integer
+    # coefficients; (1 + q^200) makes q-groups too sparse for the dense q path
+    gens = (q, a, c, x)
+    for p, divisor in [(_COFACTOR * d, d), (_COFACTOR * d + _KQ * _KA, d),
+                       (_COFACTOR * (1 + _KQ ** 200) * d, d), (_COFACTOR * d, 2 * d)]:
+        ratio = sp.cancel(sp.together(sympy_of(p) / sympy_of(divisor)))
+        laurent = len(sp.Poly(sp.fraction(ratio)[1], *gens).terms()) == 1
+        want = sympy_terms(ratio, gens) if laurent else None
+        got = exact_divide(p, divisor)
+        if want is None or any(coeff.denominator != 1 for coeff in want.values()):
+            assert got is None, (p, divisor)
+        else:
+            assert qck_terms(got, gens) == want, (p, divisor)

@@ -6,9 +6,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
-from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _W, _check_keys, _decode,
-                          _dense_divrem, _divide_graded, _encode, _min_exponent_key,
-                          _mul_generic, _mul_grouped, _q_range, exact_divide, sum_of_products)
+from qck.exactalg import (VAR_NAMES, MultiLaurentPoly as P, _W, _box, _check_keys, _decode,
+                          _dense_divrem, _divide_terms, _encode, _mul_generic, _mul_grouped,
+                          _q_range, exact_divide, sum_of_products)
 
 _SETTINGS = settings(deadline=None, max_examples=60)
 
@@ -144,11 +144,12 @@ def test_sparse_divisor_division_matches_the_dense_walk(AB):
 
 @_SETTINGS
 @given(polys())
-def test_min_exponent_key_is_the_fieldwise_minimum(p):
+def test_box_is_the_fieldwise_minimum_and_maximum(p):
     if p.is_zero():
         return
-    mins = [min(field) for field in zip(*map(_decode, p._terms))]
-    assert _min_exponent_key(p) == _encode(dict(zip(VAR_NAMES, mins)))
+    fields = list(zip(*map(_decode, p._terms)))
+    assert _box(p._terms) == tuple(_encode(dict(zip(VAR_NAMES, map(bound, fields))))
+                                   for bound in (min, max))
 
 
 @st.composite
@@ -160,11 +161,11 @@ def q_divisors(draw):
 
 @_SETTINGS
 @given(polys(), q_divisors(), polys())
-def test_q_divisor_division_matches_graded_division(p, d, extra):
+def test_q_divisor_division_matches_key_order_division(p, d, extra):
     # p * d + extra is mostly not a multiple of d: both paths must refuse it alike
     for dividend in (p * d, p * d + extra):
         if dividend:
-            assert exact_divide(dividend, d) == _divide_graded(dividend, d)
+            assert exact_divide(dividend, d) == _divide_terms(dividend, d)
     assert exact_divide(p * d, d) == p
 
 
