@@ -6,7 +6,8 @@ positivity (the thm3 claims over an m, n, r grid).  congruence and positivity
 run their cases through the same runner and report as verify.  Exit codes: 0
 all checks passed, 1 at least one mathematical check failed, 2 usage or
 configuration error, a run with no cases or a grid bound that empties one
-family of cases, or a case that raised (a term-budget abort, say) instead of a
+family of cases, a --parallel pool broken by a worker killed from outside (the
+OOM killer, say), or a case that raised (a term-budget abort, say) instead of a
 verdict: an ERROR line, or ``error`` in a CSV row's passed cell.  A subcommand
 raises on error; the one except ladder in ``main`` maps each error it knows to
 one stderr line and exit 2, and lets any other exception (a bug) propagate.
@@ -21,6 +22,7 @@ import csv
 import io
 import json
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import congruence, delannoy, hyperg, suites
 from .exactalg import TermBudgetExceeded, exact_divide
@@ -248,8 +250,8 @@ def main(argv=None) -> int:
         message = f"invalid series: {exc}"
     except TermBudgetExceeded as exc:
         message = f"aborted: {exc}"
-    except (ValueError, OSError, delannoy.DelannoyMismatchError) as exc:
-        message = f"error: {exc}"  # an unwritable --out, say: an error, not a verdict
+    except (ValueError, OSError, delannoy.DelannoyMismatchError, BrokenExecutor) as exc:
+        message = f"error: {exc}"  # an unwritable --out, a killed worker: errors, not verdicts
     print(message, file=sys.stderr)
     return EXIT_USAGE
 

@@ -16,6 +16,11 @@ an exact integer (numerator, denominator) pair and always succeed: v^k
 (u*m/v;q)_k is the running product with lead v.  Identity verification works
 on cleared forms only.
 
+The two classical summations the identity sides rest on are checked on this
+engine itself, each against its closed form: the q-binomial theorem as
+1phi0(q^{-n}; -; q, x q^n) = (x;q)_n, and q-Chu-Vandermonde as
+2phi1(a, q^{-n}; c; q, q) = (c/a;q)_n a^n / (c;q)_n.
+
 The text grammar (whitespace insensitive)::
 
     spec   := "phi[" INT "," INT "]{" params ";" params ";" mono "}"
@@ -173,6 +178,27 @@ def phi_sum(spec: PhiSpec) -> MultiLaurentPoly:
     """The exact value of the terminating sum; NotDivisibleError if not polynomial."""
     num, den = phi_sum_cleared(spec)
     return exact_div(num, den)
+
+
+def qbinomial_theorem_sides(n: int) -> tuple:
+    """1phi0(q^{-n}; -; q, x q^n) = sum_k (-1)^k [n;k] q^{C(k,2)} x^k == (x;q)_n, in q and x.
+
+    With no lower parameter the engine's denominator is 1.
+    """
+    x = MultiLaurentPoly.var("x")
+    lhs, _ = phi_sum_cleared(PhiSpec.of([Q ** -n], [], x * Q ** n))
+    return lhs, qpochhammer(x, n)
+
+
+def qchu_vandermonde_sides(n: int) -> tuple:
+    """2phi1(a, q^{-n}; c; q, q) == (c/a;q)_n a^n / (c;q)_n, in cleared polynomial form.
+
+    The engine clears the sum by (c;q)_n, its denominator, which turns the right
+    side into the polynomial prod_{i<n} (a - c q^i).
+    """
+    a, c = MultiLaurentPoly.var("a"), MultiLaurentPoly.var("c")
+    lhs, _ = phi_sum_cleared(PhiSpec.of([a, Q ** -n], [c], Q))
+    return lhs, poch_prefixes(c, n, lead=a)[n]
 
 
 # -- parsing and printing ---------------------------------------------------------
@@ -348,5 +374,7 @@ def phi_permutation_difference(seed: int, trials: int) -> MultiLaurentPoly:
     return MultiLaurentPoly.zero()
 
 
+check_qbinomial_theorem = CaseKind("qbinomial_theorem", __name__, ("q", "x"))
+check_qchu_vandermonde = CaseKind("qchu_vandermonde", __name__, ("q", "a", "c"))
 phi_permutation = CaseKind("phi_permutation", __name__, ("q",),
                            difference="phi_permutation_difference")

@@ -13,7 +13,7 @@ s-prefix that every summand of a shifted form carries), the builder never
 multiplies that product in: in an integral domain the identity is unchanged, and
 both shifted displays at a = -q^{-n} then clear to the same pair.
 A side that is a terminating rphis series in base q (the 3phi2 factors, the
-3phi1 transformation, the q-Chu-Vandermonde 2phi1) is built by
+3phi1 transformation) is built by
 ``hyperg.phi_sum_cleared``, which clears it by exactly these lower Pochhammer
 symbols; sums in base q^2 or over a shifted range k >= s are written out here.
 Square roots never appear: identities stated with sqrt(c) or q^{1/2} are
@@ -435,13 +435,9 @@ def connection_coefficients_difference(n: int, m: int) -> MultiLaurentPoly:
     sign_m = -1 if m % 2 else 1
     qexp = _mono(sign_m, q=(m * m + m) // 2 - m * n)
 
-    # Single-sum part of the defining expression, summed in closed form.
+    # Single-sum part of the defining expression, summed in closed form by
+    # q-Chu-Vandermonde, which the qchu_vandermonde row checks on the engine.
     a1 = qexp * qbinomial(n, m) * pa[m] * aca[n]
-
-    # Same part, summed term by term (checks the closed form on the way).
-    jsum, _ = phi_sum_cleared(PhiSpec.of(
-        [_mono(q=-n), _mono(a=1)], [_mono(c=1)], Q))
-    a1_direct = terminating_weight(n, m) * _mono(q=m) * pa[m] * jsum
 
     # Kernel part: j <= m < k <= n with B_{k-j, m-j} evaluated at c q^{2j}.
     a2 = sum_of_products((terminating_weight(n, j), terminating_weight(n, k), pa[j], pa[k],
@@ -449,7 +445,6 @@ def connection_coefficients_difference(n: int, m: int) -> MultiLaurentPoly:
                           ctail_m[j], ctail_n[k])
                          for j in range(m + 1) for k in range(m + 1, n + 1))
     am0 = a1 + a2
-    am0_direct = a1_direct + a2
 
     # Intermediate single sum over h.
     fin1 = qexp * qbinomial(n, m) * sum_of_products(
@@ -459,7 +454,7 @@ def connection_coefficients_difference(n: int, m: int) -> MultiLaurentPoly:
     fin2 = qexp * qbinomial(n, m) * pa[m] * aca[m] * _mono(a=n - m) \
         * qpochhammer(_mono(c=1, q=2 * m), n - m)
 
-    diffs = [am0 - fin1, fin1 - fin2, am0 - am0_direct]
+    diffs = [am0 - fin1, fin1 - fin2]
     return next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
 
 

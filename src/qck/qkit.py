@@ -14,9 +14,6 @@ monomials.  ``lattice`` is the one lattice-path recurrence: q-Pascal for [n; k]
 and, with a diagonal step, D_q.  ``odd_sum`` is the odd-weighted sum sum_k
 (1-q^{2k+1}) f_k w_k: Theorem 2's sum cleared by 1-q (see ``congruence`` for
 why that is the same congruence), its two lemmas and the positivity families.
-The classical q-binomial theorem and q-Chu-Vandermonde summation are verified
-here as exact polynomial identities; both are used as proof engines by the
-identity suites.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .exactalg import MultiLaurentPoly, sum_of_products
-from .report import CaseKind
 
 
 class ParamExpr:
@@ -137,32 +133,3 @@ def odd_sum(terms, alternating: bool = False, start: int = 0) -> MultiLaurentPol
          MultiLaurentPoly.monomial((-1) ** (n - k - 1), {"q": choose2(k)}) if alternating
          else MultiLaurentPoly.var("q", -k))
         for k, factors in enumerate(terms, start))
-
-
-def qbinomial_theorem_sides(n: int) -> tuple:
-    """sum_k (-1)^k [n;k] q^{C(k,2)} x^k == (x; q)_n, exactly in q and x."""
-    lhs = MultiLaurentPoly.zero()
-    for k in range(n + 1):
-        sign = -1 if k % 2 else 1
-        lhs = lhs + qbinomial(n, k) * MultiLaurentPoly.monomial(sign, {"q": choose2(k), "x": k})
-    return lhs, qpochhammer(MultiLaurentPoly.var("x"), n)
-
-
-def qchu_vandermonde_sides(n: int) -> tuple:
-    """2phi1(a, q^{-n}; c; q, q) == (c/a;q)_n a^n / (c;q)_n, in cleared polynomial form.
-
-    Both sides are multiplied by (c; q)_n: the k-th summand's (c;q)_k divisor
-    cancels into (c q^k; q)_{n-k}, and the right side becomes the polynomial
-    prod_{i<n} (a - c q^i).
-    """
-    a, c = MultiLaurentPoly.var("a"), MultiLaurentPoly.var("c")
-    pa = poch_prefixes(a, n)
-    ctail = poch_suffixes(c, n)
-    lhs = sum_of_products((terminating_weight(n, k), MultiLaurentPoly.var("q", k), pa[k], ctail[k])
-                          for k in range(n + 1))
-    rhs = poch_prefixes(c, n, lead=a)[n]
-    return lhs, rhs
-
-
-check_qbinomial_theorem = CaseKind("qbinomial_theorem", __name__, ("q", "x"))
-check_qchu_vandermonde = CaseKind("qchu_vandermonde", __name__, ("q", "a", "c"))

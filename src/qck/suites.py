@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 
-from . import congruence, delannoy, hyperg, identities, positivity, qkit
+from . import congruence, delannoy, hyperg, identities, positivity
 from .exactalg import MultiLaurentPoly
 from .report import CaseKind, VerificationReport
 
@@ -41,7 +41,7 @@ def corrupted_fixture_sides() -> tuple:
 corrupted_fixture = CaseKind("corrupted_fixture", __name__, ("q",))
 
 CASE_REGISTRY = {row.name: row
-                 for module in (identities, qkit, hyperg, delannoy, congruence, positivity)
+                 for module in (identities, hyperg, delannoy, congruence, positivity)
                  for row in vars(module).values() if isinstance(row, CaseKind)}
 CASE_REGISTRY.update({
     "thm3-1": lambda m, n: positivity.verify_thm3("thm3-1", m, n),

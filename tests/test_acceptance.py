@@ -11,8 +11,7 @@ import time
 
 import pytest
 
-from qck import congruence, delannoy, identities, positivity, qkit, suites
-from qck.exactalg import MultiLaurentPoly as P, is_nonneg_integer_laurent
+from qck import congruence, delannoy, hyperg, identities, positivity, suites
 
 
 @pytest.fixture
@@ -175,9 +174,9 @@ def test_criterion_09_classical_summations(announce):
     started = time.perf_counter()
     failures = []
     for n in range(9):
-        if not qkit.check_qbinomial_theorem(n).passed:
+        if not hyperg.check_qbinomial_theorem(n).passed:
             failures.append(("qbinomial", n))
-        if not qkit.check_qchu_vandermonde(n).passed:
+        if not hyperg.check_qchu_vandermonde(n).passed:
             failures.append(("qchu", n))
     _finish(announce, 9, "q-binomial theorem and q-Chu-Vandermonde, n <= 8",
             failures, started)

@@ -8,6 +8,7 @@ import json
 import random
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from functools import reduce
 from operator import add, mul
 from pathlib import Path
@@ -367,6 +368,24 @@ def test_a_bug_propagates_out_of_main(monkeypatch):
     monkeypatch.setattr(cli, "cmd_phi", raising)
     with pytest.raises(RuntimeError, match="a bug"):
         cli.main(["phi", "phi[2,1]{a, q^-2 ; c ; q}"])
+
+
+def test_a_broken_pool_is_an_error_not_a_failed_check(monkeypatch, capsys):
+    """A worker killed from outside (the OOM killer, say) breaks the pool: exit 2, one line."""
+    class BrokenPool:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, cases, chunksize):
+            raise BrokenProcessPool("a worker was terminated abruptly")
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", BrokenPool)
+    assert cli.main(["verify", "--suite", "clausen", "--nmax", "1", "--parallel"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: a worker was terminated abruptly\n"
+    assert captured.out == ""
 
 
 def test_no_command_catches_its_own_errors():

@@ -8,10 +8,10 @@ from fractions import Fraction
 import pytest
 
 from qck import cli, congruence, qkit
-from qck.congruence import (Thm2MismatchError, congruence_witness,
-                            minus_q_pochhammer_witness, nonneg_divisibility_fact, thm2_case,
-                            thm2_lhs, thm2_target, thm2_witness, verify_minus_q_pochhammer,
-                            verify_qidentity, verify_thm2)
+from qck.congruence import (congruence_witness, minus_q_pochhammer_witness,
+                            nonneg_divisibility_fact, thm2_case, thm2_lhs, thm2_target,
+                            thm2_witness, verify_minus_q_pochhammer, verify_qidentity,
+                            verify_thm2)
 from qck.delannoy import _dq_sum, delannoy, dq, dq_inverse_base
 from qck.exactalg import MultiLaurentPoly as P, divrem_in_q, exact_div
 from qck.qkit import bracket, one_minus_q, poch_prefixes, qbinomial
@@ -192,6 +192,28 @@ def test_the_cleared_check_neither_hides_nor_invents_a_failure(monkeypatch, p):
                                 lambda p, m, d=clearing * delta: right(p, m) + d)
             assert thm2_witness(p, m).is_zero() is passes, (m, delta)
             assert verify_thm2(p, m).passed is passes, (m, delta)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_thm2_sum_is_affine_in_the_multiple_of_p(p):
+    """The premise that proves Theorem 2 for every m from the cases m <= 2p.
+
+    Write m = b + a*p.  Modulo [p]^2, q^p = 1 + u with u = (q-1)[p] and u^2 = 0,
+    so z^e = q^{e m} = q^{e b} (1 + e a u).  The sum runs over k < p whatever m
+    is, and m enters it through z = q^m alone, so its residue is affine in a,
+    and so is the witness: two values of a fix it for every a.  So the second
+    difference in a vanishes modulo [p]^2 at every residue b (b = 0 from m = p).
+    A term q^{m^2}, quadratic in a, leaves 2p q^{b^2} u there, which is not 0.
+    """
+    def second_difference(values):
+        return values[0] - 2 * values[1] + values[2]
+
+    for b in range(p):
+        ms = [(b or p) + a * p for a in range(3)]
+        lhs = [thm2_lhs(p, m) for m in ms]
+        assert congruence_witness(second_difference(lhs), P.zero(), p, square=True) == 0, b
+        mutant = [value + q ** (m * m) for value, m in zip(lhs, ms)]
+        assert congruence_witness(second_difference(mutant), P.zero(), p, square=True) != 0, b
 
 
 def test_congruence_witness_nonzero_on_failure():

@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qck import hyperg
 from qck.exactalg import MultiLaurentPoly as P, NotDivisibleError
-from qck.hyperg import (PhiParseError, PhiSpec, PhiSpecError, parse_phi,
-                        phi_sum, phi_sum_cleared, phi_term, phi_term_cleared,
-                        print_phi)
+from qck.hyperg import (PhiParseError, PhiSpec, PhiSpecError, check_qbinomial_theorem,
+                        check_qchu_vandermonde, parse_phi, phi_sum, phi_sum_cleared, phi_term,
+                        phi_term_cleared, print_phi)
 from qck.qkit import ParamExpr
 
 q = P.var("q")
@@ -176,6 +177,16 @@ def test_phi_sum_qchu_closed_form():
         for i in range(n):
             closed = closed * (P.var("a") - P.monomial(1, {"c": 1, "q": i}))
         assert num == closed
+
+
+def test_the_classical_rows_read_the_engine(monkeypatch):
+    # a numerator off by 1 in phi_sum_cleared must fail both classical summations
+    assert check_qbinomial_theorem(3).passed and check_qchu_vandermonde(3).passed
+    right = phi_sum_cleared
+    monkeypatch.setattr(hyperg, "phi_sum_cleared",
+                        lambda spec: (right(spec)[0] + 1, right(spec)[1]))
+    assert not check_qbinomial_theorem(3).passed
+    assert not check_qchu_vandermonde(3).passed
 
 
 def test_phi_sum_upper_one_collapses():

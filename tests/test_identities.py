@@ -7,15 +7,15 @@ from qck.exactalg import MultiLaurentPoly as P, exact_divide
 from qck.identities import (_general_s_sides, b_poly, clausen_orr_sides,
                             connection_coefficients,
                             final_square_sides, general_s_sides,
-                            lem_important2_sides, lemma_am2_sides,
-                            lemma_last_sides, special1_sides, special2_sides,
+                            lem_important2_sides, lemma_last_sides,
+                            special1_sides, special2_sides,
                             special222_sides, special3_shifted_sides,
                             special3_sides, sqrt_corollary_sides,
                             verify_clausen_orr, verify_final_square,
                             verify_general_s, verify_general_s_specialization,
                             verify_lem_important2, verify_lemma_am2,
                             verify_lemma_last, verify_q2_product,
-                            verify_special1, verify_special2, verify_special222,
+                            verify_special2, verify_special222,
                             verify_special3, verify_special3_shifted,
                             verify_sqrt_corollary)
 from qck.qkit import ParamExpr, Q, qbinomial, qpochhammer

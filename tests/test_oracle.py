@@ -17,12 +17,13 @@ from qck import cli
 from qck.congruence import congruence_witness, thm2_lhs, thm2_witness
 from qck.delannoy import delannoy_product_sides, dq, dq_inverse_base, dq_star
 from qck.exactalg import MultiLaurentPoly, exact_divide
+from qck.hyperg import qbinomial_theorem_sides, qchu_vandermonde_sides
 from qck.identities import (_general_s_sides, clausen_orr_sides, general_s_sides,
                             general_s_specialization_difference, lemma_last_sides,
                             q2_product_sides, special1_sides, special3_shifted_sides,
                             special3_sides, sqrt_corollary_sides)
 from qck.positivity import _CLAIM_PARTS, verify_thm3
-from qck.qkit import ParamExpr, qchu_vandermonde_sides
+from qck.qkit import ParamExpr
 
 pytestmark = pytest.mark.slow
 
@@ -84,6 +85,15 @@ def test_delannoy_product_against_sympy():
     lhs, rhs = delannoy_product_sides(m, n)
     assert_same(lhs, sympy_dq(m, n) * sympy_dq(m, n, star=True), (q,))
     assert_same(rhs, single, (q,))
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_qbinomial_theorem_against_sympy(n):
+    # 1phi0(q^-n; -; q, x q^n) = sum_k (-1)^k [n;k] q^{C(k,2)} x^k = (x;q)_n
+    series = sum((-1) ** k * qbin(n, k) * q ** (k * (k - 1) // 2) * x ** k for k in range(n + 1))
+    lhs, rhs = qbinomial_theorem_sides(n)
+    assert_same(lhs, series, (q, x))
+    assert_same(rhs, poch(x, n), (q, x))
 
 
 @pytest.mark.parametrize("n", range(4))

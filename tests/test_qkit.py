@@ -9,9 +9,9 @@ import pytest
 
 from qck import qkit
 from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
-from qck.qkit import (ParamExpr, bracket, check_qbinomial_theorem,
-                      check_qchu_vandermonde, one_minus_q, poch_prefixes, poch_suffixes,
-                      qbinomial, qpochhammer)
+from qck.hyperg import check_qbinomial_theorem, check_qchu_vandermonde
+from qck.qkit import (ParamExpr, bracket, one_minus_q, poch_prefixes, poch_suffixes, qbinomial,
+                      qpochhammer)
 
 q = P.var("q")
 

@@ -7,6 +7,10 @@ CaseKind row.  A class member (a method or an assigned class attribute,
 dunders aside) is reached by the same references to its own name.  Tests do not count.  A name
 that nothing reaches is dead code, unless ALLOWED gives the reason it stays;
 an ALLOWED name that is reached again must leave the list.
+
+The same holds for imports: every name a module-level import binds in
+src/qck or tests is read somewhere in its module, or listed in its
+``__all__``.
 """
 
 import ast
@@ -74,3 +78,23 @@ def _unreached() -> list:
 
 def test_every_top_level_name_is_reached_or_allowed():
     assert _unreached() == sorted(ALLOWED)
+
+
+def _unused_imports(tree) -> list:
+    """Names bound by module-level imports, ``from __future__`` aside, that the module never reads."""
+    bound = [alias.asname or alias.name.split(".")[0]
+             for stmt in tree.body if isinstance(stmt, (ast.Import, ast.ImportFrom))
+             and getattr(stmt, "module", None) != "__future__" for alias in stmt.names]
+    read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+    exported = {sub.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                for sub in ast.walk(stmt.value) if isinstance(sub, ast.Constant)}
+    return [name for name in bound if name not in read | exported]
+
+
+def test_every_import_is_used():
+    unused = {path.relative_to(ROOT).as_posix(): names
+              for path in [*sorted((ROOT / "src" / "qck").glob("*.py")),
+                           *sorted((ROOT / "tests").glob("*.py"))]
+              if (names := _unused_imports(ast.parse(path.read_text())))}
+    assert unused == {}
