@@ -118,14 +118,13 @@ def _check_bounds(args) -> None:
         raise ValueError(f"--p {p} is not an odd prime <= {congruence.PRIME_CAP}")
 
 
-_LEAST = {"nmax": 1, "mmax": 1, "pmax": 3, "rmax": 1}  # each family of each grid has a case here
-
-
 def _whole_grid(grid, bounds: dict) -> list:
-    """grid(bounds); ValueError for a bound below _LEAST that, raised to it, adds a family."""
+    """grid(bounds); ValueError for a bound below its ``suites.DEFAULT_BOUNDS`` value that,
+    raised to it, adds a family: every family has cases there, and grids grow with a bound."""
     cases = list(grid(bounds))  # an empty grid is _run's "no cases" error
-    for key in [k for k, v in _LEAST.items() if cases and bounds.get(k) in range(v)]:
-        gone = {n for n, _ in grid(dict(bounds, **{key: _LEAST[key]}))} - {n for n, _ in cases}
+    ref = suites.DEFAULT_BOUNDS
+    for key in [k for k, v in ref.items() if cases and bounds.get(k) in range(v or 0)]:
+        gone = {n for n, _ in grid(dict(bounds, **{key: ref[key]}))} - {n for n, _ in cases}
         if gone:
             raise ValueError(f"--{key} {bounds[key]} leaves {', '.join(sorted(gone))} "
                              "with no cases")
@@ -133,8 +132,7 @@ def _whole_grid(grid, bounds: dict) -> list:
 
 
 def cmd_verify(args) -> int:
-    bounds = {"nmax": args.nmax, "mmax": args.mmax, "pmax": args.pmax,
-              "rmax": args.rmax, "p": args.p, "seed": args.seed}
+    bounds = {key: getattr(args, key) for key in suites.DEFAULT_BOUNDS}
     if args.manifest:
         with open(args.manifest) as fh:
             cases = suites.manifest_cases(json.load(fh))

@@ -750,8 +750,7 @@ def _unpacked(plan: dict, sums: dict, nbytes: int) -> dict:
                 raise ValueError(f"an exponent reaches the supported limit {_EXP_LIMIT}")
             start = g + lo
             ends += start + first, start + last
-            keys = range(start, start + len(coeffs))
-            out.update(zip(compress(keys, coeffs), filter(None, coeffs)))
+            out.update(_from_dense(coeffs, start))
     # An accumulator's keys share their other fields and run in q between its
     # first and last stored key, so those two are all the range check needs.
     _check_keys(ends)
@@ -848,7 +847,7 @@ def _dense_divrem(A, B):
 
 def _from_dense(coeffs, start: int = 0):
     """(start + i, c) for each nonzero c = coeffs[i]: no key is built for a zero entry."""
-    return zip(map(start.__add__, compress(range(len(coeffs)), coeffs)), filter(None, coeffs))
+    return zip(compress(range(start, start + len(coeffs)), coeffs), filter(None, coeffs))
 
 
 def exact_divide(p: MultiLaurentPoly, d: MultiLaurentPoly):

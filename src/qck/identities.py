@@ -16,6 +16,8 @@ A side that is a terminating rphis series in base q (the 3phi2 factors, the
 3phi1 transformation) is built by
 ``hyperg.phi_sum_cleared``, which clears it by exactly these lower Pochhammer
 symbols; sums in base q^2 or over a shifted range k >= s are written out here.
+The lemmas' right sides close with q-factorial ratios, each built as a product of
+Gaussian binomials and (q;q) factors, so no closed form divides.
 Square roots never appear: identities stated with sqrt(c) or q^{1/2} are
 verified in an equivalent root-free form, via (c;q)_{2k} regrouping or the
 injective ring map q -> q^2, under which q^{1/2} is q itself.  A specialization
@@ -44,19 +46,6 @@ def _mono(coeff=1, **powers) -> MultiLaurentPoly:
 
 
 _Q2 = _mono(q=2)  # the base q^2, and the image of q under q -> q^2
-
-
-def _qq(n: int) -> MultiLaurentPoly:
-    """(q;q)_n."""
-    return qpochhammer(Q, n)
-
-
-def _shifted_factorial_ratio(n: int, parts) -> MultiLaurentPoly:
-    """(q;q)_n / prod (q;q)_p for p in parts; exact by the stated identities."""
-    den = MultiLaurentPoly.const(1)
-    for p in parts:
-        den = den * _qq(p)
-    return exact_div(_qq(n), den)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +320,7 @@ def special3_shifted_sides(n: int, s: int) -> tuple:
                                tails[k], e2tail[2 * k]) for k in ks)
     # the lhs keeps one of its two (q^{-n};q)_s, and (q^{n+s+1};q)_{n-s} of E
     return (s1 * s2 * (qpochhammer(_mono(q=-n), s) * e2tail[n + s]),
-            _mono((-1) ** s, q=s, x=-s) * _qq(n) * rhs_sum)
+            _mono((-1) ** s, q=s, x=-s) * qpochhammer(Q, n) * rhs_sum)
 
 
 
@@ -357,8 +346,9 @@ def lemma_last_sides(n: int, m: int, h: int) -> tuple:
                           for j in range(m + 1) for k in range(n + 1) if k != j)
     sign = -1 if (m - 1) % 2 else 1
     exp = (m * m + 3 * m) // 2 - m * n - m * h - h * h + h
-    rhs = _shifted_factorial_ratio(n, (m, n - m - h)) * _qq(h - 1) * px[m + h]
-    rhs = rhs * poch_prefixes(_mono(c=1), n - h, lead=_mono(x=1))[n - h]
+    # (q;q)_n (q;q)_{h-1} / ((q;q)_m (q;q)_{n-m-h})
+    rhs = qbinomial(n, m) * qbinomial(n - m, h) * qpochhammer(Q, h) * qpochhammer(Q, h - 1)
+    rhs = rhs * px[m + h] * poch_prefixes(_mono(c=1), n - h, lead=_mono(x=1))[n - h]
     rhs = rhs * _mono(sign, q=exp)
     return lhs, rhs
 
@@ -379,8 +369,9 @@ def lemma_am2_sides(n: int, m: int, h: int) -> tuple:
                           for j in range(m + 1) for k in range(m + h, n + 1))
     sign = -1 if (m - h) % 2 else 1
     exp = (m * m + m - h * h + h) // 2 - m * n
-    rhs = _shifted_factorial_ratio(n, (m, h - 1, n - m - h)) * pa[m + h]
-    rhs = rhs * poch_prefixes(_mono(c=1), n - h, lead=_mono(a=1))[n - h]
+    # (q;q)_n / ((q;q)_m (q;q)_{h-1} (q;q)_{n-m-h})
+    rhs = qbinomial(n, m) * qbinomial(n - m, h) * one_minus_q(h)
+    rhs = rhs * pa[m + h] * poch_prefixes(_mono(c=1), n - h, lead=_mono(a=1))[n - h]
     rhs = rhs * _mono(sign, q=exp)
     return lhs, rhs
 

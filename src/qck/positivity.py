@@ -84,7 +84,7 @@ _CLAIM_PARTS = {
 
 
 def verify_thm3(claim: str, m: int, n: int, r: int = 1) -> VerificationReport:
-    """Certificate for one (claim, m, n, r) cell; m, n, r >= 1.
+    """Certificate for one (claim, m, n, r) cell; m, n, r >= 1, and thm3-1 takes only r = 1.
 
     The difference is 1 when the claim's final division is inexact, and
     otherwise the quotient's violating terms (zero when it passes).
@@ -93,6 +93,8 @@ def verify_thm3(claim: str, m: int, n: int, r: int = 1) -> VerificationReport:
         raise ValueError(f"unknown claim {claim!r}")
     if m < 1 or n < 1 or r < 1:
         raise ValueError("need m, n, r >= 1")
+    if claim == "thm3-1" and r != 1:
+        raise ValueError(f"thm3-1 has no power: parameter 'r' must be 1, not {r}")
     quotient = exact_divide(*_CLAIM_PARTS[claim](m, n, r))
     bad = MultiLaurentPoly.const(1) if quotient is None else non_positive_terms(quotient)
     return VerificationReport(claim, {"m": m, "n": n, "r": r}, ("q",), bad)

@@ -44,7 +44,7 @@ CASE_REGISTRY = {row.name: row
                  for module in (identities, hyperg, delannoy, congruence, positivity)
                  for row in vars(module).values() if isinstance(row, CaseKind)}
 CASE_REGISTRY.update({
-    "thm3-1": lambda m, n: positivity.verify_thm3("thm3-1", m, n),
+    "thm3-1": lambda m, n, r=1: positivity.verify_thm3("thm3-1", m, n, r),
     "thm3-2": lambda m, n, r: positivity.verify_thm3("thm3-2", m, n, r),
     "thm3-3": lambda m, n, r: positivity.verify_thm3("thm3-3", m, n, r),
     "lemma41": positivity.lemma41_generic,

@@ -491,6 +491,32 @@ def test_a_low_bound_that_empties_no_family_runs(capsys):
     assert capsys.readouterr().out.count("0 failed") == 2
 
 
+@pytest.mark.parametrize("grid", [*suites.SUITE_NAMES, "positivity-subcommand"])
+def test_the_default_bounds_hold_every_family(grid):
+    """A bound below its default that empties a family is an error: the check raises it to its
+    default, so every family that any bound up to the hard caps reaches must have cases there."""
+    def kinds(b):
+        if grid == "positivity-subcommand":
+            return {name for name, _ in suites.thm3_cases(b["mmax"], b["nmax"], b["rmax"])}
+        return {name for name, _ in suite_cases(grid, b)}
+    caps = {k: suites.HARD_CAPS[k] for k in suites.DEFAULT_BOUNDS if k in suites.HARD_CAPS}
+    assert kinds(suites.DEFAULT_BOUNDS) == kinds(caps)
+    verify = cli.build_parser().parse_args(["verify"])
+    assert set(suites.DEFAULT_BOUNDS) <= set(vars(verify))  # each bound has its verify flag
+
+
+def test_a_report_replays_as_its_own_manifest(tmp_path, capsys):
+    # the smallest bounds at which every family has cases
+    assert cli.main(["verify", "--nmax", "1", "--mmax", "1", "--pmax", "3", "--rmax", "1",
+                     "--format", "json"]) == 0
+    # lemma41's records are named lemma41_generic, no registry name: ROADMAP item 1
+    records = [r for r in json.loads(capsys.readouterr().out) if r["name"] != "lemma41_generic"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(records))
+    assert cli.main(["verify", "--manifest", str(path), "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
 def _first_case_of_each_kind() -> dict:
     first = {}
     for name, params in suite_cases("all", {"nmax": 2, "mmax": 2, "pmax": 3, "rmax": 1}):

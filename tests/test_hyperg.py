@@ -168,17 +168,6 @@ def test_phi_sum_termination_zero():
     assert phi_sum(spec) == P.const(1)
 
 
-def test_phi_sum_qchu_closed_form():
-    # q-Chu-Vandermonde: the cleared sum equals prod_{i<n} (a - c q^i)
-    for n in (1, 2, 3):
-        spec = parse_phi(f"phi[2,1]{{a, q^-{n} ; c ; q}}")
-        num, den = phi_sum_cleared(spec)
-        closed = P.const(1)
-        for i in range(n):
-            closed = closed * (P.var("a") - P.monomial(1, {"c": 1, "q": i}))
-        assert num == closed
-
-
 def test_the_classical_rows_read_the_engine(monkeypatch):
     # a numerator off by 1 in phi_sum_cleared must fail both classical summations
     assert check_qbinomial_theorem(3).passed and check_qchu_vandermonde(3).passed
