@@ -242,10 +242,12 @@ def main(argv=None) -> int:
     try:
         _check_bounds(args)
         return args.fn(args)
-    except hyperg.PhiParseError as exc:  # the phi errors first: both are ValueErrors
+    except hyperg.PhiParseError as exc:  # these three first: all are ValueErrors
         message = f"parse error: line 1, column {exc.offset + 1}: {exc}"
     except hyperg.PhiSpecError as exc:
         message = f"invalid series: {exc}"
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # only --manifest reads a file
+        message = f"error: manifest {args.manifest} is not JSON: {exc}"
     except TermBudgetExceeded as exc:
         message = f"aborted: {exc}"
     except (ValueError, OSError, delannoy.DelannoyMismatchError, BrokenExecutor) as exc:

@@ -25,7 +25,12 @@ S_r(m, n) = sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r w_k: Theorem 2's at
 r = 1, w_k = q^{-k}, and positivity's thm3-2/3 at every r, one weight each.  One
 cached row per m (``_m_row``) holds the prefix sums of every (r, weight), and
 the suites run a kind's cases m-major, so each m builds its row once; in any
-order the sums are the same.  A single-sum term has [m;j], [m+j;j] as factors.
+order the sums are the same.  The row mirrors each cached D_q(m,k) into
+D_{1/q}(m,k) as it multiplies it and keeps no D_{1/q} table: each (r, weight)
+asks for each (m, k) once, and a mirror costs less than the product it feeds, so
+a table would only double the row's Delannoy working set.
+``delannoy.dq_inverse_base``'s cache serves only ``delannoy_relations``
+(m, n <= 12) and the tests.  A single-sum term has [m;j], [m+j;j] as factors.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
-from .delannoy import dq, dq_inverse_base
+from .delannoy import dq
 from .exactalg import (MultiLaurentPoly, divrem_in_q, exact_div, exact_divide,
                        is_nonneg_integer_laurent, sum_of_products)
 from .qkit import bracket, odd_sum, one_minus_q, qbinomial, qpochhammer
@@ -120,13 +125,16 @@ def odd_delannoy_sum(m: int, n: int, r: int = 1, alternating: bool = False) -> M
     """S_r(m, n) = sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r w_k, w_k as in ``odd_sum``.
 
     It extends the row's largest S_r(m, n'), n' < n (if alternating, times (-1)^{n-n'}), by
-    ``odd_sum`` over n' <= k < n, whose terms take r copies of D_q(m,k), D_{1/q}(m,k).
+    ``odd_sum`` over n' <= k < n, whose terms take r copies of D_q(m,k), D_{1/q}(m,k).  Each
+    term mirrors the cached D_q(m,k) as it multiplies it; no D_{1/q} table is kept (the
+    ``dq_inverse_base`` cache serves only ``delannoy_relations`` and the tests).
     """
     sums = _m_row(m).setdefault((r, alternating), {0: MultiLaurentPoly.zero()})
     if n not in sums:
         lo = max(k for k in sums if k < n)
         head = -sums[lo] if alternating and (n - lo) % 2 else sums[lo]
-        sums[n] = head + odd_sum([(dq(m, k), dq_inverse_base(m, k)) * r for k in range(lo, n)],
+        sums[n] = head + odd_sum([(d, d.invert_variables()) * r
+                                  for d in (dq(m, k) for k in range(lo, n))],
                                  alternating, start=lo)
     return sums[n]
 

@@ -292,6 +292,18 @@ def test_malformed_manifest_is_an_error(tmp_path, manifest):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("data", [b"", b'[{"name": "thm2", "params": {"p": 3, "m": 4}}',
+                                  b"\xff["])
+def test_a_manifest_that_is_not_json_is_named(tmp_path, capsys, data):
+    # empty, a truncated list, not UTF-8: the message names the file, not only the parser
+    path = tmp_path / "manifest.json"
+    path.write_bytes(data)
+    assert cli.main(["verify", "--manifest", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: manifest {path} is not JSON: "), err
+    assert "Traceback" not in err
+
+
 def test_thm3_1_runs_both_routes_of_the_thm2_sum(tmp_path, monkeypatch, capsys):
     right = congruence._thm2_lhs_single_sum
     monkeypatch.setattr(congruence, "_thm2_lhs_single_sum",

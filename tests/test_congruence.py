@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qck import cli, congruence, qkit
+from qck import cli, congruence, qkit, suites
 from qck.congruence import (congruence_witness, minus_q_pochhammer_witness,
                             nonneg_divisibility_fact, thm2_case, thm2_lhs, thm2_target,
                             thm2_witness, verify_minus_q_pochhammer, verify_qidentity,
@@ -250,6 +250,18 @@ def test_cleared_caches_leave_the_congruence_grid_report_unchanged(capsys):
         assert cli.main(argv) == 0
         report = capsys.readouterr().out
         assert hashlib.sha256(report.encode()).hexdigest() == _CONGRUENCE_GRID_DIGEST
+
+
+def test_the_sum_rows_keep_no_mirror_table():
+    # a row mirrors each D_q(m,k) as it multiplies it: a grid of thm2 and thm3 cases leaves
+    # the D_{1/q} cache empty, so the Delannoy working set is the D_q table alone
+    cases = [case for case in suite_cases("congruence", {"pmax": 13, "mmax": 39})
+             if case[0] == "thm2"] + list(suites.thm3_cases(6, 6, 3))
+    for table in (congruence._m_row, congruence._single_sum_factor, dq, dq_inverse_base):
+        table.cache_clear()
+    records = suites.run_cases(cases)
+    assert len(records) == len(cases) and all(record["passed"] for record in records)
+    assert dq_inverse_base.cache_info().currsize == 0
 
 
 def test_running_sums_add_no_term_at_a_time(monkeypatch):
