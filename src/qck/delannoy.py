@@ -15,6 +15,9 @@ D_q is built by ``qkit.lattice`` (q-Pascal on both Gaussian binomials of its
 sum), each entry by addition from cached neighbours, in whatever order cases
 ask for entries: the suites run cases in an order that differs from report
 order, and no entry depends on it.  D_{1/q} is D_q's mirror image, q -> 1/q.
+These cached tables serve this module's kinds (m, n <= 12) and the tests.
+Theorem 2's sums and the thm3 families read D_q from ``congruence``'s rows,
+which take the same ``qkit.lattice_step`` one m-row at a time and keep two.
 """
 
 from __future__ import annotations

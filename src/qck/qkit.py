@@ -10,10 +10,12 @@ Pochhammer arguments and series parameters are Laurent monomials, e.g. q^{-n},
 c*q^n or c/x: single-term MultiLaurentPolys of the kernel, multiplied, raised
 to powers and substituted by the kernel itself, so every symbol expands to an
 exact MultiLaurentPoly.  ``ParamExpr`` only names two constructors of such
-monomials.  ``lattice`` is the one lattice-path recurrence: q-Pascal for [n; k]
-and, with a diagonal step, D_q.  ``odd_sum`` is the odd-weighted sum sum_k
-(1-q^{2k+1}) f_k w_k: Theorem 2's sum cleared by 1-q (see ``congruence`` for
-why that is the same congruence), its two lemmas and the positivity families.
+monomials.  ``lattice_step`` is the one lattice-path recurrence: q-Pascal for
+[n; k] and, with a diagonal step, D_q; ``lattice`` takes it inside a cached
+table, and Theorem 2's rows (``congruence``) take it from row to row.
+``odd_sum`` is the odd-weighted sum sum_k (1-q^{2k+1}) f_k w_k: Theorem 2's sum
+cleared by 1-q (see ``congruence`` for why that is the same congruence), its
+two lemmas and the positivity families.
 """
 
 from __future__ import annotations
@@ -72,12 +74,23 @@ def choose2(k: int) -> int:
     return k * (k - 1) // 2
 
 
-def lattice(table, diagonal: bool, i: int, j: int) -> MultiLaurentPoly:
-    """T(i,j) = T(i-1,j) + q^i T(i,j-1) [+ q^{i-1} T(i-1,j-1) if ``diagonal``]; 1 on the axes.
+def lattice_step(i: int, up: MultiLaurentPoly, left: MultiLaurentPoly,
+                 corner: MultiLaurentPoly = None) -> MultiLaurentPoly:
+    """T(i,j) = T(i-1,j) + q^i T(i,j-1) [+ q^{i-1} T(i-1,j-1), the ``corner``]: the one step.
 
-    q-Pascal gives [i+j; i], the diagonal step D_q(i,j).  Each term comes from ``table``, the
-    cached function being built.  A cold corner past depth 32 (safe for plain recursion) fills
-    its row, then its column, each entry finding its neighbours cached: the recursion stays shallow.
+    Without a corner it is q-Pascal for T(i,j) = [i+j; i], which read along the other axis
+    is [n; i] = [n-1; i-1] + q^i [n-1; i]; with the corner it is D_q(i,j).
+    """
+    out = up + Q ** i * left
+    return out if corner is None else out + Q ** (i - 1) * corner
+
+
+def lattice(table, diagonal: bool, i: int, j: int) -> MultiLaurentPoly:
+    """T(i,j) by ``lattice_step``, with the diagonal step if ``diagonal``; 1 on the axes.
+
+    Each term comes from ``table``, the cached function being built.  A cold corner past
+    depth 32 (safe for plain recursion) fills its row, then its column, each entry finding
+    its neighbours cached: the recursion stays shallow.
     """
     if not i or not j:
         return MultiLaurentPoly.const(1)
@@ -86,8 +99,8 @@ def lattice(table, diagonal: bool, i: int, j: int) -> MultiLaurentPoly:
             table(k, j)
         for k in range(1, j):
             table(i, k)
-    out = table(i - 1, j) + Q ** i * table(i, j - 1)
-    return out + Q ** (i - 1) * table(i - 1, j - 1) if diagonal else out
+    return lattice_step(i, table(i - 1, j), table(i, j - 1),
+                        table(i - 1, j - 1) if diagonal else None)
 
 
 @lru_cache(maxsize=None)

@@ -3,6 +3,7 @@
 import ast
 import functools
 import hashlib
+import importlib
 import inspect
 import json
 import random
@@ -735,10 +736,26 @@ def _qck_modules() -> list:
     return [m for name, m in sys.modules.items() if name.split(".")[0] == "qck"]
 
 
-def _default_report_in_process(capsys) -> str:
+def _clear_every_cache() -> None:
     for value in (v for m in _qck_modules() for v in vars(m).values()):
         if callable(getattr(value, "cache_clear", None)):
-            value.cache_clear()  # nothing computed by the other kernel is reused
+            value.cache_clear()
+
+
+def test_cache_sweeps_reach_the_theorem_2_rows(monkeypatch):
+    # the sweeps that start a run from nothing, this file's and the traced benchmark
+    # run's, empty the rows' store too
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    traced = importlib.import_module("traced")
+    for sweep in (_clear_every_cache, traced.clear_caches):
+        congruence.thm2_lhs(5, 3)
+        assert congruence._ROWS
+        sweep()
+        assert not congruence._ROWS
+
+
+def _default_report_in_process(capsys) -> str:
+    _clear_every_cache()  # nothing computed by the other kernel is reused
     assert cli.main(["verify", "--suite", "all", "--format", "json"]) == 0
     return capsys.readouterr().out
 

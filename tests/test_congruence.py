@@ -1,7 +1,9 @@
 """Congruence tests with division oracles."""
 
 import hashlib
+import inspect
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -253,8 +255,8 @@ def test_cleared_caches_leave_the_congruence_grid_report_unchanged(capsys):
 
 
 def test_the_sum_rows_keep_no_mirror_table():
-    # a row mirrors each D_q(m,k) as it multiplies it: a grid of thm2 and thm3 cases leaves
-    # the D_{1/q} cache empty, so the Delannoy working set is the D_q table alone
+    # a row mirrors each of its D_q(m,k) as it multiplies it, and owns its D_q table: a grid
+    # of thm2 and thm3 cases leaves the D_{1/q} and D_q caches empty and holds two rows
     cases = [case for case in suite_cases("congruence", {"pmax": 13, "mmax": 39})
              if case[0] == "thm2"] + list(suites.thm3_cases(6, 6, 3))
     for table in (congruence._m_row, congruence._single_sum_factor, dq, dq_inverse_base):
@@ -262,6 +264,43 @@ def test_the_sum_rows_keep_no_mirror_table():
     records = suites.run_cases(cases)
     assert len(records) == len(cases) and all(record["passed"] for record in records)
     assert dq_inverse_base.cache_info().currsize == 0
+    assert dq.cache_info().currsize == 0
+    assert len(congruence._ROWS) <= 2
+
+
+def test_rows_match_the_caches_they_replace():
+    # each row from cold, then the cells m-major and shuffled: every entry equals D_q(m,k),
+    # [m;k] and [m+k;k] as the cached tables build them
+    cells = [(m, k) for m in range(21) for k in range(14)]
+
+    def check(m, k, row):
+        assert row.dq[k] == dq(m, k), (m, k)
+        assert (row.binom[k], row.binom_up[k]) == (qbinomial(m, k), qbinomial(m + k, k)), (m, k)
+        assert len(congruence._ROWS) <= 2
+
+    for m in range(21):
+        congruence._m_row.cache_clear()
+        row = congruence._m_row(m, 14)
+        for k in range(14):
+            check(m, k, row)
+    for order in (cells, random.Random(3).sample(cells, len(cells))):
+        congruence._m_row.cache_clear()
+        for m, k in order:
+            check(m, k, congruence._m_row(m, k + 1))
+
+
+def test_a_cold_row_needs_no_deep_recursion():
+    # a row is stepped up from row 0 in a loop, not by one call per m
+    congruence._m_row.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        lhs = thm2_lhs(3, 300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert lhs == congruence._thm2_lhs_single_sum(3, 300)
+    assert exact_div(lhs, one_minus_q(1)).substitute({"q": 1}) == \
+        sum((2 * k + 1) * delannoy(300, k) ** 2 for k in range(3))
 
 
 def test_running_sums_add_no_term_at_a_time(monkeypatch):

@@ -6,14 +6,14 @@ from functools import lru_cache
 
 import pytest
 
-from qck import congruence
+from qck import congruence, qkit
 from qck import delannoy as delannoy_module
 from qck.congruence import Thm2MismatchError, thm2_witness
 from qck.delannoy import (_alt_sum, _dq_sum, build_table, delannoy, dq, dq_alt,
                           dq_inverse_base, dq_star, dq_star_alt, product_expansion,
                           product_expansion_rhs, product_x_identity, verify_relations)
 from qck.exactalg import MultiLaurentPoly as P, is_nonneg_integer_laurent
-from qck.qkit import ParamExpr, lattice, qbinomial
+from qck.qkit import ParamExpr, lattice_step, qbinomial
 
 q = P.var("q")
 x = P.var("x")
@@ -202,14 +202,20 @@ def test_cold_corner_needs_no_deep_recursion():
 
 
 def _clear_tables():
-    for table in (dq, dq_star, dq_inverse_base, congruence._m_row):
+    for table in (dq, dq_star, dq_inverse_base, qbinomial, congruence._single_sum_factor,
+                  congruence._m_row):
         table.cache_clear()
 
 
 def _assert_caught(monkeypatch, mutant):
-    """A mutant of delannoy's recurrence fails delannoy_relations and splits thm2's routes."""
+    """A mutant of the one lattice step fails delannoy_relations and splits thm2's routes."""
     _clear_tables()
-    monkeypatch.setattr(delannoy_module, "lattice", mutant)
+    bindings = [module for name, module in sys.modules.items()  # ``lattice``'s and the rows'
+                if name.split(".")[0] == "qck"
+                and vars(module).get("lattice_step") is lattice_step]
+    assert {qkit, congruence} <= set(bindings)
+    for module in bindings:
+        monkeypatch.setattr(module, "lattice_step", mutant)
     try:
         assert not verify_relations(2, 2).passed
         with pytest.raises(Thm2MismatchError):
@@ -221,16 +227,14 @@ def _assert_caught(monkeypatch, mutant):
 
 
 def test_a_wrong_power_in_the_recurrence_is_caught(monkeypatch):
-    def mutant(table, diagonal, i, j):  # q^{i+1} where the recurrence has q^i
-        if i < 1 or j < 1:
-            return lattice(table, diagonal, i, j)
-        return table(i - 1, j) + q ** (i + 1) * table(i, j - 1) \
-            + q ** (i - 1) * table(i - 1, j - 1)
+    def mutant(i, up, left, corner=None):  # q^{i+1} where the step has q^i
+        out = up + q ** (i + 1) * left
+        return out if corner is None else out + q ** (i - 1) * corner
     _assert_caught(monkeypatch, mutant)
 
 
 def test_a_missing_diagonal_step_is_caught(monkeypatch):
-    _assert_caught(monkeypatch, lambda table, diagonal, i, j: lattice(table, False, i, j))
+    _assert_caught(monkeypatch, lambda i, up, left, corner=None: lattice_step(i, up, left))
 
 
 def test_the_inverse_base_is_the_mirror_image():
