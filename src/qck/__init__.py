@@ -10,7 +10,7 @@ built on them.
 from .exactalg import (MultiLaurentPoly, NotDivisibleError, TermBudgetExceeded,
                        divrem_in_q, exact_divide, is_nonneg_integer_laurent)
 from .qkit import ParamExpr, bracket, qbinomial, qpochhammer
-from .hyperg import PhiSpec, parse_phi, phi_sum, phi_term, print_phi
+from .hyperg import PhiSpec
 from .delannoy import dq, dq_star
 from .report import VerificationReport
 
@@ -21,7 +21,7 @@ __all__ = [
     "exact_divide", "divrem_in_q",
     "is_nonneg_integer_laurent",
     "ParamExpr", "bracket", "qbinomial", "qpochhammer",
-    "PhiSpec", "parse_phi", "print_phi", "phi_sum", "phi_term",
+    "PhiSpec",
     "dq", "dq_star",
     "VerificationReport",
     "__version__",

@@ -1,14 +1,14 @@
 """Command line front end.
 
-Subcommands: verify (run suites or a manifest), phi (evaluate a terminating
-series spec), delannoy (tables), congruence (the thm2 cases at one prime) and
-positivity (the thm3 claims over an m, n, r grid).  congruence and positivity
-run their cases through the same runner and report as verify.  Exit codes: 0
-all checks passed, 1 at least one mathematical check failed, 2 usage or
-configuration error, a run with no cases or a grid bound that empties one
-family of cases, a --parallel pool broken by a worker killed from outside (the
-OOM killer, say), or a case that raised (a term-budget abort, say) instead of a
-verdict: an ERROR line, or ``error`` in a CSV row's passed cell.  A subcommand
+Subcommands: verify (run suites or a manifest), delannoy (tables), congruence
+(the thm2 cases at one prime) and positivity (the thm3 claims over an m, n, r
+grid).  congruence and positivity run their cases through the same runner and
+report as verify.  Exit codes: 0 all checks passed, 1 at least one mathematical
+check failed, 2 usage or configuration error, a run with no cases or a grid
+bound that empties one family of cases, a --parallel pool broken by a worker
+killed from outside (the OOM killer, say), or a case that raised (a term-budget
+abort, say) instead of a verdict: an ERROR line, or ``error`` in a CSV row's
+passed cell.  A subcommand
 raises on error; the one except ladder in ``main`` maps each error it knows to
 one stderr line and exit 2, and lets any other exception (a bug) propagate.
 Reports list their records in case order, whatever order the cases ran in, and
@@ -24,8 +24,8 @@ import json
 import sys
 from concurrent.futures import BrokenExecutor
 
-from . import congruence, delannoy, hyperg, suites
-from .exactalg import TermBudgetExceeded, exact_divide
+from . import congruence, delannoy, suites
+from .exactalg import TermBudgetExceeded
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -141,13 +141,6 @@ def cmd_verify(args) -> int:
     return _run(cases, args, args.parallel)
 
 
-def cmd_phi(args) -> int:
-    num, den = hyperg.phi_sum_cleared(hyperg.parse_phi(args.expr))
-    whole = exact_divide(num, den)
-    print(whole if whole is not None else f"({num}) / ({den})")
-    return EXIT_OK
-
-
 def cmd_delannoy(args) -> int:
     rows = delannoy.build_table(args.q_analogue, args.m, args.n)
     if args.format == "csv":
@@ -206,10 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv)
     pv.set_defaults(fn=cmd_verify)
 
-    pp = sub.add_parser("phi", help="evaluate a terminating series spec")
-    pp.add_argument("expr", help='e.g. "phi[2,1]{a, q^-2 ; c ; q}"')
-    pp.set_defaults(fn=cmd_phi)
-
     pd = sub.add_parser("delannoy", help="Delannoy tables and q-analogues")
     pd.add_argument("--m", type=int, required=True)
     pd.add_argument("--n", type=int, required=True)
@@ -242,10 +231,6 @@ def main(argv=None) -> int:
     try:
         _check_bounds(args)
         return args.fn(args)
-    except hyperg.PhiParseError as exc:  # these three first: all are ValueErrors
-        message = f"parse error: line 1, column {exc.offset + 1}: {exc}"
-    except hyperg.PhiSpecError as exc:
-        message = f"invalid series: {exc}"
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # only --manifest reads a file
         message = f"error: manifest {args.manifest} is not JSON: {exc}"
     except TermBudgetExceeded as exc:

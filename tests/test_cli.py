@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qck import (cli, congruence, delannoy, exactalg, hyperg, identities, positivity, qkit,
+from qck import (cli, congruence, delannoy, exactalg, identities, positivity, qkit,
                  suites)
 from qck.exactalg import MultiLaurentPoly, NotDivisibleError
 from qck.identities import verify_clausen_orr
@@ -57,54 +57,18 @@ def test_exit_two_on_usage_error():
 
 
 def test_exit_two_on_bad_phi():
-    result = run_cli("phi", "phi[2,1]{a, q^- ; c ; q}")
+    # qck has no series evaluator: "phi" is argparse's invalid choice, a usage error
+    result = run_cli("phi", "phi[2,1]{a, q^-2 ; c ; q}")
     assert result.returncode == 2
-    assert "column" in result.stderr
-
-
-def test_exit_two_on_out_of_range_phi_literal():
-    result = run_cli("phi", "phi[1,0]{q^-1 ; ; q^2000000}")
-    assert result.returncode == 2
-    assert "column 19" in result.stderr
-    assert "Traceback" not in result.stderr
-
-
-def test_exit_two_on_non_ascii_phi_digit():
-    # "²" passes str.isdigit, but the grammar's INT is ASCII
-    result = run_cli("phi", "phi[1,0]{q^-1 ; ; q^²}")
-    assert result.returncode == 2
-    assert "column" in result.stderr
-    assert "Traceback" not in result.stderr
-
-
-def test_exit_two_on_phi_exponent_overflow():
-    # q^600000 is in range, but the k = 2 summand needs q^1200000
-    result = run_cli("phi", "phi[2,1]{q^-2, a ; c ; q^600000}")
-    assert result.returncode == 2
-    assert result.stderr.startswith("error: ")
-    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("usage: qck")
+    assert "invalid choice: 'phi'" in result.stderr
+    assert result.stdout == ""
 
 
 def test_exit_two_on_hard_cap():
     result = run_cli("verify", "--suite", "clausen", "--nmax", "99")
     assert result.returncode == 2
     assert "hard cap" in result.stderr
-
-
-def test_phi_examples():
-    for spec, printed in [
-        ("phi[2,1]{a, q^-0 ; c ; q}", "1"),
-        # the README example: its denominator (c;q)_2 is in q and c, so key-order division
-        ("phi[2,1]{a, q^-2 ; c ; q}",
-         "(-a*c + a^2 + q*c^2 + -q*a*c) / (1 + -c + -q*c + q*c^2)"),
-        # a denominator in q alone that does not divide the numerator
-        ("phi[2,1]{a, q^-2 ; q^3 ; q}",
-         "(a^2 + -q^3*a + -q^4*a + q^7) / (1 + -q^3 + -q^4 + q^7)"),
-        ("phi[2,1]{c, q^-2 ; c ; q}", "0"),
-    ]:
-        result = run_cli("phi", spec)
-        assert result.returncode == 0, spec
-        assert result.stdout == printed + "\n", spec
 
 
 def test_delannoy_examples():
@@ -355,8 +319,6 @@ def test_unwritable_out_is_an_error(tmp_path):
 
 
 LADDER = [
-    (hyperg.PhiParseError("unexpected '-'", 4), "parse error: line 1, column 5: "),
-    (hyperg.PhiSpecError("argument must be a monomial"), "invalid series: "),
     (exactalg.TermBudgetExceeded("product needs 11 terms"), "aborted: "),
     (ValueError("a bad value"), "error: "),
     (OSError("an unwritable path"), "error: "),
@@ -378,9 +340,9 @@ def test_one_ladder_maps_each_error_to_exit_two(monkeypatch, capsys, exc, prefix
 def test_a_bug_propagates_out_of_main(monkeypatch):
     def raising(args):
         raise RuntimeError("a bug, not a usage error")
-    monkeypatch.setattr(cli, "cmd_phi", raising)
+    monkeypatch.setattr(cli, "cmd_delannoy", raising)
     with pytest.raises(RuntimeError, match="a bug"):
-        cli.main(["phi", "phi[2,1]{a, q^-2 ; c ; q}"])
+        cli.main(["delannoy", "--m", "1", "--n", "1"])
 
 
 def test_a_broken_pool_is_an_error_not_a_failed_check(monkeypatch, capsys):
@@ -406,14 +368,16 @@ def test_no_command_catches_its_own_errors():
     tree = ast.parse(Path(inspect.getsourcefile(cli)).read_text())
     commands = [f for f in tree.body
                 if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
-    assert {f.name for f in commands} == {"cmd_verify", "cmd_phi", "cmd_delannoy",
-                                          "cmd_congruence", "cmd_positivity"}
+    assert {f.name for f in commands} == {"cmd_verify", "cmd_delannoy", "cmd_congruence",
+                                          "cmd_positivity"}
     for function in commands:
         assert not any(isinstance(node, ast.Try) for node in ast.walk(function)), function.name
 
 
-def test_phi_term_budget_abort():
-    result = run_cli("phi", "phi[3,2]{q^-3,a,x;c,0;q}", env_extra={"QCK_MAX_TERMS": "3"})
+def test_delannoy_term_budget_abort():
+    # a budget abort outside any case: the dqstar table builds a 4-term result
+    result = run_cli("delannoy", "--m", "4", "--n", "4", "--q-analogue", "dqstar",
+                     env_extra={"QCK_MAX_TERMS": "3"})
     assert result.returncode == 2
     assert result.stderr.count("\n") == 1 and result.stderr.startswith("aborted: ")
     assert result.stdout == ""

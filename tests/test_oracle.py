@@ -13,11 +13,10 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
-from qck import cli
 from qck.congruence import congruence_witness, thm2_lhs, thm2_witness
 from qck.delannoy import delannoy_product_sides, dq, dq_inverse_base, dq_star
 from qck.exactalg import MultiLaurentPoly, exact_divide
-from qck.hyperg import qbinomial_theorem_sides, qchu_vandermonde_sides
+from qck.hyperg import PhiSpec, phi_sum_cleared, qbinomial_theorem_sides, qchu_vandermonde_sides
 from qck.identities import (_general_s_sides, clausen_orr_sides, general_s_sides,
                             general_s_specialization_difference, lemma_last_sides,
                             q2_product_sides, special1_sides, special3_shifted_sides,
@@ -331,24 +330,24 @@ def test_thm3_1_cell_against_sympy():
     assert verify_thm3("thm3-1", m, n).passed
 
 
-@pytest.mark.parametrize("text, upper, lower, z", [
-    ("phi[2,1]{1/2*a, q^-2 ; 3 ; q}", [a / 2, q ** -2], [3], q),
-    ("phi[2,1]{a, q^-2 ; 2/3*c ; q}", [a, q ** -2], [sp.Rational(2, 3) * c], q),
-    ("phi[1,0]{q^-2 ; ; 1/2*q}", [q ** -2], [], q / 2),
-    ("phi[2,1]{3*a, q^-2 ; c ; q}", [3 * a, q ** -2], [c], q),
-], ids=["half-a", "two-thirds-c", "half-q-argument", "three-a"])
-def test_rational_phi_against_sympy(text, upper, lower, z, capsys):
-    # the integer num/den pair printed by `qck phi` against the series summed from
-    # its definition, (-1)^k q^C(k,2) raised to 1 + s - r, up to the termination order 2
+_PA, _PC, _PQ, _PQ_2 = (ParamExpr.var(v, e) for v, e in [("a", 1), ("c", 1), ("q", 1), ("q", -2)])
+
+
+@pytest.mark.parametrize("upper, lower, z", [
+    ([ParamExpr.of(3, {"a": 1}), _PQ_2], [_PC], _PQ),
+    ([_PA, _PQ_2], [ParamExpr.of(3)], _PQ),
+    ([_PA, _PQ_2], [_PC], ParamExpr.of(-2, {"q": 1})),
+], ids=["three-a", "three-lower", "minus-two-q-argument"])
+def test_rational_phi_against_sympy(upper, lower, z):
+    # the integer num/den pair of phi_sum_cleared against the series summed from its
+    # definition, (-1)^k q^C(k,2) raised to 1 + s - r, up to the termination order 2
     e = 1 + len(lower) - len(upper)
-    series = sum(sp.prod([poch(u, k) for u in upper]) * ((-1) ** k * q ** (k * (k - 1) // 2)) ** e
-                 * z ** k / (poch(q, k) * sp.prod([poch(b, k) for b in lower])) for k in range(3))
+    su, sl, sz = [sympy_of(u) for u in upper], [sympy_of(b) for b in lower], sympy_of(z)
+    series = sum(sp.prod([poch(u, k) for u in su]) * ((-1) ** k * q ** (k * (k - 1) // 2)) ** e
+                 * sz ** k / (poch(q, k) * sp.prod([poch(b, k) for b in sl])) for k in range(3))
     want_num, want_den = sp.fraction(sp.cancel(sp.together(series)))
-    assert cli.main(["phi", text]) == 0
-    printed = capsys.readouterr().out.strip()
-    parts = printed[1:-1].split(") / (") if " / " in printed else [printed, "1"]
-    num, den = (sp.parse_expr(part.replace("^", "**")) for part in parts)
-    assert sp.expand(num * want_den - want_num * den) == 0
+    num, den = phi_sum_cleared(PhiSpec.of(upper, lower, z))
+    assert sp.expand(sympy_of(num) * want_den - want_num * sympy_of(den)) == 0
 
 
 _KQ, _KA, _KC, _KX = (MultiLaurentPoly.var(v) for v in "qacx")
