@@ -1,18 +1,18 @@
 """Command line front end.
 
-Subcommands: verify (run suites or a manifest), delannoy (tables), congruence
-(the thm2 cases at one prime) and positivity (the thm3 claims over an m, n, r
-grid).  congruence and positivity run their cases through the same runner and
-report as verify.  Exit codes: 0 all checks passed, 1 at least one mathematical
-check failed, 2 usage or configuration error, a run with no cases or a grid
-bound that empties one family of cases, a --parallel pool broken by a worker
-killed from outside (the OOM killer, say), or a case that raised (a term-budget
-abort, say) instead of a verdict: an ERROR line, or ``error`` in a CSV row's
-passed cell.  A subcommand
-raises on error; the one except ladder in ``main`` maps each error it knows to
-one stderr line and exit 2, and lets any other exception (a bug) propagate.
-Reports list their records in case order, whatever order the cases ran in, and
-are byte-identical for identical configurations, with or without --parallel.
+Subcommands: verify (run suites or a manifest), congruence (the thm2 cases at
+one prime) and positivity (the thm3 claims over an m, n, r grid).  Each builds
+a case list and runs it through ``_run``, so all three report as verify does.
+Exit codes: 0 all checks passed, 1 at least one mathematical check failed, 2
+usage or configuration error, a run with no cases or a grid bound that empties
+one family of cases, a --parallel pool broken by a worker killed from outside
+(the OOM killer, say), or a case that raised (a term-budget abort, say) instead
+of a verdict: an ERROR line, or ``error`` in a CSV row's passed cell.  A
+subcommand raises on error; the one except ladder in ``main`` maps each error
+it knows to one stderr line, prefixed ``error:``, and exit 2, and lets any
+other exception (a bug) propagate.  Reports list their records in case order,
+whatever order the cases ran in, and are byte-identical for identical
+configurations, with or without --parallel.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ import json
 import sys
 from concurrent.futures import BrokenExecutor
 
-from . import congruence, delannoy, suites
-from .exactalg import TermBudgetExceeded
+from . import congruence, suites
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -46,21 +45,18 @@ def _label(record) -> str:
     return f"{record['name']}({params})"
 
 
-def _csv(header, rows) -> str:
-    """The header and then each row as one CSV line."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()
-
-
 def _emit(records, fmt: str, out_path) -> None:
     if fmt == "json":
         text = json.dumps(records, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        text = _csv(["name", "params", "passed", "difference"], (
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["name", "params", "passed", "difference"])
+        writer.writerows(
             [r["name"], ";".join(f"{k}={v}" for k, v in sorted(r["params"].items())),
              "error" if "error" in r else r["passed"], r.get("error", r["difference"])]
-            for r in records))
+            for r in records)
+        text = buf.getvalue()
     else:
         lines = [f"ERROR {_label(r)} {r['error']}" if "error" in r
                  else f"PASS {_label(r)}" if r["passed"]
@@ -141,22 +137,6 @@ def cmd_verify(args) -> int:
     return _run(cases, args, args.parallel)
 
 
-def cmd_delannoy(args) -> int:
-    rows = delannoy.build_table(args.q_analogue, args.m, args.n)
-    if args.format == "csv":
-        text = _csv(["m\\n", *range(args.n + 1)],
-                    ([m, *map(str, row)] for m, row in enumerate(rows)))
-    elif args.format == "json":
-        text = json.dumps({
-            "kind": args.q_analogue, "max_m": args.m, "max_n": args.n,
-            "entries": [[str(v) for v in row] for row in rows],
-        }, indent=2, sort_keys=True) + "\n"
-    else:
-        text = f"{rows[args.m][args.n]}\n"
-    _write(text, args.out)
-    return EXIT_OK
-
-
 def cmd_congruence(args) -> int:
     """The thm2 cases of the congruence suite at one prime."""
     cases = [c for c in suites.suite_cases("congruence", {"p": args.p, "mmax": args.mmax})
@@ -199,14 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(pv)
     pv.set_defaults(fn=cmd_verify)
 
-    pd = sub.add_parser("delannoy", help="Delannoy tables and q-analogues")
-    pd.add_argument("--m", type=int, required=True)
-    pd.add_argument("--n", type=int, required=True)
-    pd.add_argument("--q-analogue", dest="q_analogue", default="plain",
-                    choices=("plain", "dq", "dqstar", "product-rhs"))
-    common(pd)
-    pd.set_defaults(fn=cmd_delannoy)
-
     pc = sub.add_parser("congruence", help="bracket congruences for one prime")
     pc.add_argument("--p", type=int, required=True)
     pc.add_argument("--mmax", type=int, default=9)
@@ -233,9 +205,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # only --manifest reads a file
         message = f"error: manifest {args.manifest} is not JSON: {exc}"
-    except TermBudgetExceeded as exc:
-        message = f"aborted: {exc}"
-    except (ValueError, OSError, delannoy.DelannoyMismatchError, BrokenExecutor) as exc:
+    except (ValueError, OSError, BrokenExecutor) as exc:
         message = f"error: {exc}"  # an unwritable --out, a killed worker: errors, not verdicts
     print(message, file=sys.stderr)
     return EXIT_USAGE

@@ -151,17 +151,6 @@ def relations_difference(m: int, n: int) -> MultiLaurentPoly:
     return next((d for d in diffs if not d.is_zero()), MultiLaurentPoly.zero())
 
 
-_TABLES = {"plain": delannoy, "dq": dq, "dqstar": dq_star, "product-rhs": product_expansion_rhs}
-
-
-def build_table(kind: str, max_m: int, max_n: int) -> list:
-    """Rows m = 0..max_m of D, D_q, D*_q, or the product-formula right side at n = 0..max_n."""
-    if kind not in _TABLES:
-        raise ValueError(f"unknown table kind {kind!r}; expected one of {tuple(_TABLES)}")
-    fn = _TABLES[kind]
-    return [[fn(m, n) for n in range(max_n + 1)] for m in range(max_m + 1)]
-
-
 product_expansion = CaseKind("delannoy_product", __name__, ("q",))
 product_x_identity = CaseKind("delannoy_product_x", __name__, ("q", "x"),
                               difference="product_x_difference")

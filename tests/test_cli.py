@@ -16,8 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qck import (cli, congruence, delannoy, exactalg, identities, positivity, qkit,
-                 suites)
+from qck import cli, congruence, exactalg, identities, positivity, qkit, suites
 from qck.exactalg import MultiLaurentPoly, NotDivisibleError
 from qck.identities import verify_clausen_orr
 from qck.report import CaseKind, VerificationReport
@@ -65,23 +64,19 @@ def test_exit_two_on_bad_phi():
     assert result.stdout == ""
 
 
+def test_exit_two_on_delannoy():
+    # qck prints no Delannoy tables: D_q and D*_q are the library's qck.dq and qck.dq_star
+    result = run_cli("delannoy", "--m", "2", "--n", "2")
+    assert result.returncode == 2
+    assert result.stderr.startswith("usage: qck")
+    assert "invalid choice: 'delannoy'" in result.stderr
+    assert result.stdout == ""
+
+
 def test_exit_two_on_hard_cap():
     result = run_cli("verify", "--suite", "clausen", "--nmax", "99")
     assert result.returncode == 2
     assert "hard cap" in result.stderr
-
-
-def test_delannoy_examples():
-    assert run_cli("delannoy", "--m", "2", "--n", "2").stdout.strip() == "13"
-    assert run_cli("delannoy", "--m", "1", "--n", "1",
-                   "--q-analogue", "dq").stdout.strip() == "2 + q"
-    assert run_cli("delannoy", "--m", "0", "--n", "5",
-                   "--q-analogue", "dqstar").stdout.strip() == "1"
-    assert run_cli("delannoy", "--m", "2", "--n", "-1").returncode == 2
-    assert run_cli("delannoy", "--m", "2", "--n", "2", "--q-analogue", "dq",
-                   "--format", "csv").stdout == (
-        "m\\n,0,1,2\n0,1,1,1\n1,1,2 + q,2 + 2*q + q^2\n"
-        "2,1,2 + 2*q + q^2,2 + 4*q + 4*q^2 + 2*q^3 + q^4\n")
 
 
 def test_congruence_subcommand():
@@ -312,37 +307,32 @@ def test_malformed_term_budget_is_an_error():
 def test_unwritable_out_is_an_error(tmp_path):
     out = str(tmp_path / "missing" / "r.json")
     for args in (("verify", "--suite", "clausen", "--nmax", "0"),
-                 ("delannoy", "--m", "1", "--n", "1")):
+                 ("congruence", "--p", "3", "--mmax", "1")):
         result = run_cli(*args, "--out", out)
         assert result.returncode == 2, args  # the checks ran; the report could not be written
         assert result.stderr.count("\n") == 1 and result.stderr.startswith("error: "), args
 
 
-LADDER = [
-    (exactalg.TermBudgetExceeded("product needs 11 terms"), "aborted: "),
-    (ValueError("a bad value"), "error: "),
-    (OSError("an unwritable path"), "error: "),
-    (delannoy.DelannoyMismatchError("closed forms disagree"), "error: "),
-]
+LADDER = [ValueError("a bad value"), OSError("an unwritable path")]
 
 
-@pytest.mark.parametrize("exc, prefix", LADDER, ids=[type(exc).__name__ for exc, _ in LADDER])
-def test_one_ladder_maps_each_error_to_exit_two(monkeypatch, capsys, exc, prefix):
+@pytest.mark.parametrize("exc", LADDER, ids=[type(exc).__name__ for exc in LADDER])
+def test_one_ladder_maps_each_error_to_exit_two(monkeypatch, capsys, exc):
     def raising(args):
         raise exc
-    monkeypatch.setattr(cli, "cmd_delannoy", raising)
-    assert cli.main(["delannoy", "--m", "1", "--n", "1"]) == 2
+    monkeypatch.setattr(cli, "cmd_verify", raising)
+    assert cli.main(["verify", "--suite", "clausen", "--nmax", "0"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"{prefix}{exc}\n"
+    assert captured.err == f"error: {exc}\n"
     assert captured.out == ""
 
 
 def test_a_bug_propagates_out_of_main(monkeypatch):
     def raising(args):
         raise RuntimeError("a bug, not a usage error")
-    monkeypatch.setattr(cli, "cmd_delannoy", raising)
+    monkeypatch.setattr(cli, "cmd_verify", raising)
     with pytest.raises(RuntimeError, match="a bug"):
-        cli.main(["delannoy", "--m", "1", "--n", "1"])
+        cli.main(["verify", "--suite", "clausen", "--nmax", "0"])
 
 
 def test_a_broken_pool_is_an_error_not_a_failed_check(monkeypatch, capsys):
@@ -363,32 +353,24 @@ def test_a_broken_pool_is_an_error_not_a_failed_check(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def _commands() -> list:
+    tree = ast.parse(Path(inspect.getsourcefile(cli)).read_text())
+    return [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+
+
 def test_no_command_catches_its_own_errors():
     """The ladder in ``main`` is the only one: no ``cmd_*`` function holds a ``try``."""
-    tree = ast.parse(Path(inspect.getsourcefile(cli)).read_text())
-    commands = [f for f in tree.body
-                if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
-    assert {f.name for f in commands} == {"cmd_verify", "cmd_delannoy", "cmd_congruence",
-                                          "cmd_positivity"}
+    commands = _commands()
+    assert {f.name for f in commands} == {"cmd_verify", "cmd_congruence", "cmd_positivity"}
     for function in commands:
         assert not any(isinstance(node, ast.Try) for node in ast.walk(function)), function.name
 
 
-def test_delannoy_term_budget_abort():
-    # a budget abort outside any case: the dqstar table builds a 4-term result
-    result = run_cli("delannoy", "--m", "4", "--n", "4", "--q-analogue", "dqstar",
-                     env_extra={"QCK_MAX_TERMS": "3"})
-    assert result.returncode == 2
-    assert result.stderr.count("\n") == 1 and result.stderr.startswith("aborted: ")
-    assert result.stdout == ""
-
-
-def test_delannoy_malformed_term_budget_is_an_error():
-    result = run_cli("delannoy", "--m", "4", "--n", "4", "--q-analogue", "dqstar",
-                     env_extra={"QCK_MAX_TERMS": "abc"})
-    assert result.returncode == 2
-    assert result.stderr == "error: QCK_MAX_TERMS='abc' is not a non-negative integer\n"
-    assert result.stdout == ""
+def test_every_command_ends_in_the_case_runner():
+    """Each ``cmd_*`` returns ``_run(...)``: no subcommand computes outside a case, so every
+    exception that arithmetic raises is a case error, and ``main`` needs one prefix."""
+    for function in _commands():
+        assert ast.unparse(function.body[-1]).startswith("return _run("), function.name
 
 
 def test_text_report_prints_case_errors_as_errors():
@@ -545,8 +527,7 @@ def test_manifest_unknown_parameter_is_an_error(tmp_path, entry, param):
 
 
 def test_subcommands_reject_flags_they_would_ignore():
-    for args in (("delannoy", "--m", "1", "--n", "1", "--parallel"),
-                 ("congruence", "--p", "3", "--mmax", "1", "--seed", "3"),
+    for args in (("congruence", "--p", "3", "--mmax", "1", "--seed", "3"),
                  ("positivity", "--mmax", "1", "--nmax", "1", "--parallel"),
                  ("congruence", "--p", "3", "--mmax", "1", "--format", "csv"),
                  ("positivity", "--mmax", "1", "--nmax", "1", "--format", "csv")):
@@ -562,12 +543,6 @@ def test_subcommands_share_the_hard_caps():
     result = run_cli("congruence", "--p", "3", "--mmax", "41")
     assert result.returncode == 2
     assert "hard cap" in result.stderr
-    result = run_cli("delannoy", "--m", "13", "--n", "1")
-    assert result.returncode == 2
-    assert "hard cap" in result.stderr
-    result = run_cli("delannoy", "--n", "13", "--m", "0", "--unsafe-bounds")
-    assert result.returncode == 0
-    assert result.stdout == "1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -576,8 +551,6 @@ def test_subcommands_share_the_hard_caps():
     ["positivity", "--mmax", "-1"],
     ["positivity", "--nmax", "-1", "--unsafe-bounds"],
     ["congruence", "--p", "9", "--unsafe-bounds"],
-    ["delannoy", "--m", "13", "--n", "1"],
-    ["delannoy", "--m", "-1", "--n", "1"],
     ["verify", "--suite", "congruence", "--p", "15", "--unsafe-bounds"],
     ["congruence", "--p", "15", "--unsafe-bounds"],
 ])

@@ -9,7 +9,7 @@ import pytest
 from qck import congruence, qkit
 from qck import delannoy as delannoy_module
 from qck.congruence import Thm2MismatchError, thm2_witness
-from qck.delannoy import (_alt_sum, _dq_sum, build_table, delannoy, dq, dq_alt,
+from qck.delannoy import (_alt_sum, _dq_sum, delannoy, dq, dq_alt,
                           dq_inverse_base, dq_star, dq_star_alt, product_expansion,
                           product_expansion_rhs, product_x_identity, verify_relations)
 from qck.exactalg import MultiLaurentPoly as P, is_nonneg_integer_laurent
@@ -160,18 +160,6 @@ def test_verify_relations():
     for m in range(5):
         for n in range(5):
             assert verify_relations(m, n).passed
-
-
-def test_build_table():
-    rows = build_table("plain", 3, 3)
-    assert len(rows) == 4 and all(len(row) == 4 for row in rows)
-    assert rows[2][2] == 13
-    assert rows[0][3] == 1
-    dq_rows = build_table("dq", 2, 1)
-    assert dq_rows[1][1] == 2 + q
-    assert len(dq_rows) == 3 and len(dq_rows[2]) == 2
-    with pytest.raises(ValueError):
-        build_table("nope", 2, 2)
 
 
 def test_negative_arguments_rejected():
