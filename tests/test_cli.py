@@ -551,6 +551,8 @@ def test_subcommands_share_the_hard_caps():
     ["positivity", "--mmax", "-1"],
     ["positivity", "--nmax", "-1", "--unsafe-bounds"],
     ["congruence", "--p", "9", "--unsafe-bounds"],
+    ["congruence", "--p", "3", "--mmax", "41"],
+    ["congruence", "--p", "3", "--mmax", "-1"],
     ["verify", "--suite", "congruence", "--p", "15", "--unsafe-bounds"],
     ["congruence", "--p", "15", "--unsafe-bounds"],
 ])
