@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--parallel", action="store_true",
                     help="fan cases out to a process pool (report unchanged)")
     pv.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized property sampling")
+                    help="seed of a grid's seeded cases (phi_permutation); a manifest's "
+                         "cases carry their own seed")
     common(pv)
     pv.set_defaults(fn=cmd_verify)
 

@@ -20,20 +20,8 @@ its single-sum rewriting; the two must agree exactly before any reduction
 happens.  The sum itself (``thm2_lhs``) needs no prime: the first positivity
 family is this sum with p replaced by any n >= 1.
 
-The direct route, ``odd_delannoy_sum``, is the one transcription of the sum
-S_r(m, n) = sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r w_k: Theorem 2's at
-r = 1, w_k = q^{-k}, and positivity's thm3-2/3 at every r, one weight each.  A
-single-sum term has [m;j], [m+j;j] as factors.  Row m (``_m_row``) owns every
-table of m that the two routes read: D_q(m,k), [m;k] and [m+k;k], each entry one
-``qkit.lattice_step`` from row m - 1, and the prefix sums of every (r, weight).
-The store holds row m and row m - 1's tables, its sums dropped; the suites run a
-kind's cases m-major, so each m costs one step and builds its sums once.  Any
-other order steps up from the nearest held row, or from row 0, in a loop: the
-polynomials are the same, and no m-by-k triangle is kept.  Each term mirrors
-the row's D_q(m,k) into D_{1/q}(m,k) as it multiplies it.  The cached tables
-``delannoy.dq``, ``dq_inverse_base`` and ``qkit.qbinomial`` serve the Delannoy
-kinds (m, n <= 12), the factors free of m and the tests; these rows fill none of
-them.
+The direct route is ``delannoy.odd_delannoy_sum``; a single-sum term reads
+[m;j] and [m+j;j] (``delannoy.row_binomials``) from the same row m that holds D_q(m,k).
 """
 
 from __future__ import annotations
@@ -41,9 +29,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import isqrt
 
+from .delannoy import odd_delannoy_sum, row_binomials
 from .exactalg import (MultiLaurentPoly, divrem_in_q, exact_div, exact_divide,
                        is_nonneg_integer_laurent, sum_of_products)
-from .qkit import bracket, lattice_step, odd_sum, one_minus_q, qbinomial, qpochhammer
+from .qkit import bracket, odd_sum, one_minus_q, qbinomial, qpochhammer
 from .report import CaseKind
 
 PRIME_CAP = 10 ** 4
@@ -117,94 +106,10 @@ def _single_sum_factor(p: int, j: int) -> MultiLaurentPoly:
         * qpochhammer(MultiLaurentPoly.monomial(-1, {"q": 1}), j)
 
 
-class _Row:
-    """Row m: D_q(m,k), [m;k] and [m+k;k] for k below the row's size, and its sums S_r(m, n)."""
-
-    __slots__ = ("dq", "binom", "binom_up", "sums")
-
-    def __init__(self, dq: list, binom: list, binom_up: list):
-        self.dq, self.binom, self.binom_up, self.sums = dq, binom, binom_up, {}
-
-
-def _origin(size: int) -> _Row:
-    """Row 0: D_q(0,k) = [k;k] = 1, and [0;k] = 0 past k = 0."""
-    one = MultiLaurentPoly.const(1)
-    return _Row([one] * size, [one] + [MultiLaurentPoly.zero()] * (size - 1), [one] * size)
-
-
-def _step(row: _Row, m: int) -> _Row:
-    """Row m from row m - 1: each entry is one ``lattice_step`` from its neighbours.
-
-    D_q(m,k) and [m+k;k] = T(m,k) are lattice rows at i = m, with and without the diagonal;
-    [m;k] = [m-1;k-1] + q^k [m-1;k] is the same step at i = k, read along the other axis.
-    """
-    one, size = MultiLaurentPoly.const(1), len(row.dq)
-    dq, up = [one], [one]
-    for k in range(1, size):
-        dq.append(lattice_step(m, row.dq[k], dq[-1], row.dq[k - 1]))
-        up.append(lattice_step(m, row.binom_up[k], up[-1]))
-    binom = [one] + [lattice_step(k, row.binom[k - 1], row.binom[k]) for k in range(1, size)]
-    return _Row(dq, binom, up)
-
-
-_ROWS = {}  # m -> _Row: the row last asked for, and the one below it with its sums dropped
-
-
-def _m_row(m: int, size: int) -> _Row:
-    """Row m, its tables at least ``size`` long (at least 1).
-
-    A held row that is long enough is returned as it is.  Otherwise row m is stepped up
-    from the nearest held row below it that is long enough, or from row 0 at ``size``,
-    one loop iteration per m, and keeps the sums of a shorter row m.  So every call
-    order gives the same polynomials, and the store holds two rows, never the triangle.
-    """
-    if m < 0:
-        raise ValueError("need m >= 0")
-    size = max(size, 1)
-    row = _ROWS.get(m)
-    if row is None or len(row.dq) < size:
-        start = max((i for i, held in _ROWS.items() if i < m and len(held.dq) >= size),
-                    default=None)
-        prev, new = None, _origin(size) if start is None else _ROWS[start]
-        for i in range((start or 0) + 1, m + 1):
-            prev, new = new, _step(new, i)
-        if row is not None:
-            new.sums = row.sums
-        _ROWS.clear()
-        if prev is not None:
-            _ROWS[m - 1] = prev
-        _ROWS[m] = row = new
-    for held in _ROWS.values():
-        if held is not row:
-            held.sums = {}
-    return row
-
-
-_m_row.cache_clear = _ROWS.clear
-
-
-def odd_delannoy_sum(m: int, n: int, r: int = 1, alternating: bool = False) -> MultiLaurentPoly:
-    """S_r(m, n) = sum_{k<n} (1-q^{2k+1}) (D_q(m,k) D_{1/q}(m,k))^r w_k, w_k as in ``odd_sum``.
-
-    It extends row m's largest S_r(m, n'), n' < n (if alternating, times (-1)^{n-n'}), by
-    ``odd_sum`` over n' <= k < n, whose terms take r copies of the row's D_q(m,k) and of
-    its mirror D_{1/q}(m,k), made as the term multiplies it.
-    """
-    row = _m_row(m, n)
-    sums = row.sums.setdefault((r, alternating), {0: MultiLaurentPoly.zero()})
-    if n not in sums:
-        lo = max(k for k in sums if k < n)
-        head = -sums[lo] if alternating and (n - lo) % 2 else sums[lo]
-        sums[n] = head + odd_sum([(d, d.invert_variables()) * r for d in row.dq[lo:n]],
-                                 alternating, start=lo)
-    return sums[n]
-
-
 def _thm2_lhs_single_sum(p: int, m: int) -> MultiLaurentPoly:
-    row = _m_row(m, p)
-    return sum_of_products((_single_sum_factor(p, j), row.binom[j], row.binom_up[j],
+    return sum_of_products((_single_sum_factor(p, j), binom, binom_up,
                             MultiLaurentPoly.var("q", j * j - m * j - (j + 1) * (p - 1)))
-                           for j in range(p))
+                           for j, (binom, binom_up) in enumerate(row_binomials(m, p)))
 
 
 def thm2_lhs(p: int, m: int) -> MultiLaurentPoly:

@@ -10,7 +10,7 @@ error, never a verdict.  The first family is Theorem 2's odd-weighted sum
 ``congruence.thm2_lhs`` taken over k < n for any n >= 1 (n need not be
 prime), so every cell also cross-checks that sum's two routes.  The second
 and third families are that sum's direct route at any power r of the Delannoy
-product and with either weight, ``congruence.odd_delannoy_sum``: their
+product and with either weight, ``delannoy.odd_delannoy_sum``: their
 numerators are read from the same cached row of prefix sums per m.
 
 The supporting identities: products of the basis B_k(n) = [n+k;2k][2k;k] q^{-nk}
@@ -22,7 +22,8 @@ symbolic weights x0..x_{n-1}.
 
 from __future__ import annotations
 
-from .congruence import odd_delannoy_sum, thm2_lhs
+from .congruence import thm2_lhs
+from .delannoy import odd_delannoy_sum
 from .exactalg import MultiLaurentPoly, exact_divide, non_positive_terms, sum_of_products
 from .qkit import choose2, odd_sum, one_minus_q, qbinomial
 from .report import CaseKind, VerificationReport

@@ -11,8 +11,7 @@ c*q^n or c/x: single-term MultiLaurentPolys of the kernel, multiplied, raised
 to powers and substituted by the kernel itself, so every symbol expands to an
 exact MultiLaurentPoly.  ``ParamExpr`` only names two constructors of such
 monomials.  ``lattice_step`` is the one lattice-path recurrence: q-Pascal for
-[n; k] and, with a diagonal step, D_q; ``lattice`` takes it inside a cached
-table, and Theorem 2's rows (``congruence``) take it from row to row.
+[n; k] in ``qbinomial`` and, with a diagonal step, D_q in ``delannoy``'s rows.
 ``odd_sum`` is the odd-weighted sum sum_k (1-q^{2k+1}) f_k w_k: Theorem 2's sum
 cleared by 1-q (see ``congruence`` for why that is the same congruence), its
 two lemmas and the positivity families.
@@ -85,35 +84,26 @@ def lattice_step(i: int, up: MultiLaurentPoly, left: MultiLaurentPoly,
     return out if corner is None else out + Q ** (i - 1) * corner
 
 
-def lattice(table, diagonal: bool, i: int, j: int) -> MultiLaurentPoly:
-    """T(i,j) by ``lattice_step``, with the diagonal step if ``diagonal``; 1 on the axes.
-
-    Each term comes from ``table``, the cached function being built.  A cold corner past
-    depth 32 (safe for plain recursion) fills its row, then its column, each entry finding
-    its neighbours cached: the recursion stays shallow.
-    """
-    if not i or not j:
-        return MultiLaurentPoly.const(1)
-    if i + j > 32:
-        for k in range(1, i):
-            table(k, j)
-        for k in range(1, j):
-            table(i, k)
-    return lattice_step(i, table(i - 1, j), table(i, j - 1),
-                        table(i - 1, j - 1) if diagonal else None)
-
-
 @lru_cache(maxsize=None)
 def qbinomial(n: int, k: int) -> MultiLaurentPoly:
     """Gaussian binomial [n; k]; the zero polynomial outside n >= k >= 0.
 
     Built by q-Pascal, [n; k] = [n-1; k-1] + q^k [n-1; k], the lattice without its diagonal.
+    A cold entry past n = 32 (safe for plain recursion) first fills its column [n-k+i; i],
+    then its diagonal [k+j; k], each entry finding its neighbours cached.
     """
     if not (n >= k >= 0):
         return MultiLaurentPoly.zero()
     if k > n - k:
         return qbinomial(n, n - k)
-    return lattice(lambda i, j: qbinomial(i + j, i), False, k, n - k)
+    if not k:
+        return MultiLaurentPoly.const(1)
+    if n > 32:
+        for i in range(1, k):
+            qbinomial(n - k + i, i)
+        for j in range(1, n - k):
+            qbinomial(k + j, k)
+    return lattice_step(k, qbinomial(n - 1, k - 1), qbinomial(n - 1, k))
 
 
 def terminating_weight(n: int, k: int) -> MultiLaurentPoly:

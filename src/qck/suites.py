@@ -53,6 +53,7 @@ CASE_REGISTRY.update({
     "thm3-2": lambda m, n, r: positivity.verify_thm3("thm3-2", m, n, r),
     "thm3-3": lambda m, n, r: positivity.verify_thm3("thm3-3", m, n, r),
     "lemma41": positivity.lemma41_generic,
+    "lemma41_generic": positivity.lemma41_generic,  # the name its records carry
     "corrupted_fixture": corrupted_fixture,
 })
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qck import cli, congruence, exactalg, identities, positivity, qkit, suites
+from qck import cli, congruence, delannoy, exactalg, hyperg, identities, positivity, qkit, suites
 from qck.exactalg import MultiLaurentPoly, NotDivisibleError
 from qck.identities import verify_clausen_orr
 from qck.report import CaseKind, VerificationReport
@@ -468,8 +468,7 @@ def test_a_report_replays_as_its_own_manifest(tmp_path, capsys):
     # the smallest bounds at which every family has cases
     assert cli.main(["verify", "--nmax", "1", "--mmax", "1", "--pmax", "3", "--rmax", "1",
                      "--format", "json"]) == 0
-    # lemma41's records are named lemma41_generic, no registry name: ROADMAP item 1
-    records = [r for r in json.loads(capsys.readouterr().out) if r["name"] != "lemma41_generic"]
+    records = json.loads(capsys.readouterr().out)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(records))
     assert cli.main(["verify", "--manifest", str(path), "--format", "json"]) == 0
@@ -564,7 +563,15 @@ def test_out_of_range_bounds_are_usage_errors(capsys, argv):
 
 
 def test_tracer_micro_benchmark_attributes(tmp_path):
-    """The calls of the benchmark tracer's kernel micro-benchmarks, at small sizes."""
+    """The calls of the benchmark tracer's kernel micro-benchmarks, at small sizes, and the
+    caches and functions its traced run reads and wraps."""
+    for cached in (qkit.qbinomial, delannoy.dq, delannoy.dq_star, delannoy.dq_inverse_base):
+        assert cached.cache_info().maxsize is None
+    for module, names in ((qkit, ("qpochhammer", "poch_prefixes", "poch_suffixes")),
+                          (hyperg, ("phi_sum_cleared",)),
+                          (congruence, ("thm2_lhs", "congruence_witness")),
+                          (positivity, ("verify_thm3",))):
+        assert all(callable(getattr(module, name)) for name in names), module.__name__
     lhs, rhs = identities.clausen_orr_sides(1)
     assert lhs == rhs
     binding = {"a": qkit.ParamExpr.of(-1, {"q": -1})}
@@ -592,7 +599,7 @@ def test_registry_covers_manifest_names():
 
 def test_rows_match_their_builders(monkeypatch):
     rows = [fn for fn in CASE_REGISTRY.values() if isinstance(fn, CaseKind)]
-    assert len(rows) == len(CASE_REGISTRY) - 4  # thm3-1/2/3, lemma41
+    assert len(rows) == len(CASE_REGISTRY) - 5  # thm3-1/2/3, lemma41, lemma41_generic
     for row in rows:  # a default would let a manifest leave its parameter out
         assert all(param.default is param.empty
                    for param in inspect.signature(row.builder()).parameters.values()), row.name
@@ -688,9 +695,9 @@ def test_cache_sweeps_reach_the_theorem_2_rows(monkeypatch):
     traced = importlib.import_module("traced")
     for sweep in (_clear_every_cache, traced.clear_caches):
         congruence.thm2_lhs(5, 3)
-        assert congruence._ROWS
+        assert delannoy._ROWS
         sweep()
-        assert not congruence._ROWS
+        assert not delannoy._ROWS
 
 
 def _default_report_in_process(capsys) -> str:

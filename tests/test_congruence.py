@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from qck import cli, congruence, qkit, suites
+from qck import delannoy as delannoy_module
 from qck.congruence import (congruence_witness, minus_q_pochhammer_witness,
                             nonneg_divisibility_fact, thm2_case, thm2_lhs, thm2_target,
                             thm2_witness, verify_minus_q_pochhammer, verify_qidentity,
@@ -143,7 +144,7 @@ def test_thm2_lhs_does_not_depend_on_the_order_of_its_calls():
     warm = [thm2_lhs(p, m) for p, m in pairs]
     cold = []
     for p, m in pairs:
-        for table in (congruence._m_row, congruence._single_sum_factor, dq, dq_inverse_base,
+        for table in (delannoy_module._m_row, congruence._single_sum_factor, dq, dq_inverse_base,
                       qbinomial):
             table.cache_clear()
         cold.append(thm2_lhs(p, m))
@@ -247,7 +248,7 @@ _CONGRUENCE_GRID_DIGEST = "907c7f883915a66e1a751bbff9c1bc9c5d33a20b4e32cb300ffcd
 def test_cleared_caches_leave_the_congruence_grid_report_unchanged(capsys):
     argv = ["verify", "--suite", "congruence", "--pmax", "13", "--mmax", "39", "--format", "json"]
     congruence._single_sum_factor.cache_clear()
-    congruence._m_row.cache_clear()
+    delannoy_module._m_row.cache_clear()
     for _ in ("cold", "warm"):
         assert cli.main(argv) == 0
         report = capsys.readouterr().out
@@ -259,39 +260,39 @@ def test_the_sum_rows_keep_no_mirror_table():
     # of thm2 and thm3 cases leaves the D_{1/q} and D_q caches empty and holds two rows
     cases = [case for case in suite_cases("congruence", {"pmax": 13, "mmax": 39})
              if case[0] == "thm2"] + list(suites.thm3_cases(6, 6, 3))
-    for table in (congruence._m_row, congruence._single_sum_factor, dq, dq_inverse_base):
+    for table in (delannoy_module._m_row, congruence._single_sum_factor, dq, dq_inverse_base):
         table.cache_clear()
     records = suites.run_cases(cases)
     assert len(records) == len(cases) and all(record["passed"] for record in records)
     assert dq_inverse_base.cache_info().currsize == 0
     assert dq.cache_info().currsize == 0
-    assert len(congruence._ROWS) <= 2
+    assert len(delannoy_module._ROWS) <= 2
 
 
 def test_rows_match_the_caches_they_replace():
-    # each row from cold, then the cells m-major and shuffled: every entry equals D_q(m,k),
-    # [m;k] and [m+k;k] as the cached tables build them
+    # each row from cold, then the cells m-major and shuffled: every entry equals D_q(m,k) by
+    # its defining sum, and [m;k] and [m+k;k] as the cached q-Pascal table builds them
     cells = [(m, k) for m in range(21) for k in range(14)]
 
     def check(m, k, row):
-        assert row.dq[k] == dq(m, k), (m, k)
+        assert row.dq[k] == _dq_sum(m, k, P.const(1)), (m, k)
         assert (row.binom[k], row.binom_up[k]) == (qbinomial(m, k), qbinomial(m + k, k)), (m, k)
-        assert len(congruence._ROWS) <= 2
+        assert len(delannoy_module._ROWS) <= 2
 
     for m in range(21):
-        congruence._m_row.cache_clear()
-        row = congruence._m_row(m, 14)
+        delannoy_module._m_row.cache_clear()
+        row = delannoy_module._m_row(m, 14)
         for k in range(14):
             check(m, k, row)
     for order in (cells, random.Random(3).sample(cells, len(cells))):
-        congruence._m_row.cache_clear()
+        delannoy_module._m_row.cache_clear()
         for m, k in order:
-            check(m, k, congruence._m_row(m, k + 1))
+            check(m, k, delannoy_module._m_row(m, k + 1))
 
 
 def test_a_cold_row_needs_no_deep_recursion():
     # a row is stepped up from row 0 in a loop, not by one call per m
-    congruence._m_row.cache_clear()
+    delannoy_module._m_row.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
     try:

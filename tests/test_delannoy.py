@@ -189,19 +189,35 @@ def test_cold_corner_needs_no_deep_recursion():
     assert d_inv == d.substitute({"q": q ** -1})
 
 
+def test_a_far_row_is_stepped_only_as_wide_as_asked(monkeypatch):
+    # a held row 14 wide at m = 20 is cut to width 3 for the 180 steps to row 200, more than
+    # the 20 that built it; row m - 1 is stepped at its width, which the m-major order reads
+    delannoy_module._m_row(20, 14)
+    widths, step = [], delannoy_module._step
+    monkeypatch.setattr(delannoy_module, "_step",
+                        lambda row, m: widths.append(len(row.dq)) or step(row, m))
+    delannoy_module._m_row(200, 3)
+    assert widths == [3] * 180
+    widths.clear()
+    delannoy_module._m_row(20, 14)
+    widths.clear()
+    delannoy_module._m_row(21, 1)
+    assert widths == [14]
+
+
 def _clear_tables():
     for table in (dq, dq_star, dq_inverse_base, qbinomial, congruence._single_sum_factor,
-                  congruence._m_row):
+                  delannoy_module._m_row):
         table.cache_clear()
 
 
 def _assert_caught(monkeypatch, mutant):
     """A mutant of the one lattice step fails delannoy_relations and splits thm2's routes."""
     _clear_tables()
-    bindings = [module for name, module in sys.modules.items()  # ``lattice``'s and the rows'
+    bindings = [module for name, module in sys.modules.items()  # ``qbinomial``'s and the rows'
                 if name.split(".")[0] == "qck"
                 and vars(module).get("lattice_step") is lattice_step]
-    assert {qkit, congruence} <= set(bindings)
+    assert set(bindings) == {qkit, delannoy_module}
     for module in bindings:
         monkeypatch.setattr(module, "lattice_step", mutant)
     try:
@@ -223,6 +239,22 @@ def test_a_wrong_power_in_the_recurrence_is_caught(monkeypatch):
 
 def test_a_missing_diagonal_step_is_caught(monkeypatch):
     _assert_caught(monkeypatch, lambda i, up, left, corner=None: lattice_step(i, up, left))
+
+
+def test_a_broken_row_step_fails_the_relations(monkeypatch):
+    # the rows are D_q's one builder: a mutant bound where the row step reads it, with
+    # ``qbinomial`` and the defining sum left whole, fails delannoy_relations
+    def mutant(i, up, left, corner=None):  # q^i where the diagonal step has q^{i-1}
+        out = up + q ** i * left
+        return out if corner is None else out + q ** i * corner
+    _clear_tables()
+    monkeypatch.setattr(delannoy_module, "lattice_step", mutant)
+    try:
+        assert not verify_relations(2, 2).passed
+    finally:
+        monkeypatch.undo()
+        _clear_tables()
+    assert verify_relations(2, 2).passed
 
 
 def test_the_inverse_base_is_the_mirror_image():

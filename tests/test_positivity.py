@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from qck import congruence, positivity
+from qck import delannoy as delannoy_module
+from qck import positivity
 from qck.delannoy import delannoy, dq, dq_inverse_base
 from qck.exactalg import MultiLaurentPoly as P, exact_div, is_nonneg_integer_laurent
 from qck.positivity import (lemma41_generic, s_n_symbolic, verify_alternating_sum,
@@ -129,7 +130,7 @@ def test_thm3_23_numerators_are_the_displayed_sums():
              for n in range(1, 6) for r in range(1, 4)]
     want = {cell: _inline_odd_sum(*cell[1:], cell[0] == "thm3-3") for cell in cells}
     for seed in (1, 2):
-        congruence._m_row.cache_clear()
+        delannoy_module._m_row.cache_clear()
         random.Random(seed).shuffle(cells)
         for claim, m, n, r in cells:
             num, den = positivity._CLAIM_PARTS[claim](m, n, r)

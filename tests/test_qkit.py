@@ -103,14 +103,10 @@ def test_qbinomial_matches_the_division_formula():
 
 
 def test_a_broken_q_pascal_step_is_caught(monkeypatch):
-    right = qkit.lattice
-
-    def mutant(table, diagonal, i, j):  # q^{i+1} where the q-Pascal step has q^i
-        if i < 1 or j < 1:
-            return right(table, diagonal, i, j)
-        return table(i - 1, j) + q ** (i + 1) * table(i, j - 1)
+    def mutant(i, up, left, corner=None):  # q^{i+1} where the q-Pascal step has q^i
+        return up + q ** (i + 1) * left
     qbinomial.cache_clear()
-    monkeypatch.setattr(qkit, "lattice", mutant)
+    monkeypatch.setattr(qkit, "lattice_step", mutant)
     try:
         for n in range(2, 13):
             assert [qbinomial(n, k) for k in range(n + 1)] != division_row(n), n
